@@ -33,10 +33,8 @@ int main() {
     std::printf("%-14.1f %14zu %14llu  A5=%s C1=%s B4=%s\n", weight,
                 r.best_sim.peak_footprint,
                 static_cast<unsigned long long>(r.work_steps),
-                // dmm-lint: allow(raw-knob-read): report prints the winning knobs
                 alloc::to_string(r.best.flexible).c_str(),
                 alloc::to_string(r.best.fit).c_str(),
-                // dmm-lint: allow(raw-knob-read): report prints the winning knobs
                 alloc::to_string(r.best.adaptivity).c_str());
   }
   bench::print_rule();

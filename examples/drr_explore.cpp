@@ -27,7 +27,7 @@
 //                       trace (see trace_sample.h), then re-score the
 //                       winning vector on the FULL trace — streamed from
 //                       the .dmmt mapping when one was given — and report
-//                       the sample's peak estimate against the truth.
+//                       its true peak.
 //   --export-config F   write the designed decision vector(s) as a
 //                       checksummed config artifact (one record per phase;
 //                       runtime/config_artifact.h) that
@@ -190,9 +190,8 @@ int main(int argc, char** argv) {
               "paper's decisions.\n");
 
   if (sample_set) {
-    // --- sampled search: explore a stratified subset, verify on the full
-    // trace.  The point of the error bound is that it is computed BEFORE
-    // the verification replay — the replay then shows how honest it was.
+    // --- sampled search: explore a stratified subset, then re-score the
+    // winner on the full trace for its true peak.
     trace::SampleOptions sopts;
     sopts.budget = sample_budget;
     const trace::SampleResult sample = trace::sample_trace(trace, sopts);
@@ -203,10 +202,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.allocs),
                 sample.strata.size(),
                 static_cast<unsigned long long>(sample.trace.size()));
-    std::printf("estimated full-trace peak %.0f B (+/- %.0f B, "
-                "2-sigma %.1f%%)\n",
-                sample.estimated_peak_bytes, 2.0 * sample.peak_stderr_bytes,
-                100.0 * sample.peak_relative_error_bound);
 
     core::ExplorerOptions opts = api::to_explorer_options(cli.request);
     opts.cache_file = cli.request.cache_file;
@@ -239,18 +234,9 @@ int main(int argc, char** argv) {
     } else {
       truth = score_on(trace, result.best);
     }
-    const double actual = static_cast<double>(truth.peak_live_bytes);
-    const double est_err =
-        actual > 0.0
-            ? (sample.estimated_peak_bytes - actual) / actual
-            : 0.0;
     std::printf("full-trace replay of the sampled vector: peak footprint "
                 "%zu B, peak live %zu B\n",
                 truth.peak_footprint, truth.peak_live_bytes);
-    std::printf("sample peak estimate was off by %+.2f%% (bound promised "
-                "%.1f%%)\n",
-                100.0 * est_err,
-                100.0 * sample.peak_relative_error_bound);
     if (!examples::export_designed_configs(argv[0], export_path,
                                            {result.best})) {
       return 1;

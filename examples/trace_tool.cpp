@@ -229,10 +229,6 @@ int cmd_sample(const std::string& in, unsigned budget, unsigned seed,
               static_cast<unsigned long long>(r.population_events),
               out.c_str());
   std::printf("strata            : %zu\n", r.strata.size());
-  std::printf("estimated peak    : %.0f bytes (stderr %.0f)\n",
-              r.estimated_peak_bytes, r.peak_stderr_bytes);
-  std::printf("error bound (2se) : %.2f%%\n",
-              100.0 * r.peak_relative_error_bound);
   return 0;
 }
 

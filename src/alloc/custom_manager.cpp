@@ -21,7 +21,7 @@ CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
     : Allocator(arena),
       cfg_(cfg),
       layout_(BlockLayout::from(cfg)),
-      link_bytes_(FreeIndex::link_bytes(hard_.block_structure())),
+      link_bytes_(FreeIndex::link_bytes(cfg.block_structure)),
       name_(std::move(name)),
       strict_(strict_accounting) {
   if (auto why = unsupported_reason(cfg)) {
@@ -29,20 +29,20 @@ CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
                  why->c_str());
     std::abort();
   }
-  if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass) {
+  if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass) {
     class_slot_.assign(SizeClass::kCount, -1);
-    if (hard_.pool_count() == PoolCount::kStaticMany) {
+    if (cfg_.pool_count == PoolCount::kStaticMany) {
       // Pre-create the full class roster (pools only; chunks on demand).
       for (unsigned i = 0; i < SizeClass::kCount; ++i) {
         make_pool(i, class_pool_block_size(i));
       }
     }
   }
-  if (hard_.pool_division() == PoolDivision::kSinglePool) {
+  if (cfg_.pool_division == PoolDivision::kSinglePool) {
     Pool* p = make_pool(0, 0);
-    if (hard_.static_preallocated()) {
+    if (cfg_.adaptivity == PoolAdaptivity::kStaticPreallocated) {
       // One up-front grant; afterwards the pool may never grow again.
-      if (p->grow_reserve(hard_.static_pool_bytes()) == nullptr) {
+      if (p->grow_reserve(cfg_.static_pool_bytes) == nullptr) {
         die("static preallocation exceeds the arena budget");
       }
       static_exhausted_ = true;
@@ -70,8 +70,7 @@ CustomManager::~CustomManager() {
 ChunkHeader* CustomManager::pool_grow(std::size_t min_data_bytes) {
   if (static_exhausted_) return nullptr;
   std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
-  const std::size_t chunk_bytes = hard_.chunk_bytes();
-  if (total < chunk_bytes) total = chunk_bytes;
+  if (total < cfg_.chunk_bytes) total = cfg_.chunk_bytes;
   std::size_t granted = 0;
   std::byte* base = arena_->request(total, &granted);
   if (base == nullptr) return nullptr;
@@ -94,24 +93,24 @@ Pool* CustomManager::make_pool(std::size_t key,
   pools_.push_back(
       {key, std::make_unique<Pool>(cfg_, layout_, fixed_block_size, host)});
   const std::size_t slot = pools_.size() - 1;
-  if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass &&
-      hard_.pool_structure() == PoolStructure::kArray) {
+  if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass &&
+      cfg_.pool_structure == PoolStructure::kArray) {
     class_slot_[key] = static_cast<int>(slot);
-  } else if (hard_.pool_division() == PoolDivision::kPoolPerExactSize &&
-             hard_.pool_structure() == PoolStructure::kArray) {
+  } else if (cfg_.pool_division == PoolDivision::kPoolPerExactSize &&
+             cfg_.pool_structure == PoolStructure::kArray) {
     exact_slot_[key] = slot;
   }
   return pools_.back().pool.get();
 }
 
 Pool* CustomManager::find_pool(std::size_t key) {
-  if (hard_.pool_structure() == PoolStructure::kArray) {
-    if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass) {
+  if (cfg_.pool_structure == PoolStructure::kArray) {
+    if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass) {
       const int slot = class_slot_[key];
       return slot < 0 ? nullptr
                       : pools_[static_cast<std::size_t>(slot)].pool.get();
     }
-    if (hard_.pool_division() == PoolDivision::kPoolPerExactSize) {
+    if (cfg_.pool_division == PoolDivision::kPoolPerExactSize) {
       auto it = exact_slot_.find(key);
       return it == exact_slot_.end() ? nullptr : pools_[it->second].pool.get();
     }
@@ -132,7 +131,7 @@ Pool* CustomManager::find_pool(std::size_t key) {
 std::size_t CustomManager::block_size_for_request(std::size_t payload) const {
   if (payload == 0) payload = 1;
   std::size_t p = align_up(payload);
-  if (hard_.block_sizes() == BlockSizes::kFixedClasses) {
+  if (cfg_.block_sizes == BlockSizes::kFixedClasses) {
     p = SizeClass::round_to_class(p);
   }
   return layout_.block_size_for(p, link_bytes_);
@@ -147,13 +146,13 @@ std::size_t CustomManager::class_pool_block_size(unsigned idx) const {
 }
 
 CustomManager::Route CustomManager::route(std::size_t request) {
-  switch (hard_.pool_division()) {
+  switch (cfg_.pool_division) {
     case PoolDivision::kSinglePool:
       return {find_pool(0), block_size_for_request(request)};
     case PoolDivision::kPoolPerSizeClass: {
       const unsigned idx = SizeClass::index_for(align_up(request));
       Pool* p = find_pool(idx);
-      if (p == nullptr && hard_.pool_count() == PoolCount::kDynamic) {
+      if (p == nullptr && cfg_.pool_count == PoolCount::kDynamic) {
         p = make_pool(idx, class_pool_block_size(idx));
       }
       const std::size_t bs = (p != nullptr && p->is_fixed())
@@ -177,7 +176,8 @@ CustomManager::Route CustomManager::route(std::size_t request) {
 
 void* CustomManager::allocate(std::size_t bytes) {
   const std::size_t request = bytes == 0 ? 1 : bytes;
-  if (!hard_.static_preallocated() && request >= hard_.big_request_bytes()) {
+  if (cfg_.adaptivity != PoolAdaptivity::kStaticPreallocated &&
+      request >= cfg_.big_request_bytes) {
     return big_allocate(request);
   }
   const Route r = route(request);
@@ -280,8 +280,8 @@ void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
   }
   chunk->live_blocks = 0;
   // Shrink decision point: B4 decides between releasing and caching the
-  // now-empty dedicated chunk — the accessor read notes kShrink here.
-  if (knobs_.releases_empty_chunks()) {
+  // now-empty dedicated chunk.
+  if (cfg_.adaptivity == PoolAdaptivity::kGrowAndShrink) {
     ++stats_.chunks_released;
     pool_release(chunk);
   } else {
@@ -329,70 +329,6 @@ CustomManager::FootprintBreakdown CustomManager::breakdown() const {
   // Page-rounding slack of the arena is attributed to the wilderness of
   // nothing in particular; fold it into internal fragmentation (residue).
   return b;
-}
-
-std::unique_ptr<AllocatorState> CustomManager::save_state() const {
-  auto st = std::make_unique<State>();
-  st->old_base = arena_->slab_base();
-  st->pools.reserve(pools_.size());
-  for (const PoolEntry& e : pools_) {
-    st->pools.push_back({e.key, e.pool->fixed_block_size(), e.pool->save()});
-  }
-  st->chunks.reserve(chunk_index_.size());
-  chunk_index_.for_each([&](ChunkHeader* c) { st->chunks.push_back(c); });
-  st->big_cache = big_cache_;
-  st->big_cache_bytes = big_cache_bytes_;
-  // dmm-lint: allow(unordered-iter): restore re-inserts into a hash map
-  st->requested.assign(requested_.begin(), requested_.end());
-  st->routing_steps = routing_steps_;
-  st->static_exhausted = static_exhausted_;
-  st->stats = stats_;
-  return st;
-}
-
-bool CustomManager::restore_state(const AllocatorState& state) {
-  const auto* st = dynamic_cast<const State*>(&state);
-  if (st == nullptr) return false;
-  // The constructor-created roster must be a prefix of the snapshot's:
-  // both managers share the structure knobs, so they pre-create the same
-  // pools in the same order.  Anything else means the checkpoint layer's
-  // compatibility analysis was violated — fall back to cold replay.
-  if (st->pools.size() < pools_.size()) return false;
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    if (pools_[i].key != st->pools[i].key ||
-        pools_[i].pool->fixed_block_size() != st->pools[i].fixed_size) {
-      return false;
-    }
-  }
-  const std::byte* base = arena_->slab_base();
-  const std::ptrdiff_t delta =
-      (base != nullptr && st->old_base != nullptr) ? base - st->old_base : 0;
-  // Recreate the pools the captured run made dynamically, in creation
-  // order, so routing slots land on the same indices.
-  for (std::size_t i = pools_.size(); i < st->pools.size(); ++i) {
-    make_pool(st->pools[i].key, st->pools[i].fixed_size);
-  }
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i].pool->restore(st->pools[i].snap, delta);
-  }
-  const auto fix_chunk = [delta](ChunkHeader* c) {
-    return reinterpret_cast<ChunkHeader*>(reinterpret_cast<std::byte*>(c) +
-                                          delta);
-  };
-  chunk_index_.clear();
-  for (ChunkHeader* c : st->chunks) chunk_index_.add(fix_chunk(c));
-  big_cache_.clear();
-  big_cache_.reserve(st->big_cache.size());
-  for (ChunkHeader* c : st->big_cache) big_cache_.push_back(fix_chunk(c));
-  big_cache_bytes_ = st->big_cache_bytes;
-  requested_.clear();
-  for (const auto& [p, size] : st->requested) {
-    requested_.emplace(static_cast<const std::byte*>(p) + delta, size);
-  }
-  routing_steps_ = st->routing_steps;
-  static_exhausted_ = st->static_exhausted;
-  stats_ = st->stats;
-  return true;
 }
 
 void CustomManager::check_integrity() const {

@@ -25,32 +25,21 @@ struct FreeIndex::TreeNode {
   std::byte* parent;
 };
 
-FreeIndex::FreeIndex(BlockStructure ddt, KnobView knobs,
+FreeIndex::FreeIndex(BlockStructure ddt, FreeListOrder order,
                      const BlockLayout& layout, std::size_t fixed_size)
     : ddt_(ddt),
-      knobs_(knobs),
-      link_offset_(layout.header_bytes()),
-      layout_(layout),
-      fixed_size_(fixed_size) {}
-
-FreeIndex::FreeIndex(BlockStructure ddt, FreeListOrder pinned_order,
-                     const BlockLayout& layout, std::size_t fixed_size)
-    : ddt_(ddt),
-      pinned_order_(pinned_order),
+      order_(order),
       link_offset_(layout.header_bytes()),
       layout_(layout),
       fixed_size_(fixed_size) {}
 
 FreeListOrder FreeIndex::discipline() const {
-  // Reading the C2 knob consults kOrder; self-ordering DDTs then override
-  // it (the constraint engine reports such combinations as linked
-  // decisions, not errors).  Even for them the consult stands: a config
-  // differing in A1 is a hard (structure) change handled elsewhere.
-  const FreeListOrder order = knobs_ ? knobs_->order() : pinned_order_;
+  // Self-ordering DDTs override C2 (the constraint engine reports such
+  // combinations as linked decisions, not errors).
   if (sorted_by_size() || ddt_ == BlockStructure::kSizeBinaryTree) {
     return FreeListOrder::kSizeOrdered;
   }
-  return order;
+  return order_;
 }
 
 std::size_t FreeIndex::link_bytes(BlockStructure ddt) {
@@ -92,7 +81,7 @@ bool FreeIndex::sorted_by_size() const {
 void FreeIndex::insert(std::byte* block) {
   if (count_ == 0) {
     // First resident block: every discipline files it identically (head =
-    // tail = block, no scan), so the ordering knob is not consulted.
+    // tail = block, no scan).
     if (ddt_ == BlockStructure::kSizeBinaryTree) {
       tree_insert(block);
     } else {
@@ -100,9 +89,7 @@ void FreeIndex::insert(std::byte* block) {
     }
   } else {
     // With at least one resident block the insertion position depends on
-    // the ordering policy (C2): reading it through the view consults
-    // kOrder — even for self-ordering DDTs, because a config differing in
-    // A1 is a hard (structure) change handled elsewhere.
+    // the ordering policy (C2).
     const FreeListOrder order = discipline();
     if (ddt_ == BlockStructure::kSizeBinaryTree) {
       tree_insert(block);
@@ -130,22 +117,14 @@ void FreeIndex::remove(std::byte* block) {
   bytes_ -= size_of(block);
 }
 
-std::byte* FreeIndex::take_fit(std::size_t need) {
-  // The fit policy (C1) is read — and thereby consulted — only when the
-  // choice could matter.  On a list with exactly one block every policy
-  // scans that one node, takes it iff it fits, and updates the cursor
-  // identically — no divergence until two candidates coexist.  On a 1-node
-  // tree the policies already differ observably (worst fit descends the
-  // right spine and charges different scan_steps than the >=-need
-  // descent), so trees read the knob from one block.
-  if (!knobs_) die("take_fit without a fit: pinned-policy index");
+std::byte* FreeIndex::take_fit(std::size_t need, FitAlgorithm fit) {
   if (count_ == 0) return nullptr;
   std::byte* b = nullptr;
   if (ddt_ == BlockStructure::kSizeBinaryTree) {
-    b = tree_take(need, knobs_->fit());
+    b = tree_take(need, fit);
   } else if (count_ == 1) {
-    // Policy-free single-node path, bit-identical to every fit algorithm:
-    // one scan step, take iff it fits, cursor lands past the taken block.
+    // Single-node path, bit-identical to every fit algorithm: one scan
+    // step, take iff it fits, cursor lands past the taken block.
     ++scan_steps_;
     if (size_of(head_) >= need) {
       b = head_;
@@ -153,20 +132,8 @@ std::byte* FreeIndex::take_fit(std::size_t need) {
       list_unlink(b, nullptr);
     }
   } else {
-    b = list_take(need, knobs_->fit());
+    b = list_take(need, fit);
   }
-  if (b != nullptr) {
-    --count_;
-    bytes_ -= size_of(b);
-  }
-  return b;
-}
-
-std::byte* FreeIndex::take_fit(std::size_t need, FitAlgorithm fit) {
-  if (count_ == 0) return nullptr;
-  std::byte* b = ddt_ == BlockStructure::kSizeBinaryTree
-                     ? tree_take(need, fit)
-                     : list_take(need, fit);
   if (b != nullptr) {
     --count_;
     bytes_ -= size_of(b);
@@ -344,9 +311,6 @@ std::byte* FreeIndex::list_take(std::size_t need, FitAlgorithm fit) {
     case FitAlgorithm::kExactFit: {
       // On a size-sorted list, the first block >= need IS the best fit, and
       // an exact fit (if any) is encountered first among fitting blocks.
-      // Reaching here implies count_ >= 2, so the ordering knob was already
-      // consulted by the insert that made the list non-empty — the kOrder
-      // note inside discipline() cannot move a first-consult earlier.
       const bool sorted = discipline() == FreeListOrder::kSizeOrdered;
       if (sorted) return head_ != nullptr ? scan_first(head_) : nullptr;
       std::byte* best = nullptr;
@@ -502,61 +466,6 @@ std::byte* FreeIndex::tree_take(std::size_t need, FitAlgorithm fit) {
   }
   if (found != nullptr) tree_remove(found);
   return found;
-}
-
-// ---------------------------------------------------------------------------
-// checkpoint save/restore
-// ---------------------------------------------------------------------------
-
-FreeIndex::Snapshot FreeIndex::save() const {
-  Snapshot snap;
-  snap.head = head_;
-  snap.tail = tail_;
-  snap.cursor = cursor_;
-  snap.root = root_;
-  snap.count = count_;
-  snap.bytes = bytes_;
-  snap.scan_steps = scan_steps_;
-  return snap;
-}
-
-void FreeIndex::restore(const Snapshot& snap, std::ptrdiff_t delta) {
-  const auto fix = [delta](std::byte* p) -> std::byte* {
-    return p == nullptr ? nullptr : p + delta;
-  };
-  head_ = fix(snap.head);
-  tail_ = fix(snap.tail);
-  cursor_ = fix(snap.cursor);
-  root_ = fix(snap.root);
-  count_ = snap.count;
-  bytes_ = snap.bytes;
-  scan_steps_ = snap.scan_steps;
-  if (delta == 0) return;  // restored slab bytes already hold valid links
-  if (ddt_ == BlockStructure::kSizeBinaryTree) {
-    // Each node is visited exactly once; the explicit stack tolerates the
-    // degenerate linear shapes an unbalanced BST can take.
-    std::vector<std::byte*> stack;
-    if (root_ != nullptr) stack.push_back(root_);
-    while (!stack.empty()) {
-      std::byte* b = stack.back();
-      stack.pop_back();
-      TreeNode* n = tree_node(b);
-      n->left = fix(n->left);
-      n->right = fix(n->right);
-      n->parent = fix(n->parent);
-      if (n->left != nullptr) stack.push_back(n->left);
-      if (n->right != nullptr) stack.push_back(n->right);
-    }
-    return;
-  }
-  // List walk: fix this node's links, then advance through the already
-  // fixed next pointer.  An SLL's prev word is untouched garbage by design.
-  for (std::byte* b = head_; b != nullptr;) {
-    ListNode* n = list_node(b);
-    n->next = fix(n->next);
-    if (doubly_linked()) n->prev = fix(n->prev);
-    b = n->next;
-  }
 }
 
 }  // namespace dmm::alloc

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "dmm/alloc/config.h"
-#include "dmm/alloc/knobs.h"
 #include "dmm/alloc/size_class.h"
 
 namespace dmm::alloc {
@@ -39,12 +38,10 @@ class BlockLayout {
 
   BlockLayout() = default;
 
-  /// Derives the layout from the A3/A4 decisions of @p cfg (hard knobs:
-  /// they shape construction, so reading them is consult-free).
+  /// Derives the layout from the A3/A4 decisions of @p cfg.
   static BlockLayout from(const DmmConfig& cfg) {
-    const HardKnobs hard(cfg);
-    const BlockTags tags = hard.block_tags();
-    const RecordedInfo info = hard.recorded_info();
+    const BlockTags tags = cfg.block_tags;
+    const RecordedInfo info = cfg.recorded_info;
     BlockLayout l;
     l.has_header_ =
         tags == BlockTags::kHeader || tags == BlockTags::kHeaderFooter;

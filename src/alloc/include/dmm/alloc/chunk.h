@@ -94,19 +94,6 @@ class ChunkIndex {
 
   [[nodiscard]] std::size_t size() const { return by_base_.size(); }
 
-  /// Drops every entry (checkpoint restore rebuilds the index wholesale).
-  void clear() {
-    by_base_.clear();
-    last_ = nullptr;
-  }
-
-  /// Visits every chunk in ascending base-address order (deterministic —
-  /// the backing map is ordered), for checkpoint capture.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [base, chunk] : by_base_) fn(chunk);
-  }
-
  private:
   // dmm-lint: allow(ptr-order): addresses are slab-relative, so the order is deterministic
   std::map<const std::byte*, ChunkHeader*> by_base_;

@@ -4,11 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "dmm/alloc/block_layout.h"
 #include "dmm/alloc/config.h"
-#include "dmm/alloc/knobs.h"
 
 namespace dmm::alloc {
 
@@ -24,32 +22,16 @@ namespace dmm::alloc {
 /// pool's fixed block size when blocks carry no tags — the index reads
 /// them directly through the layout, keeping the hot path call-free.
 ///
-/// The soft C1/C2 knobs are read through the KnobView accessor layer (see
-/// knobs.h), and only at genuine decision points: the ordering knob when a
-/// block joins a non-empty index, the fit knob when at least two candidate
-/// blocks coexist (one, for trees, whose policies already diverge on a
-/// single node).  This is what keeps the checkpoint layer's consult table
-/// sound without hand-placed hooks.
-///
 /// The index counts traversal steps (`scan_steps`) as an
 /// architecture-neutral work measure used by the performance benches.
 class FreeIndex {
  public:
-  /// Config-driven mode, for pools executing a decision vector.
-  /// @param ddt         tree A1 leaf (hard knob, fixed at construction)
-  /// @param knobs       soft-knob view serving C1/C2 reads (must outlive
-  ///                    the index; self-ordering DDTs override its C2)
+  /// @param ddt         tree A1 leaf
+  /// @param order       tree C2 leaf (self-ordering DDTs override it)
   /// @param layout      block layout (header offset and size field)
   /// @param fixed_size  pool's fixed block size; 0 = read from headers
-  FreeIndex(BlockStructure ddt, KnobView knobs, const BlockLayout& layout,
+  FreeIndex(BlockStructure ddt, FreeListOrder order, const BlockLayout& layout,
             std::size_t fixed_size);
-
-  /// Pinned-policy mode, for fixed reference managers (Lea/Kingsley) and
-  /// unit tests whose policies are compile-time constants rather than
-  /// DmmConfig soft knobs: the ordering is given here, the fit per call
-  /// through the explicit take_fit overload, and nothing consults.
-  FreeIndex(BlockStructure ddt, FreeListOrder pinned_order,
-            const BlockLayout& layout, std::size_t fixed_size);
 
   FreeIndex(const FreeIndex&) = delete;
   FreeIndex& operator=(const FreeIndex&) = delete;
@@ -63,14 +45,8 @@ class FreeIndex {
   /// Unthreads @p block.  Aborts if the block is not present (tripwire).
   void remove(std::byte* block);
 
-  /// Finds a block satisfying @p need bytes per the C1 fit knob, unthreads
-  /// and returns it; nullptr if no free block fits.  Consults kFit iff the
-  /// policy could matter (two coexisting blocks; one for trees).
-  /// Config-driven mode only — aborts on a pinned-policy index.
-  [[nodiscard]] std::byte* take_fit(std::size_t need);
-
-  /// Explicit-policy take for pinned-policy indexes (and tests probing a
-  /// specific fit).  Reads no knob and consults nothing.
+  /// Finds a block satisfying @p need bytes per the C1 leaf @p fit,
+  /// unthreads and returns it; nullptr if no free block fits.
   [[nodiscard]] std::byte* take_fit(std::size_t need, FitAlgorithm fit);
 
   /// Unthreads and returns any block (used when draining a pool).
@@ -88,31 +64,9 @@ class FreeIndex {
   [[nodiscard]] std::uint64_t scan_steps() const { return scan_steps_; }
 
   [[nodiscard]] BlockStructure structure() const { return ddt_; }
-  /// Effective C2 discipline: the config's ordering knob, overridden to
-  /// size-ordered by self-ordering DDTs.  Reading it consults kOrder.
+  /// Effective C2 discipline: the constructor's ordering, overridden to
+  /// size-ordered by self-ordering DDTs.
   [[nodiscard]] FreeListOrder order() const { return discipline(); }
-
-  /// Checkpoint image of the index.  All pointers are raw block addresses
-  /// inside the arena slab *at capture time*; restore() relocates every
-  /// link word by the slab-base delta.  Structure knobs (ddt/order/layout/
-  /// fixed_size) are NOT captured — they belong to the restoring index's
-  /// own construction, which the checkpoint layer guarantees compatible.
-  struct Snapshot {
-    std::byte* head = nullptr;
-    std::byte* tail = nullptr;
-    std::byte* cursor = nullptr;
-    std::byte* root = nullptr;
-    std::size_t count = 0;
-    std::size_t bytes = 0;
-    std::uint64_t scan_steps = 0;
-  };
-
-  [[nodiscard]] Snapshot save() const;
-
-  /// Restores roots/counters from @p snap (pointers shifted by @p delta)
-  /// and walks the structure fixing every in-payload link word in place.
-  /// The slab bytes must already have been restored by the arena.
-  void restore(const Snapshot& snap, std::ptrdiff_t delta);
 
  private:
   // --- in-payload node overlays ---
@@ -144,10 +98,7 @@ class FreeIndex {
                                    const std::byte* b) const;
 
   BlockStructure ddt_;
-  /// Engaged in config-driven mode; pinned-policy indexes use
-  /// pinned_order_ and the explicit-fit overload instead.
-  std::optional<KnobView> knobs_;
-  FreeListOrder pinned_order_ = FreeListOrder::kLIFO;
+  FreeListOrder order_;
   std::size_t link_offset_;
   BlockLayout layout_;
   std::size_t fixed_size_;

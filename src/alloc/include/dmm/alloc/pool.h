@@ -9,7 +9,6 @@
 #include "dmm/alloc/chunk.h"
 #include "dmm/alloc/config.h"
 #include "dmm/alloc/free_index.h"
-#include "dmm/alloc/knobs.h"
 
 namespace dmm::alloc {
 
@@ -42,6 +41,8 @@ class PoolHost {
 
 class Pool {
  public:
+  /// @param cfg  decision vector the pool executes; read in place, so it
+  ///        must outlive the pool.
   /// @param fixed_block_size  0 = variable-size pool; otherwise every
   ///        block in the pool has exactly this total size.
   Pool(const DmmConfig& cfg, const BlockLayout& layout,
@@ -92,25 +93,6 @@ class Pool {
   /// each chunk exactly and that free bookkeeping matches the index.
   void check_integrity() const;
 
-  /// Checkpoint image of the pool: chunk-list roots and counters plus the
-  /// free-index image.  Chunk pointers are capture-time addresses; restore
-  /// relocates them and re-points every chunk's owner at *this* pool.
-  struct Snapshot {
-    ChunkHeader* chunks = nullptr;
-    ChunkHeader* carve_chunk = nullptr;
-    std::size_t chunk_count = 0;
-    std::size_t live_blocks = 0;
-    FreeIndex::Snapshot index;
-  };
-
-  [[nodiscard]] Snapshot save() const;
-
-  /// Restores from @p snap over an already-restored arena slab, shifting
-  /// every stored pointer by @p delta.  Any chunks this pool acquired
-  /// before the restore are dropped without release — the arena's state
-  /// was replaced wholesale, so they no longer exist as grants.
-  void restore(const Snapshot& snap, std::ptrdiff_t delta);
-
  private:
   [[nodiscard]] std::byte* carve(std::size_t block_size);
   /// Splits @p block (size @p have) for a @p need -byte allocation; the
@@ -127,8 +109,11 @@ class Pool {
   [[nodiscard]] bool split_allowed(std::size_t have, std::size_t need) const;
   [[nodiscard]] bool remainder_ok(std::size_t remainder) const;
 
-  HardKnobs hard_;   ///< consult-free structural knobs (see knobs.h)
-  KnobView knobs_;   ///< soft knobs — every read notes its ConsultGroup
+  /// Whether tree A5 grants the splitting / coalescing mechanism.
+  [[nodiscard]] bool splitting_granted() const;
+  [[nodiscard]] bool coalescing_granted() const;
+
+  const DmmConfig& cfg_;  ///< the owning manager's decision vector
   BlockLayout layout_;
   std::size_t fixed_size_;
   std::size_t min_block_;

@@ -19,14 +19,13 @@ bool is_class_size(std::size_t s) { return s != 0 && (s & (s - 1)) == 0; }
 
 Pool::Pool(const DmmConfig& cfg, const BlockLayout& layout,
            std::size_t fixed_block_size, PoolHost& host)
-    : hard_(cfg),
-      knobs_(cfg),
+    : cfg_(cfg),
       layout_(layout),
       fixed_size_(fixed_block_size),
       min_block_(
-          layout.min_block_size(FreeIndex::link_bytes(hard_.block_structure()))),
+          layout.min_block_size(FreeIndex::link_bytes(cfg.block_structure))),
       host_(host),
-      index_(hard_.block_structure(), knobs_, layout, fixed_block_size) {
+      index_(cfg.block_structure, cfg.order, layout, fixed_block_size) {
   if (fixed_size_ != 0 && fixed_size_ < min_block_) {
     die("fixed block size below the minimum viable free-block size");
   }
@@ -49,25 +48,35 @@ std::size_t Pool::block_size_of(const std::byte* block) const {
   return sz;
 }
 
+bool Pool::splitting_granted() const {
+  return cfg_.flexible == FlexibleBlockSize::kSplitOnly ||
+         cfg_.flexible == FlexibleBlockSize::kSplitAndCoalesce;
+}
+
+bool Pool::coalescing_granted() const {
+  return cfg_.flexible == FlexibleBlockSize::kCoalesceOnly ||
+         cfg_.flexible == FlexibleBlockSize::kSplitAndCoalesce;
+}
+
 bool Pool::remainder_ok(std::size_t remainder) const {
   if (remainder < min_block_) return false;
-  if (knobs_.split_sizes() == SplitSizes::kBoundedByClass) {
+  if (cfg_.split_sizes == SplitSizes::kBoundedByClass) {
     return is_class_size(remainder) &&
-           remainder <= (std::size_t{1} << hard_.max_class_log2());
+           remainder <= (std::size_t{1} << cfg_.max_class_log2);
   }
   return true;
 }
 
 bool Pool::split_allowed(std::size_t have, std::size_t need) const {
   if (is_fixed()) return false;  // fixed pools never split (sizes invariant)
-  if (!knobs_.splitting_granted()) return false;
-  switch (knobs_.split_when()) {
+  if (!splitting_granted()) return false;
+  switch (cfg_.split_when) {
     case SplitWhen::kNever:
       return false;
     case SplitWhen::kDeferred:
       // Deferred splitting: only bother for remainders large enough to
       // matter (the pressure threshold fixed "via simulation", Sec. 5).
-      return have - need >= knobs_.deferred_split_min();
+      return have - need >= cfg_.deferred_split_min;
     case SplitWhen::kAlways:
       return have - need >= min_block_;
   }
@@ -78,12 +87,12 @@ std::size_t Pool::split_block(std::byte* block, std::size_t have,
                               std::size_t need, ChunkHeader* chunk) {
   const std::size_t remainder = have - need;
   std::size_t rem_size = remainder;
-  if (knobs_.split_sizes() == SplitSizes::kBoundedByClass) {
+  if (cfg_.split_sizes == SplitSizes::kBoundedByClass) {
     // E1 bounded: the produced block must be one of the fixed class sizes;
     // round the remainder down and leave the gap glued to the allocated
     // part (internal fragmentation — the cost of bounding E1).
     rem_size = std::size_t{1} << (std::bit_width(remainder) - 1);
-    const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
+    const std::size_t cap = std::size_t{1} << cfg_.max_class_log2;
     if (rem_size > cap) rem_size = cap;
   }
   if (!remainder_ok(rem_size)) return have;
@@ -130,19 +139,16 @@ std::byte* Pool::allocate_block(std::size_t block_size) {
   if (fixed_size_ != 0 && block_size != fixed_size_) {
     die("fixed-size pool asked for a foreign block size");
   }
-  std::byte* block = index_.take_fit(block_size);
+  std::byte* block = index_.take_fit(block_size, cfg_.fit);
   // Coalescing decision point (alloc side): a failed fit over a non-empty
-  // variable index is where a deferred-coalescing config would defragment.
-  // The D/A5 knob reads themselves carry the consult, so they are gated to
-  // fire exactly there; with an empty index a sweep is a no-op, so the
-  // extra count guard changes no behaviour.
+  // variable index is where a deferred-coalescing config would defragment;
+  // with an empty index a sweep is a no-op.
   if (block == nullptr && !is_fixed() && index_.count() > 0 &&
-      knobs_.coalescing_granted() &&
-      knobs_.coalesce_when() == CoalesceWhen::kDeferred) {
+      coalescing_granted() && cfg_.coalesce_when == CoalesceWhen::kDeferred) {
     // Deferred coalescing: defragment only when the request would
     // otherwise force the pool to grow.
     if (coalesce_sweep() > 0) {
-      block = index_.take_fit(block_size);
+      block = index_.take_fit(block_size, cfg_.fit);
     }
   }
   std::size_t final_size = block_size;
@@ -152,9 +158,7 @@ std::byte* Pool::allocate_block(std::size_t block_size) {
     const std::size_t have = block_size_of(block);
     final_size = have;
     // Splitting decision point: a reused block larger than the request is
-    // where the E-knobs (and A5) choose whether to carve a remainder —
-    // split_allowed's accessor reads note kSplit right here (its is_fixed
-    // check precedes any knob read, keeping fixed pools consult-free).
+    // where the E-knobs (and A5) choose whether to carve a remainder.
     if (have > block_size && split_allowed(have, block_size)) {
       final_size = split_block(block, have, block_size, chunk);
     }
@@ -172,11 +176,8 @@ void Pool::free_block(std::byte* block, std::size_t block_size,
   if (chunk == nullptr || chunk->owner != this) {
     die("free_block: chunk does not belong to this pool");
   }
-  // Coalescing decision point (free side): the D/A5 knob reads are gated on
-  // a merge with a neighbour or the wilderness actually being possible —
-  // freeing a block with no free neighbour behaves identically under every
-  // D-knob (try_coalesce would fall straight through), so it must not pin
-  // the divergence analysis to the first free.
+  // Coalescing decision point (free side): only a block with a free
+  // neighbour or the wilderness next to it can merge.
   bool merge_possible = false;
   if (!is_fixed()) {
     std::byte* next = block + block_size;
@@ -193,8 +194,8 @@ void Pool::free_block(std::byte* block, std::size_t block_size,
   --live_blocks_;
   --chunk->live_blocks;
   std::size_t size = block_size;
-  if (merge_possible && knobs_.coalescing_granted() &&
-      knobs_.coalesce_when() == CoalesceWhen::kAlways) {
+  if (merge_possible && coalescing_granted() &&
+      cfg_.coalesce_when == CoalesceWhen::kAlways) {
     size = try_coalesce(block, size, chunk);
   }
   make_free(block, size, chunk);
@@ -203,8 +204,8 @@ void Pool::free_block(std::byte* block, std::size_t block_size,
 
 std::size_t Pool::try_coalesce(std::byte*& block, std::size_t size,
                                ChunkHeader* chunk) {
-  const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
-  const CoalesceSizes coalesce_sizes = knobs_.coalesce_sizes();
+  const std::size_t cap = std::size_t{1} << cfg_.max_class_log2;
+  const CoalesceSizes coalesce_sizes = cfg_.coalesce_sizes;
   auto merge_allowed = [&](std::size_t merged) {
     if (coalesce_sizes == CoalesceSizes::kNotFixed) return true;
     // D1 bounded: only class-valid merged sizes up to the ceiling.
@@ -242,12 +243,10 @@ std::size_t Pool::try_coalesce(std::byte*& block, std::size_t size,
 
 void Pool::make_free(std::byte* block, std::size_t size, ChunkHeader* chunk) {
   // Immediate-coalescing configs retreat the wilderness here instead of
-  // threading a trailing free block — a D-knob decision point that is also
-  // reached from split_block's remainder, so the knob reads sit under
-  // exactly the block-touches-wilderness gate.
+  // threading a trailing free block (also reached from split_block's
+  // remainder).
   if (!is_fixed() && block + size == chunk->wilderness()) {
-    if (knobs_.coalescing_granted() &&
-        knobs_.coalesce_when() == CoalesceWhen::kAlways) {
+    if (coalescing_granted() && cfg_.coalesce_when == CoalesceWhen::kAlways) {
       // Merge into the wilderness instead of threading a trailing free
       // block — this is what lets an adaptive pool ever become empty.
       chunk->bump -= size;
@@ -277,10 +276,9 @@ void Pool::set_prev_free_of_next(std::byte* block, std::size_t size,
 
 void Pool::release_chunk_if_empty(ChunkHeader* chunk) {
   // Shrink decision point: an empty chunk is where the B4 adaptivity knob
-  // decides between returning memory and keeping it cached — so the knob
-  // read (which notes kShrink) happens only once the chunk is empty.
+  // decides between returning memory and keeping it cached.
   if (chunk->live_blocks != 0) return;
-  if (!knobs_.releases_empty_chunks()) return;
+  if (cfg_.adaptivity != PoolAdaptivity::kGrowAndShrink) return;
   // Drain the chunk's free blocks from the index, then hand it back.
   walk_chunk(chunk, [&](std::byte* b, std::size_t, bool) {
     index_.remove(b);
@@ -309,8 +307,8 @@ void Pool::walk_chunk(
 
 std::size_t Pool::coalesce_sweep() {
   std::size_t merges = 0;
-  const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
-  const CoalesceSizes coalesce_sizes = knobs_.coalesce_sizes();
+  const std::size_t cap = std::size_t{1} << cfg_.max_class_log2;
+  const CoalesceSizes coalesce_sizes = cfg_.coalesce_sizes;
   auto merged_ok = [&](std::size_t s) {
     if (coalesce_sizes == CoalesceSizes::kNotFixed) return true;
     return is_class_size(s) && s <= cap;
@@ -406,36 +404,6 @@ void Pool::check_integrity() const {
     }
     if (live_walked != live_blocks_) die("integrity: pool live mismatch");
   }
-}
-
-Pool::Snapshot Pool::save() const {
-  Snapshot snap;
-  snap.chunks = chunks_;
-  snap.carve_chunk = carve_chunk_;
-  snap.chunk_count = chunk_count_;
-  snap.live_blocks = live_blocks_;
-  snap.index = index_.save();
-  return snap;
-}
-
-void Pool::restore(const Snapshot& snap, std::ptrdiff_t delta) {
-  const auto fix = [delta](ChunkHeader* c) -> ChunkHeader* {
-    return c == nullptr ? nullptr
-                        : reinterpret_cast<ChunkHeader*>(
-                              reinterpret_cast<std::byte*>(c) + delta);
-  };
-  chunks_ = fix(snap.chunks);
-  carve_chunk_ = fix(snap.carve_chunk);
-  chunk_count_ = snap.chunk_count;
-  live_blocks_ = snap.live_blocks;
-  // Fix each header's links before advancing through them; owner is a heap
-  // pointer (not slab-relative) and must be re-pointed at *this* pool.
-  for (ChunkHeader* c = chunks_; c != nullptr; c = c->next) {
-    c->owner = this;
-    c->next = fix(c->next);
-    c->prev = fix(c->prev);
-  }
-  index_.restore(snap.index, delta);
 }
 
 }  // namespace dmm::alloc

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
-#include "dmm/core/checkpoint.h"
 #include "dmm/sysmem/system_arena.h"
 
 namespace dmm::core {
@@ -255,7 +254,6 @@ EvalOutcome score_candidate(const TraceSource& trace, const EvalJob& job) {
                         /*strict_accounting=*/false);
   out.sim = simulate(trace, mgr);
   out.work_steps = mgr.work_steps();
-  out.replayed_events = out.sim.events;
   return out;
 }
 
@@ -277,9 +275,6 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   streaming_ = true;
   stream_trace_ = &trace;
   stream_cache_ = cache;
-  // The fingerprint keys the checkpoint store; skip the O(events) hash
-  // when no store is configured.
-  stream_trace_fp_ = checkpoints_ != nullptr ? trace.fingerprint() : 0;
   slots_.clear();
   pending_canon_.clear();
   emitted_ = 0;
@@ -369,17 +364,7 @@ std::vector<EvalOutcome> EvalEngine::stream_drain() {
   return out;
 }
 
-void EvalEngine::configure_incremental(std::shared_ptr<CheckpointStore> store,
-                                       bool verify) {
-  checkpoints_ = std::move(store);
-  verify_incremental_ = verify;
-}
-
 EvalOutcome EvalEngine::compute(const EvalJob& job) const {
-  if (checkpoints_ != nullptr) {
-    return score_candidate_incremental(*stream_trace_, job, *checkpoints_,
-                                       stream_trace_fp_, verify_incremental_);
-  }
   return score_candidate(*stream_trace_, job);
 }
 

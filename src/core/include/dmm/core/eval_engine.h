@@ -29,22 +29,14 @@ struct EvalJob {
 
 /// What scoring one job produced.  `from_cache` marks evaluations served
 /// without a trace replay (memoized, or a duplicate within the batch).
-///
-/// `replayed_events` counts the trace events this outcome actually replayed
-/// (full event count for a cold replay, the suffix length for a resumed
-/// one, 0 for cache hits and checkpoint full-skips); `resumed` marks
-/// outcomes served via the incremental-replay checkpoint store.  Neither
-/// affects the score: `sim`/`work_steps` are bit-identical to a cold replay.
 struct EvalOutcome {
   std::uint64_t tag = 0;
   SimResult sim{};
   std::uint64_t work_steps = 0;
   bool from_cache = false;
-  std::uint64_t replayed_events = 0;
-  bool resumed = false;
 };
 
-/// The caching seam every engine consults during evaluate(): a memoized
+/// The caching seam every engine queries during evaluate(): a memoized
 /// score store keyed by *canonical* decision vectors (alloc::canonical).
 /// evaluate() canonicalizes each job exactly once and reuses that form for
 /// the lookup, the in-batch dedup, and the insert, so implementations never
@@ -341,8 +333,6 @@ struct FamilyEvalMember {
     std::uint64_t tag, const std::vector<EvalOutcome>& member_outcomes,
     const std::vector<FamilyEvalMember>& members, FamilyAggregate aggregate);
 
-class CheckpointStore;  // core/checkpoint.h
-
 /// The seam every evaluation backend plugs into.  The primitive is a
 /// *streaming session*: the search opens one per candidate wave
 /// (stream_begin), submits jobs as it generates them (stream_submit), and
@@ -392,19 +382,6 @@ class EvalEngine {
   /// order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
-  /// Routes this engine's replays through the incremental checkpoint
-  /// store (nullptr restores cold replays).  With @p verify every resumed
-  /// or skipped evaluation also replays cold and the results are compared
-  /// bit-for-bit (the cold result wins; mismatches are counted on the
-  /// store).  Takes effect at the next stream_begin/evaluate.
-  void configure_incremental(std::shared_ptr<CheckpointStore> store,
-                             bool verify = false);
-
-  [[nodiscard]] const std::shared_ptr<CheckpointStore>& checkpoint_store()
-      const {
-    return checkpoints_;
-  }
-
  protected:
   /// One submitted job's lifecycle inside a session.  Slots live in
   /// unique_ptrs, so their addresses are stable across submits and safe to
@@ -424,8 +401,8 @@ class EvalEngine {
   /// Blocks until slot.done (default: no-op — inline dispatch completed).
   virtual void wait_slot(StreamSlot& slot);
 
-  /// Scores one job against the session trace, honoring the incremental
-  /// configuration.  Safe from any thread during a session.
+  /// Scores one job against the session trace (score_candidate).  Safe
+  /// from any thread during a session.
   [[nodiscard]] EvalOutcome compute(const EvalJob& job) const;
 
  private:
@@ -440,11 +417,7 @@ class EvalEngine {
   std::size_t emitted_ = 0;
   const TraceSource* stream_trace_ = nullptr;
   CandidateCache* stream_cache_ = nullptr;
-  std::uint64_t stream_trace_fp_ = 0;
   bool streaming_ = false;
-
-  std::shared_ptr<CheckpointStore> checkpoints_;
-  bool verify_incremental_ = false;
 };
 
 /// In-thread reference engine: dispatch computes inline (the base default),

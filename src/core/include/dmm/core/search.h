@@ -131,23 +131,6 @@ struct ExplorerOptions {
   /// on for coverage, leave it off for an apples-to-apples budget
   /// comparison.
   bool canonical_prune_random = false;
-  /// Incremental replay: capture simulation checkpoints during cold
-  /// (baseline) replays and, for candidates that provably share a replay
-  /// prefix with a baseline (the consult-group divergence analysis in
-  /// core/checkpoint.h), resume from the latest safe checkpoint — or skip
-  /// the replay entirely when no differing knob group is ever consulted.
-  /// Scores and search outcomes are bit-identical with this on or off;
-  /// only the replayed-event counters shift.
-  bool incremental = false;
-  /// Cross-check every resumed/skipped evaluation against a cold replay
-  /// (all deterministic SimResult fields plus work_steps, bit for bit) and
-  /// count mismatches on the store.  Debug/CI knob: it forfeits the
-  /// speedup, so leave it off in production runs.
-  bool verify_incremental = false;
-  /// The checkpoint store to use when `incremental` is set.  Share one
-  /// across explorers to reuse baselines between searches; when null the
-  /// Explorer creates a private store with default limits.
-  std::shared_ptr<CheckpointStore> checkpoints;
   /// The strategy Explorer::run() (no arguments) executes; the CLIs'
   /// `--search` flag and MethodologyOptions land here.  The explicit
   /// explore()/exhaustive()/random_search() calls ignore it.
@@ -220,21 +203,6 @@ struct ExplorationResult {
   /// "evals-to-best".  Streaming searches improve mid-run; ordered walks
   /// commit their completion only at the end, so theirs equals the total.
   std::uint64_t evals_to_best = 0;
-  /// Trace events actually replayed across all simulations: the full
-  /// event count for a cold replay, only the resumed suffix for an
-  /// incremental one, zero for cache hits and full skips.  With
-  /// ExplorerOptions::incremental off this is simulations x trace length;
-  /// on, the gap between the two is the replay work saved.  Timing-
-  /// dependent across worker threads (which candidate replays cold first
-  /// can differ), unlike every score above.
-  std::uint64_t replayed_events = 0;
-  /// Evaluations served by resuming from a checkpoint or by a stored
-  /// final result (subset of simulations; 0 with incremental off).
-  std::uint64_t resumed_evals = 0;
-  /// Subset of resumed_evals served a stored final result with no replay
-  /// at all (the divergence analysis proved no differing knob group is
-  /// ever consulted).
-  std::uint64_t full_skips = 0;
   /// Per-child attribution of a PortfolioSearch run, in child order
   /// (empty for every other strategy).  `steps` holds the winning child's
   /// ordered-walk log when that child is an ordered strategy.
@@ -391,7 +359,7 @@ class SearchContext {
       const std::vector<EvalJob>& jobs);
 
   /// Per-outcome accounting shared by evaluate()/poll()/drain(): the
-  /// simulations vs cache_hits split plus the incremental-replay counters.
+  /// simulations vs cache_hits split.
   void account(const EvalOutcome& out);
 
   const TraceSource* trace_ = nullptr;  ///< single-trace mode; else family_

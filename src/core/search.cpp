@@ -144,11 +144,6 @@ void SearchContext::account(const EvalOutcome& out) {
   } else {
     ++result_.simulations;
   }
-  result_.replayed_events += out.replayed_events;
-  if (out.resumed) {
-    ++result_.resumed_evals;
-    if (out.replayed_events == 0) ++result_.full_skips;
-  }
 }
 
 std::vector<EvalOutcome> SearchContext::evaluate(

@@ -94,21 +94,16 @@ class VectorCursor final : public TraceCursor {
   explicit VectorCursor(const std::vector<AllocEvent>* events)
       : events_(events) {}
 
-  void seek(std::uint64_t event_index) override {
-    pos_ = std::min<std::uint64_t>(event_index, events_->size());
-  }
-
   std::size_t next(const AllocEvent** run) override {
-    if (pos_ >= events_->size()) return 0;
-    *run = events_->data() + pos_;
-    const std::size_t n = events_->size() - static_cast<std::size_t>(pos_);
-    pos_ = events_->size();
-    return n;
+    if (done_ || events_->empty()) return 0;
+    done_ = true;
+    *run = events_->data();
+    return events_->size();
   }
 
  private:
   const std::vector<AllocEvent>* events_;
-  std::uint64_t pos_ = 0;
+  bool done_ = false;
 };
 
 }  // namespace

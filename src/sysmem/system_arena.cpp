@@ -1,9 +1,8 @@
 #include "dmm/sysmem/system_arena.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -172,51 +171,6 @@ void SystemArena::release(std::byte* ptr) {
   stats_.total_released += size;
   ++stats_.release_count;
   if (observer_) observer_(stats_, -static_cast<long long>(size));
-}
-
-ArenaSnapshot SystemArena::save_state() const {
-  ArenaSnapshot snap;
-  snap.bump = bump_;
-  if (bump_ > 0) {
-    snap.bytes.resize(bump_);
-    std::memcpy(snap.bytes.data(), slab_, bump_);
-  }
-  snap.free_regions.assign(free_regions_.begin(), free_regions_.end());
-  snap.grants.reserve(grants_.size());
-  // dmm-lint: allow(unordered-iter): grants are sorted below before use
-  for (const auto& [ptr, size] : grants_) {
-    snap.grants.emplace_back(static_cast<std::size_t>(ptr - slab_), size);
-  }
-  // Sorted so restore rebuilds the unordered_map from a canonical sequence
-  // (the map itself does not care, but the snapshot becomes comparable).
-  std::sort(snap.grants.begin(), snap.grants.end());
-  snap.stats = stats_;
-  snap.capacity = capacity_;
-  snap.page_size = page_size_;
-  snap.old_base = slab_;
-  return snap;
-}
-
-bool SystemArena::restore_state(const ArenaSnapshot& snap) {
-  if (capacity_ != snap.capacity || page_size_ != snap.page_size) {
-    return false;
-  }
-  if (snap.bump > 0 && !ensure_slab()) return false;
-  if (snap.bump > slab_bytes_) return false;  // fallback slab too small
-  if (snap.bump > 0) {
-    std::memcpy(slab_, snap.bytes.data(), snap.bump);
-  }
-  bump_ = snap.bump;
-  free_regions_.clear();
-  for (const auto& [offset, size] : snap.free_regions) {
-    free_regions_.emplace(offset, size);
-  }
-  grants_.clear();
-  for (const auto& [offset, size] : snap.grants) {
-    grants_.emplace(slab_ + offset, size);
-  }
-  stats_ = snap.stats;
-  return true;
 }
 
 bool SystemArena::owns(const std::byte* ptr) const {

@@ -18,18 +18,9 @@ namespace dmm::trace {
 /// deterministic hash of (seed, object id), so a given (source, budget,
 /// seed) always yields the same sample, on any thread count.
 ///
-/// The peak estimate is Horvitz-Thompson: each kept object counts as
-/// size / p_stratum toward live bytes, making the estimated peak unbiased
-/// per stratum; the reported error bound is two estimated standard errors
-/// at the peak (Bernoulli variance, estimated from the sample itself).
-/// The bound is a *pointwise* bound at the sample-estimated peak
-/// instant.  Taking the running maximum of a noisy trajectory biases
-/// the estimate upward, and on very long traces (tens of millions of
-/// events) the realized error can exceed the pointwise bound.  The
-/// intended workflow — run the search on the sample, then validate the
-/// winner on the full trace — absorbs this: the bound is a sanity
-/// check that the sample was dense enough to trust the search's
-/// ranking, never a substitute for full-trace validation.
+/// A sample is a search accelerator, not a footprint estimator: run the
+/// search on the sample, then re-score the winner on the full trace for
+/// its true peak.
 ///
 /// Memory is O(strata + concurrently-live sampled objects): two streaming
 /// passes over the source, never a per-object table of the population.
@@ -58,13 +49,6 @@ struct SampleResult {
   core::AllocTrace trace;
   std::uint64_t population_events = 0;
   std::uint64_t sampled_objects = 0;
-  /// Horvitz-Thompson estimate of the population's peak live bytes, taken
-  /// at the sample-estimated peak instant.
-  double estimated_peak_bytes = 0.0;
-  /// Estimated standard error of that estimate.
-  double peak_stderr_bytes = 0.0;
-  /// Two standard errors, relative to the estimate (0 when exact).
-  double peak_relative_error_bound = 0.0;
   std::vector<StratumReport> strata;  ///< sorted by (size_class, phase)
 };
 

@@ -1,7 +1,6 @@
 #include "dmm/trace/trace_sample.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <unordered_map>
 
@@ -42,12 +41,6 @@ struct Stratum {
   double rate = 1.0;
 };
 
-struct KeptObj {
-  std::uint32_t new_id = 0;
-  std::uint32_t size = 0;
-  double rate = 1.0;
-};
-
 }  // namespace
 
 SampleResult sample_trace(const core::TraceSource& source,
@@ -82,11 +75,10 @@ SampleResult sample_trace(const core::TraceSource& source,
 
   // Rate assignment (an object costs about two events of the budget):
   // half the object budget is spread uniformly, half in proportion to
-  // each stratum's byte mass.  Rare large-block strata dominate the peak
-  // estimate's variance, so the byte half samples them densely — usually
-  // exhaustively — while the abundant small strata carry the
-  // subsampling.  A per-stratum floor keeps even byte-light strata
-  // represented.
+  // each stratum's byte mass.  Rare large-block strata dominate the peak,
+  // so the byte half samples them densely — usually exhaustively — while
+  // the abundant small strata carry the subsampling.  A per-stratum floor
+  // keeps even byte-light strata represented.
   const double target_objects = static_cast<double>(opts.budget) / 2.0;
   for (auto& [key, s] : strata) {
     (void)key;
@@ -106,14 +98,9 @@ SampleResult sample_trace(const core::TraceSource& source,
     s.rate = std::min(1.0, rate);
   }
 
-  // Pass 2: hash-based inclusion, Horvitz-Thompson peak tracking, and
-  // emission with dense renumbering.
-  std::unordered_map<std::uint32_t, KeptObj> kept;  // original id -> obj
+  // Pass 2: hash-based inclusion and emission with dense renumbering.
+  std::unordered_map<std::uint32_t, std::uint32_t> kept;  // old id -> new id
   std::uint32_t next_id = 0;
-  double ht_live = 0.0;      // sum of size / rate over kept live objects
-  double ht_var = 0.0;       // sum of size^2 (1 - rate) / rate^2 over same
-  double peak_live = 0.0;
-  double var_at_peak = 0.0;
   {
     const auto cur = source.cursor();
     const AllocEvent* run = nullptr;
@@ -129,34 +116,18 @@ SampleResult sample_trace(const core::TraceSource& source,
           if (inclusion_draw(opts.seed, event_index) >= s.rate) continue;
           ++s.sampled;
           ++res.sampled_objects;
-          const KeptObj obj{next_id++, e.size, s.rate};
-          kept[e.id] = obj;
-          res.trace.record_alloc(obj.new_id, e.size, e.phase);
-          const double sz = static_cast<double>(e.size);
-          ht_live += sz / obj.rate;
-          ht_var += sz * sz * (1.0 - obj.rate) / (obj.rate * obj.rate);
-          if (ht_live > peak_live) {
-            peak_live = ht_live;
-            var_at_peak = ht_var;
-          }
+          kept[e.id] = next_id;
+          res.trace.record_alloc(next_id++, e.size, e.phase);
         } else {
           const auto it = kept.find(e.id);
           if (it == kept.end()) continue;
-          const KeptObj obj = it->second;
+          res.trace.record_free(it->second, e.phase);
           kept.erase(it);
-          res.trace.record_free(obj.new_id, e.phase);
-          const double sz = static_cast<double>(obj.size);
-          ht_live -= sz / obj.rate;
-          ht_var -= sz * sz * (1.0 - obj.rate) / (obj.rate * obj.rate);
         }
       }
     }
   }
 
-  res.estimated_peak_bytes = peak_live;
-  res.peak_stderr_bytes = std::sqrt(std::max(0.0, var_at_peak));
-  res.peak_relative_error_bound =
-      peak_live > 0.0 ? 2.0 * res.peak_stderr_bytes / peak_live : 0.0;
   res.strata.reserve(strata.size());
   for (const auto& [key, s] : strata) {
     StratumReport r;

@@ -1,13 +1,11 @@
 // Stratified sampling: samples must be deterministic pure functions of
 // (source, budget, seed), validate()-clean, budget-respecting, and must
-// keep rare strata represented; the Horvitz-Thompson peak estimate must
-// be exact at rate 1 and carry a usable error bound below it.
+// keep rare strata represented, and keep the whole trace at budget 0.
 
 #include "dmm/trace/trace_sample.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -29,7 +27,6 @@ TEST(TraceSample, DeterministicForFixedSeed) {
   const SampleResult b = sample_trace(t, 2000, 42);
   EXPECT_EQ(a.trace.fingerprint(), b.trace.fingerprint());
   EXPECT_EQ(a.sampled_objects, b.sampled_objects);
-  EXPECT_DOUBLE_EQ(a.estimated_peak_bytes, b.estimated_peak_bytes);
   const SampleResult c = sample_trace(t, 2000, 43);
   EXPECT_NE(a.trace.fingerprint(), c.trace.fingerprint());
 }
@@ -65,12 +62,7 @@ TEST(TraceSample, ZeroBudgetKeepsEverythingExactly) {
   const SampleResult r = sample_trace(t, 0, 1);
   EXPECT_EQ(r.trace.size(), t.size());
   EXPECT_EQ(r.sampled_objects, t.stats().allocs);
-  // Rate 1 everywhere: the HT estimate *is* the exact peak and the
-  // variance vanishes.
-  EXPECT_DOUBLE_EQ(r.estimated_peak_bytes,
-                   static_cast<double>(t.stats().peak_live_bytes));
-  EXPECT_DOUBLE_EQ(r.peak_stderr_bytes, 0.0);
-  EXPECT_DOUBLE_EQ(r.peak_relative_error_bound, 0.0);
+  EXPECT_EQ(r.trace.stats().peak_live_bytes, t.stats().peak_live_bytes);
 }
 
 TEST(TraceSample, RareStrataStayRepresented) {
@@ -101,20 +93,6 @@ TEST(TraceSample, RareStrataStayRepresented) {
   EXPECT_EQ(huge_sampled, 3u);
 }
 
-TEST(TraceSample, PeakEstimateLandsInsideAFewErrorBounds) {
-  const AllocTrace t = drr_trace();
-  const double exact = static_cast<double>(t.stats().peak_live_bytes);
-  const SampleResult r = sample_trace(t, 20000, 1);
-  ASSERT_GT(r.estimated_peak_bytes, 0.0);
-  EXPECT_GT(r.peak_relative_error_bound, 0.0);
-  // The bound is ~2 standard errors; allow 2x the bound (4 sigma) so the
-  // fixed-seed test never flakes while still catching a broken estimator.
-  const double rel_err = std::abs(r.estimated_peak_bytes - exact) / exact;
-  EXPECT_LT(rel_err, 2.0 * r.peak_relative_error_bound + 1e-9)
-      << "estimate " << r.estimated_peak_bytes << " exact " << exact
-      << " bound " << r.peak_relative_error_bound;
-}
-
 TEST(TraceSample, WorksIdenticallyOnMappedSource) {
   const AllocTrace t = drr_trace();
   const std::string path = ::testing::TempDir() + "dmm_sample_src.dmmt";
@@ -127,7 +105,6 @@ TEST(TraceSample, WorksIdenticallyOnMappedSource) {
   const SampleResult b = sample_trace(*m, 3000, 5);
   EXPECT_EQ(a.trace.fingerprint(), b.trace.fingerprint());
   EXPECT_EQ(a.sampled_objects, b.sampled_objects);
-  EXPECT_DOUBLE_EQ(a.estimated_peak_bytes, b.estimated_peak_bytes);
   std::remove(path.c_str());
 }
 
