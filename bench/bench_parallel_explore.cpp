@@ -1,6 +1,6 @@
 // Parallel evaluation engine: wall-clock scaling of the greedy ordered
 // traversal and the exhaustive validator as ThreadPoolEngine workers grow,
-// plus the ScoreCache's replay savings.  Emits BENCH_parallel.json for the
+// plus the score cache's replay savings.  Emits BENCH_parallel.json for the
 // perf trajectory; speedup is relative to the serial engine on this
 // machine (a 1-core container reports ~1x by construction — the numbers
 // to watch there are cache_saved_pct and the determinism check).

@@ -204,9 +204,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sample.trace.size()));
 
     core::ExplorerOptions opts = api::to_explorer_options(cli.request);
-    opts.cache_file = cli.request.cache_file;
+    const std::string& cache_file = cli.request.cache_file;
+    if (!cache_file.empty()) {
+      // --cache-file: warm-start from the snapshot, write it back after.
+      opts.shared_cache = std::make_shared<core::SharedScoreCache>();
+      (void)opts.shared_cache->load(cache_file);
+    }
     core::Explorer explorer(sample.trace, opts);
     const core::ExplorationResult result = explorer.run();
+    if (!cache_file.empty()) (void)opts.shared_cache->save(cache_file);
     std::printf("\nsearch on the sample: %llu replays of %llu events "
                 "each\n",
                 static_cast<unsigned long long>(result.simulations),
@@ -252,12 +258,14 @@ int main(int argc, char** argv) {
   // almost entirely from cross-search hits.
   core::ExplorerOptions opts = api::to_explorer_options(cli.request);
   opts.shared_cache = std::make_shared<core::SharedScoreCache>();
-  // --cache-file: the explorer warm-starts from the snapshot and writes
-  // the cache back when it is destroyed; a second run of this example
-  // then replays nothing at all.
-  opts.cache_file = cli.request.cache_file;
+  // --cache-file: the walk warm-starts from the snapshot and writes the
+  // cache back right after; a second run of this example then replays
+  // nothing at all.
+  const std::string& cache_file = cli.request.cache_file;
+  if (!cache_file.empty()) (void)opts.shared_cache->load(cache_file);
   core::Explorer explorer(trace, opts);
   const core::ExplorationResult result = explorer.run();
+  if (!cache_file.empty()) (void)opts.shared_cache->save(cache_file);
   for (const core::StepLog& step : result.steps) {
     std::printf("%s (%s):\n", core::tree_id(step.tree).c_str(),
                 core::tree_title(step.tree).c_str());
@@ -273,7 +281,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::string& cache_file = cli.request.cache_file;
   std::printf("\nsearch cost: %llu trace replays (%llu more served by the "
               "score cache, %llu of those warm from %s) on the %s engine\n",
               static_cast<unsigned long long>(result.simulations),
@@ -309,9 +316,8 @@ int main(int argc, char** argv) {
   std::printf("== comparison on 5 fresh traces (Table 1 style) ==\n");
   // Persistence belongs to the run, not to each phase: the methodology
   // bridge hands the snapshot path to design_manager (one load up front,
-  // one save at the end) and keeps the per-phase explorers
-  // persistence-unaware.  Share the walk's cache so the design run reuses
-  // its replays.
+  // one save at the end).  Share the walk's cache so the design run
+  // reuses its replays.
   core::MethodologyOptions design_opts =
       api::to_methodology_options(cli.request);
   design_opts.explorer_options.shared_cache = opts.shared_cache;

@@ -1,9 +1,10 @@
 // The unified request/reply API — validation, option bridges, trace
-// resolution, the in-process adapter over design_manager(_family), and the
+// resolution, the in-process runner over core::DesignRun, and the
 // line-based wire form.  See design_api.h for the contract.
 
 #include "dmm/api/design_api.h"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -318,6 +319,64 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
 // The in-process adapter
 // ---------------------------------------------------------------------------
 
+std::unique_ptr<core::DesignRun> make_design_run(
+    const DesignRequest& req, const std::vector<core::AllocTrace>& traces,
+    core::EvalEngine& engine,
+    std::shared_ptr<core::SharedScoreCache> shared_cache) {
+  if (traces.size() >= 2) {
+    core::FamilyDesignOptions options = to_family_options(req);
+    options.explorer_options.shared_cache = std::move(shared_cache);
+    return std::make_unique<core::DesignRun>(traces, options, engine);
+  }
+  core::MethodologyOptions options = to_methodology_options(req);
+  options.explorer_options.shared_cache = std::move(shared_cache);
+  return std::make_unique<core::DesignRun>(traces[0], options, engine);
+}
+
+DesignReply harvest_reply(core::DesignRun& run) {
+  DesignReply reply;
+  reply.family = run.family();
+  std::vector<alloc::DmmConfig> configs;
+  core::ExplorationResult cost;  // only the accounting fields are read
+  if (run.family()) {
+    const bool finished = run.done();
+    const core::FamilyDesignResult family = run.harvest_family();
+    if (finished) {
+      configs.push_back(family.best);
+      reply.feasible = family.feasible;
+      reply.best_peak = family.search.best_sim.peak_footprint;
+      reply.aggregate_objective = family.aggregate_objective;
+    }
+    cost = family.search;
+  } else {
+    const core::MethodologyResult result = run.harvest();
+    configs = result.phase_configs;
+    reply.feasible = true;
+    for (const core::ExplorationResult& r : result.phase_results) {
+      // Empty phases carry a default (never-searched) result — skip them;
+      // a searched phase always charged at least one evaluation.
+      if (r.simulations + r.cache_hits == 0) continue;
+      if (!r.feasible) reply.feasible = false;
+      reply.best_peak = std::max<std::uint64_t>(reply.best_peak,
+                                                r.best_sim.peak_footprint);
+    }
+    cost.simulations = result.total_simulations;
+    cost.cache_hits = result.total_cache_hits;
+    cost.cross_search_hits = result.total_cross_search_hits;
+    cost.persisted_hits = result.total_persisted_hits;
+  }
+  for (const alloc::DmmConfig& cfg : configs) {
+    reply.phase_signatures.push_back(alloc::signature(cfg));
+    reply.phase_configs.push_back(cfg);
+  }
+  reply.simulations = cost.simulations;
+  reply.cache_hits = cost.cache_hits;
+  reply.cross_search_hits = cost.cross_search_hits;
+  reply.persisted_hits = cost.persisted_hits;
+  reply.evaluations = cost.simulations + cost.cache_hits;
+  return reply;
+}
+
 DesignReply run_design_request(const DesignRequest& req) {
   DesignReply reply;
   std::string why;
@@ -331,42 +390,12 @@ DesignReply run_design_request(const DesignRequest& req) {
     return reply;
   }
   try {
-    if (traces.size() >= 2) {
-      const core::FamilyDesignResult family =
-          core::design_manager_family(traces, to_family_options(req));
-      reply.family = true;
-      reply.feasible = family.feasible;
-      reply.phase_signatures.push_back(alloc::signature(family.best));
-      reply.phase_configs.push_back(family.best);
-      reply.best_peak = family.search.best_sim.peak_footprint;
-      reply.aggregate_objective = family.aggregate_objective;
-      reply.simulations = family.search.simulations;
-      reply.cache_hits = family.search.cache_hits;
-      reply.cross_search_hits = family.search.cross_search_hits;
-      reply.persisted_hits = family.search.persisted_hits;
-    } else {
-      const core::MethodologyResult design =
-          core::design_manager(traces[0], to_methodology_options(req));
-      reply.feasible = true;
-      for (const alloc::DmmConfig& cfg : design.phase_configs) {
-        reply.phase_signatures.push_back(alloc::signature(cfg));
-        reply.phase_configs.push_back(cfg);
-      }
-      for (const core::ExplorationResult& r : design.phase_results) {
-        // Empty phases carry a default (never-searched) result — skip
-        // them; a searched phase always charged at least one evaluation.
-        if (r.simulations + r.cache_hits == 0) continue;
-        if (!r.feasible) reply.feasible = false;
-        if (r.best_sim.peak_footprint > reply.best_peak) {
-          reply.best_peak = r.best_sim.peak_footprint;
-        }
-      }
-      reply.simulations = design.total_simulations;
-      reply.cache_hits = design.total_cache_hits;
-      reply.cross_search_hits = design.total_cross_search_hits;
-      reply.persisted_hits = design.total_persisted_hits;
-    }
-    reply.evaluations = reply.simulations + reply.cache_hits;
+    const std::unique_ptr<core::EvalEngine> engine =
+        core::make_engine(req.num_threads);
+    const std::unique_ptr<core::DesignRun> run =
+        make_design_run(req, traces, *engine);
+    run->complete();
+    reply = harvest_reply(*run);
     reply.ok = true;
   } catch (const std::exception& e) {
     reply = DesignReply{};

@@ -9,9 +9,9 @@
 // MethodologyOptions / FamilyDesignOptions / CLI-flag spread that accreted
 // across the earlier milestones.  One request type serves three fronts:
 //
-//   * the library: run_design_request() executes a request in-process and
-//     is a thin adapter over design_manager()/design_manager_family() —
-//     results are bit-for-bit what the underlying entry points return;
+//   * the library: run_design_request() executes a request in-process as
+//     one core::DesignRun stepped to completion — results are bit-for-bit
+//     what design_manager()/design_manager_family() return;
 //   * the CLIs: RequestCli parses the shared flag surface (--search,
 //     --family, --cache-file, ...) into a request, so the example binaries
 //     stop re-plumbing flags by hand;
@@ -25,6 +25,7 @@
 // and parsing never touches locale- or precision-dependent float parsing.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -185,10 +186,27 @@ struct ProgressEvent {
   std::string incumbent;  ///< alloc::signature of the incumbent
 };
 
-/// Executes @p req in-process: loads its traces and runs the matching
-/// library entry point (design_manager for one trace, design_manager_family
-/// for several).  Never throws for request-shaped problems — a bad request
-/// or unloadable trace comes back as `ok = false` with the reason.
+/// The design run that executes @p req over @p traces (load_traces'
+/// output, which must outlive the run) on @p engine: a single-trace run for
+/// one trace, a family run for several.  A non-null @p shared_cache serves
+/// the whole run when the request caches.  Requires a valid request.
+[[nodiscard]] std::unique_ptr<core::DesignRun> make_design_run(
+    const DesignRequest& req, const std::vector<core::AllocTrace>& traces,
+    core::EvalEngine& engine,
+    std::shared_ptr<core::SharedScoreCache> shared_cache = nullptr);
+
+/// Flattens a run into a reply: the designed vectors, feasibility, best
+/// peak and search accounting — of a finished run, or of whatever an
+/// interrupted one finished plus the interrupted search's accounting.  The
+/// one harvest run_design_request() and dmm_serve share; ok/error, the
+/// cancel/budget flags and daemon cache state are left to the caller.
+/// Spends the run (see DesignRun::harvest).
+[[nodiscard]] DesignReply harvest_reply(core::DesignRun& run);
+
+/// Executes @p req in-process: loads its traces and steps the request's
+/// DesignRun to completion (snapshot persistence included when cache_file
+/// is set).  Never throws for request-shaped problems — a bad request or
+/// unloadable trace comes back as `ok = false` with the reason.
 [[nodiscard]] DesignReply run_design_request(const DesignRequest& req);
 
 // ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ double get_f64(const std::uint8_t* p) {
 
 void put_record(std::vector<std::uint8_t>& buf, std::uint64_t fingerprint,
                 const alloc::DmmConfig& canon,
-                const CandidateCache::Entry& entry) {
+                const SharedScoreCache::Entry& entry) {
   put_u64(buf, fingerprint);
   put_u64(buf, static_cast<std::uint64_t>(alloc::hash_value(canon)));
   for (const TreeId t : all_trees()) {
@@ -103,7 +103,7 @@ void put_record(std::vector<std::uint8_t>& buf, std::uint64_t fingerprint,
 struct ParsedRecord {
   std::uint64_t fingerprint = 0;
   alloc::DmmConfig canon{};
-  CandidateCache::Entry entry{};
+  SharedScoreCache::Entry entry{};
 };
 
 /// Parses one fixed-width record; false when a leaf index is out of range

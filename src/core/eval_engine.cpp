@@ -10,28 +10,6 @@
 
 namespace dmm::core {
 
-const ScoreCache::Entry* ScoreCache::lookup(
-    const alloc::DmmConfig& cfg) const {
-  const auto it = map_.find(alloc::canonical(cfg));
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void ScoreCache::insert(const alloc::DmmConfig& cfg, Entry entry) {
-  map_.insert_or_assign(alloc::canonical(cfg), std::move(entry));
-}
-
-bool ScoreCache::lookup_canonical(const alloc::DmmConfig& canon, Entry* out) {
-  const auto it = map_.find(canon);
-  if (it == map_.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void ScoreCache::insert_canonical(const alloc::DmmConfig& canon,
-                                  const Entry& entry) {
-  map_.insert_or_assign(canon, entry);
-}
-
 // ---------------------------------------------------------------------------
 // SharedScoreCache
 // ---------------------------------------------------------------------------
@@ -261,16 +239,16 @@ EvalOutcome score_candidate(const TraceSource& trace, const EvalJob& job) {
 // EvalEngine streaming session
 // ---------------------------------------------------------------------------
 
-std::vector<EvalOutcome> EvalEngine::evaluate(const TraceSource& trace,
-                                              const std::vector<EvalJob>& jobs,
-                                              CandidateCache* cache) {
+std::vector<EvalOutcome> EvalEngine::evaluate(
+    const TraceSource& trace, const std::vector<EvalJob>& jobs,
+    SharedScoreCache::Session* cache) {
   stream_begin(trace, cache);
   for (const EvalJob& job : jobs) stream_submit(job);
   return stream_drain();
 }
 
 void EvalEngine::stream_begin(const TraceSource& trace,
-                              CandidateCache* cache) {
+                              SharedScoreCache::Session* cache) {
   assert(!streaming_ && "one streaming session at a time per engine");
   streaming_ = true;
   stream_trace_ = &trace;
@@ -291,7 +269,7 @@ void EvalEngine::stream_submit(const EvalJob& job) {
     // at-emission insert.  Without a cache every job replays (matching the
     // pre-engine Explorer), so no canonicalization happens at all.
     slot->canon = alloc::canonical(job.cfg);
-    CandidateCache::Entry hit;
+    SharedScoreCache::Entry hit;
     if (stream_cache_->lookup_canonical(slot->canon, &hit)) {
       slot->kind = StreamSlot::Kind::kCached;
       slot->out.sim = hit.sim;

@@ -14,40 +14,11 @@ Explorer::Explorer(std::shared_ptr<const TraceSource> trace,
     : trace_(std::move(trace)),
       trace_fingerprint_(trace_->fingerprint()),
       opts_(opts),
-      engine_(make_engine(opts.num_threads)) {
-  // Warm-start from a snapshot: scores persist under the shared cache, so
-  // configuring a cache_file without one injects a private cache.  Loading
-  // is idempotent (existing keys win) and rejection leaves the cache cold —
-  // a snapshot can only ever remove replays, never change results.
-  if (opts_.cache && !opts_.cache_file.empty()) {
-    if (opts_.shared_cache == nullptr) {
-      opts_.shared_cache = std::make_shared<SharedScoreCache>();
-    }
-    (void)opts_.shared_cache->load(opts_.cache_file);
-  }
-}
-
-Explorer::~Explorer() { save_cache_file(); }
-
-void Explorer::save_cache_file() const {
-  if (opts_.cache && !opts_.cache_file.empty() &&
-      opts_.shared_cache != nullptr) {
-    (void)opts_.shared_cache->save(opts_.cache_file);
-  }
-}
+      engine_(make_engine(opts.num_threads)) {}
 
 ExplorationResult Explorer::run(SearchStrategy& strategy) {
   SearchContext ctx(*trace_, trace_fingerprint_, opts_, *engine_);
-  try {
-    strategy.run(ctx);
-  } catch (...) {
-    // A strategy that dies mid-run must not discard the replays the
-    // shared cache already absorbed: the destructor's save cannot be
-    // relied on here (an exception escaping main() skips unwinding
-    // entirely), so persist before rethrowing.
-    save_cache_file();
-    throw;
-  }
+  strategy.run(ctx);
   return ctx.finish();
 }
 

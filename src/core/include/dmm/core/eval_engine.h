@@ -36,55 +36,14 @@ struct EvalOutcome {
   bool from_cache = false;
 };
 
-/// The caching seam every engine queries during evaluate(): a memoized
-/// score store keyed by *canonical* decision vectors (alloc::canonical).
-/// evaluate() canonicalizes each job exactly once and reuses that form for
-/// the lookup, the in-batch dedup, and the insert, so implementations never
-/// re-canonicalize.  Calls arrive only from the coordinating thread of one
-/// search; thread-safety across *searches* is the implementation's concern
-/// (ScoreCache has none and needs none, SharedScoreCache stripes locks).
-class CandidateCache {
- public:
-  struct Entry {
-    SimResult sim{};
-    std::uint64_t work_steps = 0;
-  };
-
-  virtual ~CandidateCache() = default;
-
-  /// True (and *out filled) when @p canon has a memoized score.
-  [[nodiscard]] virtual bool lookup_canonical(const alloc::DmmConfig& canon,
-                                              Entry* out) = 0;
-  virtual void insert_canonical(const alloc::DmmConfig& canon,
-                                const Entry& entry) = 0;
-};
-
-/// Per-search memoized scores — repaired completions collide often within
-/// one greedy walk, and a hit skips a whole trace replay.  Only ever
-/// touched by the search's coordinating thread, so it needs no locking.
-class ScoreCache final : public CandidateCache {
- public:
-  using Entry = CandidateCache::Entry;
-
-  /// nullptr when the canonical form of @p cfg has not been scored yet.
-  [[nodiscard]] const Entry* lookup(const alloc::DmmConfig& cfg) const;
-  void insert(const alloc::DmmConfig& cfg, Entry entry);
-
-  [[nodiscard]] bool lookup_canonical(const alloc::DmmConfig& canon,
-                                      Entry* out) override;
-  void insert_canonical(const alloc::DmmConfig& canon,
-                        const Entry& entry) override;
-
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
-
- private:
-  std::unordered_map<alloc::DmmConfig, Entry, alloc::DmmConfigHash> map_;
-};
-
-/// Cross-search score cache: one instance can serve every search of a
-/// design_manager() run (each phase's greedy walk plus the exhaustive /
-/// random validation passes) and any number of concurrent Explorers.
+/// The score cache: memoized candidate scores keyed by trace fingerprint x
+/// *canonical* decision vector (alloc::canonical) — repaired completions
+/// collide often within one greedy walk, and a hit skips a whole trace
+/// replay.  It is the only cache implementation: a search with no cache
+/// injected opens its session on a private instance (per-search memo, no
+/// cross-search hits), while one shared instance can serve every search of
+/// a design run (each phase's walk plus the validation passes) and any
+/// number of concurrent Explorers.
 ///
 /// Entries are keyed by trace fingerprint x canonical decision vector, so
 /// searches over the same trace reuse each other's replays while distinct
@@ -92,7 +51,7 @@ class ScoreCache final : public CandidateCache {
 /// per shard (striped locking): coordinating threads of concurrent
 /// searches only contend when they touch the same shard.
 ///
-/// Each search opens a Session (the CandidateCache the engine sees).
+/// Each search opens a Session, the handle the engine evaluates through.
 /// Entries remember which session paid for their replay; a hit served from
 /// another session's entry is a *cross-search* hit, which the session
 /// counts and ExplorationResult/MethodologyResult report.  Replays are
@@ -109,7 +68,10 @@ class ScoreCache final : public CandidateCache {
 /// and the cache simply starts cold.
 class SharedScoreCache {
  public:
-  using Entry = CandidateCache::Entry;
+  struct Entry {
+    SimResult sim{};
+    std::uint64_t work_steps = 0;
+  };
 
   static constexpr std::size_t kDefaultShards = 16;
 
@@ -168,16 +130,17 @@ class SharedScoreCache {
     std::uint64_t entries = 0;            ///< live entries (== size())
   };
 
-  /// One search's view of the cache; implements the engine-facing
-  /// CandidateCache and counts the cross-search hits it was served.
-  /// Sessions are cheap, movable, and single-threaded like the search
-  /// that owns them.
-  class Session final : public CandidateCache {
+  /// One search's view of the cache; counts the cross-search hits it was
+  /// served.  Sessions are cheap, movable, and single-threaded like the
+  /// search that owns them.  The engine canonicalizes each job exactly
+  /// once and passes that form to both calls, so sessions never
+  /// re-canonicalize.
+  class Session {
    public:
+    /// True (and *out filled) when @p canon has a memoized score.
     [[nodiscard]] bool lookup_canonical(const alloc::DmmConfig& canon,
-                                        Entry* out) override;
-    void insert_canonical(const alloc::DmmConfig& canon,
-                          const Entry& entry) override;
+                                        Entry* out);
+    void insert_canonical(const alloc::DmmConfig& canon, const Entry& entry);
 
     /// Hits served from entries another search of this process replayed
     /// (disjoint from persisted_hits()).
@@ -361,17 +324,16 @@ class EvalEngine {
   /// Worker parallelism (1 for the serial engine).
   [[nodiscard]] virtual unsigned threads() const { return 1; }
 
-  /// Scores every job; outcomes are returned in job order.  @p cache is a
-  /// per-search ScoreCache, a SharedScoreCache::Session, or null (every
-  /// job then replays, matching the pre-engine Explorer).
+  /// Scores every job; outcomes are returned in job order.  @p cache is
+  /// the search's score-cache session, or null (every job then replays).
   [[nodiscard]] std::vector<EvalOutcome> evaluate(
       const TraceSource& trace, const std::vector<EvalJob>& jobs,
-      CandidateCache* cache = nullptr);
+      SharedScoreCache::Session* cache = nullptr);
 
   /// Opens a streaming session.  One session at a time per engine; the
   /// trace and cache must outlive it.
   void stream_begin(const TraceSource& trace,
-                    CandidateCache* cache = nullptr);
+                    SharedScoreCache::Session* cache = nullptr);
   /// Submits one job to the open session (cache lookup + dedup happen now,
   /// misses start evaluating immediately on pooled engines).
   void stream_submit(const EvalJob& job);
@@ -416,7 +378,7 @@ class EvalEngine {
       pending_canon_;
   std::size_t emitted_ = 0;
   const TraceSource* stream_trace_ = nullptr;
-  CandidateCache* stream_cache_ = nullptr;
+  SharedScoreCache::Session* stream_cache_ = nullptr;
   bool streaming_ = false;
 };
 

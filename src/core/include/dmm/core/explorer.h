@@ -37,16 +37,10 @@ class Explorer {
   /// MappedTrace streaming a .dmmt file — with other explorers / threads.
   explicit Explorer(std::shared_ptr<const TraceSource> trace,
                     ExplorerOptions opts = {});
-  /// Saves the shared score cache back to ExplorerOptions::cache_file
-  /// (when one was configured) — see the option's doc for the semantics.
-  ~Explorer();
 
   /// Runs @p strategy against this explorer's trace: builds the
   /// SearchContext (cache session, engine binding, result assembly),
-  /// executes the strategy, and returns the assembled result.  If the
-  /// strategy throws, the score cache is saved to cache_file first (when
-  /// configured) so the replays already paid for survive even an
-  /// exception that never unwinds this Explorer.
+  /// executes the strategy, and returns the assembled result.
   [[nodiscard]] ExplorationResult run(SearchStrategy& strategy);
 
   /// Runs the strategy ExplorerOptions::search selects (greedy over
@@ -98,9 +92,6 @@ class Explorer {
   [[nodiscard]] const EvalEngine& engine() const { return *engine_; }
 
  private:
-  /// The destructor's (and the failed-search path's) cache_file save.
-  void save_cache_file() const;
-
   std::shared_ptr<const TraceSource> trace_;
   std::uint64_t trace_fingerprint_ = 0;
   ExplorerOptions opts_;

@@ -1,7 +1,9 @@
 #ifndef DMM_CORE_METHODOLOGY_H
 #define DMM_CORE_METHODOLOGY_H
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dmm/core/explorer.h"
@@ -36,8 +38,8 @@ struct MethodologyOptions {
   /// Evaluation budget of each per-phase validation pass.
   std::size_t validation_max_evals = 100000;
   /// Persist the run's shared score cache across processes.  When
-  /// non-empty (and explorer_options.cache is on), design_manager() loads
-  /// this snapshot before the first phase — creating
+  /// non-empty (and explorer_options.cache is on), DesignRun::complete()
+  /// loads this snapshot before the first phase — the run creates
   /// explorer_options.shared_cache first if none was injected, so one
   /// cache still serves every walk and validation pass — and saves it
   /// back atomically after the last.  A rejected snapshot (truncated,
@@ -48,8 +50,11 @@ struct MethodologyOptions {
 
 /// Everything the methodology produces for one application.
 struct MethodologyResult {
+  /// Event span of every phase present in the trace (a phase id with no
+  /// events has none, so this can be shorter than phase_configs).
   std::vector<PhaseSpan> phases;
-  /// One decision vector per phase — the atomic DM managers (Sec. 3.3).
+  /// One decision vector per phase id — the atomic DM managers (Sec. 3.3);
+  /// a phase without allocations gets the explorer defaults.
   std::vector<alloc::DmmConfig> phase_configs;
   /// Per-phase exploration logs (decision walks as in Sec. 5).
   std::vector<ExplorationResult> phase_results;
@@ -79,13 +84,13 @@ struct MethodologyResult {
 /// The paper's flow in one call: (profile already done — @p trace),
 /// detect/respect phases, traverse the ordered trees per phase, and return
 /// the atomic decision vectors plus a factory for the global manager.
+/// A DesignRun stepped to completion (DesignRun::complete()).
 ///
-/// This is the single-trace adapter under the unified request surface:
-/// api::run_design_request() (dmm/api/design_api.h) bridges a
-/// DesignRequest onto exactly this call, and tests/test_api_request.cpp
-/// pins the two bit-for-bit at 1/2/4/8 threads.  Prefer a DesignRequest
-/// when the ask comes from a CLI, the dmm_serve daemon, or anywhere the
-/// knobs should be validated and serialized as one value.
+/// api::run_design_request() (dmm/api/design_api.h) runs a DesignRequest
+/// through the same DesignRun, and tests/test_api_request.cpp pins the two
+/// bit-for-bit at 1/2/4/8 threads.  Prefer a DesignRequest when the ask
+/// comes from a CLI, the dmm_serve daemon, or anywhere the knobs should be
+/// validated and serialized as one value.
 [[nodiscard]] MethodologyResult design_manager(
     const AllocTrace& trace, const MethodologyOptions& options = {});
 
@@ -169,13 +174,113 @@ struct FamilyDesignResult {
 /// Throws std::invalid_argument on an empty family or a weight list whose
 /// size does not match the trace count.
 ///
-/// Like design_manager(), this is an adapter under the unified request
-/// surface: a multi-trace api::DesignRequest bridges onto exactly this
-/// call (aggregate objective included), pinned bit-for-bit by
-/// tests/test_api_request.cpp.
+/// A family DesignRun stepped to completion, plus the per-trace breakdown
+/// of the winner.  A multi-trace api::DesignRequest runs the same
+/// DesignRun, pinned bit-for-bit by tests/test_api_request.cpp.
 [[nodiscard]] FamilyDesignResult design_manager_family(
     const std::vector<AllocTrace>& traces,
     const FamilyDesignOptions& options = {});
+
+// ---------------------------------------------------------------------------
+// DesignRun: the design flow as one resumable value.  design_manager(),
+// design_manager_family(), api::run_design_request() and the dmm_serve
+// daemon all execute this one search sequence; the daemon deals it in
+// step() slices so requests interleave.
+// ---------------------------------------------------------------------------
+
+/// Where a DesignRun stands — what the daemon streams as progress.
+struct DesignProgress {
+  std::size_t phase = 0;        ///< phase being searched (0-based)
+  std::size_t phase_count = 1;  ///< 1 for a family
+  /// Charged evaluations, the unit step() budgets meter (a family
+  /// candidate is one, however many member traces it replays).
+  std::uint64_t evaluations = 0;
+  std::uint64_t simulations = 0;
+  std::uint64_t cache_hits = 0;
+  /// Best vector of the open search, or of the last finished one.
+  bool has_incumbent = false;
+  alloc::DmmConfig incumbent{};
+  std::size_t incumbent_peak = 0;
+};
+
+/// The paper's search sequence as one resumable value.  A single-trace run
+/// splits the trace into phases (detected, or its own annotations) and
+/// searches each non-empty phase with explorer_options.search, followed —
+/// with MethodologyOptions::validate — by the exhaustive validation pass;
+/// empty phases keep the explorer defaults.  A family run is one
+/// family-wide search followed by the seed candidates.  The run borrows
+/// one EvalEngine throughout and splits the sub-traces once.  Results are
+/// bit-identical however the run is sliced: streaming strategies pause and
+/// resume exactly, ordered walks are indivisible (SearchStrategy::step).
+class DesignRun {
+ public:
+  /// Single-trace run over @p trace (read only during construction).
+  DesignRun(const AllocTrace& trace, const MethodologyOptions& options,
+            EvalEngine& engine);
+  /// Family run over @p traces, which must outlive the run; throws like
+  /// design_manager_family().
+  DesignRun(const std::vector<AllocTrace>& traces,
+            const FamilyDesignOptions& options, EvalEngine& engine);
+
+  DesignRun(const DesignRun&) = delete;
+  DesignRun& operator=(const DesignRun&) = delete;
+
+  /// Charges at most @p eval_budget more evaluations (an ordered walk may
+  /// overshoot), moving on as searches end; true iff work is left.
+  bool step(std::size_t eval_budget);
+
+  /// Steps to the end.  The one place a design run's snapshot is loaded
+  /// and saved: with a cache_file (and caching on) the run's cache is
+  /// loaded first and saved last — and on the failure path, since an
+  /// exception escaping main() never unwinds a guard.
+  void complete();
+
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] bool family() const { return !members_.empty(); }
+  [[nodiscard]] DesignProgress progress() const;
+  /// The resolved options; explorer_options.shared_cache is the run's
+  /// cache (injected, or run-scoped for family and cache_file runs).
+  [[nodiscard]] const MethodologyOptions& options() const { return options_; }
+
+  /// What the run produced so far: every finished phase, plus the
+  /// accounting — never the incumbent — of a search interrupted by
+  /// cancel, budget or shutdown.  Call once; the run is spent after.
+  [[nodiscard]] MethodologyResult harvest();
+  /// The family counterpart (per_trace left empty); an interrupted family
+  /// run reports only the search accounting.
+  [[nodiscard]] FamilyDesignResult harvest_family();
+
+ private:
+  /// Opens the search at the cursor (skipping empty phases), or ends.
+  void open_search();
+  /// Files the finished search's result and opens the next one.
+  void close_search();
+  /// Closes an unfinished search, charging only its accounting.
+  void interrupt();
+  void charge(const ExplorationResult& r);
+
+  /// Family runs fill explorer_options, order, validation_trees and
+  /// cache_file; explorer_options is the home every SearchContext
+  /// references.
+  MethodologyOptions options_;
+  EvalEngine& engine_;
+
+  std::vector<AllocTrace> sub_traces_;
+  std::size_t phase_ = 0;
+  bool in_validation_ = false;
+  MethodologyResult design_;  ///< family runs keep only the totals here
+
+  std::vector<FamilyEvalMember> members_;
+  FamilyAggregate aggregate_ = FamilyAggregate::kMaxPeak;
+  std::vector<alloc::DmmConfig> seeds_;
+  FamilyDesignResult family_;
+
+  std::unique_ptr<SearchContext> ctx_;
+  std::unique_ptr<SearchStrategy> strategy_;
+  /// Evaluations of finished searches and the last one's incumbent.
+  DesignProgress closed_;
+  bool done_ = false;
+};
 
 }  // namespace dmm::core
 

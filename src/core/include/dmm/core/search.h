@@ -94,43 +94,25 @@ struct ExplorerOptions {
   /// N > 1 = ThreadPoolEngine with N workers, 0 = one worker per hardware
   /// thread.  Results are bit-identical regardless of this value.
   unsigned num_threads = 1;
-  /// Memoize candidate scores for the duration of one search call —
-  /// repaired completions collide often in the greedy walk, and a hit
-  /// skips a whole trace replay.
+  /// Memoize candidate scores — repaired completions collide often in the
+  /// greedy walk, and a hit skips a whole trace replay.  Without
+  /// `shared_cache` each search memoizes in a private SharedScoreCache of
+  /// its own, for the duration of that search.
   bool cache = true;
-  /// Cross-search score cache shared between searches, explorers, and
-  /// threads (keyed by trace fingerprint x canonical vector).  When set
-  /// (and `cache` is on) it replaces the per-search ScoreCache: every
-  /// search of a design_manager() run — each phase's greedy walk plus the
-  /// exhaustive/random validation passes — reuses the others' replays.
-  /// Search outcomes (best, step logs) are bit-identical either way; only
-  /// the simulations/cache_hits split shifts as more replays are reused.
+  /// Score cache shared between searches, explorers, and threads (keyed
+  /// by trace fingerprint x canonical vector).  When set (and `cache` is
+  /// on) every search — each phase's greedy walk plus the validation
+  /// passes of a design run — reuses the others' replays.  Search outcomes
+  /// (best, step logs) are bit-identical either way; only the
+  /// simulations/cache_hits split shifts as more replays are reused.
+  /// Persisting it across processes is the caller's business
+  /// (SharedScoreCache::load / save, or MethodologyOptions::cache_file).
   std::shared_ptr<SharedScoreCache> shared_cache;
-  /// Persist the shared score cache across processes.  When non-empty
-  /// (and `cache` is on), the Explorer loads this snapshot at
-  /// construction — creating `shared_cache` first if none was injected —
-  /// and saves the cache back at destruction (write-temp-then-rename, so
-  /// concurrent sessions last-writer-win).  The cache is also saved when
-  /// a search throws mid-run, so the replays already paid for survive
-  /// even if the exception never unwinds the Explorer.  A missing,
-  /// truncated, corrupted, or version-mismatched snapshot is rejected
-  /// whole and the cache starts cold; hits served from imported entries
-  /// are reported as ExplorationResult::persisted_hits.
-  std::string cache_file;
   /// exhaustive(): enumerate the canonical quotient space — skip any
   /// odometer vector whose repaired canonical form was already enumerated
   /// this run, so the cartesian product collapses to behaviourally
   /// distinct managers and max_evals buys real coverage.
   bool canonical_prune = true;
-  /// random_search(): also skip draws whose canonical form was already
-  /// evaluated this search (reported as canonical_skips, charged
-  /// nothing).  Off by default on purpose: skipping duplicates makes the
-  /// sampler draw *without* replacement over the canonical quotient,
-  /// which is a different distribution from the uniform-with-replacement
-  /// draw the ablation benches compare against the greedy walk — turn it
-  /// on for coverage, leave it off for an apples-to-apples budget
-  /// comparison.
-  bool canonical_prune_random = false;
   /// The strategy Explorer::run() (no arguments) executes; the CLIs'
   /// `--search` flag and MethodologyOptions land here.  The explicit
   /// explore()/exhaustive()/random_search() calls ignore it.
@@ -181,10 +163,10 @@ struct ExplorationResult {
   std::uint64_t simulations = 0;    ///< trace replays actually executed
   std::uint64_t cache_hits = 0;     ///< evaluations served by a score cache
   /// Subset of cache_hits paid for by a *different* search on the shared
-  /// cache (always 0 with the per-search cache).
+  /// cache (always 0 with a search's private cache).
   std::uint64_t cross_search_hits = 0;
   /// Subset of cache_hits served from snapshot entries a previous process
-  /// replayed (ExplorerOptions::cache_file / SharedScoreCache::load);
+  /// replayed (SharedScoreCache::load, MethodologyOptions::cache_file);
   /// disjoint from cross_search_hits.
   std::uint64_t persisted_hits = 0;
   /// Family mode only: evaluations served *whole* from the aggregate-level
@@ -193,10 +175,9 @@ struct ExplorationResult {
   /// per-member units.  Always 0 in single-trace mode.
   std::uint64_t family_hits = 0;
   /// Vectors skipped as canonical duplicates of an already-seen one:
-  /// exhaustive() under canonical_prune, random_search() under
-  /// canonical_prune_random, and annealing proposals that mutated a dead
-  /// leaf (a no-op in the canonical quotient).  Skips are never charged
-  /// to the evaluation budget.
+  /// exhaustive() under canonical_prune, and annealing proposals that
+  /// mutated a dead leaf (a no-op in the canonical quotient).  Skips are
+  /// never charged to the evaluation budget.
   std::uint64_t canonical_skips = 0;
   /// Evaluations (replays + cache hits) charged up to and including the
   /// batch in which the winning vector was recorded — the benches'
@@ -252,9 +233,10 @@ struct BestTracker {
 /// What every SearchStrategy runs against: one search call's worth of the
 /// machinery the strategies would otherwise each reimplement.
 ///
-///   * evaluate() — batches jobs into the EvalEngine through the right
-///     cache scope (injected shared cache's session / search-local
-///     ScoreCache / none) and charges simulations vs cache_hits.
+///   * evaluate() — batches jobs into the EvalEngine through the search's
+///     cache session (on the injected shared cache, or on a private one
+///     the context owns; none with caching off) and charges simulations
+///     vs cache_hits.
 ///   * offer_best()/set_best() — candidate_better-based incumbent
 ///     tracking, recording best/best_sim/work_steps/evals_to_best.
 ///   * canonical_duplicate() — the canonical seen-set behind the quotient
@@ -344,15 +326,17 @@ class SearchContext {
   [[nodiscard]] ExplorationResult finish();
 
  private:
-  /// The cache one search evaluates against: the injected shared cache's
-  /// session when configured, a search-local ScoreCache otherwise,
-  /// nothing when caching is off.
+  /// The cache one search evaluates against: a session on the injected
+  /// shared cache when configured, else on a private cache the binding
+  /// owns (so every hit is the search's own), nothing when caching is off.
   struct CacheBinding {
-    ScoreCache local;
+    std::unique_ptr<SharedScoreCache> own;
     std::optional<SharedScoreCache::Session> session;
-    CandidateCache* ptr = nullptr;
 
     CacheBinding(const ExplorerOptions& opts, std::uint64_t trace_fingerprint);
+    [[nodiscard]] SharedScoreCache::Session* ptr() {
+      return session ? &*session : nullptr;
+    }
   };
 
   [[nodiscard]] std::vector<EvalOutcome> evaluate_family(
@@ -468,9 +452,9 @@ class ExhaustiveSearch final : public SearchStrategy {
   std::uint64_t charged_ = 0;
 };
 
-/// Uniform random sampling of full decision vectors (invalid draws are
-/// rejected without charge; canonical duplicates too under
-/// ExplorerOptions::canonical_prune_random).  Explorer::random_search().
+/// Uniform random sampling of full decision vectors, with replacement
+/// (invalid draws are rejected without charge; duplicate draws are charged
+/// and served by the score cache).  Explorer::random_search().
 class RandomSearch final : public SearchStrategy {
  public:
   RandomSearch(std::size_t samples, unsigned seed);

@@ -1,11 +1,36 @@
 #include "dmm/core/methodology.h"
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
 
 namespace dmm::core {
+
+namespace {
+
+/// Spans of the phase annotations already in @p trace (profiler markers),
+/// in one pass: each present phase id spans its first to its last event,
+/// and an id with no events gets no span.
+std::vector<PhaseSpan> annotated_spans(const AllocTrace& trace) {
+  constexpr std::size_t kAbsent = std::numeric_limits<std::size_t>::max();
+  std::vector<PhaseSpan> spans;
+  const std::vector<AllocEvent>& events = trace.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint16_t p = events[i].phase;
+    if (p >= spans.size()) spans.resize(p + 1u, PhaseSpan{0, kAbsent, 0});
+    if (spans[p].first_event == kAbsent) spans[p] = {p, i, i};
+    spans[p].last_event = i;
+  }
+  std::erase_if(spans,
+                [](const PhaseSpan& s) { return s.first_event == kAbsent; });
+  return spans;
+}
+
+}  // namespace
 
 std::unique_ptr<alloc::Allocator> MethodologyResult::make_manager(
     sysmem::SystemArena& arena, bool strict_accounting) const {
@@ -22,100 +47,36 @@ std::unique_ptr<alloc::Allocator> MethodologyResult::make_manager(
                                          "custom-global", strict_accounting);
 }
 
-MethodologyResult design_manager(const AllocTrace& trace,
-                                 const MethodologyOptions& options) {
-  MethodologyResult result;
-  AllocTrace working = trace;
+// ---------------------------------------------------------------------------
+// DesignRun
+// ---------------------------------------------------------------------------
+
+DesignRun::DesignRun(const AllocTrace& trace, const MethodologyOptions& options,
+                     EvalEngine& engine)
+    : options_(options), engine_(engine) {
   if (options.detect_phases) {
-    result.phases = detect_phases(working, options.phase_options);
-    apply_phases(working, result.phases);
+    AllocTrace working = trace;
+    design_.phases = detect_phases(working, options.phase_options);
+    apply_phases(working, design_.phases);
+    sub_traces_ = split_by_phase(working);
   } else {
-    // Respect the annotations already in the trace.
-    const TraceStats stats = working.stats();
-    std::size_t begin = 0;
-    for (std::uint16_t p = 0; p < stats.phases; ++p) {
-      std::size_t end = begin;
-      for (std::size_t i = begin; i < working.events().size(); ++i) {
-        if (working.events()[i].phase == p) end = i;
-      }
-      result.phases.push_back({p, begin, end});
-      begin = end + 1;
-    }
+    design_.phases = annotated_spans(trace);
+    sub_traces_ = split_by_phase(trace);
   }
-  // One atomic manager per phase, explored independently (Sec. 3.3): each
-  // phase's sub-trace contains the objects allocated in that phase,
-  // including their (possibly later) frees.
-  const std::vector<AllocTrace> sub_traces = split_by_phase(working);
-  // Cache persistence for the whole run: load the snapshot once up front
-  // (not per phase — each phase has its own trace fingerprint, but they
-  // all live in the one file) and save once after the last search, so a
-  // repeated design run replays nothing it has already scored.  The
-  // per-phase Explorers see a plain shared cache and stay persistence-
-  // unaware here; ExplorerOptions::cache_file remains the single-search
-  // variant of the same knob.
-  ExplorerOptions explorer_options = options.explorer_options;
-  std::shared_ptr<SharedScoreCache> persisted;
-  if (!options.cache_file.empty() && explorer_options.cache) {
-    if (explorer_options.shared_cache == nullptr) {
-      explorer_options.shared_cache = std::make_shared<SharedScoreCache>();
-    }
-    persisted = explorer_options.shared_cache;
-    (void)persisted->load(options.cache_file);
+  // Persisting needs one cache for the whole run: with a cache_file and no
+  // injected cache, every walk and validation pass shares a run-scoped one.
+  ExplorerOptions& opts = options_.explorer_options;
+  if (opts.cache && !options_.cache_file.empty() && !opts.shared_cache) {
+    opts.shared_cache = std::make_shared<SharedScoreCache>();
   }
-  // Guard the whole phase loop: a phase search that throws must still
-  // persist the replays the cache already absorbed — and an exception
-  // escaping main() never unwinds, so a destructor-based guard alone
-  // would lose them.  Save explicitly on both paths (the save is atomic
-  // and idempotent).
-  const auto save_cache = [&] {
-    if (persisted != nullptr) (void)persisted->save(options.cache_file);
-  };
-  const auto charge = [&result](const ExplorationResult& r) {
-    result.total_simulations += r.simulations;
-    result.total_cache_hits += r.cache_hits;
-    result.total_cross_search_hits += r.cross_search_hits;
-    result.total_persisted_hits += r.persisted_hits;
-  };
-  try {
-    for (const AllocTrace& sub : sub_traces) {
-      if (sub.empty()) {
-        // Phase with no allocations: reuse defaults.
-        result.phase_configs.push_back(options.explorer_options.defaults);
-        result.phase_results.emplace_back();
-        if (options.validate) result.validation_results.emplace_back();
-        continue;
-      }
-      Explorer explorer(sub, explorer_options);
-      // The per-phase searcher is pluggable (explorer_options.search):
-      // greedy stays the default and the published flow; beam/anneal/...
-      // drop in through the same strategy seam.
-      const std::unique_ptr<SearchStrategy> strategy = make_strategy(
-          explorer_options.search, options.order, options.validation_trees);
-      ExplorationResult r = explorer.run(*strategy);
-      charge(r);
-      result.phase_configs.push_back(r.best);
-      result.phase_results.push_back(std::move(r));
-      if (options.validate) {
-        // Ground-truth pass over the high-impact subspace.  Runs after the
-        // walk, so the walk's outcome is byte-for-byte what it would be
-        // without validation; with a shared cache the two searches reuse
-        // each other's replays (reported as cross-search hits).
-        ExplorationResult v = explorer.exhaustive(options.validation_trees,
-                                                  options.validation_max_evals);
-        charge(v);
-        result.validation_results.push_back(std::move(v));
-      }
-    }
-  } catch (...) {
-    save_cache();
-    throw;
-  }
-  save_cache();
-  return result;
+  open_search();
 }
 
-FamilyDesignResult design_manager_family(const std::vector<AllocTrace>& traces,
-                                         const FamilyDesignOptions& options) {
+DesignRun::DesignRun(const std::vector<AllocTrace>& traces,
+                     const FamilyDesignOptions& options, EvalEngine& engine)
+    : engine_(engine),
+      aggregate_(options.aggregate),
+      seeds_(options.seed_candidates) {
   // Family inputs are caller data (CLI lists, recorded files) — validate
   // loudly instead of designing against a half-read family.
   if (traces.empty()) {
@@ -127,103 +88,248 @@ FamilyDesignResult design_manager_family(const std::vector<AllocTrace>& traces,
         "design_manager_family: " + std::to_string(options.weights.size()) +
         " weights for " + std::to_string(traces.size()) + " traces");
   }
-
-  std::vector<FamilyEvalMember> members;
-  members.reserve(traces.size());
+  options_.explorer_options = options.explorer_options;
+  options_.order = options.order;
+  options_.validation_trees = options.validation_trees;
+  options_.cache_file = options.cache_file;
+  members_.reserve(traces.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
     FamilyEvalMember m;
-    // Aliasing, non-owning: the caller's vector outlives this call and a
+    // Aliasing, non-owning: the caller's traces outlive the run, and a
     // full case-study trace is millions of events — copying every member
     // would double the trace memory before any search work starts.
     m.trace = std::shared_ptr<const AllocTrace>(
         std::shared_ptr<const AllocTrace>(), &traces[i]);
     m.fingerprint = m.trace->fingerprint();
     m.weight = options.weights.empty() ? 1.0 : options.weights[i];
-    members.push_back(std::move(m));
+    members_.push_back(std::move(m));
   }
-
-  // Cache persistence mirrors design_manager(): one load up front, one
-  // save at the end — and on the failure path, because an exception
-  // escaping main() never unwinds a scope guard.
-  ExplorerOptions explorer_options = options.explorer_options;
-  if (explorer_options.cache && explorer_options.shared_cache == nullptr) {
+  ExplorerOptions& opts = options_.explorer_options;
+  if (opts.cache && !opts.shared_cache) {
     // No cache injected: a private run-scoped cache still lets the
-    // per-trace breakdown below ride the search's member replays instead
-    // of re-replaying the winner on every trace (minutes each on full
+    // per-trace breakdown ride the search's member replays instead of
+    // re-replaying the winner on every trace (minutes each on full
     // case-study traces).
-    explorer_options.shared_cache = std::make_shared<SharedScoreCache>();
+    opts.shared_cache = std::make_shared<SharedScoreCache>();
   }
-  std::shared_ptr<SharedScoreCache> persisted;
-  if (!options.cache_file.empty() && explorer_options.cache) {
-    persisted = explorer_options.shared_cache;
-    (void)persisted->load(options.cache_file);
-  }
-  const auto save_cache = [&] {
-    if (persisted != nullptr) (void)persisted->save(options.cache_file);
-  };
+  open_search();
+}
 
-  FamilyDesignResult result;
-  const std::unique_ptr<EvalEngine> engine =
-      make_engine(explorer_options.num_threads);
+void DesignRun::open_search() {
+  const ExplorerOptions& opts = options_.explorer_options;
+  if (family()) {
+    ctx_ = std::make_unique<SearchContext>(members_, aggregate_, opts,
+                                           engine_);
+    strategy_ = make_strategy(opts.search, options_.order,
+                              options_.validation_trees);
+    return;
+  }
+  // One atomic manager per phase, explored independently (Sec. 3.3): each
+  // phase's sub-trace holds the objects allocated in that phase, including
+  // their (possibly later) frees.  A phase with no allocations reuses the
+  // defaults.
+  while (phase_ < sub_traces_.size() && sub_traces_[phase_].empty()) {
+    design_.phase_configs.push_back(opts.defaults);
+    design_.phase_results.emplace_back();
+    if (options_.validate) design_.validation_results.emplace_back();
+    ++phase_;
+  }
+  if (phase_ == sub_traces_.size()) {
+    done_ = true;
+    return;
+  }
+  const AllocTrace& sub = sub_traces_[phase_];
+  ctx_ = std::make_unique<SearchContext>(sub, sub.fingerprint(), opts,
+                                         engine_);
+  if (in_validation_) {
+    // Ground-truth pass over the high-impact subspace.  Runs after the
+    // walk, so the walk's outcome is byte-for-byte what it would be
+    // without validation; with a shared cache the two searches reuse each
+    // other's replays (reported as cross-search hits).
+    strategy_ = std::make_unique<ExhaustiveSearch>(
+        options_.validation_trees, options_.validation_max_evals);
+  } else {
+    // The per-phase searcher is pluggable (explorer_options.search):
+    // greedy stays the default and the published flow.
+    strategy_ = make_strategy(opts.search, options_.order,
+                              options_.validation_trees);
+  }
+}
+
+bool DesignRun::step(std::size_t eval_budget) {
+  if (done_) return false;
+  if (!strategy_->step(*ctx_, eval_budget)) close_search();
+  return !done_;
+}
+
+void DesignRun::complete() {
+  // One load up front (not per phase — each phase has its own trace
+  // fingerprint, but they all live in the one file) and one save after the
+  // last search, so a repeated run replays nothing it already scored.  The
+  // save is atomic and idempotent.
+  const ExplorerOptions& opts = options_.explorer_options;
+  const std::string& path = options_.cache_file;
+  SharedScoreCache* persisted =
+      opts.cache && !path.empty() ? opts.shared_cache.get() : nullptr;
+  if (persisted != nullptr) (void)persisted->load(path);
   try {
-    SearchContext ctx(members, options.aggregate, explorer_options, *engine);
-    const std::unique_ptr<SearchStrategy> strategy = make_strategy(
-        explorer_options.search, options.order, options.validation_trees);
-    strategy->run(ctx);
+    while (step(std::numeric_limits<std::size_t>::max())) {
+    }
+  } catch (...) {
+    if (persisted != nullptr) (void)persisted->save(path);
+    throw;
+  }
+  if (persisted != nullptr) (void)persisted->save(path);
+}
+
+void DesignRun::close_search() {
+  if (family() && !seeds_.empty()) {
     // Warm-start candidates compete *after* the search (an ordered walk's
     // final crowning would clobber anything offered before it): the family
     // best is the fold over the search's offers and every seed, in order.
-    if (!options.seed_candidates.empty()) {
-      std::vector<EvalJob> jobs;
-      jobs.reserve(options.seed_candidates.size());
-      for (std::size_t k = 0; k < options.seed_candidates.size(); ++k) {
-        jobs.push_back({options.seed_candidates[k], k});
-      }
-      for (const EvalOutcome& out : ctx.evaluate(jobs)) {
-        if (ctx.offer_best(options.seed_candidates[out.tag], out)) {
-          result.best_seed = static_cast<int>(out.tag);
-        }
-      }
-      if (result.best_seed >= 0) {
-        // A seed displaced the search's best: the portfolio's per-child
-        // found_best flag and the winning walk's step log no longer
-        // describe `best` — clear them instead of publishing a false
-        // attribution.
-        for (ChildSearchReport& child : ctx.result().children) {
-          child.found_best = false;
-        }
-        ctx.result().steps.clear();
+    std::vector<EvalJob> jobs;
+    jobs.reserve(seeds_.size());
+    for (std::size_t k = 0; k < seeds_.size(); ++k) {
+      jobs.push_back({seeds_[k], k});
+    }
+    for (const EvalOutcome& out : ctx_->evaluate(jobs)) {
+      if (ctx_->offer_best(seeds_[out.tag], out)) {
+        family_.best_seed = static_cast<int>(out.tag);
       }
     }
-    result.search = ctx.finish();
-    result.best = result.search.best;
-    result.feasible = result.search.feasible;
-    result.aggregate_objective =
-        candidate_objective(explorer_options, result.search.best_sim,
-                            result.search.work_steps);
-
-    // Per-trace breakdown: the winner replayed on each member, served from
-    // the member-level cache entries the search already paid for.
-    for (const FamilyEvalMember& m : members) {
-      FamilyTraceReport report;
-      report.fingerprint = m.fingerprint;
-      std::vector<EvalOutcome> out;
-      if (explorer_options.cache && explorer_options.shared_cache != nullptr) {
-        SharedScoreCache::Session session =
-            explorer_options.shared_cache->begin_search(m.fingerprint);
-        out = engine->evaluate(*m.trace, {{result.best, 0}}, &session);
-      } else {
-        out = engine->evaluate(*m.trace, {{result.best, 0}}, nullptr);
+    if (family_.best_seed >= 0) {
+      // A seed displaced the search's best: the portfolio's per-child
+      // found_best flag and the winning walk's step log no longer
+      // describe `best` — clear them instead of publishing a false
+      // attribution.
+      for (ChildSearchReport& child : ctx_->result().children) {
+        child.found_best = false;
       }
-      report.sim = out[0].sim;
-      report.work_steps = out[0].work_steps;
-      result.per_trace.push_back(report);
+      ctx_->result().steps.clear();
     }
-  } catch (...) {
-    save_cache();
-    throw;
   }
-  save_cache();
+  closed_.evaluations += ctx_->evaluations();
+  ExplorationResult r = ctx_->finish();
+  ctx_.reset();
+  strategy_.reset();
+  charge(r);
+  closed_.has_incumbent = true;
+  closed_.incumbent = r.best;
+  closed_.incumbent_peak = r.best_sim.peak_footprint;
+  if (family()) {
+    family_.best = r.best;
+    family_.feasible = r.feasible;
+    family_.aggregate_objective =
+        candidate_objective(options_.explorer_options, r.best_sim,
+                            r.work_steps);
+    family_.search = std::move(r);
+    done_ = true;
+    return;
+  }
+  if (in_validation_) {
+    // Validation charges its accounting; the walk's outcome stands.
+    design_.validation_results.push_back(std::move(r));
+    in_validation_ = false;
+    ++phase_;
+  } else {
+    design_.phase_configs.push_back(r.best);
+    design_.phase_results.push_back(std::move(r));
+    in_validation_ = options_.validate;
+    if (!in_validation_) ++phase_;
+  }
+  open_search();
+}
+
+void DesignRun::interrupt() {
+  if (ctx_ == nullptr) return;
+  closed_.evaluations += ctx_->evaluations();
+  charge(ctx_->finish());
+  ctx_.reset();
+  strategy_.reset();
+  done_ = true;
+}
+
+void DesignRun::charge(const ExplorationResult& r) {
+  design_.total_simulations += r.simulations;
+  design_.total_cache_hits += r.cache_hits;
+  design_.total_cross_search_hits += r.cross_search_hits;
+  design_.total_persisted_hits += r.persisted_hits;
+}
+
+DesignProgress DesignRun::progress() const {
+  DesignProgress p = closed_;
+  p.phase_count = family() ? 1 : sub_traces_.size();
+  p.phase = std::min(phase_, p.phase_count - 1);
+  p.simulations = design_.total_simulations;
+  p.cache_hits = design_.total_cache_hits;
+  if (ctx_ != nullptr) {
+    const ExplorationResult& r = ctx_->result();
+    p.evaluations += ctx_->evaluations();
+    p.simulations += r.simulations;
+    p.cache_hits += r.cache_hits;
+    // evals_to_best is recorded when an offer displaces the incumbent;
+    // ordered walks crown only at their end.
+    if (r.evals_to_best > 0) {
+      p.has_incumbent = true;
+      p.incumbent = r.best;
+      p.incumbent_peak = r.best_sim.peak_footprint;
+    }
+  }
+  return p;
+}
+
+MethodologyResult DesignRun::harvest() {
+  interrupt();
+  return std::move(design_);
+}
+
+FamilyDesignResult DesignRun::harvest_family() {
+  interrupt();
+  // A finished search already carries these; an interrupted one reports
+  // nothing else.
+  family_.search.simulations = design_.total_simulations;
+  family_.search.cache_hits = design_.total_cache_hits;
+  family_.search.cross_search_hits = design_.total_cross_search_hits;
+  family_.search.persisted_hits = design_.total_persisted_hits;
+  return std::move(family_);
+}
+
+// ---------------------------------------------------------------------------
+// The step-to-completion wrappers
+// ---------------------------------------------------------------------------
+
+MethodologyResult design_manager(const AllocTrace& trace,
+                                 const MethodologyOptions& options) {
+  const std::unique_ptr<EvalEngine> engine =
+      make_engine(options.explorer_options.num_threads);
+  DesignRun run(trace, options, *engine);
+  run.complete();
+  return run.harvest();
+}
+
+FamilyDesignResult design_manager_family(const std::vector<AllocTrace>& traces,
+                                         const FamilyDesignOptions& options) {
+  const std::unique_ptr<EvalEngine> engine =
+      make_engine(options.explorer_options.num_threads);
+  DesignRun run(traces, options, *engine);
+  run.complete();
+  FamilyDesignResult result = run.harvest_family();
+  // Per-trace breakdown: the winner replayed on each member, served from
+  // the member-level cache entries the search already paid for.
+  const ExplorerOptions& opts = run.options().explorer_options;
+  for (const AllocTrace& trace : traces) {
+    FamilyTraceReport report;
+    report.fingerprint = trace.fingerprint();
+    std::optional<SharedScoreCache::Session> session;
+    if (opts.cache) {
+      session.emplace(opts.shared_cache->begin_search(report.fingerprint));
+    }
+    const std::vector<EvalOutcome> out = engine->evaluate(
+        trace, {{result.best, 0}}, session ? &*session : nullptr);
+    report.sim = out[0].sim;
+    report.work_steps = out[0].work_steps;
+    result.per_trace.push_back(report);
+  }
   return result;
 }
 

@@ -104,12 +104,14 @@ bool BestTracker::offer(const ExplorerOptions& opts, const EvalOutcome& out) {
 SearchContext::CacheBinding::CacheBinding(const ExplorerOptions& opts,
                                           std::uint64_t trace_fingerprint) {
   if (!opts.cache) return;
-  if (opts.shared_cache != nullptr) {
-    session.emplace(opts.shared_cache->begin_search(trace_fingerprint));
-    ptr = &*session;
-  } else {
-    ptr = &local;
+  SharedScoreCache* store = opts.shared_cache.get();
+  if (store == nullptr) {
+    // One session on a private single-shard cache: the per-search memo,
+    // whose hits are all this search's own (never cross-search).
+    own = std::make_unique<SharedScoreCache>(1);
+    store = own.get();
   }
+  session.emplace(store->begin_search(trace_fingerprint));
 }
 
 SearchContext::SearchContext(const TraceSource& trace,
@@ -150,7 +152,7 @@ std::vector<EvalOutcome> SearchContext::evaluate(
     const std::vector<EvalJob>& jobs) {
   if (trace_ == nullptr) return evaluate_family(jobs);
   std::vector<EvalOutcome> outcomes =
-      engine_.evaluate(*trace_, jobs, cache_.ptr);
+      engine_.evaluate(*trace_, jobs, cache_.ptr());
   for (const EvalOutcome& out : outcomes) account(out);
   charged_ += outcomes.size();
   return outcomes;
@@ -163,7 +165,7 @@ void SearchContext::submit(const EvalJob& job) {
     return;
   }
   if (!stream_open_) {
-    engine_.stream_begin(*trace_, cache_.ptr);
+    engine_.stream_begin(*trace_, cache_.ptr());
     stream_open_ = true;
   }
   engine_.stream_submit(job);
@@ -204,8 +206,8 @@ std::vector<EvalOutcome> SearchContext::evaluate_family(
   std::vector<std::size_t> miss;
   std::vector<EvalJob> miss_jobs;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    CandidateCache::Entry hit;
-    if (cache_.ptr != nullptr && cache_.ptr->lookup_canonical(canon[i], &hit)) {
+    SharedScoreCache::Entry hit;
+    if (cache_.session && cache_.session->lookup_canonical(canon[i], &hit)) {
       outcomes[i].tag = jobs[i].tag;
       outcomes[i].sim = hit.sim;
       outcomes[i].work_steps = hit.work_steps;
@@ -226,7 +228,7 @@ std::vector<EvalOutcome> SearchContext::evaluate_family(
     per_member.reserve(family_.size());
     for (std::size_t m = 0; m < family_.size(); ++m) {
       per_member.push_back(engine_.evaluate(*family_[m].trace, miss_jobs,
-                                            member_caches_[m]->ptr));
+                                            member_caches_[m]->ptr()));
       for (const EvalOutcome& out : per_member.back()) account(out);
     }
     std::vector<EvalOutcome> member_slice(family_.size());
@@ -237,9 +239,9 @@ std::vector<EvalOutcome> SearchContext::evaluate_family(
       const EvalOutcome agg = aggregate_family(jobs[miss[k]].tag,
                                                member_slice, family_,
                                                aggregate_);
-      if (cache_.ptr != nullptr) {
-        cache_.ptr->insert_canonical(canon[miss[k]],
-                                     {agg.sim, agg.work_steps});
+      if (cache_.session) {
+        cache_.session->insert_canonical(canon[miss[k]],
+                                         {agg.sim, agg.work_steps});
       }
       outcomes[miss[k]] = agg;
     }
@@ -589,9 +591,8 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     charged_ = 0;
   }
   // Budget = number of *evaluations* (replays + cache hits), matching the
-  // ordered traversal's accounting; invalid draws — and canonical
-  // duplicates under canonical_prune_random — are rejected without charge
-  // (bounded).
+  // ordered traversal's accounting; invalid draws are rejected without
+  // charge (bounded).
   const std::size_t max_attempts = samples_ * 500 + 1000;
   const std::uint64_t budget =
       std::min<std::uint64_t>(eval_budget, samples_ - charged_);
@@ -607,9 +608,6 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
         set_leaf(cfg, t, uniform_leaf(rng_, leaf_count(t)));
       }
       if (!passes_rules(opts, cfg)) continue;
-      if (opts.canonical_prune_random && ctx.canonical_duplicate(cfg)) {
-        continue;
-      }
       jobs.push_back({cfg, jobs.size()});
       cfgs.push_back(cfg);
     }

@@ -8,15 +8,16 @@
 //
 // Scheduling model — the PortfolioSearch slice scheduler, lifted from
 // racing child strategies to racing client requests: every request runs as
-// the same resumable search structure design_manager()/
-// design_manager_family() execute (per-phase walks, optional exhaustive
-// validation pass), dealt round-robin in step() slices of
-// ServeOptions::slice_evals evaluations.  Consequences:
+// the same core::DesignRun design_manager()/design_manager_family() and
+// api::run_design_request() step to completion (per-phase walks, optional
+// exhaustive validation pass, or one family search), dealt round-robin in
+// DesignRun::step() slices of ServeOptions::slice_evals evaluations, and
+// answered through the same api::harvest_reply().  Consequences:
 //
 //   * results are bit-identical to the in-process library path — a
-//     request's search sees the same job stream design_manager would
-//     submit, and search outcomes never depend on cache scope or
-//     scheduling (only the simulations/cache-hits split does);
+//     request's run submits the same job stream, and search outcomes
+//     never depend on cache scope or scheduling (only the
+//     simulations/cache-hits split does);
 //   * fairness is at slice granularity for the resumable strategies
 //     (exhaustive / random / anneal / portfolio children); the ordered
 //     walks (greedy, beam) are indivisible and complete a whole phase in

@@ -17,8 +17,6 @@
 #include "dmm/alloc/config.h"
 #include "dmm/api/design_api.h"
 #include "dmm/core/methodology.h"
-#include "dmm/core/phase.h"
-#include "dmm/core/search.h"
 #include "dmm/serve/frame.h"
 
 namespace dmm::serve {
@@ -39,34 +37,16 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One in-flight request, run as the exact search sequence design_manager()
-/// / design_manager_family() would execute — per-phase walks (empty phases
-/// reuse defaults), optional exhaustive validation passes, one family-wide
-/// search — but dealt in step() slices so requests interleave.  Search
-/// outcomes are bit-identical to the library path: a request's job stream
-/// does not depend on what other sessions run, only the simulations vs
-/// cache-hits split does.
+/// One in-flight request: the same core::DesignRun run_design_request()
+/// steps to completion, dealt here in step() slices so requests
+/// interleave.  Search outcomes are bit-identical to the library path: a
+/// request's job stream does not depend on what other sessions run, only
+/// the simulations vs cache-hits split does.
 struct DesignSession {
   api::DesignRequest request;
-  /// Stable home of the options every SearchContext of this session holds
-  /// a reference to; shared_cache points at the daemon-wide cache.
-  core::ExplorerOptions opts;
-  std::vector<core::AllocTrace> traces;
-  bool family = false;
-
-  // Single-trace mode: the phase cursor (family mode runs one search).
-  std::vector<core::AllocTrace> sub_traces;
-  std::size_t phase_index = 0;
-  bool in_validation = false;
-
-  // The open search, when one is running.
-  std::unique_ptr<core::SearchContext> ctx;
-  std::unique_ptr<core::SearchStrategy> strategy;
-  bool done = false;
-
-  api::DesignReply reply;        ///< accumulated across finished searches
-  std::uint64_t acc_evals = 0;   ///< evaluations charged by finished searches
-  bool cancelled = false;        ///< kCancel seen; honoured at next turn
+  std::vector<core::AllocTrace> traces;  ///< the inputs the run borrows
+  std::unique_ptr<core::DesignRun> run;  ///< served by the daemon's cache
+  bool cancelled = false;                ///< kCancel seen; honoured next turn
 };
 
 }  // namespace
@@ -204,43 +184,6 @@ struct Server::Impl {
 
   // -- session lifecycle ----------------------------------------------------
 
-  /// Opens the search of the next non-empty phase; empty phases reuse the
-  /// defaults vector, exactly as design_manager() does.
-  void open_next_phase(DesignSession& s) {
-    s.ctx.reset();
-    s.strategy.reset();
-    while (s.phase_index < s.sub_traces.size() &&
-           s.sub_traces[s.phase_index].empty()) {
-      s.reply.phase_signatures.push_back(alloc::signature(s.opts.defaults));
-      s.reply.phase_configs.push_back(s.opts.defaults);
-      ++s.phase_index;
-    }
-    if (s.phase_index >= s.sub_traces.size()) {
-      s.done = true;
-      return;
-    }
-    const core::AllocTrace& sub = s.sub_traces[s.phase_index];
-    s.ctx = std::make_unique<core::SearchContext>(sub, sub.fingerprint(),
-                                                  s.opts, *engine);
-    s.strategy = core::make_strategy(s.opts.search, core::paper_order(),
-                                     core::high_impact_trees());
-    s.strategy->reset();
-    s.in_validation = false;
-  }
-
-  /// The per-phase ground-truth pass of MethodologyOptions::validate —
-  /// the same exhaustive search design_manager() runs after each walk.
-  void open_validation(DesignSession& s) {
-    const core::AllocTrace& sub = s.sub_traces[s.phase_index];
-    s.ctx = std::make_unique<core::SearchContext>(sub, sub.fingerprint(),
-                                                  s.opts, *engine);
-    s.strategy = std::make_unique<core::ExhaustiveSearch>(
-        core::high_impact_trees(),
-        core::MethodologyOptions{}.validation_max_evals);
-    s.strategy->reset();
-    s.in_validation = true;
-  }
-
   /// Parses and admits one kRequest frame; returns the rejection reason
   /// ("" = admitted).  Rejections never disturb the connection.
   std::string begin_session(Connection& c, const std::string& payload) {
@@ -254,142 +197,40 @@ struct Server::Impl {
       return "cache-file is daemon-owned; remove it from the request";
     }
     if (!api::load_traces(s->request, &s->traces, &why)) return why;
-    s->opts = api::to_explorer_options(s->request);
-    if (s->opts.cache) s->opts.shared_cache = cache;
-    s->family = s->traces.size() >= 2;
-    s->reply.family = s->family;
-    if (s->family) {
-      std::vector<core::FamilyEvalMember> members;
-      members.reserve(s->traces.size());
-      for (std::size_t i = 0; i < s->traces.size(); ++i) {
-        core::FamilyEvalMember m;
-        // Aliasing, non-owning: s->traces outlives the context.
-        m.trace = std::shared_ptr<const core::AllocTrace>(
-            std::shared_ptr<const core::AllocTrace>(), &s->traces[i]);
-        m.fingerprint = m.trace->fingerprint();
-        m.weight = s->request.weights.empty() ? 1.0 : s->request.weights[i];
-        members.push_back(std::move(m));
-      }
-      s->ctx = std::make_unique<core::SearchContext>(
-          std::move(members), s->request.aggregate, s->opts, *engine);
-      s->strategy = core::make_strategy(s->opts.search, core::paper_order(),
-                                        core::high_impact_trees());
-      s->strategy->reset();
-    } else {
-      s->reply.feasible = true;
-      s->sub_traces = core::split_by_phase(s->traces[0]);
-      open_next_phase(*s);
-    }
+    s->run = api::make_design_run(s->request, s->traces, *engine, cache);
     c.session = std::move(s);
     return "";
   }
 
-  void fill_cache_state(api::DesignReply& reply) {
+  /// Replies with the session's harvest and retires it — at the natural
+  /// end (@p error empty) or mid-search (cancellation, budget exhaustion,
+  /// shutdown), when the reply reports the work done so far.
+  void finalize(Connection& c, const std::string& error = "",
+                bool cancelled = false, bool budget_exhausted = false) {
+    api::DesignReply reply = api::harvest_reply(*c.session->run);
+    reply.ok = error.empty();
+    reply.error = error;
+    reply.cancelled = cancelled;
+    reply.budget_exhausted = budget_exhausted;
     reply.cache_entries = cache->size();
     reply.cache_evictions = cache->stats().evictions;
-  }
-
-  /// Harvests the open search's accounting mid-flight (cancellation,
-  /// budget exhaustion, shutdown) so the reply reports the work done.
-  void absorb_open_search(DesignSession& s) {
-    if (s.ctx == nullptr) return;
-    s.acc_evals += s.ctx->evaluations();
-    const core::ExplorationResult r = s.ctx->finish();
-    s.ctx.reset();
-    s.strategy.reset();
-    s.reply.simulations += r.simulations;
-    s.reply.cache_hits += r.cache_hits;
-    s.reply.cross_search_hits += r.cross_search_hits;
-    s.reply.persisted_hits += r.persisted_hits;
-  }
-
-  void finalize_ok(Connection& c) {
-    DesignSession& s = *c.session;
-    s.reply.ok = true;
-    s.reply.evaluations = s.reply.simulations + s.reply.cache_hits;
-    fill_cache_state(s.reply);
-    queue_frame(c, FrameType::kReply, api::serialize_reply(s.reply));
+    queue_frame(c, FrameType::kReply, api::serialize_reply(reply));
     c.session.reset();
-  }
-
-  void finalize_aborted(Connection& c, const std::string& error,
-                        bool cancelled, bool budget_exhausted) {
-    DesignSession& s = *c.session;
-    absorb_open_search(s);
-    s.reply.ok = false;
-    s.reply.error = error;
-    s.reply.cancelled = cancelled;
-    s.reply.budget_exhausted = budget_exhausted;
-    s.reply.evaluations = s.reply.simulations + s.reply.cache_hits;
-    fill_cache_state(s.reply);
-    queue_frame(c, FrameType::kReply, api::serialize_reply(s.reply));
-    c.session.reset();
-  }
-
-  /// One finished search of the session: harvest it and open what follows
-  /// (validation pass, next phase, or the reply).  Mirrors the harvesting
-  /// run_design_request() does over design_manager's results.
-  void finish_search(Connection& c) {
-    DesignSession& s = *c.session;
-    s.acc_evals += s.ctx->evaluations();
-    const core::ExplorationResult r = s.ctx->finish();
-    s.ctx.reset();
-    s.strategy.reset();
-    s.reply.simulations += r.simulations;
-    s.reply.cache_hits += r.cache_hits;
-    s.reply.cross_search_hits += r.cross_search_hits;
-    s.reply.persisted_hits += r.persisted_hits;
-    if (s.family) {
-      s.reply.feasible = r.feasible;
-      s.reply.phase_signatures.push_back(alloc::signature(r.best));
-      s.reply.phase_configs.push_back(r.best);
-      s.reply.best_peak = r.best_sim.peak_footprint;
-      s.reply.aggregate_objective =
-          core::candidate_objective(s.opts, r.best_sim, r.work_steps);
-      s.done = true;
-    } else if (!s.in_validation) {
-      if (!r.feasible) s.reply.feasible = false;
-      if (r.best_sim.peak_footprint > s.reply.best_peak) {
-        s.reply.best_peak = r.best_sim.peak_footprint;
-      }
-      s.reply.phase_signatures.push_back(alloc::signature(r.best));
-      s.reply.phase_configs.push_back(r.best);
-      if (s.request.validate) {
-        open_validation(s);
-      } else {
-        ++s.phase_index;
-        open_next_phase(s);
-      }
-    } else {
-      // Validation charges its accounting; the walk's outcome stands.
-      ++s.phase_index;
-      open_next_phase(s);
-    }
-    if (s.done) finalize_ok(c);
   }
 
   void queue_progress(Connection& c) {
-    DesignSession& s = *c.session;
     if (c.outbuf.size() > kMaxOutbufBytes) return;  // lossy by design
+    const core::DesignProgress p = c.session->run->progress();
     api::ProgressEvent ev;
-    ev.phase = static_cast<std::uint32_t>(s.family ? 0 : s.phase_index);
-    ev.phase_count =
-        static_cast<std::uint32_t>(s.family ? 1 : s.sub_traces.size());
-    ev.evaluations =
-        s.acc_evals + (s.ctx != nullptr ? s.ctx->evaluations() : 0);
-    ev.simulations = s.reply.simulations;
-    ev.cache_hits = s.reply.cache_hits;
-    if (s.ctx != nullptr) {
-      const core::ExplorationResult& r = s.ctx->result();
-      ev.simulations += r.simulations;
-      ev.cache_hits += r.cache_hits;
-      // evals_to_best is recorded when an offer displaces the incumbent;
-      // ordered walks crown only at the end (within one turn anyway).
-      if (r.evals_to_best > 0) {
-        ev.has_incumbent = true;
-        ev.incumbent_peak = r.best_sim.peak_footprint;
-        ev.incumbent = alloc::signature(r.best);
-      }
+    ev.phase = static_cast<std::uint32_t>(p.phase);
+    ev.phase_count = static_cast<std::uint32_t>(p.phase_count);
+    ev.evaluations = p.evaluations;
+    ev.simulations = p.simulations;
+    ev.cache_hits = p.cache_hits;
+    if (p.has_incumbent) {
+      ev.has_incumbent = true;
+      ev.incumbent_peak = p.incumbent_peak;
+      ev.incumbent = alloc::signature(p.incumbent);
     }
     queue_frame(c, FrameType::kProgress, api::serialize_progress(ev));
   }
@@ -399,23 +240,22 @@ struct Server::Impl {
   void session_turn(Connection& c) {
     DesignSession& s = *c.session;
     if (s.cancelled) {
-      finalize_aborted(c, "cancelled by client", true, false);
+      finalize(c, "cancelled by client", true, false);
       return;
     }
     std::size_t slice = options.slice_evals == 0 ? 64 : options.slice_evals;
     if (s.request.eval_budget > 0) {
-      const std::uint64_t charged =
-          s.acc_evals + (s.ctx != nullptr ? s.ctx->evaluations() : 0);
+      const std::uint64_t charged = s.run->progress().evaluations;
       if (charged >= s.request.eval_budget) {
-        finalize_aborted(c, "evaluation budget exhausted", false, true);
+        finalize(c, "evaluation budget exhausted", false, true);
         return;
       }
       const std::uint64_t left = s.request.eval_budget - charged;
       if (left < slice) slice = static_cast<std::size_t>(left);
     }
-    const bool more = s.strategy->step(*s.ctx, slice);
+    const bool more = s.run->step(slice);
     queue_progress(c);
-    if (!more) finish_search(c);
+    if (!more) finalize(c);
   }
 
   // -- frame dispatch -------------------------------------------------------
@@ -492,7 +332,7 @@ struct Server::Impl {
     for (const std::unique_ptr<Connection>& c : conns) {
       if (c->fd < 0) continue;
       if (c->session != nullptr) {
-        finalize_aborted(*c, "daemon shutting down", false, false);
+        finalize(*c, "daemon shutting down");
       }
       flush(*c);
       kill_connection(*c);

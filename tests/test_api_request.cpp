@@ -9,12 +9,18 @@
 //  * the adapters are *pinned*: run_design_request() is bit-for-bit
 //    design_manager() / design_manager_family(), and Explorer's
 //    convenience entry points (explore / exhaustive / random_search) are
-//    bit-for-bit run(strategy) — at 1, 2, 4, and 8 evaluation threads.
+//    bit-for-bit run(strategy) — at 1, 2, 4, and 8 evaluation threads,
+//  * a core::DesignRun stepped in slices of any size lands exactly where
+//    stepping it to completion does (the daemon's path vs the library's),
+//    and a budget-capped run stops at its budget and harvests what it
+//    charged.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -498,6 +504,154 @@ TEST(ApiAdapterPin, ExplorerConveniencesAreRunStrategyBitForBit) {
                         what + " random");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// DesignRun slicing: the daemon deals a run in step() slices, the library
+// steps it to completion — the two must be indistinguishable.
+// ---------------------------------------------------------------------------
+
+/// Slice sizes under test; 0 means DesignRun::complete().
+constexpr std::size_t kSlices[] = {1, 64, 0};
+
+void expect_same_search(const core::ExplorationResult& a,
+                        const core::ExplorationResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.best, b.best) << what;
+  EXPECT_EQ(a.best_sim.peak_footprint, b.best_sim.peak_footprint) << what;
+  EXPECT_EQ(a.feasible, b.feasible) << what;
+  EXPECT_EQ(a.simulations, b.simulations) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  ASSERT_EQ(a.steps.size(), b.steps.size()) << what;
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(a.steps[i].tree, b.steps[i].tree) << what << " step " << i;
+    EXPECT_EQ(a.steps[i].chosen, b.steps[i].chosen) << what << " step " << i;
+    ASSERT_EQ(a.steps[i].candidates.size(), b.steps[i].candidates.size());
+    for (std::size_t c = 0; c < a.steps[i].candidates.size(); ++c) {
+      EXPECT_EQ(a.steps[i].candidates[c].peak_footprint,
+                b.steps[i].candidates[c].peak_footprint)
+          << what << " step " << i << " candidate " << c;
+    }
+  }
+}
+
+/// The request's run, stepped in @p slice-evaluation slices.
+std::unique_ptr<core::DesignRun> stepped_run(
+    const DesignRequest& req, const std::vector<core::AllocTrace>& traces,
+    core::EvalEngine& engine, std::size_t slice) {
+  std::unique_ptr<core::DesignRun> run = make_design_run(req, traces, engine);
+  if (slice == 0) {
+    run->complete();
+  } else {
+    while (run->step(slice)) {
+    }
+  }
+  EXPECT_TRUE(run->done());
+  return run;
+}
+
+struct SliceCase {
+  const char* workload;
+  std::uint64_t max_events;  ///< 0 = the full trace
+  const char* search;
+  bool validate;
+};
+
+class DesignRunSlicing : public ::testing::TestWithParam<SliceCase> {};
+
+TEST_P(DesignRunSlicing, SlicesMatchCompletionAndDesignManager) {
+  DesignRequest req = small_drr_request(2);
+  req.traces[0].workload = GetParam().workload;
+  req.max_events = GetParam().max_events;
+  req.search_text = GetParam().search;
+  req.validate = GetParam().validate;
+  std::vector<core::AllocTrace> traces;
+  std::string why;
+  ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
+  const core::MethodologyResult want =
+      core::design_manager(traces[0], to_methodology_options(req));
+  const std::unique_ptr<core::EvalEngine> engine = core::make_engine(2);
+  for (const std::size_t slice : kSlices) {
+    const std::string what = req.traces[0].workload + " " + req.search_text +
+                             " slice " + std::to_string(slice);
+    const core::MethodologyResult got =
+        stepped_run(req, traces, *engine, slice)->harvest();
+    EXPECT_EQ(got.phase_configs, want.phase_configs) << what;
+    ASSERT_EQ(got.phase_results.size(), want.phase_results.size()) << what;
+    for (std::size_t p = 0; p < want.phase_results.size(); ++p) {
+      expect_same_search(got.phase_results[p], want.phase_results[p], what);
+    }
+    ASSERT_EQ(got.validation_results.size(), want.validation_results.size())
+        << what;
+    for (std::size_t p = 0; p < want.validation_results.size(); ++p) {
+      expect_same_search(got.validation_results[p],
+                         want.validation_results[p], what + " validation");
+    }
+    EXPECT_EQ(got.total_simulations, want.total_simulations) << what;
+    EXPECT_EQ(got.total_cache_hits, want.total_cache_hits) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Searches, DesignRunSlicing,
+    ::testing::Values(SliceCase{"drr", 2000, "greedy", false},
+                      SliceCase{"drr", 2000, "beam:4", false},
+                      SliceCase{"drr", 2000, "anneal:7", false},
+                      SliceCase{"drr", 2000, "portfolio:greedy+anneal", false},
+                      SliceCase{"drr", 2000, "greedy", true},
+                      // Two annotated phases: the run crosses a phase
+                      // boundary between slices.
+                      SliceCase{"render3d", 0, "greedy", false}));
+
+TEST(DesignRunSlicing, FamilyRunMatchesDesignManagerFamily) {
+  DesignRequest req = small_drr_request(2);
+  req.traces.resize(2);
+  req.traces[1].seed = 2;
+  std::vector<core::AllocTrace> traces;
+  std::string why;
+  ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
+  const core::FamilyDesignResult want =
+      core::design_manager_family(traces, to_family_options(req));
+  const std::unique_ptr<core::EvalEngine> engine = core::make_engine(2);
+  for (const std::size_t slice : kSlices) {
+    const std::string what = "family slice " + std::to_string(slice);
+    const core::FamilyDesignResult got =
+        stepped_run(req, traces, *engine, slice)->harvest_family();
+    EXPECT_EQ(got.best, want.best) << what;
+    EXPECT_EQ(got.feasible, want.feasible) << what;
+    EXPECT_EQ(bits(got.aggregate_objective), bits(want.aggregate_objective))
+        << what;
+    expect_same_search(got.search, want.search, what);
+  }
+}
+
+TEST(DesignRunSlicing, BudgetCappedRunStopsAtItsBudget) {
+  DesignRequest req = small_drr_request(2);
+  req.search_text = "random:5000";
+  std::vector<core::AllocTrace> traces;
+  std::string why;
+  ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
+  const std::unique_ptr<core::EvalEngine> engine = core::make_engine(2);
+  const std::unique_ptr<core::DesignRun> run =
+      make_design_run(req, traces, *engine);
+  // Metered like the daemon: never deal more than the budget has left.
+  constexpr std::uint64_t kBudget = 100;
+  std::uint64_t charged = 0;
+  while (charged < kBudget) {
+    ASSERT_TRUE(run->step(std::min<std::uint64_t>(64, kBudget - charged)));
+    charged = run->progress().evaluations;
+  }
+  EXPECT_EQ(charged, kBudget);
+  EXPECT_FALSE(run->done());
+  const core::DesignProgress progress = run->progress();
+  ASSERT_TRUE(progress.has_incumbent);
+  const DesignReply reply = harvest_reply(*run);
+  // The harvest reports exactly the work charged, and no design for the
+  // interrupted search.
+  EXPECT_EQ(reply.evaluations, kBudget);
+  EXPECT_EQ(reply.simulations, progress.simulations);
+  EXPECT_EQ(reply.cache_hits, progress.cache_hits);
+  EXPECT_TRUE(reply.phase_signatures.empty());
 }
 
 }  // namespace

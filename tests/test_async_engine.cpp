@@ -84,7 +84,9 @@ TEST_P(StreamEquivalence, SubmitPollDrainMatchesBatchEvaluate) {
   const std::vector<EvalJob> jobs = mixed_jobs();
 
   SerialEngine reference;
-  ScoreCache ref_cache;
+  SharedScoreCache ref_store;
+  SharedScoreCache::Session ref_cache =
+      ref_store.begin_search(trace.fingerprint());
   const std::vector<EvalOutcome> batch =
       reference.evaluate(trace, jobs, &ref_cache);
 
@@ -92,7 +94,8 @@ TEST_P(StreamEquivalence, SubmitPollDrainMatchesBatchEvaluate) {
     const std::string what = "threads=" + std::to_string(threads) +
                              (with_cache ? " cached" : " uncached");
     const std::unique_ptr<EvalEngine> engine = make_engine(threads);
-    ScoreCache cache;
+    SharedScoreCache store;
+    SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
     engine->stream_begin(trace, with_cache ? &cache : nullptr);
     std::vector<EvalOutcome> streamed;
     for (const EvalJob& job : jobs) {
@@ -108,7 +111,7 @@ TEST_P(StreamEquivalence, SubmitPollDrainMatchesBatchEvaluate) {
     }
     if (with_cache) {
       expect_same_outcomes(batch, streamed, what);
-      EXPECT_EQ(cache.size(), ref_cache.size()) << what;
+      EXPECT_EQ(store.size(), ref_store.size()) << what;
     } else {
       // Without a cache every job replays; scores still match job-wise.
       ASSERT_EQ(streamed.size(), jobs.size()) << what;
@@ -136,7 +139,8 @@ TEST(AsyncEngine, PollEmitsOutcomesInSubmitOrder) {
   // whatever the workers' completion order was.
   const AllocTrace trace = workload_trace("drr", 1500);
   ThreadPoolEngine engine(4);
-  ScoreCache cache;
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
   engine.stream_begin(trace, &cache);
   const std::vector<EvalJob> jobs = mixed_jobs();
   std::vector<std::uint64_t> tags;
@@ -164,10 +168,11 @@ TEST(AsyncEngine, PollEmitsOutcomesInSubmitOrder) {
 TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
   const AllocTrace trace = workload_trace("drr", 1500);
   SerialEngine engine;
-  ScoreCache cache;
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
   // Pre-warm the cache with the paper config.
   (void)engine.evaluate(trace, {{alloc::drr_paper_config(), 0}}, &cache);
-  const std::size_t warm = cache.size();
+  const std::size_t warm = store.size();
 
   DmmConfig fresh = alloc::drr_paper_config();
   fresh.fit = alloc::FitAlgorithm::kFirstFit;
@@ -183,7 +188,7 @@ TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
   // The dup serves the same score as its owner.
   EXPECT_EQ(out[1].sim.peak_footprint, out[2].sim.peak_footprint);
   EXPECT_EQ(out[1].work_steps, out[2].work_steps);
-  EXPECT_EQ(cache.size(), warm + 1);
+  EXPECT_EQ(store.size(), warm + 1);
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 //    partial import),
 //  * saves are atomic (temp file + rename): concurrent savers
 //    last-writer-win and the surviving file always loads,
-//  * ExplorerOptions::cache_file / MethodologyOptions::cache_file thread
-//    warm starts end to end: a second run over the same trace replays
-//    nothing, reports persisted hits, and returns a bit-identical best.
+//  * an explicit load/save around an Explorer, and
+//    MethodologyOptions::cache_file around a design run, thread warm
+//    starts end to end: a second run over the same trace replays nothing,
+//    reports persisted hits, and returns a bit-identical best.
 
 #include <gtest/gtest.h>
 
@@ -359,7 +360,7 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
   const auto trace =
       std::make_shared<const AllocTrace>(variable_size_trace(2500));
   ExplorerOptions opts;
-  opts.cache_file = path_;
+  opts.shared_cache = std::make_shared<SharedScoreCache>();
 
   ExplorationResult cold;
   {
@@ -367,9 +368,12 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
     cold = ex.explore();
     EXPECT_GT(cold.simulations, 0u);
     EXPECT_EQ(cold.persisted_hits, 0u);
-  }  // ~Explorer saves the snapshot
+  }
+  ASSERT_TRUE(opts.shared_cache->save(path_).saved);
 
-  Explorer warm_ex(trace, opts);  // fresh cache object, loads the file
+  opts.shared_cache = std::make_shared<SharedScoreCache>();  // fresh cache
+  ASSERT_TRUE(opts.shared_cache->load(path_).loaded);
+  Explorer warm_ex(trace, opts);
   const ExplorationResult warm = warm_ex.explore();
   EXPECT_EQ(warm.best, cold.best) << "warm best must be bit-identical";
   EXPECT_EQ(warm.best_sim.peak_footprint, cold.best_sim.peak_footprint);
@@ -386,26 +390,20 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
 }
 
 TEST_F(CachePersist, CorruptSnapshotDegradesToAColdRunNotAnError) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(2000));
-  ExplorerOptions opts;
-  opts.cache_file = path_;
-  ExplorationResult cold;
-  {
-    Explorer ex(trace, opts);
-    cold = ex.explore();
-  }
+  const AllocTrace trace = variable_size_trace(2000);
+  MethodologyOptions options;
+  options.cache_file = path_;
+  const MethodologyResult cold = design_manager(trace, options);
   std::vector<std::uint8_t> buf = slurp();
   buf[buf.size() / 2] ^= 0xFF;
   spit(buf);
 
   {
-    Explorer ex(trace, opts);
-    const ExplorationResult again = ex.explore();
-    EXPECT_EQ(again.best, cold.best);
-    EXPECT_EQ(again.simulations, cold.simulations)
+    const MethodologyResult again = design_manager(trace, options);
+    EXPECT_EQ(again.phase_configs, cold.phase_configs);
+    EXPECT_EQ(again.total_simulations, cold.total_simulations)
         << "a rejected snapshot means a full cold search";
-    EXPECT_EQ(again.persisted_hits, 0u);
+    EXPECT_EQ(again.total_persisted_hits, 0u);
   }
   // ... and the rerun has re-saved a healthy snapshot over the corrupt one.
   SharedScoreCache check;
@@ -434,15 +432,11 @@ TEST_F(CachePersist, DesignManagerWarmRunReplaysNothing) {
 }
 
 TEST_F(CachePersist, CacheFileWithCachingOffIsIgnored) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(1000));
-  ExplorerOptions opts;
-  opts.cache = false;
-  opts.cache_file = path_;
-  {
-    Explorer ex(trace, opts);
-    (void)ex.explore();
-  }
+  const AllocTrace trace = variable_size_trace(1000);
+  MethodologyOptions options;
+  options.explorer_options.cache = false;
+  options.cache_file = path_;
+  (void)design_manager(trace, options);
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   EXPECT_EQ(f, nullptr) << "no cache, nothing to persist";
   if (f != nullptr) std::fclose(f);

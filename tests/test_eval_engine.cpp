@@ -1,6 +1,6 @@
 // The evaluation-engine contract: serial and thread-pool backends must be
 // interchangeable — same best vector, same step logs, same accounting —
-// and the ScoreCache must only ever skip work, never change answers.
+// and the score cache must only ever skip work, never change answers.
 
 #include "dmm/core/eval_engine.h"
 
@@ -150,28 +150,31 @@ TEST(DmmConfigCanonical, SortedStructuresAbsorbFreeListOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreCache
+// Score-cache sessions
 // ---------------------------------------------------------------------------
 
-TEST(ScoreCache, LookupInsertRoundTrip) {
-  ScoreCache cache;
+TEST(ScoreSession, LookupInsertRoundTrip) {
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(1);
   const DmmConfig cfg = alloc::drr_paper_config();
-  EXPECT_EQ(cache.lookup(cfg), nullptr);
+  SharedScoreCache::Entry hit;
+  EXPECT_FALSE(cache.lookup_canonical(alloc::canonical(cfg), &hit));
   SimResult sim;
   sim.peak_footprint = 42;
-  cache.insert(cfg, {sim, 7});
-  const ScoreCache::Entry* hit = cache.lookup(cfg);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->sim.peak_footprint, 42u);
-  EXPECT_EQ(hit->work_steps, 7u);
+  cache.insert_canonical(alloc::canonical(cfg), {sim, 7});
+  ASSERT_TRUE(cache.lookup_canonical(alloc::canonical(cfg), &hit));
+  EXPECT_EQ(hit.sim.peak_footprint, 42u);
+  EXPECT_EQ(hit.work_steps, 7u);
   // Behaviourally identical config (dead knob differs) must hit too.
   DmmConfig alias = cfg;
   alias.max_class_log2 = 20;
-  EXPECT_NE(cache.lookup(alias), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.lookup_canonical(alloc::canonical(alias), &hit));
+  EXPECT_EQ(store.size(), 1u);
+  // A search's hits on its own entries are never cross-search hits.
+  EXPECT_EQ(cache.cross_search_hits(), 0u);
 }
 
-TEST(ScoreCache, ExplorerHitAccounting) {
+TEST(ScoreSession, ExplorerHitAccounting) {
   const AllocTrace trace = workload_trace("drr", 4000);
   ExplorerOptions with_cache;
   with_cache.cache = true;
@@ -207,7 +210,10 @@ TEST(EvalEngine, DirectBatchMatchesSerial) {
   SerialEngine serial;
   ThreadPoolEngine pool(4);
   EXPECT_EQ(pool.threads(), 4u);
-  ScoreCache cache_a, cache_b;
+  SharedScoreCache store_a;
+  SharedScoreCache store_b;
+  SharedScoreCache::Session cache_a = store_a.begin_search(trace.fingerprint());
+  SharedScoreCache::Session cache_b = store_b.begin_search(trace.fingerprint());
   const std::vector<EvalOutcome> a = serial.evaluate(trace, jobs, &cache_a);
   const std::vector<EvalOutcome> b = pool.evaluate(trace, jobs, &cache_b);
   ASSERT_EQ(a.size(), jobs.size());
@@ -222,8 +228,8 @@ TEST(EvalEngine, DirectBatchMatchesSerial) {
   // The in-batch duplicate must be deduped identically by both engines.
   EXPECT_FALSE(a[2].from_cache);
   EXPECT_TRUE(a[3].from_cache);
-  EXPECT_EQ(cache_a.size(), 3u);
-  EXPECT_EQ(cache_b.size(), 3u);
+  EXPECT_EQ(store_a.size(), 3u);
+  EXPECT_EQ(store_b.size(), 3u);
 }
 
 class EngineDeterminism : public ::testing::TestWithParam<const char*> {};

@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "dmm/core/methodology.h"
+
 namespace dmm::core {
 namespace {
 
@@ -99,6 +101,31 @@ TEST(SplitByPhase, SubTraceDemandSumsCoverTotal) {
   std::uint64_t allocs = 0;
   for (const auto& s : subs) allocs += s.stats().allocs;
   EXPECT_EQ(allocs, t.stats().allocs);
+}
+
+TEST(AnnotatedPhases, AnAbsentPhaseGetsNoSpan) {
+  // set_phase(1) immediately followed by set_phase(2): phase 1 has no
+  // events, and must neither get a span nor shift the spans after it.
+  // Events 0..7 are phase 0, events 8..13 phase 2.
+  AllocTrace t;
+  for (std::uint32_t i = 0; i < 4; ++i) t.record_alloc(i, 64, 0);
+  for (std::uint32_t i = 0; i < 4; ++i) t.record_free(i, 0);
+  for (std::uint32_t i = 4; i < 7; ++i) t.record_alloc(i, 4096, 2);
+  for (std::uint32_t i = 4; i < 7; ++i) t.record_free(i, 2);
+  const MethodologyResult design = design_manager(t);
+  ASSERT_EQ(design.phases.size(), 2u);
+  EXPECT_EQ(design.phases[0].phase, 0u);
+  EXPECT_EQ(design.phases[0].first_event, 0u);
+  EXPECT_EQ(design.phases[0].last_event, 7u);
+  EXPECT_EQ(design.phases[1].phase, 2u);
+  EXPECT_EQ(design.phases[1].first_event, 8u);
+  EXPECT_EQ(design.phases[1].last_event, 13u);
+  // Configs stay indexed by phase id: the empty phase 1 keeps the
+  // defaults, unsearched.
+  ASSERT_EQ(design.phase_configs.size(), 3u);
+  EXPECT_EQ(design.phase_configs[1], ExplorerOptions{}.defaults);
+  EXPECT_EQ(design.phase_results[1].simulations, 0u);
+  EXPECT_GT(design.phase_results[2].simulations, 0u);
 }
 
 }  // namespace

@@ -246,11 +246,13 @@ TEST_F(PortfolioSearchTest, BitIdenticalAcrossCacheScopes) {
   const ExplorationResult shared =
       run_spec("portfolio:greedy+beam:4+anneal", shared_opts);
   ExplorerOptions cold_opts;
-  cold_opts.cache_file = path;
+  cold_opts.shared_cache = std::make_shared<SharedScoreCache>();
   const ExplorationResult cold =
       run_spec("portfolio:greedy+beam:4+anneal", cold_opts);
+  ASSERT_TRUE(cold_opts.shared_cache->save(path).saved);
   ExplorerOptions warm_opts;
-  warm_opts.cache_file = path;
+  warm_opts.shared_cache = std::make_shared<SharedScoreCache>();
+  ASSERT_TRUE(warm_opts.shared_cache->load(path).loaded);
   const ExplorationResult warm =
       run_spec("portfolio:greedy+beam:4+anneal", warm_opts);
 

@@ -293,15 +293,17 @@ TEST_F(SearchStrategies, PersistedCacheKeepsResultsBitIdentical) {
       ::testing::TempDir() + "dmm_search_strategies_warm.snapshot";
   std::remove(path.c_str());
   ExplorerOptions cold_opts;
-  cold_opts.cache_file = path;
+  cold_opts.shared_cache = std::make_shared<SharedScoreCache>();
   ExplorationResult cold;
   {
     Explorer ex(trace_, cold_opts);
     BeamSearch beam(2, paper_order());
     cold = ex.run(beam);
-  }  // dtor saves the snapshot
+  }
+  ASSERT_TRUE(cold_opts.shared_cache->save(path).saved);
   ExplorerOptions warm_opts;
-  warm_opts.cache_file = path;
+  warm_opts.shared_cache = std::make_shared<SharedScoreCache>();
+  ASSERT_TRUE(warm_opts.shared_cache->load(path).loaded);
   Explorer ex(trace_, warm_opts);
   BeamSearch beam(2, paper_order());
   const ExplorationResult warm = ex.run(beam);
@@ -343,36 +345,6 @@ TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(static_cast<double>(r.best_sim.peak_footprint),
             1.10 * static_cast<double>(greedy.best_sim.peak_footprint));
-}
-
-// ---------------------------------------------------------------------------
-// random_search canonical prune (opt-in)
-// ---------------------------------------------------------------------------
-
-TEST(CanonicalPruneRandom, SkipsDuplicateDrawsWithoutCharge) {
-  // Operational-only pruning leaves canonical aliases in the draw stream
-  // (granted-but-never mechanisms, dead D1/E1/C2 leaves); the canonical
-  // quotient is big, so collisions only show up at a few hundred draws —
-  // a short trace keeps that affordable.
-  const AllocTrace trace = variable_size_trace(400);
-  ExplorerOptions base;
-  base.prune_soft = false;
-  Explorer plain(trace, base);
-  const ExplorationResult off = plain.random_search(600, 21);
-  EXPECT_GT(off.cache_hits, 0u)
-      << "without the prune, duplicate draws are charged as cache hits";
-  EXPECT_EQ(off.canonical_skips, 0u);
-
-  ExplorerOptions pruned = base;
-  pruned.canonical_prune_random = true;
-  Explorer ex(trace, pruned);
-  const ExplorationResult on = ex.random_search(600, 21);
-  EXPECT_GT(on.canonical_skips, 0u) << "duplicate draws must be skipped";
-  EXPECT_EQ(on.cache_hits, 0u)
-      << "every charged evaluation is a fresh canonical vector";
-  EXPECT_EQ(on.simulations, 600u)
-      << "skips are free: the budget still buys distinct vectors";
-  EXPECT_TRUE(on.feasible);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,13 +473,14 @@ TEST_F(SearchStrategies, ThrowingStrategyStillPersistsPaidReplays) {
       ::testing::TempDir() + "dmm_search_strategies_throw.snapshot";
   std::remove(path.c_str());
   ExplorerOptions opts;
-  opts.cache_file = path;
+  opts.shared_cache = std::make_shared<SharedScoreCache>();
   Explorer ex(trace_, opts);
   ThrowingStrategy strategy;
   EXPECT_THROW((void)ex.run(strategy), std::runtime_error);
-  // The snapshot must exist *now*, before the Explorer is destroyed: an
-  // exception that escapes main() never unwinds, so the dtor save alone
-  // would lose the replay.
+  // The cache absorbed the replay before the throw, so the owner's save
+  // on its failure path (DesignRun::complete's) persists it — now, while
+  // the Explorer is still alive.
+  ASSERT_TRUE(opts.shared_cache->save(path).saved);
   SharedScoreCache fresh;
   const SnapshotLoadResult loaded = fresh.load(path);
   EXPECT_TRUE(loaded.loaded) << loaded.reason;

@@ -3,8 +3,8 @@
 //    1%-band arithmetic produced inf-inf = NaN on infeasible ties),
 //  * searches flag infeasible outcomes instead of silently returning a
 //    garbage best,
-//  * a SharedScoreCache serves many searches bit-identically to the
-//    per-search ScoreCache while reporting cross-search reuse, from any
+//  * a SharedScoreCache serves many searches bit-identically to each
+//    search's private cache while reporting cross-search reuse, from any
 //    number of threads,
 //  * exhaustive() enumerates the canonical quotient space: same best,
 //    strictly fewer replays.
