@@ -162,6 +162,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "config reload failed: %s\n", loaded.reason.c_str());
     return 1;
   }
+  // The runtime front serves one atomic manager; never deploy one phase of
+  // a phased design as if it were the whole design.
+  if (loaded.configs.size() != 1) {
+    std::fprintf(stderr,
+                 "config artifact holds a %zu-phase design; the runtime "
+                 "front deploys single-phase designs only\n",
+                 loaded.configs.size());
+    return 1;
+  }
   const alloc::DmmConfig cfg = loaded.configs[0];
   const bool roundtrip_ok = loaded.configs == design.phase_configs;
 

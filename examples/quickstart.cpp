@@ -182,6 +182,16 @@ int main(int argc, char** argv) {
                  export_path.c_str(), loaded.reason.c_str());
     return 1;
   }
+  // The runtime front serves one atomic manager.  Deploying the first
+  // phase of a phased design would run a manager the search never scored
+  // against the whole trace, so refuse instead.
+  if (loaded.configs.size() != 1) {
+    std::fprintf(stderr,
+                 "%s: %s holds a %zu-phase design; the runtime front "
+                 "deploys single-phase designs only\n",
+                 argv[0], export_path.c_str(), loaded.configs.size());
+    return 1;
+  }
   runtime::RuntimeOptions ropts;
   ropts.oom_policy = runtime::OomPolicy::kNull;
   runtime::DesignedAllocator deployed(loaded.configs[0], ropts);

@@ -10,8 +10,20 @@
 //   core_mu_        — serialises the single-threaded policy core and its
 //                     arena (including the stats read of telemetry())
 //
-// Shard mutexes (pointer bookkeeping) are strict leaves: taken with no
-// other lock held and released before acquiring anything.
+// Shard locks (pointer bookkeeping) are leaves: nothing is acquired while
+// one is held.  They may be taken under ThreadCache::mu (eviction and
+// flush erase the entries of the blocks they hand back).  core_mu_ and the
+// shard locks are SpinParkLocks; the registry mutex and ThreadCache::mu,
+// held on cold paths or by one thread at a time, stay std::mutex.
+//
+// Deferred release: a block a thread cache evicts leaves the side table at
+// once but waits in the cache's pending list.  Every core_mu_ hold taken
+// on a thread's behalf (a core allocation, an uncacheable free, a flush)
+// first drains that thread's pending list, oldest first, under
+// ThreadCache::mu then core_mu_; so does a push that fills the list to
+// kPendingDrainBlocks.  A thread's releases thus reach the core in the same
+// order relative to its own core calls as if each were released at
+// eviction: a single-threaded run makes exactly the same core calls.
 //
 // Thread-cache lifetime: a cache is created by its thread on first use,
 // registered with the allocator, and deleted by its thread at exit (the
@@ -26,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "dmm/alloc/size_class.h"
@@ -37,6 +50,10 @@ namespace {
 /// `requested` value of a BlockInfo while the block sits in a thread cache
 /// (live in the core's eyes, dead in the application's).
 constexpr std::size_t kCachedSentinel = static_cast<std::size_t>(-1);
+
+/// A thread's pending list drains once it holds this many blocks, even if
+/// the thread makes no core call of its own in the meantime.
+constexpr std::size_t kPendingDrainBlocks = 64;
 
 [[noreturn]] void die(const char* what, const void* ptr) {
   std::fprintf(stderr, "DesignedAllocator: %s (ptr=%p)\n", what, ptr);
@@ -59,6 +76,8 @@ unsigned bin_for_capacity(std::size_t capacity) {
 // ---------------------------------------------------------------------------
 
 struct DesignedAllocator::ThreadCache {
+  ThreadCache() { pending.reserve(kPendingDrainBlocks); }
+
   std::mutex mu;
   /// Guarded by the registry mutex AND mu (writers hold both, readers
   /// hold either): which allocator drains into at thread exit.
@@ -68,6 +87,9 @@ struct DesignedAllocator::ThreadCache {
              alloc::SizeClass::kCount>
       bins;
   std::size_t cached_bytes = 0;  ///< sum of cached capacities; under mu
+  /// Evicted blocks not yet released to the core, oldest first; under mu.
+  /// Cleared, never shrunk, so draining allocates nothing.
+  std::vector<void*> pending;
 };
 
 struct ThreadCacheRegistry {
@@ -107,10 +129,24 @@ struct ThreadCacheRegistry {
 
 DesignedAllocator::ThreadCache* DesignedAllocator::this_thread_cache() {
   if (opts_.thread_cache_bytes == 0) return nullptr;
-  ThreadCacheRegistry::TlsHolder& holder = ThreadCacheRegistry::tls();
-  for (ThreadCache* c : holder.caches) {
-    const std::lock_guard<std::mutex> lock(c->mu);
-    if (c->owner == this) return c;
+  std::vector<ThreadCache*>& shells = ThreadCacheRegistry::tls().caches;
+  for (auto it = shells.begin(); it != shells.end();) {
+    ThreadCache* c = *it;
+    const DesignedAllocator* owner = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(c->mu);
+      owner = c->owner;
+    }
+    if (owner == this) return c;
+    if (owner != nullptr) {
+      ++it;
+      continue;
+    }
+    // Orphaned by a destroyed allocator, which drained it and dropped it
+    // from its roster: only this thread still knows the shell.  Deleting
+    // it here keeps the walk as short as the allocators still in use.
+    delete c;
+    it = shells.erase(it);
   }
   auto* c = new ThreadCache;
   c->owner = this;
@@ -118,8 +154,21 @@ DesignedAllocator::ThreadCache* DesignedAllocator::this_thread_cache() {
     const std::lock_guard<std::mutex> reg(ThreadCacheRegistry::mutex());
     caches_.push_back(c);
   }
-  holder.caches.push_back(c);
+  shells.push_back(c);
   return c;
+}
+
+std::size_t DesignedAllocator::thread_cache_shells() {
+  return ThreadCacheRegistry::tls().caches.size();
+}
+
+template <class Body>
+decltype(auto) DesignedAllocator::with_core(ThreadCache* cache, Body&& body) {
+  std::unique_lock<std::mutex> cache_lock;
+  if (cache != nullptr) cache_lock = std::unique_lock<std::mutex>(cache->mu);
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+  if (cache != nullptr) drain_pending(*cache);
+  return body();
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +213,7 @@ void* DesignedAllocator::malloc(std::size_t bytes) {
     if (void* p = cache_pop(*cache, request)) {
       Shard& sh = shard_for(p);
       {
-        const std::lock_guard<std::mutex> lock(sh.mu);
+        const std::lock_guard<SpinParkLock> lock(sh.mu);
         auto it = sh.map.find(p);
         if (it == sh.map.end() || it->second.requested != kCachedSentinel) {
           die("thread cache handed out an untracked block", p);
@@ -180,18 +229,18 @@ void* DesignedAllocator::malloc(std::size_t bytes) {
 
 void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
   std::size_t capacity = 0;
-  void* p = core_allocate(request, &capacity);
+  void* p = core_allocate(request, &capacity, cache);
   if (p == nullptr && cache != nullptr) {
     // Reclaim before any policy fires: the calling thread's own cache may
     // hold exactly the memory the core needs.
     flush_cache(*cache);
-    p = core_allocate(request, &capacity);
+    p = core_allocate(request, &capacity, cache);
   }
-  if (p == nullptr) p = handle_oom(request, &capacity);
+  if (p == nullptr) p = handle_oom(request, &capacity, cache);
   if (p == nullptr) return nullptr;
   Shard& sh = shard_for(p);
   {
-    const std::lock_guard<std::mutex> lock(sh.mu);
+    const std::lock_guard<SpinParkLock> lock(sh.mu);
     if (!sh.map.emplace(p, BlockInfo{capacity, request}).second) {
       die("core handed out a live pointer twice", p);
     }
@@ -201,16 +250,18 @@ void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
 }
 
 void* DesignedAllocator::core_allocate(std::size_t request,
-                                       std::size_t* capacity) {
-  const std::lock_guard<std::mutex> lock(core_mu_);
-  if (consume_injected_failure()) return nullptr;
-  void* p = core_.allocate(request);
-  if (p != nullptr) *capacity = core_.usable_size(p);
-  return p;
+                                       std::size_t* capacity,
+                                       ThreadCache* cache) {
+  return with_core(cache, [&]() -> void* {
+    if (consume_injected_failure()) return nullptr;
+    void* p = core_.allocate(request);
+    if (p != nullptr) *capacity = core_.usable_size(p);
+    return p;
+  });
 }
 
-void* DesignedAllocator::handle_oom(std::size_t request,
-                                    std::size_t* capacity) {
+void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
+                                    ThreadCache* cache) {
   switch (opts_.oom_policy) {
     case OomPolicy::kDie: {
       telemetry_.note_oom_died();
@@ -232,7 +283,7 @@ void* DesignedAllocator::handle_oom(std::size_t request,
            ++attempt) {
         telemetry_.note_oom_callback();
         if (!opts_.oom_callback(request, attempt)) break;
-        if (void* p = core_allocate(request, capacity)) {
+        if (void* p = core_allocate(request, capacity, cache)) {
           telemetry_.note_oom_recovered();
           return p;
         }
@@ -252,7 +303,7 @@ void DesignedAllocator::free(void* ptr) {
   bool to_cache = false;
   {
     Shard& sh = shard_for(ptr);
-    const std::lock_guard<std::mutex> lock(sh.mu);
+    const std::lock_guard<SpinParkLock> lock(sh.mu);
     auto it = sh.map.find(ptr);
     if (it == sh.map.end()) {
       die("free of a pointer this allocator does not own "
@@ -276,8 +327,7 @@ void DesignedAllocator::free(void* ptr) {
     cache_push(*cache, ptr, capacity);
     return;
   }
-  const std::lock_guard<std::mutex> lock(core_mu_);
-  core_.deallocate(ptr);
+  with_core(cache, [&] { core_.deallocate(ptr); });
 }
 
 void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
@@ -290,7 +340,7 @@ void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
   std::size_t old_requested = 0;
   {
     Shard& sh = shard_for(ptr);
-    const std::lock_guard<std::mutex> lock(sh.mu);
+    const std::lock_guard<SpinParkLock> lock(sh.mu);
     auto it = sh.map.find(ptr);
     if (it == sh.map.end() || it->second.requested == kCachedSentinel) {
       die("realloc of a pointer this allocator does not own", ptr);
@@ -314,7 +364,7 @@ void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
 std::size_t DesignedAllocator::usable_size(const void* ptr) const {
   if (ptr == nullptr) return 0;
   Shard& sh = shard_for(ptr);
-  const std::lock_guard<std::mutex> lock(sh.mu);
+  const std::lock_guard<SpinParkLock> lock(sh.mu);
   const auto it = sh.map.find(ptr);
   if (it == sh.map.end() || it->second.requested == kCachedSentinel) {
     return 0;
@@ -328,7 +378,7 @@ std::size_t DesignedAllocator::usable_size(const void* ptr) const {
 
 TelemetrySnapshot DesignedAllocator::telemetry() const {
   TelemetrySnapshot s = telemetry_.snapshot();
-  const std::lock_guard<std::mutex> lock(core_mu_);
+  const std::lock_guard<SpinParkLock> lock(core_mu_);
   s.arena = arena_.stats();
   return s;
 }
@@ -360,40 +410,31 @@ bool DesignedAllocator::cacheable(std::size_t capacity) const {
 
 void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
                                    std::size_t capacity) {
-  std::vector<void*> evicted;
-  {
-    const std::lock_guard<std::mutex> lock(cache.mu);
-    auto& bin = cache.bins[bin_for_capacity(capacity)];
-    bin.emplace_back(ptr, capacity);
-    cache.cached_bytes += capacity;
-    // Per-bin entry cap: evict the oldest of this bin beyond it.
-    if (bin.size() > opts_.thread_cache_bin_entries) {
-      const std::size_t drop = bin.size() - opts_.thread_cache_bin_entries;
-      for (std::size_t i = 0; i < drop; ++i) {
-        evicted.push_back(bin[i].first);
-        cache.cached_bytes -= bin[i].second;
-      }
-      bin.erase(bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(drop));
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  auto& bin = cache.bins[bin_for_capacity(capacity)];
+  bin.emplace_back(ptr, capacity);
+  cache.cached_bytes += capacity;
+  // Per-bin entry cap: evict the oldest of this bin beyond it.
+  if (bin.size() > opts_.thread_cache_bin_entries) {
+    const std::size_t drop = bin.size() - opts_.thread_cache_bin_entries;
+    for (std::size_t i = 0; i < drop; ++i) {
+      evict(cache, bin[i].first, bin[i].second);
     }
-    // Byte budget: shed the largest cached blocks first.
-    for (std::size_t b = cache.bins.size();
-         b-- > 0 && cache.cached_bytes > opts_.thread_cache_bytes;) {
-      auto& shed = cache.bins[b];
-      while (!shed.empty() &&
-             cache.cached_bytes > opts_.thread_cache_bytes) {
-        evicted.push_back(shed.front().first);
-        cache.cached_bytes -= shed.front().second;
-        shed.erase(shed.begin());
-      }
+    bin.erase(bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(drop));
+  }
+  // Byte budget: shed the largest cached blocks first.
+  for (std::size_t b = cache.bins.size();
+       b-- > 0 && cache.cached_bytes > opts_.thread_cache_bytes;) {
+    auto& shed = cache.bins[b];
+    while (!shed.empty() && cache.cached_bytes > opts_.thread_cache_bytes) {
+      evict(cache, shed.front().first, shed.front().second);
+      shed.erase(shed.begin());
     }
   }
-  if (evicted.empty()) return;
-  for (void* p : evicted) {
-    Shard& sh = shard_for(p);
-    const std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.erase(p);
+  if (cache.pending.size() >= kPendingDrainBlocks) {
+    const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+    drain_pending(cache);
   }
-  release_to_core(evicted);
 }
 
 void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
@@ -409,28 +450,31 @@ void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
   return p;
 }
 
-void DesignedAllocator::flush_cache(ThreadCache& cache) {
-  std::vector<void*> drained;
+void DesignedAllocator::evict(ThreadCache& cache, void* ptr,
+                              std::size_t capacity) {
   {
-    const std::lock_guard<std::mutex> lock(cache.mu);
-    for (auto& bin : cache.bins) {
-      for (const auto& entry : bin) drained.push_back(entry.first);
-      bin.clear();
-    }
-    cache.cached_bytes = 0;
+    Shard& sh = shard_for(ptr);
+    const std::lock_guard<SpinParkLock> lock(sh.mu);
+    sh.map.erase(ptr);
   }
-  for (void* p : drained) {
-    Shard& sh = shard_for(p);
-    const std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.erase(p);
-  }
-  release_to_core(drained);
+  cache.cached_bytes -= capacity;
+  cache.pending.push_back(ptr);
 }
 
-void DesignedAllocator::release_to_core(const std::vector<void*>& ptrs) {
-  if (ptrs.empty()) return;
-  const std::lock_guard<std::mutex> lock(core_mu_);
-  for (void* p : ptrs) core_.deallocate(p);
+void DesignedAllocator::drain_pending(ThreadCache& cache) {
+  for (void* p : cache.pending) core_.deallocate(p);
+  cache.pending.clear();
+}
+
+void DesignedAllocator::flush_cache(ThreadCache& cache) {
+  const std::lock_guard<std::mutex> lock(cache.mu);
+  for (auto& bin : cache.bins) {
+    for (const auto& [p, capacity] : bin) evict(cache, p, capacity);
+    bin.clear();
+  }
+  if (cache.pending.empty()) return;
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+  drain_pending(cache);
 }
 
 }  // namespace dmm::runtime

@@ -4,13 +4,13 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "dmm/alloc/config.h"
 #include "dmm/alloc/custom_manager.h"
 #include "dmm/runtime/oom.h"
+#include "dmm/runtime/spin_park_lock.h"
 #include "dmm/runtime/telemetry.h"
 #include "dmm/sysmem/system_arena.h"
 
@@ -31,6 +31,9 @@ namespace dmm::runtime {
 //     is safe.  Caches are bounded (bytes + per-bin entries) and recycle a
 //     block only for requests its capacity is known to satisfy, so cache
 //     hits never widen a block beyond what the core already granted.
+//     Blocks a cache evicts wait in its thread's pending list and reach
+//     the core inside that thread's next core-lock hold, in eviction
+//     order, so one lock hold carries many releases.
 //   * failure policy — the core reports exhaustion as nullptr; the front
 //     turns that into the configured OOM contract (oom.h) after first
 //     reclaiming the calling thread's cache back into the core.
@@ -109,6 +112,11 @@ class DesignedAllocator {
   /// needing a full arena.
   void inject_arena_exhaustion(std::uint64_t failures);
 
+  /// Inspection seam (tests): thread-cache shells the calling thread holds
+  /// across every allocator it has used, orphans of destroyed ones
+  /// included.
+  [[nodiscard]] static std::size_t thread_cache_shells();
+
   [[nodiscard]] const alloc::DmmConfig& config() const {
     return core_.config();
   }
@@ -119,13 +127,14 @@ class DesignedAllocator {
 
   /// Per-pointer bookkeeping: block capacity (core grant) and the live
   /// requested size, or kCachedSentinel while the block sits in a thread
-  /// cache.  Sharded to keep cross-thread frees from serialising.
+  /// cache.  Sharded to keep cross-thread frees from serialising; each
+  /// shard owns a cache line so two shards' locks never share one.
   struct BlockInfo {
     std::size_t capacity = 0;
     std::size_t requested = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
+  struct alignas(64) Shard {
+    mutable SpinParkLock mu;
     std::unordered_map<const void*, BlockInfo> map;
   };
   static constexpr std::size_t kShardCount = 16;
@@ -133,24 +142,36 @@ class DesignedAllocator {
   [[nodiscard]] Shard& shard_for(const void* p) const;
   [[nodiscard]] ThreadCache* this_thread_cache();
 
+  /// Runs @p body under core_mu_ on behalf of the calling thread: takes
+  /// @p cache's mu first (if any), then core_mu_, and drains the cache's
+  /// pending evictions before the body's own core work.
+  template <class Body>
+  decltype(auto) with_core(ThreadCache* cache, Body&& body);
+
   [[nodiscard]] void* slow_malloc(std::size_t request, ThreadCache* cache);
-  [[nodiscard]] void* core_allocate(std::size_t request,
-                                    std::size_t* capacity);
-  [[nodiscard]] void* handle_oom(std::size_t request, std::size_t* capacity);
+  [[nodiscard]] void* core_allocate(std::size_t request, std::size_t* capacity,
+                                    ThreadCache* cache);
+  [[nodiscard]] void* handle_oom(std::size_t request, std::size_t* capacity,
+                                 ThreadCache* cache);
   [[nodiscard]] bool consume_injected_failure();
 
   [[nodiscard]] bool cacheable(std::size_t capacity) const;
   void cache_push(ThreadCache& cache, void* ptr, std::size_t capacity);
   [[nodiscard]] void* cache_pop(ThreadCache& cache, std::size_t request);
-  /// Empties @p cache into the core (shard entries erased, blocks freed).
+  /// Moves one cached block to @p cache's pending list and erases its
+  /// shard entry.  Caller holds cache.mu.
+  void evict(ThreadCache& cache, void* ptr, std::size_t capacity);
+  /// Releases @p cache's pending list to the core, oldest first.  Caller
+  /// holds cache.mu and core_mu_.
+  void drain_pending(ThreadCache& cache);
+  /// Empties @p cache into the core: pending list first, then every bin.
   void flush_cache(ThreadCache& cache);
-  void release_to_core(const std::vector<void*>& ptrs);
 
   RuntimeOptions opts_;
   sysmem::SystemArena arena_;
   /// Serialises every core/arena touch; the arena's stats are read under
   /// it too (telemetry()).
-  mutable std::mutex core_mu_;
+  mutable SpinParkLock core_mu_;
   alloc::CustomManager core_;
   /// Blocks at or above the designed big-request threshold bypass the
   /// thread caches: the core routes them to dedicated chunks that should

@@ -1,13 +1,18 @@
 // The deployable runtime front (runtime/designed_allocator.h): malloc/
-// free/realloc semantics, thread-cache behaviour, the cache-off replay
-// parity that anchors bench_runtime's peak gate, and the concurrent
-// integrity stress the TSan job runs.
+// free/realloc semantics, thread-cache behaviour (deferred eviction
+// release, shell lifetime), the cache-off replay parity that anchors
+// bench_runtime's peak gate, and the concurrent integrity stress the TSan
+// job runs.
 
 #include "dmm/runtime/designed_allocator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -207,6 +212,26 @@ TEST(DesignedAllocator, CacheOffReplayMatchesTheSimulatedPeakExactly) {
   EXPECT_EQ(deployed_peak, sim.peak_footprint);
 }
 
+TEST(DesignedAllocator, CachesOnSingleThreadReplayMakesPinnedCoreCalls) {
+  // With caches on, evicted blocks reach the core inside the thread's next
+  // core-lock hold rather than one by one, in the same order relative to
+  // its own core calls.  A single-threaded replay therefore drives the
+  // arena exactly as an eager release would: same peak, same chunk
+  // requests and releases.  The numbers are pinned from that eager front.
+  core::AllocTrace trace =
+      workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
+  ASSERT_GT(trace.events().size(), 20000u);
+  trace.events().resize(20000);
+  trace.close_leaks();
+
+  DesignedAllocator front(alloc::drr_paper_config());
+  const std::size_t peak = replay_through_front(trace, front);
+  const sysmem::ArenaStats arena = front.telemetry().arena;
+  EXPECT_EQ(peak, 245760u);
+  EXPECT_EQ(arena.request_count, 15u);
+  EXPECT_EQ(arena.release_count, 1u);
+}
+
 TEST(DesignedAllocator, CrossThreadFreeIsSafe) {
   DesignedAllocator a(alloc::drr_paper_config());
   std::vector<void*> blocks;
@@ -240,11 +265,89 @@ TEST(DesignedAllocator, ThreadExitDrainsItsCacheBackToTheAllocator) {
   // covered by leaving scope here and by the stress below.
 }
 
-TEST(DesignedAllocator, ConcurrentIntegrityStress) {
-  // The TSan workhorse: several threads hammer malloc/free/realloc with a
-  // per-block fill pattern; any lost update, double serve, or overlap
-  // corrupts a pattern and fails loudly.
-  DesignedAllocator a(alloc::drr_paper_config());
+/// Thread caches whose bins hold one block each: nearly every cached free
+/// evicts, so the pending-list path carries the traffic.
+RuntimeOptions one_entry_bins() {
+  RuntimeOptions opts;
+  opts.thread_cache_bin_entries = 1;
+  return opts;
+}
+
+/// Frees three same-class blocks on the calling thread with one-entry
+/// bins: the last stays cached, the first two wait in the pending list.
+void leave_pending_evictions(DesignedAllocator& a) {
+  std::vector<void*> blocks;
+  for (int i = 0; i < 3; ++i) blocks.push_back(a.malloc(128));
+  for (void* p : blocks) a.free(p);
+}
+
+TEST(DesignedAllocator, ThreadExitReleasesItsPendingEvictions) {
+  DesignedAllocator a(alloc::drr_paper_config(), one_entry_bins());
+  std::thread t([&a] { leave_pending_evictions(a); });
+  t.join();
+  const TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, snap.free_count);
+  EXPECT_EQ(snap.bytes_live, 0u);
+  // Every block is back in the core, so its chunk went back to the arena.
+  EXPECT_EQ(snap.arena.current_footprint, 0u);
+}
+
+TEST(DesignedAllocator, AllocatorDestroyedWhileAThreadHasPendingEvictions) {
+  auto a = std::make_unique<DesignedAllocator>(alloc::drr_paper_config(),
+                                               one_entry_bins());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool destroyed = false;
+  std::size_t shells_after = 0;
+  std::thread t([&] {
+    leave_pending_evictions(*a);
+    std::unique_lock<std::mutex> lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return destroyed; });
+    // The destroyed allocator's shell is an orphan; the next lookup on
+    // this thread deletes it.
+    DesignedAllocator other(alloc::drr_paper_config());
+    other.free(other.malloc(64));
+    shells_after = DesignedAllocator::thread_cache_shells();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  // The thread is quiescent with a non-empty pending list.
+  const TelemetrySnapshot snap = a->telemetry();
+  EXPECT_EQ(snap.alloc_count, snap.free_count);
+  EXPECT_EQ(snap.bytes_live, 0u);
+  a.reset();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    destroyed = true;
+  }
+  cv.notify_all();
+  t.join();
+  EXPECT_EQ(shells_after, 1u);
+}
+
+TEST(DesignedAllocator, OrphanedCacheShellsArePrunedOnLookup) {
+  // Each destroyed allocator orphans the calling thread's cache shell; the
+  // thread's next lookup must delete it, or every malloc walks them all.
+  std::size_t worst = 0;
+  std::thread t([&worst] {
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+      DesignedAllocator a(alloc::drr_paper_config());
+      a.free(a.malloc(64));
+      worst = std::max(worst, DesignedAllocator::thread_cache_shells());
+    }
+    worst = std::max(worst, DesignedAllocator::thread_cache_shells());
+  });
+  t.join();
+  EXPECT_LE(worst, 1u);
+}
+
+void run_integrity_stress(const RuntimeOptions& opts) {
+  DesignedAllocator a(alloc::drr_paper_config(), opts);
   constexpr unsigned kThreads = 4;
   constexpr int kSteps = 4000;
   std::vector<std::thread> workers;
@@ -298,6 +401,19 @@ TEST(DesignedAllocator, ConcurrentIntegrityStress) {
   const TelemetrySnapshot snap = a.telemetry();
   EXPECT_EQ(snap.alloc_count, snap.free_count) << "no allocation lost";
   EXPECT_EQ(snap.bytes_live, 0u);
+}
+
+TEST(DesignedAllocator, ConcurrentIntegrityStress) {
+  // The TSan workhorse: several threads hammer malloc/free/realloc with a
+  // per-block fill pattern; any lost update, double serve, or overlap
+  // corrupts a pattern and fails loudly.
+  run_integrity_stress(RuntimeOptions{});
+}
+
+TEST(DesignedAllocator, ConcurrentIntegrityStressThroughPendingEvictions) {
+  // The same, with one-entry bins: cached frees keep evicting, so the
+  // deferred release (pending lists drained under the core lock) is hot.
+  run_integrity_stress(one_entry_bins());
 }
 
 }  // namespace

@@ -205,5 +205,87 @@ TEST(RuntimeOom, CachedMemoryIsReclaimedBeforeThePolicyFires) {
   for (void* r : live) a.free(r);
 }
 
+/// Caches on with one-entry bins, so a thread's second free of a size
+/// class evicts the first into the thread's pending list.
+RuntimeOptions pending_options(OomPolicy policy) {
+  RuntimeOptions opts;
+  opts.oom_policy = policy;
+  opts.arena_capacity_bytes = 256 * 1024;
+  opts.thread_cache_bin_entries = 1;
+  return opts;
+}
+
+TEST(RuntimeOom, PendingEvictionsServeTheNextCoreAllocation) {
+  // How many 4 KiB blocks fill the arena: the design is deterministic, so
+  // a second front filled with exactly that many has no room left.
+  std::size_t fit = 0;
+  {
+    DesignedAllocator probe(alloc::drr_paper_config(),
+                            pending_options(OomPolicy::kNull));
+    std::vector<void*> live;
+    while (void* p = probe.malloc(4096)) {
+      live.push_back(p);
+      ASSERT_LT(live.size(), 1000u) << "capacity bound never hit";
+    }
+    fit = live.size();
+    for (void* p : live) probe.free(p);
+  }
+  ASSERT_GE(fit, 2u);
+
+  DesignedAllocator a(alloc::drr_paper_config(),
+                      pending_options(OomPolicy::kNull));
+  std::vector<void*> live;
+  for (std::size_t i = 0; i < fit; ++i) {
+    live.push_back(a.malloc(4096));
+    ASSERT_NE(live.back(), nullptr);
+  }
+  // The first block goes to the pending list, the second to the bin.
+  a.free(live[0]);
+  a.free(live[1]);
+  void* from_bin = a.malloc(4096);
+  EXPECT_EQ(from_bin, live[1]);
+  // The bin is empty now; the only memory that fits is the pending block.
+  void* from_pending = a.malloc(4096);
+  EXPECT_NE(from_pending, nullptr);
+  const TelemetrySnapshot t = a.telemetry();
+  EXPECT_EQ(t.oom_returned_null, 0u);
+  EXPECT_EQ(t.cache_hits, 1u);
+  a.free(from_bin);
+  a.free(from_pending);
+  for (std::size_t i = 2; i < fit; ++i) a.free(live[i]);
+}
+
+TEST(RuntimeOom, CallbackFreesThatEvictIntoPendingServeTheRetry) {
+  // The callback's frees land in the calling thread's cache: one stays in
+  // the bin, the rest are evicted to the pending list, which the retry's
+  // core-lock hold drains before it allocates.
+  RuntimeOptions opts = pending_options(OomPolicy::kCallback);
+  DesignedAllocator* alloc_ptr = nullptr;
+  std::vector<void*> hoard;
+  opts.oom_callback = [&](std::size_t, unsigned) {
+    if (hoard.empty()) return false;
+    for (int i = 0; i < 8 && !hoard.empty(); ++i) {
+      alloc_ptr->free(hoard.back());
+      hoard.pop_back();
+    }
+    return true;
+  };
+  DesignedAllocator a(alloc::drr_paper_config(), opts);
+  alloc_ptr = &a;
+
+  while (true) {
+    void* p = a.malloc(4096);
+    ASSERT_NE(p, nullptr) << "callback had memory to release";
+    hoard.push_back(p);
+    if (a.telemetry().oom_callback_recovered > 0) break;
+    ASSERT_LT(hoard.size(), 1000u) << "capacity bound never hit";
+  }
+  const TelemetrySnapshot t = a.telemetry();
+  EXPECT_EQ(t.oom_callback_invocations, 1u) << "the first retry succeeds";
+  EXPECT_EQ(t.oom_callback_recovered, 1u);
+  EXPECT_EQ(t.oom_returned_null, 0u);
+  for (void* p : hoard) a.free(p);
+}
+
 }  // namespace
 }  // namespace dmm::runtime
