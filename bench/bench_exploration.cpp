@@ -1,5 +1,5 @@
 // Exploration ablation — validates the methodology's two design choices
-// (DESIGN.md "Exploration"):
+// (README.md, "Search strategies"):
 //   1. the greedy ordered traversal vs exhaustive ground truth on the
 //      high-impact subspace, and vs random sampling at equal budget;
 //   2. the published traversal order vs alternatives, per case study.

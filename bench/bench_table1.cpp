@@ -4,9 +4,9 @@
 // paper quotes in its Sec. 5 narrative and the ~60% headline average.
 //
 // Reproduction notes: absolute bytes differ from the paper (their traces
-// and binaries are unavailable; see DESIGN.md substitutions); the *shape*
-// — which manager wins each column and by roughly what factor — is the
-// reproduced result.
+// and binaries are unavailable, so the case studies run on the synthetic
+// workloads of src/workloads); the *shape* — which manager wins each
+// column and by roughly what factor — is the reproduced result.
 
 #include <cstdio>
 #include <map>

@@ -2,8 +2,8 @@
 #define DMM_BENCH_BENCH_UTIL_H
 
 // Shared helpers for the reproduction benches.  Each bench binary prints
-// the rows/series of one table or figure of the paper (see EXPERIMENTS.md
-// for the mapping and the recorded results).
+// the rows/series of one table or figure of the paper, named in its own
+// header comment (README.md, "Benches & CI", lists the benches).
 
 #include <cstdio>
 #include <cstdlib>

@@ -54,10 +54,7 @@ CustomManager::~CustomManager() {
   // Pools release their chunks in their destructors; dedicated chunks and
   // cached big chunks are ours to return.
   pools_.clear();
-  for (ChunkHeader* c : big_cache_) {
-    chunk_index_.remove(c);
-    arena_->release(c->base());
-  }
+  for (ChunkHeader* c : big_cache_) arena_->release(c->base());
   // Any still-live dedicated chunk is an application leak; release it so
   // the arena tripwire reports it deterministically in tests via
   // live_chunks() before destruction instead of aborting here.
@@ -72,16 +69,14 @@ ChunkHeader* CustomManager::pool_grow(std::size_t min_data_bytes) {
   std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
   if (total < cfg_.chunk_bytes) total = cfg_.chunk_bytes;
   std::size_t granted = 0;
-  std::byte* base = arena_->request(total, &granted);
+  std::byte* base = arena_->request(total, owner_tag(), &granted);
   if (base == nullptr) return nullptr;
   auto* chunk = reinterpret_cast<ChunkHeader*>(base);
   chunk->init(granted, nullptr);
-  chunk_index_.add(chunk);
   return chunk;
 }
 
 void CustomManager::pool_release(ChunkHeader* chunk) {
-  chunk_index_.remove(chunk);
   arena_->release(chunk->base());
 }
 
@@ -175,6 +170,7 @@ CustomManager::Route CustomManager::route(std::size_t request) {
 // ---------------------------------------------------------------------------
 
 void* CustomManager::allocate(std::size_t bytes) {
+  if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
   if (cfg_.adaptivity != PoolAdaptivity::kStaticPreallocated &&
       request >= cfg_.big_request_bytes) {
@@ -204,7 +200,7 @@ void* CustomManager::allocate(std::size_t bytes) {
 
 void CustomManager::deallocate(void* ptr) {
   if (ptr == nullptr) return;
-  ChunkHeader* chunk = chunk_index_.find(ptr);
+  ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("deallocate: pointer not owned by this manager");
   std::size_t request_hint = 0;
   if (strict_) {
@@ -250,16 +246,17 @@ void* CustomManager::big_allocate(std::size_t payload) {
   }
   if (chunk == nullptr) {
     std::size_t granted = 0;
-    std::byte* base = arena_->request(sizeof(ChunkHeader) + need, &granted);
+    std::byte* base =
+        arena_->request(sizeof(ChunkHeader) + need, owner_tag(), &granted);
     if (base == nullptr) {
       ++stats_.failed_allocs;
       return nullptr;
     }
     chunk = reinterpret_cast<ChunkHeader*>(base);
     chunk->init(granted, nullptr);
-    chunk_index_.add(chunk);
     ++stats_.chunks_grown;
   }
+  ++live_dedicated_;
   chunk->live_blocks = 1;
   chunk->bump = chunk->chunk_size;  // the whole data area is the block
   std::byte* block = chunk->data();
@@ -279,6 +276,7 @@ void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
     die("big_deallocate: pointer does not match its dedicated chunk");
   }
   chunk->live_blocks = 0;
+  --live_dedicated_;
   // Shrink decision point: B4 decides between releasing and caching the
   // now-empty dedicated chunk.
   if (cfg_.adaptivity == PoolAdaptivity::kGrowAndShrink) {
@@ -293,7 +291,7 @@ void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
 // ---------------------------------------------------------------------------
 
 std::size_t CustomManager::usable_size(const void* ptr) const {
-  ChunkHeader* chunk = chunk_index_.find(ptr);
+  const ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("usable_size: pointer not owned by this manager");
   if (chunk->owner == nullptr) {
     return layout_.live_payload(chunk->data_bytes());
@@ -321,10 +319,7 @@ CustomManager::FootprintBreakdown CustomManager::breakdown() const {
     }
   }
   // Dedicated live chunks contribute their header too.
-  b.chunk_headers +=
-      (chunk_index_.size() -
-       (b.chunk_headers / sizeof(ChunkHeader)) - big_cache_.size()) *
-      sizeof(ChunkHeader);
+  b.chunk_headers += live_dedicated_ * sizeof(ChunkHeader);
   b.big_cache = big_cache_bytes_;
   // Page-rounding slack of the arena is attributed to the wilderness of
   // nothing in particular; fold it into internal fragmentation (residue).

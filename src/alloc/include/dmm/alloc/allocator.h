@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "dmm/alloc/chunk.h"
 #include "dmm/sysmem/system_arena.h"
 
 namespace dmm::alloc {
@@ -74,7 +75,25 @@ class Allocator {
     return fp > stats_.live_bytes ? fp - stats_.live_bytes : 0;
   }
 
+  /// Owner tag this manager stamps on its arena grants.
+  [[nodiscard]] const void* owner_tag() const { return this; }
+
  protected:
+  /// Fails a request no arena can grant (> kSlabBytes) before any size
+  /// rounding can wrap it; counted as a failed allocation.
+  [[nodiscard]] bool reject_oversized(std::size_t bytes) {
+    if (bytes <= sysmem::SystemArena::kSlabBytes) return false;
+    ++stats_.failed_allocs;
+    return true;
+  }
+
+  /// This manager's chunk whose grant contains @p p, or nullptr.
+  [[nodiscard]] ChunkHeader* own_chunk(const void* p) const {
+    const sysmem::Grant grant = arena_->grant_of(p);
+    if (grant.owner != owner_tag()) return nullptr;
+    return reinterpret_cast<ChunkHeader*>(grant.base);
+  }
+
   void note_alloc(std::size_t payload) {
     ++stats_.alloc_count;
     ++stats_.live_blocks;

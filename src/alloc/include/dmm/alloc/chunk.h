@@ -2,7 +2,6 @@
 #define DMM_ALLOC_CHUNK_H
 
 #include <cstddef>
-#include <map>
 
 namespace dmm::alloc {
 
@@ -16,7 +15,10 @@ class Pool;
 ///   base          data()                   base+bump                end()
 ///
 /// The header is part of the chunk, so pool bookkeeping is charged to the
-/// footprint exactly like the paper's "organization overhead".
+/// footprint exactly like the paper's "organization overhead".  A pointer
+/// is resolved to its chunk (and the chunk to its manager) by the arena's
+/// page map, SystemArena::grant_of: the header names its pool, not its
+/// manager, so it stays 48 bytes.
 struct alignas(16) ChunkHeader {
   std::size_t chunk_size = 0;   ///< total bytes including this header
   std::size_t bump = 0;         ///< offset of the wilderness start
@@ -42,11 +44,6 @@ struct alignas(16) ChunkHeader {
   [[nodiscard]] std::size_t data_bytes() const {
     return chunk_size - sizeof(ChunkHeader);
   }
-  /// True iff @p p points inside this chunk's data area.
-  [[nodiscard]] bool contains(const void* p) const {
-    auto* q = static_cast<const std::byte*>(p);
-    return q >= data() && q < end();
-  }
 
   void init(std::size_t total_size, Pool* pool) {
     chunk_size = total_size;
@@ -59,46 +56,6 @@ struct alignas(16) ChunkHeader {
 
 static_assert(sizeof(ChunkHeader) % 16 == 0,
               "chunk header must preserve block alignment");
-
-/// Address index over live chunks: pointer -> owning chunk.
-///
-/// A production allocator derives the chunk base by address masking
-/// (chunks are naturally aligned); the simulated arena hands out
-/// malloc-aligned chunks instead, so this host-side map stands in for that
-/// masking.  It is bookkeeping the real system gets for free and is
-/// therefore not charged to the footprint (see DESIGN.md).
-class ChunkIndex {
- public:
-  void add(ChunkHeader* chunk) { by_base_[chunk->base()] = chunk; }
-
-  void remove(ChunkHeader* chunk) {
-    if (last_ == chunk) last_ = nullptr;
-    by_base_.erase(chunk->base());
-  }
-
-  /// Chunk whose [base, end) range contains @p p, or nullptr.
-  [[nodiscard]] ChunkHeader* find(const void* p) const {
-    // One-entry cache: allocator traffic is strongly chunk-local.
-    auto* q = static_cast<const std::byte*>(p);
-    if (last_ != nullptr && q >= last_->base() && q < last_->end()) {
-      return last_;
-    }
-    auto it = by_base_.upper_bound(q);
-    if (it == by_base_.begin()) return nullptr;
-    --it;
-    ChunkHeader* c = it->second;
-    if (q >= c->end()) return nullptr;
-    last_ = c;
-    return c;
-  }
-
-  [[nodiscard]] std::size_t size() const { return by_base_.size(); }
-
- private:
-  // dmm-lint: allow(ptr-order): addresses are slab-relative, so the order is deterministic
-  std::map<const std::byte*, ChunkHeader*> by_base_;
-  mutable ChunkHeader* last_ = nullptr;
-};
 
 }  // namespace dmm::alloc
 

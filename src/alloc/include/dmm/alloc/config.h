@@ -9,8 +9,10 @@ namespace dmm::alloc {
 // ---------------------------------------------------------------------------
 // The decision trees of the paper's search space (Fig. 1), one enum per tree.
 // Leaves cited verbatim in the paper text are marked [paper]; the rest are
-// reconstructed from Wilson et al. '95, which Fig. 1 is built from (see
-// DESIGN.md, "Figure-1 reconstruction note").
+// reconstructed from Wilson et al. '95, which Fig. 1 is built from.
+// Figure-1 reconstruction note: the paper names trees A1-A5, B1, C1, D1-D2
+// and E1-E2 in its text; B2-B4 and C2 complete the pool and fit
+// categories from the same taxonomy.
 // ---------------------------------------------------------------------------
 
 /// Tree A1 — Block structure: the dynamic data type (DDT) that organises

@@ -110,7 +110,7 @@ class CustomManager : public Allocator, private PoolHost {
   ChunkHeader* pool_grow(std::size_t min_data_bytes) override;
   void pool_release(ChunkHeader* chunk) override;
   [[nodiscard]] ChunkHeader* pool_find_chunk(const void* p) override {
-    return chunk_index_.find(p);
+    return own_chunk(p);
   }
   [[nodiscard]] AllocatorStats& pool_stats() override { return stats_; }
 
@@ -123,7 +123,6 @@ class CustomManager : public Allocator, private PoolHost {
   std::string name_;
   bool strict_;
 
-  ChunkIndex chunk_index_;
   std::vector<PoolEntry> pools_;
   /// Array routing (B2) for per-class division: class index -> pools_ slot.
   std::vector<int> class_slot_;
@@ -132,6 +131,8 @@ class CustomManager : public Allocator, private PoolHost {
   /// Dedicated big chunks currently cached for reuse (grow-only mode).
   std::vector<ChunkHeader*> big_cache_;
   std::size_t big_cache_bytes_ = 0;
+  /// Dedicated big chunks currently holding a live block.
+  std::size_t live_dedicated_ = 0;
 
   /// strict accounting: payload pointer -> requested bytes.
   std::unordered_map<const void*, std::size_t> requested_;

@@ -23,7 +23,7 @@ namespace dmm::alloc {
 /// *variable-size* (sizes read from block headers; requires A4 size info).
 ///
 /// Growth/shrink traffic with the arena goes through the owner-provided
-/// hooks so the manager can centralise chunk indexing and accounting.
+/// hooks so the manager can tag its grants and centralise accounting.
 /// Chunk services a Pool needs from its owning manager.  A plain virtual
 /// interface (not std::function) — these sit on the allocation hot path.
 class PoolHost {
@@ -33,7 +33,7 @@ class PoolHost {
   virtual ChunkHeader* pool_grow(std::size_t min_data_bytes) = 0;
   /// Returns an empty chunk to the arena.
   virtual void pool_release(ChunkHeader* chunk) = 0;
-  /// Resolves the chunk containing a block (manager's ChunkIndex).
+  /// Resolves the chunk containing a block (the arena's page map).
   [[nodiscard]] virtual ChunkHeader* pool_find_chunk(const void* p) = 0;
   /// Shared mechanism counters (splits/coalesces/...).
   [[nodiscard]] virtual AllocatorStats& pool_stats() = 0;
@@ -59,7 +59,7 @@ class Pool {
   [[nodiscard]] std::byte* allocate_block(std::size_t block_size);
 
   /// Releases a block back to the pool.  @p chunk must be the chunk that
-  /// contains it (the manager resolves it through its ChunkIndex).
+  /// contains it (the manager resolves it through the arena's page map).
   void free_block(std::byte* block, std::size_t block_size,
                   ChunkHeader* chunk);
 

@@ -18,7 +18,8 @@ namespace {
 
 // Leaf rosters per tree.  Reconstructed leaves (not named verbatim in the
 // paper text) are chosen from Wilson et al. '95, which Fig. 1 cites as its
-// source taxonomy — see the Figure-1 reconstruction note in DESIGN.md.
+// source taxonomy — see the Figure-1 reconstruction note in
+// dmm/alloc/config.h.
 constexpr int kLeafCounts[kTreeCount] = {
     5,  // A1: sll, dll, sll-sorted, dll-sorted, size-bst
     2,  // A2: fixed-classes, many

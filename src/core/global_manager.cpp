@@ -31,12 +31,20 @@ void GlobalManager::set_phase(std::uint16_t phase) {
                                          atomics_.size() - 1);
 }
 
+alloc::CustomManager& GlobalManager::atomic_owning(const void* ptr) const {
+  const void* owner = arena_->grant_of(ptr).owner;
+  for (const auto& atomic : atomics_) {
+    if (owner == atomic->owner_tag()) return *atomic;
+  }
+  die("pointer not owned by any atomic manager");
+}
+
 void* GlobalManager::allocate(std::size_t bytes) {
-  const std::size_t idx = phase_;
-  void* p = atomics_[idx]->allocate(bytes);
+  alloc::CustomManager& atomic = *atomics_[phase_];
+  const std::size_t before = atomic.stats().live_bytes;
+  void* p = atomic.allocate(bytes);
   if (p != nullptr) {
-    owner_.emplace(p, Owner{idx, bytes});
-    note_alloc(bytes);
+    note_alloc(atomic.stats().live_bytes - before);
   } else {
     ++stats_.failed_allocs;
   }
@@ -45,18 +53,14 @@ void* GlobalManager::allocate(std::size_t bytes) {
 
 void GlobalManager::deallocate(void* ptr) {
   if (ptr == nullptr) return;
-  auto it = owner_.find(ptr);
-  if (it == owner_.end()) die("deallocate: pointer not owned");
-  const Owner owner = it->second;
-  owner_.erase(it);
-  note_free(owner.bytes);
-  atomics_[owner.atomic]->deallocate(ptr);
+  alloc::CustomManager& atomic = atomic_owning(ptr);
+  const std::size_t before = atomic.stats().live_bytes;
+  atomic.deallocate(ptr);
+  note_free(before - atomic.stats().live_bytes);
 }
 
 std::size_t GlobalManager::usable_size(const void* ptr) const {
-  auto it = owner_.find(ptr);
-  if (it == owner_.end()) die("usable_size: pointer not owned");
-  return atomics_[it->second.atomic]->usable_size(ptr);
+  return atomic_owning(ptr).usable_size(ptr);
 }
 
 std::uint64_t GlobalManager::work_steps() const {

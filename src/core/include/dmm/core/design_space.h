@@ -14,7 +14,7 @@ namespace dmm::core {
 ///
 /// Indices follow the paper where the text names them (A1-A5, B1, C1,
 /// D1-D2, E1-E2); B2-B4 and C2 complete the categories per the Figure-1
-/// reconstruction note in DESIGN.md.
+/// reconstruction note in dmm/alloc/config.h.
 enum class TreeId : int {
   kA1 = 0,  ///< Block structure (free-block DDT)
   kA2,      ///< Block sizes

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dmm/alloc/custom_manager.h"
@@ -17,7 +16,9 @@ namespace dmm::core {
 ///
 /// Allocations route to the atomic manager of the current phase (see
 /// set_phase); frees route to whichever atomic manager owns the pointer,
-/// since objects may outlive the phase that allocated them.
+/// since objects may outlive the phase that allocated them.  The owner is
+/// read from the shared arena's page map; live bytes follow the atomic
+/// managers' accounting.
 class GlobalManager : public alloc::Allocator {
  public:
   GlobalManager(sysmem::SystemArena& arena,
@@ -39,14 +40,11 @@ class GlobalManager : public alloc::Allocator {
   [[nodiscard]] std::uint64_t work_steps() const;
 
  private:
-  struct Owner {
-    std::size_t atomic;  ///< index of the owning atomic manager
-    std::size_t bytes;   ///< requested size (live-byte symmetry)
-  };
+  /// The atomic manager whose arena grant holds @p ptr (aborts if none).
+  [[nodiscard]] alloc::CustomManager& atomic_owning(const void* ptr) const;
 
   std::string name_;
   std::vector<std::unique_ptr<alloc::CustomManager>> atomics_;
-  std::unordered_map<const void*, Owner> owner_;
   std::uint16_t phase_ = 0;
 };
 

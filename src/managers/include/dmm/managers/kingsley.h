@@ -57,7 +57,6 @@ class KingsleyAllocator : public alloc::Allocator {
   std::size_t chunk_bytes_;
   std::array<FreeNode*, alloc::SizeClass::kCount> bins_{};
   std::array<std::size_t, alloc::SizeClass::kCount> bin_counts_{};
-  alloc::ChunkHeader* chunks_ = nullptr;  ///< singly chained, never freed
   alloc::ChunkHeader* carve_chunk_ = nullptr;
 };
 

@@ -2,6 +2,7 @@
 #define DMM_MANAGERS_LEA_H
 
 #include <array>
+#include <memory>
 #include <string>
 
 #include "dmm/alloc/allocator.h"
@@ -70,10 +71,9 @@ class LeaAllocator : public alloc::Allocator {
   std::size_t chunk_bytes_;
   std::size_t mmap_threshold_;
   alloc::BlockLayout layout_;
-  alloc::ChunkIndex chunk_index_;
   std::array<std::unique_ptr<alloc::FreeIndex>, kSmallBins> small_bins_;
   std::unique_ptr<alloc::FreeIndex> large_bin_;
-  alloc::ChunkHeader* chunks_ = nullptr;
+  alloc::ChunkHeader* chunks_ = nullptr;  ///< heap chunks, never released
   alloc::ChunkHeader* carve_chunk_ = nullptr;
 };
 

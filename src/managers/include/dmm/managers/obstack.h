@@ -56,7 +56,6 @@ class ObstackAllocator : public alloc::Allocator {
   void release_if_empty(alloc::ChunkHeader* chunk);
 
   std::size_t chunk_bytes_;
-  alloc::ChunkIndex chunk_index_;
   alloc::ChunkHeader* chunks_ = nullptr;  ///< top chunk first
   std::size_t tombstone_bytes_ = 0;
 };

@@ -1,6 +1,7 @@
 #ifndef DMM_MANAGERS_REGION_H
 #define DMM_MANAGERS_REGION_H
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,7 +24,7 @@ namespace dmm::managers {
 ///     internal fragmentation the paper measures against this baseline,
 ///   * inside a region: bump carving from region chunks plus a LIFO free
 ///     list of recycled blocks (blocks carry no tags; the size is implied
-///     by region membership, recovered through the chunk index),
+///     by region membership, recovered through the block's chunk),
 ///   * regions hold their chunks for their whole lifetime; memory only
 ///     returns to the system through the explicit region-destroy
 ///     operation (destroy_empty_regions), which an embedded application
@@ -68,7 +69,6 @@ class RegionAllocator : public alloc::Allocator {
   std::size_t region_chunk_bytes_;
   std::unordered_map<std::size_t, std::size_t> region_slot_;
   std::vector<std::unique_ptr<Region>> regions_;
-  alloc::ChunkIndex chunk_index_;
   /// chunk -> region slot (regions are per size; blocks carry no tags).
   std::unordered_map<const alloc::ChunkHeader*, std::size_t> chunk_region_;
 };

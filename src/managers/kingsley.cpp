@@ -22,14 +22,12 @@ KingsleyAllocator::KingsleyAllocator(sysmem::SystemArena& arena,
   if (initial_reserve_bytes == 0) return;
   // Initial reserve: one grant pre-carved into blocks spread equally over
   // the small classes (16 B .. 4 KiB), per the paper's description.
+  const std::size_t total = sizeof(ChunkHeader) + initial_reserve_bytes;
   std::size_t granted = 0;
-  std::byte* base =
-      arena_->request(sizeof(ChunkHeader) + initial_reserve_bytes, &granted);
+  std::byte* base = arena_->request(total, owner_tag(), &granted);
   if (base == nullptr) return;  // tiny arena budget: skip the reserve
   auto* chunk = reinterpret_cast<ChunkHeader*>(base);
   chunk->init(granted, nullptr);
-  chunk->next = chunks_;
-  chunks_ = chunk;
   ++stats_.chunks_grown;
   constexpr unsigned kFirst = 1;  // class 16 B (index 1 = 2^4)
   constexpr unsigned kLast = 9;   // class 4 KiB (index 9 = 2^12)
@@ -49,14 +47,7 @@ KingsleyAllocator::KingsleyAllocator(sysmem::SystemArena& arena,
   }
 }
 
-KingsleyAllocator::~KingsleyAllocator() {
-  ChunkHeader* c = chunks_;
-  while (c != nullptr) {
-    ChunkHeader* next = c->next;
-    arena_->release(c->base());
-    c = next;
-  }
-}
+KingsleyAllocator::~KingsleyAllocator() { arena_->release_all(owner_tag()); }
 
 std::byte* KingsleyAllocator::carve(std::size_t block_size) {
   if (carve_chunk_ == nullptr ||
@@ -68,12 +59,10 @@ std::byte* KingsleyAllocator::carve(std::size_t block_size) {
     std::size_t total = sizeof(ChunkHeader) + block_size;
     if (total < chunk_bytes_) total = chunk_bytes_;
     std::size_t granted = 0;
-    std::byte* base = arena_->request(total, &granted);
+    std::byte* base = arena_->request(total, owner_tag(), &granted);
     if (base == nullptr) return nullptr;
     auto* chunk = reinterpret_cast<ChunkHeader*>(base);
     chunk->init(granted, nullptr);
-    chunk->next = chunks_;
-    chunks_ = chunk;
     carve_chunk_ = chunk;
     ++stats_.chunks_grown;
   }
@@ -84,6 +73,7 @@ std::byte* KingsleyAllocator::carve(std::size_t block_size) {
 }
 
 void* KingsleyAllocator::allocate(std::size_t bytes) {
+  if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
   // Round payload+header up to a power of two: the block IS the class size.
   const std::size_t block_size = SizeClass::round_up_pow2(request + kHeader);

@@ -46,14 +46,7 @@ LeaAllocator::LeaAllocator(sysmem::SystemArena& arena,
       alloc::FreeListOrder::kSizeOrdered, layout_, /*fixed_size=*/0);
 }
 
-LeaAllocator::~LeaAllocator() {
-  ChunkHeader* c = chunks_;
-  while (c != nullptr) {
-    ChunkHeader* next = c->next;
-    arena_->release(c->base());
-    c = next;
-  }
-}
+LeaAllocator::~LeaAllocator() { arena_->release_all(owner_tag()); }
 
 std::size_t LeaAllocator::block_size_for(std::size_t payload) const {
   const std::size_t sz =
@@ -100,7 +93,7 @@ std::byte* LeaAllocator::carve(std::size_t block_size) {
       carve_chunk_->wilderness_bytes() < block_size) {
     carve_chunk_ = nullptr;
     for (ChunkHeader* c = chunks_; c != nullptr; c = c->next) {
-      if (c->owner == heap_tag() && c->wilderness_bytes() >= block_size) {
+      if (c->wilderness_bytes() >= block_size) {
         carve_chunk_ = c;
         break;
       }
@@ -110,15 +103,12 @@ std::byte* LeaAllocator::carve(std::size_t block_size) {
     std::size_t total = sizeof(ChunkHeader) + block_size;
     if (total < chunk_bytes_) total = chunk_bytes_;
     std::size_t granted = 0;
-    std::byte* base = arena_->request(total, &granted);
+    std::byte* base = arena_->request(total, owner_tag(), &granted);
     if (base == nullptr) return nullptr;
     auto* chunk = reinterpret_cast<ChunkHeader*>(base);
     chunk->init(granted, heap_tag());
     chunk->next = chunks_;
-    chunk->prev = nullptr;
-    if (chunks_ != nullptr) chunks_->prev = chunk;
     chunks_ = chunk;
-    chunk_index_.add(chunk);
     carve_chunk_ = chunk;
     ++stats_.chunks_grown;
   }
@@ -128,12 +118,14 @@ std::byte* LeaAllocator::carve(std::size_t block_size) {
 }
 
 void* LeaAllocator::allocate(std::size_t bytes) {
+  if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
   if (request >= mmap_threshold_) {
     // mmap path: dedicated chunk, released straight back on free.
     const std::size_t need = block_size_for(request);
     std::size_t granted = 0;
-    std::byte* base = arena_->request(sizeof(ChunkHeader) + need, &granted);
+    std::byte* base =
+        arena_->request(sizeof(ChunkHeader) + need, owner_tag(), &granted);
     if (base == nullptr) {
       ++stats_.failed_allocs;
       return nullptr;
@@ -142,10 +134,6 @@ void* LeaAllocator::allocate(std::size_t bytes) {
     chunk->init(granted, nullptr);
     chunk->live_blocks = 1;
     chunk->bump = chunk->chunk_size;
-    chunk->next = chunks_;
-    if (chunks_ != nullptr) chunks_->prev = chunk;
-    chunks_ = chunk;
-    chunk_index_.add(chunk);
     std::byte* block = chunk->data();
     layout_.write_header(block, chunk->data_bytes(), false);
     note_alloc(layout_.live_payload(chunk->data_bytes()));
@@ -161,8 +149,7 @@ void* LeaAllocator::allocate(std::size_t bytes) {
     bool wilderness_ok = false;
     for (ChunkHeader* c = chunks_; c != nullptr && !wilderness_ok;
          c = c->next) {
-      wilderness_ok =
-          c->owner == heap_tag() && c->wilderness_bytes() >= block_size;
+      wilderness_ok = c->wilderness_bytes() >= block_size;
     }
     if (!wilderness_ok && coalesce_sweep() > 0) {
       block = take_from_bins(block_size);
@@ -172,7 +159,7 @@ void* LeaAllocator::allocate(std::size_t bytes) {
   ChunkHeader* chunk = nullptr;
   if (block != nullptr) {
     have = layout_.read_size(block);
-    chunk = chunk_index_.find(block);
+    chunk = own_chunk(block);
     if (have - block_size >= kMinBlock) {
       // Split; the remainder goes back to its bin.
       std::byte* rem = block + block_size;
@@ -202,7 +189,6 @@ void* LeaAllocator::allocate(std::size_t bytes) {
 std::size_t LeaAllocator::coalesce_sweep() {
   std::size_t merges = 0;
   for (ChunkHeader* chunk = chunks_; chunk != nullptr; chunk = chunk->next) {
-    if (chunk->owner != heap_tag()) continue;
     std::byte* pos = chunk->data();
     std::byte* run_start = nullptr;
     std::size_t run_size = 0;
@@ -246,16 +232,12 @@ std::size_t LeaAllocator::coalesce_sweep() {
 
 void LeaAllocator::deallocate(void* ptr) {
   if (ptr == nullptr) return;
-  ChunkHeader* chunk = chunk_index_.find(ptr);
+  ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("deallocate: pointer not owned by this manager");
   std::byte* block = layout_.block_of(static_cast<std::byte*>(ptr));
   if (chunk->owner == nullptr) {  // mmap path
     if (block != chunk->data()) die("deallocate: corrupt mmap block");
     note_free(layout_.live_payload(chunk->data_bytes()));
-    chunk_index_.remove(chunk);
-    if (chunk->prev != nullptr) chunk->prev->next = chunk->next;
-    if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
-    if (chunks_ == chunk) chunks_ = chunk->next;
     arena_->release(chunk->base());
     ++stats_.chunks_released;
     return;
@@ -272,7 +254,7 @@ void LeaAllocator::deallocate(void* ptr) {
 }
 
 std::size_t LeaAllocator::usable_size(const void* ptr) const {
-  const ChunkHeader* chunk = chunk_index_.find(ptr);
+  const ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("usable_size: pointer not owned");
   const std::byte* block = layout_.block_of(ptr);
   if (chunk->owner == nullptr) {

@@ -21,16 +21,10 @@ ObstackAllocator::ObstackAllocator(sysmem::SystemArena& arena,
                                    std::size_t chunk_bytes)
     : Allocator(arena), chunk_bytes_(chunk_bytes) {}
 
-ObstackAllocator::~ObstackAllocator() {
-  ChunkHeader* c = chunks_;
-  while (c != nullptr) {
-    ChunkHeader* next = c->next;
-    arena_->release(c->base());
-    c = next;
-  }
-}
+ObstackAllocator::~ObstackAllocator() { arena_->release_all(owner_tag()); }
 
 void* ObstackAllocator::allocate(std::size_t bytes) {
+  if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
   const std::size_t object_size = alloc::align_up(kHeader + request);
   ChunkHeader* chunk = chunks_;
@@ -40,7 +34,7 @@ void* ObstackAllocator::allocate(std::size_t bytes) {
     std::size_t total = sizeof(ChunkHeader) + object_size;
     if (total < chunk_bytes_) total = chunk_bytes_;
     std::size_t granted = 0;
-    std::byte* base = arena_->request(total, &granted);
+    std::byte* base = arena_->request(total, owner_tag(), &granted);
     if (base == nullptr) {
       ++stats_.failed_allocs;
       return nullptr;
@@ -50,7 +44,6 @@ void* ObstackAllocator::allocate(std::size_t bytes) {
     chunk->next = chunks_;
     if (chunks_ != nullptr) chunks_->prev = chunk;
     chunks_ = chunk;
-    chunk_index_.add(chunk);
     ++stats_.chunks_grown;
   }
   std::byte* obj = chunk->wilderness();
@@ -88,14 +81,13 @@ void ObstackAllocator::release_if_empty(ChunkHeader* chunk) {
   if (chunk->prev != nullptr) chunk->prev->next = chunk->next;
   if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
   if (chunks_ == chunk) chunks_ = chunk->next;
-  chunk_index_.remove(chunk);
   arena_->release(chunk->base());
   ++stats_.chunks_released;
 }
 
 void ObstackAllocator::deallocate(void* ptr) {
   if (ptr == nullptr) return;
-  ChunkHeader* chunk = chunk_index_.find(ptr);
+  ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("deallocate: pointer not owned by this manager");
   std::byte* obj = static_cast<std::byte*>(ptr) - kHeader;
   std::size_t& word = *reinterpret_cast<std::size_t*>(obj);

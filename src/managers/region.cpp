@@ -20,16 +20,7 @@ RegionAllocator::RegionAllocator(sysmem::SystemArena& arena,
                                  std::size_t region_chunk_bytes)
     : Allocator(arena), region_chunk_bytes_(region_chunk_bytes) {}
 
-RegionAllocator::~RegionAllocator() {
-  for (auto& region : regions_) {
-    ChunkHeader* c = region->chunks;
-    while (c != nullptr) {
-      ChunkHeader* next = c->next;
-      arena_->release(c->base());
-      c = next;
-    }
-  }
-}
+RegionAllocator::~RegionAllocator() { arena_->release_all(owner_tag()); }
 
 RegionAllocator::Region& RegionAllocator::region_for(std::size_t block_size) {
   auto it = region_slot_.find(block_size);
@@ -55,7 +46,7 @@ std::byte* RegionAllocator::carve(Region& region) {
     std::size_t total = sizeof(ChunkHeader) + region.block_size;
     if (total < region_chunk_bytes_) total = region_chunk_bytes_;
     std::size_t granted = 0;
-    std::byte* base = arena_->request(total, &granted);
+    std::byte* base = arena_->request(total, owner_tag(), &granted);
     if (base == nullptr) return nullptr;
     auto* chunk = reinterpret_cast<ChunkHeader*>(base);
     chunk->init(granted, nullptr);
@@ -63,7 +54,6 @@ std::byte* RegionAllocator::carve(Region& region) {
     if (region.chunks != nullptr) region.chunks->prev = chunk;
     region.chunks = chunk;
     region.carve_chunk = chunk;
-    chunk_index_.add(chunk);
     chunk_region_.emplace(chunk, region_slot_.at(region.block_size));
     ++stats_.chunks_grown;
   }
@@ -81,6 +71,7 @@ std::size_t RegionAllocator::quantize(std::size_t request) {
 }
 
 void* RegionAllocator::allocate(std::size_t bytes) {
+  if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
   // Blocks carry no tags: the region's fixed size IS the block size.
   const std::size_t block_size = quantize(request);
@@ -104,7 +95,7 @@ void* RegionAllocator::allocate(std::size_t bytes) {
 
 void RegionAllocator::deallocate(void* ptr) {
   if (ptr == nullptr) return;
-  ChunkHeader* chunk = chunk_index_.find(ptr);
+  ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("deallocate: pointer not owned by this manager");
   auto slot = chunk_region_.find(chunk);
   if (slot == chunk_region_.end()) die("deallocate: chunk without a region");
@@ -133,7 +124,6 @@ void RegionAllocator::destroy_region(Region& region) {
   ChunkHeader* c = region.chunks;
   while (c != nullptr) {
     ChunkHeader* next = c->next;
-    chunk_index_.remove(c);
     chunk_region_.erase(c);
     arena_->release(c->base());
     ++stats_.chunks_released;
@@ -146,7 +136,7 @@ void RegionAllocator::destroy_region(Region& region) {
 }
 
 std::size_t RegionAllocator::usable_size(const void* ptr) const {
-  const ChunkHeader* chunk = chunk_index_.find(ptr);
+  const ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("usable_size: pointer not owned");
   return regions_[chunk_region_.at(chunk)]->block_size;
 }

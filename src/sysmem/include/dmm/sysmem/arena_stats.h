@@ -26,7 +26,8 @@ struct ArenaStats {
   std::uint64_t request_count = 0;
   /// Number of release() calls.
   std::uint64_t release_count = 0;
-  /// Number of request() calls rejected by the capacity budget.
+  /// Number of request() calls refused (oversized, over the capacity
+  /// budget, or slab exhausted).
   std::uint64_t failed_requests = 0;
 
   /// Live grants = requests minus releases (count, not bytes).

@@ -4,13 +4,22 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "dmm/sysmem/arena_stats.h"
 
 namespace dmm::sysmem {
+
+/// A live grant as SystemArena::grant_of resolves it; empty (null base)
+/// when no live grant covers the queried address.
+struct Grant {
+  std::byte* base = nullptr;    ///< first byte of the grant
+  std::size_t size = 0;         ///< granted bytes (page-rounded)
+  const void* owner = nullptr;  ///< tag passed to SystemArena::request
+
+  explicit operator bool() const { return base != nullptr; }
+};
 
 /// Simulated OS memory interface (the paper's "system memory").
 ///
@@ -19,8 +28,9 @@ namespace dmm::sysmem {
 /// targets.  The arena therefore observes the exact footprint each manager
 /// imposes on the platform:
 ///
-///   * request(bytes)  — obtain a chunk from the OS (rounded up to the page
-///                       granularity); counted into the footprint.
+///   * request(bytes, owner) — obtain a chunk from the OS (rounded up to
+///                       the page granularity), tagged with its owner;
+///                       counted into the footprint.
 ///   * release(chunk)  — hand a chunk back to the OS (what the paper calls
 ///                       "returned back to the system for other
 ///                       applications"); removed from the footprint.
@@ -46,6 +56,11 @@ namespace dmm::sysmem {
 /// two replays of the same candidate could disagree, and the parallel
 /// exploration engine could not promise bit-identical results to the
 /// serial one.
+///
+/// **One address map.**  A page map indexed by slab offset answers "which
+/// grant, and which owner, holds this pointer?" in O(1) for every manager
+/// drawing from the arena.  Like all the arena's books it is host
+/// bookkeeping, not charged to the footprint.
 class SystemArena {
  public:
   /// Page granularity used to round requests, like an MMU page.
@@ -78,15 +93,19 @@ class SystemArena {
   ~SystemArena();
 
   /// Obtains @p bytes (rounded up to the page size) from the simulated OS.
-  /// Returns nullptr if the capacity budget would be exceeded.
+  /// @p owner is an opaque tag grant_of() reports for the grant.  Returns
+  /// nullptr if @p bytes exceeds kSlabBytes or the capacity budget.
   /// The actual granted size is written to *granted (if non-null).
-  [[nodiscard]] std::byte* request(std::size_t bytes,
+  [[nodiscard]] std::byte* request(std::size_t bytes, const void* owner,
                                    std::size_t* granted = nullptr);
 
   /// Returns a chunk previously obtained with request().
   /// @p ptr must be exactly a pointer returned by request() and not yet
   /// released; anything else aborts (memory-corruption tripwire).
   void release(std::byte* ptr);
+
+  /// Releases every live grant tagged @p owner (a manager's teardown).
+  void release_all(const void* owner);
 
   /// Size that request(bytes) would actually grant (page rounding).
   [[nodiscard]] std::size_t rounded(std::size_t bytes) const;
@@ -112,28 +131,40 @@ class SystemArena {
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
   /// Number of chunks currently granted and not yet released.
-  [[nodiscard]] std::size_t live_chunks() const { return grants_.size(); }
+  [[nodiscard]] std::size_t live_chunks() const {
+    return static_cast<std::size_t>(stats_.live_grants());
+  }
 
-  /// True iff @p ptr is a currently live grant of this arena.
-  [[nodiscard]] bool owns(const std::byte* ptr) const;
-
-  /// Size of the live grant starting at @p ptr (0 if not a live grant).
-  [[nodiscard]] std::size_t grant_size(const std::byte* ptr) const;
+  /// The live grant whose [base, base + size) contains @p p, in O(1).
+  /// Empty for a pointer outside the slab, beyond the bump frontier, or in
+  /// a free granule.
+  [[nodiscard]] Grant grant_of(const void* p) const;
 
  private:
+  /// Page-map slot, one per granule (page size, at least 16 bytes).
+  /// `head` is 1 + the start granule of the live grant covering it (0 =
+  /// free); size and owner are kept at the start slot only.
+  struct Slot {
+    std::size_t head = 0;
+    std::size_t size = 0;
+    const void* owner = nullptr;
+  };
+
   /// Maps the slab on first use (keeps never-used arenas free).
   [[nodiscard]] bool ensure_slab();
   /// Lowest-offset region of >= @p size bytes, or npos.
   [[nodiscard]] std::size_t take_region(std::size_t size);
   void give_region(std::size_t offset, std::size_t size);
+  [[nodiscard]] std::size_t granules(std::size_t size) const {
+    return (size + (std::size_t{1} << grain_shift_) - 1) >> grain_shift_;
+  }
 
   std::size_t capacity_;
   std::size_t page_size_;
+  int grain_shift_;  ///< log2 of the page-map granule
   ArenaStats stats_;
   Observer observer_;
-  // Live grants: base pointer -> granted size.  unordered_map keeps
-  // release() O(1); the arena is bookkeeping, not the hot path under test.
-  std::unordered_map<const std::byte*, std::size_t> grants_;
+  std::vector<Slot> page_map_;  ///< grows with the bump frontier
 
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.

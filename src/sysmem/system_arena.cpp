@@ -1,7 +1,10 @@
 #include "dmm/sysmem/system_arena.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -24,18 +27,16 @@ bool is_power_of_two(std::size_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-/// Internal carve granularity: keeps every grant ChunkHeader-aligned even
+/// Smallest carve granularity: keeps every grant ChunkHeader-aligned even
 /// when the configured page size is smaller than 16.
 constexpr std::size_t kGrainBytes = 16;
-
-std::size_t grain_rounded(std::size_t bytes) {
-  return (bytes + kGrainBytes - 1) & ~(kGrainBytes - 1);
-}
 
 }  // namespace
 
 SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
-    : capacity_(capacity_bytes), page_size_(page_size) {
+    : capacity_(capacity_bytes),
+      page_size_(page_size),
+      grain_shift_(std::countr_zero(std::max(page_size, kGrainBytes))) {
   if (!is_power_of_two(page_size_)) {
     die("page size must be a power of two");
   }
@@ -131,7 +132,13 @@ std::size_t SystemArena::rounded(std::size_t bytes) const {
   return (bytes + page_size_ - 1) & ~(page_size_ - 1);
 }
 
-std::byte* SystemArena::request(std::size_t bytes, std::size_t* granted) {
+std::byte* SystemArena::request(std::size_t bytes, const void* owner,
+                                std::size_t* granted) {
+  // Checked before rounding, which would wrap a size near SIZE_MAX.
+  if (bytes > kSlabBytes) {
+    ++stats_.failed_requests;
+    return nullptr;
+  }
   const std::size_t size = rounded(bytes);
   if (capacity_ != 0 && stats_.current_footprint + size > capacity_) {
     ++stats_.failed_requests;
@@ -141,13 +148,21 @@ std::byte* SystemArena::request(std::size_t bytes, std::size_t* granted) {
     ++stats_.failed_requests;
     return nullptr;
   }
-  const std::size_t offset = take_region(grain_rounded(size));
+  // Grants are carved in whole granules, so each starts on a page-map slot.
+  const std::size_t count = granules(size);
+  const std::size_t offset = take_region(count << grain_shift_);
   if (offset == kNpos) {
     ++stats_.failed_requests;
     return nullptr;
   }
+  const std::size_t first = offset >> grain_shift_;
+  if (page_map_.size() < first + count) page_map_.resize(first + count);
+  for (std::size_t i = first; i < first + count; ++i) {
+    page_map_[i].head = first + 1;
+  }
+  page_map_[first].size = size;
+  page_map_[first].owner = owner;
   std::byte* ptr = slab_ + offset;
-  grants_.emplace(ptr, size);
   stats_.current_footprint += size;
   stats_.total_requested += size;
   ++stats_.request_count;
@@ -160,26 +175,47 @@ std::byte* SystemArena::request(std::size_t bytes, std::size_t* granted) {
 }
 
 void SystemArena::release(std::byte* ptr) {
-  auto it = grants_.find(ptr);
-  if (it == grants_.end()) {
+  const Grant grant = grant_of(ptr);
+  if (!grant || grant.base != ptr) {
     die("release() of a pointer that is not a live grant");
   }
-  const std::size_t size = it->second;
-  grants_.erase(it);
-  give_region(static_cast<std::size_t>(ptr - slab_), grain_rounded(size));
+  const std::size_t size = grant.size;
+  const auto offset = static_cast<std::size_t>(ptr - slab_);
+  const std::size_t first = offset >> grain_shift_;
+  const std::size_t count = granules(size);
+  for (std::size_t i = first; i < first + count; ++i) page_map_[i] = Slot{};
+  give_region(offset, count << grain_shift_);
   stats_.current_footprint -= size;
   stats_.total_released += size;
   ++stats_.release_count;
   if (observer_) observer_(stats_, -static_cast<long long>(size));
 }
 
-bool SystemArena::owns(const std::byte* ptr) const {
-  return grants_.contains(ptr);
+void SystemArena::release_all(const void* owner) {
+  for (std::size_t i = 0; i < page_map_.size(); ++i) {
+    const Slot& slot = page_map_[i];
+    if (slot.head == i + 1 && slot.owner == owner) {
+      release(slab_ + (i << grain_shift_));
+    }
+  }
 }
 
-std::size_t SystemArena::grant_size(const std::byte* ptr) const {
-  auto it = grants_.find(ptr);
-  return it == grants_.end() ? 0 : it->second;
+Grant SystemArena::grant_of(const void* p) const {
+  const auto* q = static_cast<const std::byte*>(p);
+  // std::less orders unrelated pointers too, so a pointer from outside the
+  // slab is turned away before any pointer arithmetic on it.
+  const std::less<const std::byte*> before;
+  if (slab_ == nullptr || before(q, slab_) || !before(q, slab_ + bump_)) {
+    return {};
+  }
+  const auto offset = static_cast<std::size_t>(q - slab_);
+  const std::size_t head = page_map_[offset >> grain_shift_].head;
+  if (head == 0) return {};
+  const Slot& start = page_map_[head - 1];
+  const std::size_t base = (head - 1) << grain_shift_;
+  // A sub-granule grant (page size < 16) leaves a tail no grant covers.
+  if (offset - base >= start.size) return {};
+  return {slab_ + base, start.size, start.owner};
 }
 
 }  // namespace dmm::sysmem

@@ -15,7 +15,7 @@ struct Packet {
 
 /// Synthetic internet-traffic generator standing in for the ITA traces
 /// the paper feeds DRR ("10 real traces of internet network traffic up to
-/// 10 Mbit/sec", Sec. 5).  See DESIGN.md's substitution table.
+/// 10 Mbit/sec", Sec. 5), which are not available.
 ///
 /// The model reproduces the properties DRR's DM behaviour depends on:
 ///   * the classic trimodal packet-size mix of internet backbones —

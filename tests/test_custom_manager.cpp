@@ -286,5 +286,22 @@ TEST(CustomManager, WasteIsFootprintMinusLive) {
   mgr.deallocate(p);
 }
 
+TEST(CustomManagerDeathTest, FreeOfAnotherManagersPointerAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SystemArena arena;  // shared: both managers' chunks in one page map
+  CustomManager a(arena, drr_paper_config());
+  CustomManager b(arena, drr_paper_config());
+  void* block = a.allocate(100);  // pool block
+  void* big = a.allocate(drr_paper_config().big_request_bytes);
+  ASSERT_NE(block, nullptr);
+  ASSERT_NE(big, nullptr);
+  EXPECT_DEATH(b.deallocate(block), "not owned by this manager");
+  EXPECT_DEATH(b.deallocate(big), "not owned by this manager");
+  EXPECT_DEATH((void)b.usable_size(block), "not owned by this manager");
+  a.deallocate(block);
+  a.deallocate(big);
+  EXPECT_EQ(arena.live_chunks(), 0u) << "grow+shrink returned every chunk";
+}
+
 }  // namespace
 }  // namespace dmm::alloc

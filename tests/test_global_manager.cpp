@@ -115,5 +115,35 @@ TEST(GlobalManager, UsableSizeRoutesCorrectly) {
   mgr.deallocate(b);
 }
 
+TEST(GlobalManager, CrossPhaseFreeBalancesLiveBytes) {
+  SystemArena arena;
+  GlobalManager mgr(arena, two_phase_configs());
+  void* small = mgr.allocate(100);  // phase 0
+  void* big = mgr.allocate(20000);  // phase 0, dedicated chunk
+  mgr.set_phase(1);
+  void* other = mgr.allocate(300);
+  EXPECT_EQ(mgr.stats().live_bytes, 20400u);
+  mgr.deallocate(small);  // freed in phase 1, owned by atomic 0
+  mgr.deallocate(big);
+  EXPECT_EQ(mgr.stats().live_bytes, 300u);
+  mgr.deallocate(other);
+  EXPECT_EQ(mgr.stats().live_bytes, 0u);
+  EXPECT_EQ(mgr.atomic(0).stats().live_bytes, 0u);
+  EXPECT_EQ(mgr.atomic(1).stats().live_bytes, 0u);
+}
+
+TEST(GlobalManagerDeathTest, FreeOfAnOutsideManagersPointerAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SystemArena arena;
+  GlobalManager mgr(arena, two_phase_configs());
+  alloc::CustomManager outside(arena, alloc::drr_paper_config());
+  void* mine = mgr.allocate(100);
+  void* theirs = outside.allocate(100);
+  EXPECT_DEATH(mgr.deallocate(theirs), "pointer not owned");
+  EXPECT_DEATH((void)mgr.usable_size(theirs), "pointer not owned");
+  mgr.deallocate(mine);
+  outside.deallocate(theirs);
+}
+
 }  // namespace
 }  // namespace dmm::core

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "dmm/alloc/config_rules.h"
+#include "dmm/alloc/custom_manager.h"
 #include "dmm/managers/kingsley.h"
 #include "dmm/managers/lea.h"
 #include "dmm/managers/obstack.h"
@@ -71,6 +74,40 @@ TEST_P(EveryManager, UsableSizeCoversRequest) {
 
 INSTANTIATE_TEST_SUITE_P(Baselines, EveryManager,
                          ::testing::ValuesIn(baseline_names()),
+                         [](const auto& p) { return p.param; });
+
+// ---------------------------------------------------------------------------
+// requests no arena can grant fail instead of wrapping the size rounding
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> every_manager_name() {
+  std::vector<std::string> names = baseline_names();
+  names.push_back("custom");
+  return names;
+}
+
+class OversizedRequest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OversizedRequest, FailsAndLeavesTheManagerUsable) {
+  SystemArena arena;
+  const alloc::DmmConfig cfg = alloc::drr_paper_config();
+  auto mgr = make_manager(GetParam(), arena, &cfg);
+  const std::size_t footprint = arena.footprint();
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  for (std::size_t bytes : {max, max - 8, SystemArena::kSlabBytes + 1}) {
+    EXPECT_EQ(mgr->allocate(bytes), nullptr) << bytes;
+  }
+  EXPECT_EQ(mgr->stats().failed_allocs, 3u);
+  EXPECT_EQ(mgr->stats().live_blocks, 0u);
+  EXPECT_EQ(arena.footprint(), footprint) << "nothing was granted";
+  void* p = mgr->allocate(100);
+  ASSERT_NE(p, nullptr);
+  EXPECT_GE(mgr->usable_size(p), 100u);
+  mgr->deallocate(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllManagers, OversizedRequest,
+                         ::testing::ValuesIn(every_manager_name()),
                          [](const auto& p) { return p.param; });
 
 // ---------------------------------------------------------------------------
@@ -198,6 +235,24 @@ TEST(Lea, ReusesCoalescedSpaceForBigRequests) {
   EXPECT_EQ(mgr.stats().chunks_grown, grown)
       << "coalesced neighbours must serve the big request in place";
   mgr.deallocate(big);
+}
+
+TEST(LeaDeathTest, FreeOfAnotherManagersPointerInTheSameArenaAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SystemArena arena;
+  LeaAllocator a(arena);
+  LeaAllocator b(arena);
+  alloc::CustomManager custom(arena, alloc::drr_paper_config());
+  void* heap = a.allocate(100);
+  void* mmapped = a.allocate(512 * 1024);  // dedicated chunk
+  void* foreign = custom.allocate(100);
+  EXPECT_DEATH(b.deallocate(heap), "not owned by this manager");
+  EXPECT_DEATH(b.deallocate(mmapped), "not owned by this manager");
+  EXPECT_DEATH(a.deallocate(foreign), "not owned by this manager");
+  EXPECT_DEATH(custom.deallocate(heap), "not owned by this manager");
+  a.deallocate(heap);
+  a.deallocate(mmapped);
+  custom.deallocate(foreign);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,23 +28,23 @@ class FakeHost : public PoolHost {
     std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
     if (total < chunk_bytes_) total = chunk_bytes_;
     std::size_t granted = 0;
-    std::byte* base = arena_.request(total, &granted);
+    std::byte* base = arena_.request(total, this, &granted);
     if (base == nullptr) return nullptr;
     auto* chunk = reinterpret_cast<ChunkHeader*>(base);
     chunk->init(granted, nullptr);
-    index_.add(chunk);
     ++grows;
     return chunk;
   }
 
   void pool_release(ChunkHeader* chunk) override {
-    index_.remove(chunk);
     arena_.release(chunk->base());
     ++releases;
   }
 
   ChunkHeader* pool_find_chunk(const void* p) override {
-    return index_.find(p);
+    const sysmem::Grant grant = arena_.grant_of(p);
+    if (grant.owner != this) return nullptr;
+    return reinterpret_cast<ChunkHeader*>(grant.base);
   }
 
   AllocatorStats& pool_stats() override { return stats; }
@@ -58,7 +58,6 @@ class FakeHost : public PoolHost {
  private:
   std::size_t chunk_bytes_;
   sysmem::SystemArena arena_;
-  ChunkIndex index_;
 };
 
 DmmConfig variable_cfg() {

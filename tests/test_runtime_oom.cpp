@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "dmm/alloc/config.h"
@@ -285,6 +288,41 @@ TEST(RuntimeOom, CallbackFreesThatEvictIntoPendingServeTheRetry) {
   EXPECT_EQ(t.oom_callback_recovered, 1u);
   EXPECT_EQ(t.oom_returned_null, 0u);
   for (void* p : hoard) a.free(p);
+}
+
+// A request beyond anything the arena can grant is an out-of-memory
+// condition like any other: the policy decides, nothing wraps.
+constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+
+TEST(RuntimeOom, OversizedMallocReturnsNullptrUnderNullPolicy) {
+  DesignedAllocator a(alloc::drr_paper_config());  // caches on, kNull
+  EXPECT_EQ(a.malloc(kHuge), nullptr);
+  EXPECT_EQ(a.telemetry().oom_returned_null, 1u);
+  void* p = a.malloc(100);
+  ASSERT_NE(p, nullptr);
+  a.free(p);
+  EXPECT_EQ(a.telemetry().bytes_live, 0u);
+}
+
+TEST(RuntimeOomDeathTest, OversizedMallocDiesUnderDiePolicy) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config(),
+                      no_cache_options(OomPolicy::kDie));
+  EXPECT_DEATH({ (void)a.malloc(kHuge); },
+               "out of memory allocating " + std::to_string(kHuge) +
+                   " bytes");
+}
+
+TEST(RuntimeOom, OversizedReallocFailsAndKeepsTheOldBlock) {
+  DesignedAllocator a(alloc::drr_paper_config());
+  auto* p = static_cast<unsigned char*>(a.malloc(100));
+  ASSERT_NE(p, nullptr);
+  std::memset(p, 0x5A, 100);
+  EXPECT_EQ(a.realloc(p, kHuge), nullptr);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(p[i], 0x5A) << i;
+  EXPECT_GE(a.usable_size(p), 100u) << "the old block is still live";
+  a.free(p);
+  EXPECT_EQ(a.telemetry().bytes_live, 0u);
 }
 
 }  // namespace

@@ -23,6 +23,11 @@ about; this linter makes them machine-checked:
                   trailing garbage and overflow instead of silently
                   truncating (the PR 5 hardening).
 
+  doc-ref         No comment naming a `*.md` file that does not exist in
+                  the repo (resolved from the repo root or from the file's
+                  own directory): a note the reader cannot open is a note
+                  they do not have.
+
 Findings print as `path:line: [rule] message` and exit status 1.  A finding
 can be suppressed with an inline annotation on the same line or the line
 directly above:
@@ -45,7 +50,7 @@ import os
 import re
 import sys
 
-RULES = ("nondet", "unordered-iter", "ptr-order", "raw-parse")
+RULES = ("nondet", "unordered-iter", "ptr-order", "raw-parse", "doc-ref")
 
 RAW_PARSE_WHITELIST = ("src/core/search.cpp",)
 
@@ -56,9 +61,16 @@ ALLOW_RE = re.compile(r"dmm-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([a-z-]+)")
 
 
-def strip_comments_and_strings(text):
-    """Blanks comments and string/char literals, preserving line structure."""
+def blank(chunk):
+    return re.sub(r"[^\n]", " ", chunk)
+
+
+def split_comments(text):
+    """Returns (code, comments), both preserving line structure: code has
+    comments and string/char literals blanked, comments has everything
+    but the comments blanked."""
     out = []
+    com = []
     i = 0
     n = len(text)
     while i < n:
@@ -68,12 +80,14 @@ def strip_comments_and_strings(text):
             j = text.find("\n", i)
             j = n if j < 0 else j
             out.append(" " * (j - i))
+            com.append(text[i:j])
             i = j
         elif c == "/" and nxt == "*":
             j = text.find("*/", i + 2)
             j = n - 2 if j < 0 else j
             chunk = text[i:j + 2]
-            out.append(re.sub(r"[^\n]", " ", chunk))
+            out.append(blank(chunk))
+            com.append(chunk)
             i = j + 2
         elif c == '"' or c == "'":
             quote = c
@@ -81,11 +95,18 @@ def strip_comments_and_strings(text):
             while j < n and text[j] != quote:
                 j += 2 if text[j] == "\\" else 1
             out.append(c + " " * (j - i - 1) + (quote if j < n else ""))
+            com.append(blank(text[i:j + 1]))
             i = j + 1
         else:
             out.append(c)
+            com.append(c if c == "\n" else " ")
             i += 1
-    return "".join(out)
+    return "".join(out), "".join(com)
+
+
+def strip_comments_and_strings(text):
+    """Blanks comments and string/char literals, preserving line structure."""
+    return split_comments(text)[0]
 
 
 def build_allow_map(raw_lines):
@@ -189,6 +210,22 @@ def check_raw_parse(relpath, clean_lines):
                       "rejects garbage and overflow")
 
 
+DOC_REF_PAT = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+
+
+def check_doc_ref(relpath, path, comment_lines, doc_root):
+    here = os.path.dirname(path)
+    for lineno, _line, m in iter_line_matches(comment_lines, DOC_REF_PAT):
+        ref = m.group(1)
+        if os.path.isfile(os.path.join(doc_root, ref)) or os.path.isfile(
+                os.path.join(here, ref)):
+            continue
+        yield Finding(relpath, lineno, "doc-ref",
+                      f"comment names `{ref}`, which does not exist in the "
+                      "repo — state the note inline or point to a document "
+                      "that exists")
+
+
 def discover_files(root, compdb):
     """Translation units from the compilation database plus all project
     headers; falls back to walking the source dirs without a compdb."""
@@ -210,25 +247,29 @@ def discover_files(root, compdb):
     return sorted(f for f in files if f.endswith((".h", ".hpp", ".cpp")))
 
 
-def lint_files(root, paths, scoped=True):
+def lint_files(root, paths, scoped=True, doc_root=None):
     """Runs every rule over `paths`.  With scoped=False (self-test), all
-    rules apply to every file and whitelists are ignored."""
+    rules apply to every file and whitelists are ignored.  Documents named
+    in comments resolve against `doc_root` (default: `root`)."""
+    doc_root = doc_root or root
     raw = {}
     clean = {}
+    comments = {}
     for path in paths:
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
         raw[path] = text.splitlines()
-        clean[path] = strip_comments_and_strings(text)
+        clean[path], comments[path] = split_comments(text)
 
     unordered_names = collect_unordered_names(clean)
     findings = []
     for path in paths:
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         clean_lines = clean[path].splitlines()
+        comment_lines = comments[path].splitlines()
         allowed = build_allow_map(raw[path])
 
-        checks = []
+        checks = [check_doc_ref(rel, path, comment_lines, doc_root)]
         if scoped:
             # The capture shim feeds the determinism-sensitive trace
             # pipeline, so it gets the same nondet / iteration-order /
@@ -244,7 +285,7 @@ def lint_files(root, paths, scoped=True):
                     "tests/"):
                 checks.append(check_raw_parse(rel, clean_lines))
         else:
-            checks = [
+            checks += [
                 check_nondet(rel, clean_lines),
                 check_unordered_iter(rel, clean_lines, unordered_names),
                 check_ptr_order(rel, clean_lines),
@@ -278,7 +319,8 @@ def self_test():
                 if m:
                     expected.add((rel, lineno, m.group(1)))
 
-    findings = lint_files(here, paths, scoped=False)
+    repo_root = os.path.dirname(os.path.dirname(here))
+    findings = lint_files(here, paths, scoped=False, doc_root=repo_root)
     got = {(f.path, f.line, f.rule) for f in findings}
 
     ok = True
