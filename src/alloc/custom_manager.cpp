@@ -86,7 +86,8 @@ Pool* CustomManager::make_pool(std::size_t key,
   // class scope, not inside std::make_unique.
   PoolHost& host = *this;
   pools_.push_back(
-      {key, std::make_unique<Pool>(cfg_, layout_, fixed_block_size, host)});
+      {key, std::make_unique<Pool>(cfg_, layout_, fixed_block_size, host,
+                                   *arena_, owner_tag(), stats_)});
   const std::size_t slot = pools_.size() - 1;
   if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass &&
       cfg_.pool_structure == PoolStructure::kArray) {

@@ -109,10 +109,6 @@ class CustomManager : public Allocator, private PoolHost {
   // PoolHost (chunk services for the pools)
   ChunkHeader* pool_grow(std::size_t min_data_bytes) override;
   void pool_release(ChunkHeader* chunk) override;
-  [[nodiscard]] ChunkHeader* pool_find_chunk(const void* p) override {
-    return own_chunk(p);
-  }
-  [[nodiscard]] AllocatorStats& pool_stats() override { return stats_; }
 
   [[nodiscard]] void* big_allocate(std::size_t payload);
   void big_deallocate(ChunkHeader* chunk, void* ptr);

@@ -23,9 +23,11 @@ namespace dmm::alloc {
 /// *variable-size* (sizes read from block headers; requires A4 size info).
 ///
 /// Growth/shrink traffic with the arena goes through the owner-provided
-/// hooks so the manager can tag its grants and centralise accounting.
-/// Chunk services a Pool needs from its owning manager.  A plain virtual
-/// interface (not std::function) — these sit on the allocation hot path.
+/// hooks so the manager can tag its grants; block-level lookups (which
+/// chunk holds a block) and the mechanism counters are resolved by the
+/// pool itself, through the arena's page map and the owner's stats.
+/// The chunk traffic a Pool asks of its owning manager: growth and release
+/// only, both rare next to block operations.
 class PoolHost {
  public:
   virtual ~PoolHost() = default;
@@ -33,10 +35,6 @@ class PoolHost {
   virtual ChunkHeader* pool_grow(std::size_t min_data_bytes) = 0;
   /// Returns an empty chunk to the arena.
   virtual void pool_release(ChunkHeader* chunk) = 0;
-  /// Resolves the chunk containing a block (the arena's page map).
-  [[nodiscard]] virtual ChunkHeader* pool_find_chunk(const void* p) = 0;
-  /// Shared mechanism counters (splits/coalesces/...).
-  [[nodiscard]] virtual AllocatorStats& pool_stats() = 0;
 };
 
 class Pool {
@@ -45,8 +43,14 @@ class Pool {
   ///        must outlive the pool.
   /// @param fixed_block_size  0 = variable-size pool; otherwise every
   ///        block in the pool has exactly this total size.
+  /// @param arena, owner  where the host's chunks come from and the owner
+  ///        tag it stamps on them: chunk_of() resolves blocks through the
+  ///        arena's page map.
+  /// @param stats  the owner's mechanism counters (splits/coalesces/...).
   Pool(const DmmConfig& cfg, const BlockLayout& layout,
-       std::size_t fixed_block_size, PoolHost& host);
+       std::size_t fixed_block_size, PoolHost& host,
+       const sysmem::SystemArena& arena, const void* owner,
+       AllocatorStats& stats);
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
@@ -72,6 +76,14 @@ class Pool {
   /// without allocating from it (used for static preallocation).
   /// Returns the chunk, or nullptr if the arena refuses.
   ChunkHeader* grow_reserve(std::size_t data_bytes);
+
+  /// The owner's chunk containing @p block (the arena's page map), or
+  /// nullptr for a pointer outside the owner's grants.
+  [[nodiscard]] ChunkHeader* chunk_of(const void* block) const {
+    const sysmem::Grant grant = arena_.grant_of(block);
+    if (grant.owner != owner_) return nullptr;
+    return reinterpret_cast<ChunkHeader*>(grant.base);
+  }
 
   /// Size of the block starting at @p block, via header or fixed size.
   [[nodiscard]] std::size_t block_size_of(const std::byte* block) const;
@@ -118,6 +130,9 @@ class Pool {
   std::size_t fixed_size_;
   std::size_t min_block_;
   PoolHost& host_;
+  const sysmem::SystemArena& arena_;
+  const void* owner_;
+  AllocatorStats& stats_;
   FreeIndex index_;
   ChunkHeader* chunks_ = nullptr;   ///< doubly-linked chunk list
   ChunkHeader* carve_chunk_ = nullptr;  ///< chunk currently bump-carved

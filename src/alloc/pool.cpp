@@ -18,13 +18,18 @@ bool is_class_size(std::size_t s) { return s != 0 && (s & (s - 1)) == 0; }
 }  // namespace
 
 Pool::Pool(const DmmConfig& cfg, const BlockLayout& layout,
-           std::size_t fixed_block_size, PoolHost& host)
+           std::size_t fixed_block_size, PoolHost& host,
+           const sysmem::SystemArena& arena, const void* owner,
+           AllocatorStats& stats)
     : cfg_(cfg),
       layout_(layout),
       fixed_size_(fixed_block_size),
       min_block_(
           layout.min_block_size(FreeIndex::link_bytes(cfg.block_structure))),
       host_(host),
+      arena_(arena),
+      owner_(owner),
+      stats_(stats),
       index_(cfg.block_structure, cfg.order, layout, fixed_block_size) {
   if (fixed_size_ != 0 && fixed_size_ < min_block_) {
     die("fixed block size below the minimum viable free-block size");
@@ -98,7 +103,7 @@ std::size_t Pool::split_block(std::byte* block, std::size_t have,
   if (!remainder_ok(rem_size)) return have;
   std::byte* rem_block = block + (have - rem_size);
   make_free(rem_block, rem_size, chunk);
-  ++host_.pool_stats().splits;
+  ++stats_.splits;
   return have - rem_size;  // size the allocated part keeps
 }
 
@@ -112,7 +117,7 @@ ChunkHeader* Pool::grow_reserve(std::size_t data_bytes) {
   chunks_ = fresh;
   ++chunk_count_;
   carve_chunk_ = fresh;
-  ++host_.pool_stats().chunks_grown;
+  ++stats_.chunks_grown;
   return fresh;
 }
 
@@ -154,7 +159,7 @@ std::byte* Pool::allocate_block(std::size_t block_size) {
   std::size_t final_size = block_size;
   ChunkHeader* chunk = nullptr;
   if (block != nullptr) {
-    chunk = host_.pool_find_chunk(block);
+    chunk = chunk_of(block);
     const std::size_t have = block_size_of(block);
     final_size = have;
     // Splitting decision point: a reused block larger than the request is
@@ -220,7 +225,7 @@ std::size_t Pool::try_coalesce(std::byte*& block, std::size_t size,
     if (!merge_allowed(size + nsz)) break;
     index_.remove(next);
     size += nsz;
-    ++host_.pool_stats().coalesces;
+    ++stats_.coalesces;
   }
   // Backward: follow the boundary footer while the predecessor is free.
   if (layout_.has_footer()) {
@@ -234,7 +239,7 @@ std::size_t Pool::try_coalesce(std::byte*& block, std::size_t size,
       const bool prev_prev_free = layout_.read_prev_free(prev);
       block = prev;
       size += psz;
-      ++host_.pool_stats().coalesces;
+      ++stats_.coalesces;
       if (!prev_prev_free) break;
     }
   }
@@ -250,7 +255,7 @@ void Pool::make_free(std::byte* block, std::size_t size, ChunkHeader* chunk) {
       // Merge into the wilderness instead of threading a trailing free
       // block — this is what lets an adaptive pool ever become empty.
       chunk->bump -= size;
-      ++host_.pool_stats().coalesces;
+      ++stats_.coalesces;
       return;
     }
   }
@@ -288,7 +293,7 @@ void Pool::release_chunk_if_empty(ChunkHeader* chunk) {
   if (chunk->next != nullptr) chunk->next->prev = chunk->prev;
   if (chunks_ == chunk) chunks_ = chunk->next;
   --chunk_count_;
-  ++host_.pool_stats().chunks_released;
+  ++stats_.chunks_released;
   host_.pool_release(chunk);
 }
 
@@ -368,7 +373,7 @@ std::size_t Pool::coalesce_sweep() {
     }
     flush_run(false);
   }
-  host_.pool_stats().coalesces += merges;
+  stats_.coalesces += merges;
   return merges;
 }
 

@@ -94,6 +94,14 @@ void SharedScoreCache::Session::insert_canonical(const alloc::DmmConfig& canon,
   }
 }
 
+bool SharedScoreCache::Session::contains_canonical(
+    const alloc::DmmConfig& canon) const {
+  const Key key{trace_fingerprint_, canon};
+  const Shard& shard = owner_->shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.m);
+  return shard.map.find(key) != shard.map.end();
+}
+
 bool SharedScoreCache::insert_locked(Shard& shard, const Key& key,
                                      const Entry& entry,
                                      std::uint64_t search_id) {
@@ -293,7 +301,22 @@ void EvalEngine::stream_submit(const EvalJob& job) {
   slot->kind = StreamSlot::Kind::kRun;
   StreamSlot& ref = *slot;
   slots_.push_back(std::move(slot));
+  // Hints are keyed by canonical form, which only a cached session
+  // computes.
+  if (stream_cache_ != nullptr && adopt_hint(*stream_trace_, ref)) return;
   dispatch(ref);
+}
+
+void EvalEngine::hint(const TraceSource& trace, const EvalJob& job,
+                      SharedScoreCache::Session* cache) {
+  if (cache == nullptr) return;
+  const alloc::DmmConfig canon = alloc::canonical(job.cfg);
+  if (cache->contains_canonical(canon)) return;
+  if (streaming_ && stream_trace_ == &trace &&
+      pending_canon_.count(canon) != 0) {
+    return;
+  }
+  enqueue_hint(trace, job, canon);
 }
 
 std::vector<EvalOutcome> EvalEngine::emit_ready(bool block) {
@@ -376,8 +399,12 @@ ThreadPoolEngine::ThreadPoolEngine(unsigned num_threads) {
 }
 
 ThreadPoolEngine::~ThreadPoolEngine() {
+  // Hinted traces may already be gone (a design run owns its sub-traces
+  // and is destroyed before the engine), so no worker may start another
+  // hint; the join below waits for the running ones.
   {
     const std::lock_guard<std::mutex> lock(m_);
+    drop_queued_locked();
     stop_ = true;
   }
   work_ready_.notify_all();
@@ -428,10 +455,25 @@ EvalEngine::StreamSlot* ThreadPoolEngine::next_slot(std::size_t self) {
 
 void ThreadPoolEngine::worker_main(std::size_t self) {
   for (;;) {
+    Hint* hint = nullptr;
     {
       std::unique_lock<std::mutex> lock(m_);
-      work_ready_.wait(lock, [&] { return stop_ || pending_ > 0; });
+      work_ready_.wait(lock, [&] {
+        return stop_ || pending_ > 0 || !hint_queue_.empty();
+      });
       if (stop_) return;
+      if (pending_ == 0) {
+        // Every deque is empty: speculate on the nearest hint.
+        hint = hint_queue_.front();
+        hint_queue_.pop_front();
+        hint->state = Hint::State::kRunning;
+        ++running_hints_;
+        ++hint_stats_.started;
+      }
+    }
+    if (hint != nullptr) {
+      run_hint(*hint);
+      continue;
     }
     while (StreamSlot* slot = next_slot(self)) {
       {
@@ -455,6 +497,94 @@ void ThreadPoolEngine::wait_slot(StreamSlot& slot) {
   std::unique_lock<std::mutex> lock(m_);
   done_cv_.wait(lock,
                 [&] { return slot.done.load(std::memory_order_acquire); });
+}
+
+void ThreadPoolEngine::run_hint(Hint& hint) {
+  hint.out = score_candidate(*hint.trace, hint.job);
+  {
+    const std::lock_guard<std::mutex> lock(m_);
+    hint.state = Hint::State::kDone;
+    --running_hints_;
+    if (StreamSlot* slot = hint.adopter) {
+      // Adopted mid-replay: complete the waiting slot, which keeps its
+      // own tag and from_cache == false like any fresh replay.
+      slot->out.sim = hint.out.sim;
+      slot->out.work_steps = hint.out.work_steps;
+      slot->done.store(true, std::memory_order_release);
+      hints_.remove_if([&](const Hint& h) { return &h == &hint; });
+    }
+  }
+  done_cv_.notify_all();
+}
+
+void ThreadPoolEngine::enqueue_hint(const TraceSource& trace,
+                                    const EvalJob& job,
+                                    const alloc::DmmConfig& canon) {
+  {
+    const std::lock_guard<std::mutex> lock(m_);
+    for (const Hint& h : hints_) {
+      if (h.trace == &trace && h.canon == canon) return;
+    }
+    Hint& hint = hints_.emplace_back();
+    hint.trace = &trace;
+    hint.job = job;
+    hint.canon = canon;
+    hint_queue_.push_back(&hint);
+    ++hint_stats_.queued;
+  }
+  work_ready_.notify_one();
+}
+
+bool ThreadPoolEngine::adopt_hint(const TraceSource& trace,
+                                  StreamSlot& slot) {
+  const std::lock_guard<std::mutex> lock(m_);
+  const auto it =
+      std::find_if(hints_.begin(), hints_.end(), [&](const Hint& h) {
+        return h.trace == &trace && h.canon == slot.canon;
+      });
+  if (it == hints_.end()) return false;
+  switch (it->state) {
+    case Hint::State::kQueued:
+      // Not started: the real job takes its place in the deques.
+      hint_queue_.erase(
+          std::find(hint_queue_.begin(), hint_queue_.end(), &*it));
+      hints_.erase(it);
+      return false;
+    case Hint::State::kRunning:
+      it->adopter = &slot;
+      break;
+    case Hint::State::kDone:
+      slot.out.sim = it->out.sim;
+      slot.out.work_steps = it->out.work_steps;
+      slot.done.store(true, std::memory_order_release);
+      hints_.erase(it);
+      break;
+  }
+  ++hint_stats_.adopted;
+  return true;
+}
+
+void ThreadPoolEngine::drop_queued_locked() {
+  hints_.remove_if(
+      [](const Hint& h) { return h.state == Hint::State::kQueued; });
+  hint_queue_.clear();
+}
+
+void ThreadPoolEngine::drop_hints() {
+  const std::lock_guard<std::mutex> lock(m_);
+  drop_queued_locked();
+}
+
+void ThreadPoolEngine::settle_hints() {
+  std::unique_lock<std::mutex> lock(m_);
+  drop_queued_locked();
+  done_cv_.wait(lock, [&] { return running_hints_ == 0; });
+  hints_.clear();
+}
+
+EvalEngine::HintStats ThreadPoolEngine::hint_stats() const {
+  const std::lock_guard<std::mutex> lock(m_);
+  return hint_stats_;
 }
 
 std::unique_ptr<EvalEngine> make_engine(unsigned num_threads) {

@@ -141,6 +141,11 @@ class SharedScoreCache {
     [[nodiscard]] bool lookup_canonical(const alloc::DmmConfig& canon,
                                         Entry* out);
     void insert_canonical(const alloc::DmmConfig& canon, const Entry& entry);
+    /// True iff @p canon has a memoized score.  A pure probe: no hit is
+    /// counted and the LRU order is left alone, so speculation can ask
+    /// without disturbing any accounting or eviction.
+    [[nodiscard]] bool contains_canonical(
+        const alloc::DmmConfig& canon) const;
 
     /// Hits served from entries another search of this process replayed
     /// (disjoint from persisted_hits()).
@@ -316,6 +321,14 @@ struct FamilyEvalMember {
 /// Overlap comes from dispatch() being asynchronous in pooled engines: the
 /// search thread keeps generating/submitting candidates while workers
 /// replay earlier ones.
+///
+/// Speculation: hint() hands the engine a job the search *expects* to
+/// submit later.  Pooled engines replay hints on workers that have no real
+/// job queued, and a later kRun submit of the same trace and canonical
+/// vector adopts the hint instead of replaying.  Hints never touch the
+/// score cache, the session's accounting, or the emission order: an
+/// adopted result is emitted, cached, and counted exactly as a fresh
+/// replay of the submitted job would be.
 class EvalEngine {
  public:
   virtual ~EvalEngine() = default;
@@ -344,6 +357,28 @@ class EvalEngine {
   /// order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
+  /// Queues @p job on @p trace for speculative replay (FIFO).  Skipped
+  /// when @p cache already holds its canonical vector, when it is already
+  /// hinted, or when it is in flight in the open session on @p trace.
+  /// No-op without a cache session and on engines without idle workers
+  /// (SerialEngine).  The trace must stay alive until settle_hints().
+  void hint(const TraceSource& trace, const EvalJob& job,
+            SharedScoreCache::Session* cache);
+  /// Forgets every hint no worker has started yet.
+  virtual void drop_hints() {}
+  /// Drops queued hints and waits for running ones; afterwards no hint
+  /// references any trace.  Call before a hinted trace is destroyed.
+  virtual void settle_hints() {}
+
+  /// Speculation counters — a side channel for benches and tests that
+  /// never feeds a result.
+  struct HintStats {
+    std::uint64_t queued = 0;   ///< hints accepted by hint()
+    std::uint64_t started = 0;  ///< ... a worker began replaying
+    std::uint64_t adopted = 0;  ///< ... a submitted job took over
+  };
+  [[nodiscard]] virtual HintStats hint_stats() const { return {}; }
+
  protected:
   /// One submitted job's lifecycle inside a session.  Slots live in
   /// unique_ptrs, so their addresses are stable across submits and safe to
@@ -362,6 +397,19 @@ class EvalEngine {
   virtual void dispatch(StreamSlot& slot);
   /// Blocks until slot.done (default: no-op — inline dispatch completed).
   virtual void wait_slot(StreamSlot& slot);
+
+  /// Queues a hint whose canonical form passed hint()'s checks (default:
+  /// ignored — there is no idle worker to run it).
+  virtual void enqueue_hint(const TraceSource& /*trace*/,
+                            const EvalJob& /*job*/,
+                            const alloc::DmmConfig& /*canon*/) {}
+  /// A kRun slot of the session on @p trace is about to be dispatched:
+  /// true iff a finished or running hint now completes it.  A matching
+  /// queued hint is removed (the slot then dispatches normally).
+  virtual bool adopt_hint(const TraceSource& /*trace*/,
+                          StreamSlot& /*slot*/) {
+    return false;
+  }
 
   /// Scores one job against the session trace (score_candidate).  Safe
   /// from any thread during a session.
@@ -398,6 +446,11 @@ class SerialEngine : public EvalEngine {
 /// cost (a config that thrashes the free index replays 10x slower), so
 /// static striping alone leaves workers idle.  Outcomes land in the
 /// submitting session's slots, keeping result order deterministic.
+///
+/// A worker that finds every deque empty takes the oldest queued hint.
+/// Adoption at submit: a finished hint's outcome is copied into the slot;
+/// a running one completes the slot when it finishes; a queued one is
+/// withdrawn and the slot dispatched as usual.
 class ThreadPoolEngine : public EvalEngine {
  public:
   /// @param num_threads  worker count; 0 = one per hardware thread.
@@ -412,14 +465,39 @@ class ThreadPoolEngine : public EvalEngine {
     return static_cast<unsigned>(workers_.size());
   }
 
+  void drop_hints() override;
+  void settle_hints() override;
+  [[nodiscard]] HintStats hint_stats() const override;
+
  protected:
   void dispatch(StreamSlot& slot) override;
   void wait_slot(StreamSlot& slot) override;
+  void enqueue_hint(const TraceSource& trace, const EvalJob& job,
+                    const alloc::DmmConfig& canon) override;
+  bool adopt_hint(const TraceSource& trace, StreamSlot& slot) override;
 
  private:
+  /// One speculative replay.  Lives in hints_ from enqueue_hint() until it
+  /// is adopted, dropped, or settled; every field is guarded by m_ except
+  /// `out`, which only the running worker writes before publishing kDone.
+  struct Hint {
+    const TraceSource* trace = nullptr;
+    EvalJob job{};
+    alloc::DmmConfig canon{};
+    enum class State : std::uint8_t { kQueued, kRunning, kDone };
+    State state = State::kQueued;
+    EvalOutcome out{};
+    /// Slot waiting on this running hint (adopted mid-replay), or null.
+    StreamSlot* adopter = nullptr;
+  };
+
   void worker_main(std::size_t self);
   /// Pops from own deque (back) or steals (front); null when drained.
   [[nodiscard]] StreamSlot* next_slot(std::size_t self);
+  /// Replays @p hint on the calling worker and publishes the outcome.
+  void run_hint(Hint& hint);
+  /// Erases every queued hint (caller holds m_).
+  void drop_queued_locked();
 
   // Per-worker slot deques; each guarded by its own mutex so thieves only
   // contend with the owner of the deque they rob.
@@ -430,11 +508,17 @@ class ThreadPoolEngine : public EvalEngine {
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
 
   // Wakeup state, guarded by m_.
-  std::mutex m_;
+  mutable std::mutex m_;
   std::condition_variable work_ready_;
   std::condition_variable done_cv_;
   std::size_t pending_ = 0;  ///< slots enqueued, not yet popped
   bool stop_ = false;
+  /// Speculation state, guarded by m_: every live hint, the queued ones in
+  /// FIFO order, and how many a worker is replaying.
+  std::list<Hint> hints_;
+  std::deque<Hint*> hint_queue_;
+  std::size_t running_hints_ = 0;
+  HintStats hint_stats_{};
 
   std::size_t rr_next_ = 0;  ///< coordinating thread only
 

@@ -241,8 +241,12 @@ struct BestTracker {
 ///     tracking, recording best/best_sim/work_steps/evals_to_best.
 ///   * canonical_duplicate() — the canonical seen-set behind the quotient
 ///     prunes, counting canonical_skips.
-///   * finish() — harvests the cache session's cross-search/persisted hit
-///     counters and assembles the ExplorationResult.
+///   * hint() — speculation: jobs the strategy expects to submit later,
+///     replayed by idle engine workers and adopted at submit (see
+///     EvalEngine::hint); never part of any accounting.
+///   * finish() — waits out speculation, harvests the cache session's
+///     cross-search/persisted hit counters and assembles the
+///     ExplorationResult.
 ///
 /// A context is single-use and single-threaded, like the search call that
 /// owns it (parallelism lives inside the engine).
@@ -268,6 +272,10 @@ class SearchContext {
   SearchContext(std::vector<FamilyEvalMember> family,
                 FamilyAggregate aggregate, const ExplorerOptions& opts,
                 EvalEngine& engine);
+  /// Settles the engine's hints (see finish()).
+  ~SearchContext();
+  SearchContext(const SearchContext&) = delete;
+  SearchContext& operator=(const SearchContext&) = delete;
 
   [[nodiscard]] const ExplorerOptions& options() const { return opts_; }
   /// Single-trace mode: the trace; family mode: the first member.
@@ -296,6 +304,23 @@ class SearchContext {
   [[nodiscard]] std::vector<EvalOutcome> poll();
   [[nodiscard]] std::vector<EvalOutcome> drain();
 
+  /// True iff hint() can pay off: single-trace mode, a score cache (hints
+  /// are matched by canonical form), and an engine with more than one
+  /// worker.  Strategies skip their lookahead otherwise.
+  [[nodiscard]] bool speculating() const {
+    return trace_ != nullptr && cache_.session.has_value() &&
+           engine_.threads() > 1;
+  }
+  /// Hands the engine a job this search expects to submit later (no-op
+  /// unless speculating()).  Hints are replayed FIFO by workers with no
+  /// real job queued; a later submit of the same canonical vector adopts
+  /// the result.  Nothing about a hint is charged or cached, so results
+  /// and accounting are exactly those of a run without hints.
+  void hint(const EvalJob& job);
+  /// Forgets the hints no worker has started (e.g. after the walk moved
+  /// on and their predictions may be stale).
+  void drop_hints() { engine_.drop_hints(); }
+
   /// Evaluations charged so far — the budget every streaming strategy
   /// meters against.  One charge per scored candidate: replay-or-hit in
   /// single-trace mode, one whole-family fold in family mode.
@@ -322,7 +347,9 @@ class SearchContext {
   /// The in-progress result — strategies append step logs here.
   [[nodiscard]] ExplorationResult& result() { return result_; }
 
-  /// Assembles and returns the final result (call exactly once).
+  /// Drops queued hints and waits for running ones (the trace may be
+  /// destroyed right after), then assembles and returns the final result
+  /// (call exactly once).
   [[nodiscard]] ExplorationResult finish();
 
  private:

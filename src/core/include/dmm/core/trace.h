@@ -136,39 +136,39 @@ class TraceAccumulator {
 class AllocTrace : public TraceSource {
  public:
   AllocTrace() = default;
-  AllocTrace(const AllocTrace& o) : events_(o.events_) { copy_fp_cache(o); }
+  AllocTrace(const AllocTrace& o) : events_(o.events_) { copy_memos(o); }
   AllocTrace(AllocTrace&& o) noexcept : events_(std::move(o.events_)) {
-    copy_fp_cache(o);
+    copy_memos(o);
   }
   AllocTrace& operator=(const AllocTrace& o) {
     if (this != &o) {
       events_ = o.events_;
-      copy_fp_cache(o);
+      copy_memos(o);
     }
     return *this;
   }
   AllocTrace& operator=(AllocTrace&& o) noexcept {
     events_ = std::move(o.events_);
-    copy_fp_cache(o);
+    copy_memos(o);
     return *this;
   }
 
   void record_alloc(std::uint32_t id, std::uint32_t size,
                     std::uint16_t phase = 0) {
-    invalidate_fp_cache();
+    invalidate_memos();
     events_.push_back({AllocEvent::Op::kAlloc, id, size, phase});
   }
   void record_free(std::uint32_t id, std::uint16_t phase = 0) {
-    invalidate_fp_cache();
+    invalidate_memos();
     events_.push_back({AllocEvent::Op::kFree, id, 0, phase});
   }
 
   [[nodiscard]] const std::vector<AllocEvent>& events() const {
     return events_;
   }
-  /// Mutable access drops the memoized fingerprint — the caller may edit.
+  /// Mutable access drops the memoized pre-passes — the caller may edit.
   [[nodiscard]] std::vector<AllocEvent>& events() {
-    invalidate_fp_cache();
+    invalidate_memos();
     return events_;
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
@@ -198,6 +198,8 @@ class AllocTrace : public TraceSource {
   [[nodiscard]] std::uint64_t event_count() const override {
     return events_.size();
   }
+  /// Memoized like fingerprint(): every replay sizes its live table from
+  /// this, so only the first pays the O(events) scan.
   [[nodiscard]] TraceIdBounds id_bounds() const override;
   [[nodiscard]] std::unique_ptr<TraceCursor> cursor() const override;
 
@@ -206,21 +208,32 @@ class AllocTrace : public TraceSource {
   [[nodiscard]] static AllocTrace load(const std::string& path);
 
  private:
-  void invalidate_fp_cache() {
+  void invalidate_memos() {
     fp_valid_.store(false, std::memory_order_relaxed);
+    bounds_valid_.store(false, std::memory_order_relaxed);
   }
-  void copy_fp_cache(const AllocTrace& o) {
+  void copy_memos(const AllocTrace& o) {
     fp_cache_.store(o.fp_cache_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     fp_valid_.store(o.fp_valid_.load(std::memory_order_acquire),
                     std::memory_order_release);
+    bounds_max_id_.store(o.bounds_max_id_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+    bounds_allocs_.store(o.bounds_allocs_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+    bounds_valid_.store(o.bounds_valid_.load(std::memory_order_acquire),
+                        std::memory_order_release);
   }
 
   std::vector<AllocEvent> events_;
-  /// Memoized fingerprint: value + valid flag, release/acquire paired so
-  /// concurrent readers of an immutable trace never see a torn cache.
+  /// Memoized fingerprint and id bounds: values + valid flags,
+  /// release/acquire paired so concurrent readers of an immutable trace
+  /// never see a torn memo.
   mutable std::atomic<std::uint64_t> fp_cache_{0};
   mutable std::atomic<bool> fp_valid_{false};
+  mutable std::atomic<std::uint32_t> bounds_max_id_{0};
+  mutable std::atomic<std::uint64_t> bounds_allocs_{0};
+  mutable std::atomic<bool> bounds_valid_{false};
 };
 
 }  // namespace dmm::core

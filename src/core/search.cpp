@@ -140,6 +140,12 @@ SearchContext::SearchContext(std::vector<FamilyEvalMember> family,
   }
 }
 
+SearchContext::~SearchContext() { engine_.settle_hints(); }
+
+void SearchContext::hint(const EvalJob& job) {
+  if (speculating()) engine_.hint(*trace_, job, cache_.ptr());
+}
+
 void SearchContext::account(const EvalOutcome& out) {
   if (out.from_cache) {
     ++result_.cache_hits;
@@ -284,6 +290,7 @@ bool SearchContext::canonical_duplicate(const DmmConfig& cfg) {
 }
 
 ExplorationResult SearchContext::finish() {
+  engine_.settle_hints();
   result_.feasible = tracker_.feasible();
   result_.cross_search_hits =
       cache_.session ? cache_.session->cross_search_hits() : 0;
@@ -306,12 +313,51 @@ ExplorationResult SearchContext::finish() {
 GreedySearch::GreedySearch(std::vector<TreeId> order)
     : order_(std::move(order)) {}
 
+namespace {
+
+/// Greedy lookahead: hints the candidates the walk will submit at steps
+/// after @p step if every step from @p step on keeps its incumbent leaf —
+/// the leaf the repaired current vector already has, which on the case
+/// studies wins nearly every step.  The incumbent candidate itself is
+/// skipped: it repeats the previous step's winning completion, a cache
+/// hit.  Steps are hinted nearest first, the order workers take them in.
+void hint_lookahead(SearchContext& ctx, const std::vector<TreeId>& order,
+                    std::size_t step, DmmConfig cfg, DecidedMask decided) {
+  const bool prune_soft = ctx.options().prune_soft;
+  for (std::size_t k = step; k < order.size(); ++k) {
+    const TreeId tree = order[k];
+    const int incumbent = get_leaf(Constraints::repair(cfg, decided), tree);
+    if (!Constraints::admissible(cfg, decided, tree, incumbent, prune_soft)) {
+      return;  // the prediction cannot hold from here on
+    }
+    if (k > step) {
+      for (int leaf = 0; leaf < leaf_count(tree); ++leaf) {
+        if (leaf == incumbent ||
+            !Constraints::admissible(cfg, decided, tree, leaf, prune_soft)) {
+          continue;
+        }
+        DmmConfig probe = cfg;
+        set_leaf(probe, tree, leaf);
+        DecidedMask probe_decided = decided;
+        probe_decided[static_cast<std::size_t>(tree)] = true;
+        ctx.hint({Constraints::repair(probe, probe_decided),
+                  static_cast<std::uint64_t>(leaf)});
+      }
+    }
+    set_leaf(cfg, tree, incumbent);
+    decided[static_cast<std::size_t>(tree)] = true;
+  }
+}
+
+}  // namespace
+
 void GreedySearch::run(SearchContext& ctx) {
   const ExplorerOptions& opts = ctx.options();
   ExplorationResult& result = ctx.result();
   DmmConfig cfg = opts.defaults;
   DecidedMask decided{};
-  for (TreeId tree : order_) {
+  for (std::size_t step_index = 0; step_index < order_.size(); ++step_index) {
+    const TreeId tree = order_[step_index];
     StepLog step;
     step.tree = tree;
     // Submit-as-generated: each admissible leaf's repaired completion is
@@ -333,6 +379,13 @@ void GreedySearch::run(SearchContext& ctx) {
                     static_cast<std::uint64_t>(leaf)});
       }
       step.candidates.push_back(cand);
+    }
+    if (ctx.speculating()) {
+      // While this step's replays run, idle workers replay the later
+      // steps' likely candidates.  Hints made at earlier steps assumed an
+      // outcome this step may not have had, so unstarted ones go first.
+      ctx.drop_hints();
+      hint_lookahead(ctx, order_, step_index, cfg, decided);
     }
     const std::vector<EvalOutcome> outcomes = ctx.drain();
     BestTracker best;

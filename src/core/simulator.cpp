@@ -14,6 +14,12 @@ struct LiveObj {
   std::uint32_t size;
 };
 
+/// Each thread's dense live-object table, lent to one replay at a time.
+/// A DRR replay needs 1.27 MB of it; allocating that per replay left
+/// glibc's per-thread arenas each retaining two freed tables, split by the
+/// small allocations in between.
+thread_local std::vector<LiveObj> t_spare_table;
+
 /// Live-object map with a dense-id flat-vector fast path.
 ///
 /// Traces recorded by the workloads number objects densely from 0, so the
@@ -22,15 +28,28 @@ struct LiveObj {
 /// spaces fall back to the hash map the simulator always used.  Both paths
 /// preserve the exact duplicate-id semantics of the original map code:
 /// emplace keeps the first pointer, lookups miss on absent ids.
+///
+/// The dense vector is the thread's spare table, taken on construction and
+/// handed back on destruction, so a thread reuses one allocation across
+/// replays (a nested replay on the same thread finds the spare taken and
+/// allocates its own).
 class LiveMap {
  public:
   LiveMap(bool dense, std::uint32_t max_id) : dense_(dense) {
     if (dense_) {
+      flat_.swap(t_spare_table);
       flat_.assign(static_cast<std::size_t>(max_id) + 1, LiveObj{nullptr, 0});
     } else {
       map_.reserve(1024);
     }
   }
+  ~LiveMap() {
+    if (dense_ && flat_.capacity() > t_spare_table.capacity()) {
+      flat_.swap(t_spare_table);
+    }
+  }
+  LiveMap(const LiveMap&) = delete;
+  LiveMap& operator=(const LiveMap&) = delete;
 
   void emplace(std::uint32_t id, void* ptr, std::uint32_t size) {
     if (dense_) {

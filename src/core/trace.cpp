@@ -113,16 +113,23 @@ std::unique_ptr<TraceCursor> AllocTrace::cursor() const {
 }
 
 TraceIdBounds AllocTrace::id_bounds() const {
+  if (bounds_valid_.load(std::memory_order_acquire)) {
+    return {bounds_max_id_.load(std::memory_order_relaxed),
+            bounds_allocs_.load(std::memory_order_relaxed)};
+  }
   TraceIdBounds b;
   for (const AllocEvent& e : events_) {
     b.max_id = std::max(b.max_id, e.id);
     if (e.op == AllocEvent::Op::kAlloc) ++b.allocs;
   }
+  bounds_max_id_.store(b.max_id, std::memory_order_relaxed);
+  bounds_allocs_.store(b.allocs, std::memory_order_relaxed);
+  bounds_valid_.store(true, std::memory_order_release);
   return b;
 }
 
 void AllocTrace::append(const AllocTrace& other, std::uint16_t phase_offset) {
-  invalidate_fp_cache();
+  invalidate_memos();
   std::uint32_t id_offset = 0;
   for (const AllocEvent& e : events_) {
     id_offset = std::max(id_offset, e.id + 1);
@@ -135,7 +142,7 @@ void AllocTrace::append(const AllocTrace& other, std::uint16_t phase_offset) {
 }
 
 void AllocTrace::close_leaks() {
-  invalidate_fp_cache();
+  invalidate_memos();
   std::unordered_set<std::uint32_t> live;
   std::uint16_t last_phase = 0;
   for (const AllocEvent& e : events_) {

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
 
 namespace dmm::core {
@@ -284,6 +287,190 @@ TEST(EvalEngine, SharedTraceIsNotCopied) {
   EXPECT_EQ(a.shared_trace().get(), trace.get());
   EXPECT_EQ(b.shared_trace().get(), trace.get());
   EXPECT_EQ(&a.trace(), &b.trace());
+}
+
+// ---------------------------------------------------------------------------
+// Speculation: hints are replayed by idle workers and adopted at submit
+// ---------------------------------------------------------------------------
+
+/// Blocks until a worker of @p engine has started @p n hints.
+void wait_hints_started(const EvalEngine& engine, std::uint64_t n) {
+  while (engine.hint_stats().started < n) std::this_thread::yield();
+}
+
+void expect_same_outcome(const EvalOutcome& a, const EvalOutcome& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.tag, b.tag) << what;
+  EXPECT_EQ(a.from_cache, b.from_cache) << what;
+  EXPECT_EQ(a.work_steps, b.work_steps) << what;
+  EXPECT_EQ(a.sim.peak_footprint, b.sim.peak_footprint) << what;
+  EXPECT_EQ(a.sim.final_footprint, b.sim.final_footprint) << what;
+  EXPECT_EQ(a.sim.avg_footprint, b.sim.avg_footprint) << what;
+  EXPECT_EQ(a.sim.peak_live_bytes, b.sim.peak_live_bytes) << what;
+  EXPECT_EQ(a.sim.failed_allocs, b.sim.failed_allocs) << what;
+  EXPECT_EQ(a.sim.events, b.sim.events) << what;
+}
+
+void expect_same_stats(const SharedScoreCache::Stats& a,
+                       const SharedScoreCache::Stats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.searches, b.searches) << what;
+  EXPECT_EQ(a.hits, b.hits) << what;
+  EXPECT_EQ(a.cross_search_hits, b.cross_search_hits) << what;
+  EXPECT_EQ(a.persisted_hits, b.persisted_hits) << what;
+  EXPECT_EQ(a.insertions, b.insertions) << what;
+  EXPECT_EQ(a.evictions, b.evictions) << what;
+  EXPECT_EQ(a.entries, b.entries) << what;
+}
+
+TEST(EngineHint, HintedThenSubmittedEqualsUnhinted) {
+  const AllocTrace trace = workload_trace("drr", 3000);
+  DmmConfig best_fit = alloc::drr_paper_config();
+  best_fit.fit = alloc::FitAlgorithm::kBestFit;
+  const std::vector<EvalJob> jobs = {{alloc::drr_paper_config(), 5},
+                                     {best_fit, 6},
+                                     {alloc::drr_paper_config(), 7}};
+
+  SerialEngine serial;
+  SharedScoreCache plain_store;
+  SharedScoreCache::Session plain = plain_store.begin_search(1);
+  const std::vector<EvalOutcome> want = serial.evaluate(trace, jobs, &plain);
+
+  // The hint is adopted queued, running or finished depending on how far
+  // a worker got before the submit; every path must match the unhinted
+  // run in outcome and accounting.
+  for (int wait = 0; wait < 3; ++wait) {
+    const std::string what = "wait mode " + std::to_string(wait);
+    ThreadPoolEngine pool(2);
+    SharedScoreCache store;
+    SharedScoreCache::Session cache = store.begin_search(1);
+    // Hinted under other tags: adoption keeps the submitted job's tag.
+    pool.hint(trace, {jobs[0].cfg, 100}, &cache);
+    pool.hint(trace, {jobs[1].cfg, 101}, &cache);
+    if (wait >= 1) wait_hints_started(pool, 2);
+    if (wait >= 2) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::vector<EvalOutcome> got = pool.evaluate(trace, jobs, &cache);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_same_outcome(got[i], want[i], what + " job " +
+                                               std::to_string(i));
+    }
+    pool.settle_hints();
+    expect_same_stats(store.stats(), plain_store.stats(), what);
+    EXPECT_EQ(cache.cross_search_hits(), plain.cross_search_hits()) << what;
+    const EvalEngine::HintStats hs = pool.hint_stats();
+    EXPECT_EQ(hs.queued, 2u) << what;
+    if (wait >= 1) {
+      EXPECT_EQ(hs.adopted, 2u) << what;
+    }
+  }
+}
+
+TEST(EngineHint, UnsubmittedHintsLeaveTheCacheUntouched) {
+  const AllocTrace trace = workload_trace("drr", 2000);
+  // Single-shard bounded cache: exact LRU, so a touched entry would
+  // survive an eviction it otherwise loses.
+  const SharedScoreCache::Limits limits{3, 0};
+  std::vector<DmmConfig> cfgs;
+  for (const alloc::FitAlgorithm fit :
+       {alloc::FitAlgorithm::kFirstFit, alloc::FitAlgorithm::kBestFit,
+        alloc::FitAlgorithm::kExactFit, alloc::FitAlgorithm::kNextFit,
+        alloc::FitAlgorithm::kWorstFit}) {
+    DmmConfig cfg = alloc::drr_paper_config();
+    cfg.fit = fit;
+    cfgs.push_back(cfg);
+  }
+  for (std::size_t i = 1; i < cfgs.size(); ++i) {
+    ASSERT_NE(alloc::canonical(cfgs[i]), alloc::canonical(cfgs[i - 1]));
+  }
+  auto run = [&](bool with_hints, std::vector<bool>* alive) {
+    SharedScoreCache store(limits);
+    SharedScoreCache::Session cache = store.begin_search(9);
+    ThreadPoolEngine pool(2);
+    (void)pool.evaluate(trace, {{cfgs[0], 0}, {cfgs[1], 1}, {cfgs[2], 2}},
+                        &cache);
+    if (with_hints) {
+      // cfgs[0] is cached and least recent: a probe that touched it would
+      // save it from the eviction below.  cfgs[3] is not cached and is
+      // replayed but never submitted.
+      pool.hint(trace, {cfgs[0], 0}, &cache);
+      pool.hint(trace, {cfgs[3], 3}, &cache);
+      wait_hints_started(pool, 1);
+      pool.settle_hints();
+      EXPECT_EQ(pool.hint_stats().queued, 1u) << "cached vector hinted";
+      EXPECT_EQ(pool.hint_stats().adopted, 0u);
+    }
+    (void)pool.evaluate(trace, {{cfgs[4], 4}}, &cache);  // evicts one
+    alive->clear();
+    for (const DmmConfig& cfg : cfgs) {
+      alive->push_back(cache.contains_canonical(alloc::canonical(cfg)));
+    }
+    return store.stats();
+  };
+  std::vector<bool> alive_plain;
+  std::vector<bool> alive_hinted;
+  const SharedScoreCache::Stats plain = run(false, &alive_plain);
+  const SharedScoreCache::Stats hinted = run(true, &alive_hinted);
+  expect_same_stats(hinted, plain, "hinted vs plain");
+  EXPECT_EQ(alive_hinted, alive_plain);
+  EXPECT_FALSE(alive_plain[0]) << "LRU evicts the oldest entry";
+  EXPECT_FALSE(alive_hinted[3]) << "a hint never inserts";
+}
+
+TEST(EngineHint, HintOnOneTraceIsNeverAdoptedOnAnother) {
+  const AllocTrace a = workload_trace("drr", 3000);
+  const AllocTrace b = workload_trace("render3d", 3000);
+  const DmmConfig cfg = alloc::drr_paper_config();
+  SharedScoreCache store;
+  SharedScoreCache::Session cache_a = store.begin_search(a.fingerprint());
+  SharedScoreCache::Session cache_b = store.begin_search(b.fingerprint());
+  ThreadPoolEngine pool(2);
+  pool.hint(a, {cfg, 0}, &cache_a);
+  wait_hints_started(pool, 1);
+  const std::vector<EvalOutcome> got = pool.evaluate(b, {{cfg, 0}}, &cache_b);
+  pool.settle_hints();
+  EXPECT_EQ(pool.hint_stats().adopted, 0u);
+  SerialEngine serial;
+  expect_same_outcome(got[0], serial.evaluate(b, {{cfg, 0}})[0], "trace b");
+}
+
+TEST(EngineHint, TraceDestroyedRightAfterFinishIsSafe) {
+  // A design run destroys its sub-traces before the engine; finish() must
+  // leave no hint replaying them (ASan reports the use-after-free).
+  ThreadPoolEngine pool(2);
+  ExplorerOptions opts;
+  // A chunk size no greedy candidate has: never cached, never submitted.
+  std::vector<DmmConfig> never_submitted = {alloc::drr_paper_config(),
+                                            alloc::minimal_config()};
+  for (DmmConfig& cfg : never_submitted) cfg.chunk_bytes *= 8;
+  for (int round = 0; round < 3; ++round) {
+    auto trace = std::make_unique<AllocTrace>(workload_trace("drr", 8000));
+    SearchContext ctx(*trace, trace->fingerprint(), opts, pool);
+    GreedySearch greedy;
+    greedy.run(ctx);
+    // Hints still running when the search ends: finish() must wait.
+    const EvalEngine::HintStats before = pool.hint_stats();
+    ctx.hint({never_submitted[0], 0});
+    ctx.hint({never_submitted[1], 1});
+    ASSERT_EQ(pool.hint_stats().queued, before.queued + 2);
+    wait_hints_started(pool, before.started + 2);
+    const ExplorationResult r = ctx.finish();
+    trace.reset();
+    EXPECT_GT(r.simulations, 0u);
+  }
+  const EvalEngine::HintStats hs = pool.hint_stats();
+  EXPECT_LE(hs.adopted, hs.started);
+  EXPECT_LE(hs.started, hs.queued);
+}
+
+TEST(EngineHint, SerialEngineIgnoresHints) {
+  const AllocTrace trace = workload_trace("drr", 2000);
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(1);
+  SerialEngine serial;
+  serial.hint(trace, {alloc::drr_paper_config(), 0}, &cache);
+  EXPECT_EQ(serial.hint_stats().queued, 0u);
+  EXPECT_EQ(store.stats().insertions, 0u);
 }
 
 }  // namespace

@@ -41,14 +41,6 @@ class FakeHost : public PoolHost {
     ++releases;
   }
 
-  ChunkHeader* pool_find_chunk(const void* p) override {
-    const sysmem::Grant grant = arena_.grant_of(p);
-    if (grant.owner != this) return nullptr;
-    return reinterpret_cast<ChunkHeader*>(grant.base);
-  }
-
-  AllocatorStats& pool_stats() override { return stats; }
-
   sysmem::SystemArena& arena() { return arena_; }
 
   AllocatorStats stats;
@@ -70,7 +62,8 @@ TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
   FakeHost host;
   const DmmConfig cfg = variable_cfg();
   {
-    Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+    Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+              host.stats);
     std::vector<std::byte*> blocks;
     // 16 KiB chunk minus header = 16336; 100 x 160-byte blocks need two.
     for (int i = 0; i < 110; ++i) {
@@ -81,10 +74,9 @@ TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
     EXPECT_EQ(host.grows, 2);
     EXPECT_EQ(pool.live_blocks(), 110u);
     pool.check_integrity();
-    ChunkHeader* chunk = host.pool_find_chunk(blocks[0]);
+    ChunkHeader* chunk = pool.chunk_of(blocks[0]);
     for (std::byte* b : blocks) {
-      pool.free_block(b, pool.block_size_of(b),
-                      host.pool_find_chunk(b));
+      pool.free_block(b, pool.block_size_of(b), pool.chunk_of(b));
     }
     (void)chunk;
   }
@@ -94,13 +86,14 @@ TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
 TEST(Pool, ImmediateCoalesceMergesRunsBidirectionally) {
   FakeHost host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+            host.stats);
   // a | b | c | barrier — free a, c, then b: b must bridge a and c.
   std::byte* a = pool.allocate_block(256);
   std::byte* b = pool.allocate_block(256);
   std::byte* c = pool.allocate_block(256);
   std::byte* barrier = pool.allocate_block(256);
-  ChunkHeader* chunk = host.pool_find_chunk(a);
+  ChunkHeader* chunk = pool.chunk_of(a);
   pool.free_block(a, 256, chunk);
   pool.free_block(c, 256, chunk);
   EXPECT_EQ(pool.index().count(), 2u);
@@ -114,10 +107,11 @@ TEST(Pool, ImmediateCoalesceMergesRunsBidirectionally) {
 TEST(Pool, WildernessRetreatInsteadOfTrailingFreeBlock) {
   FakeHost host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+            host.stats);
   std::byte* a = pool.allocate_block(256);
   std::byte* b = pool.allocate_block(256);  // b touches the wilderness
-  ChunkHeader* chunk = host.pool_find_chunk(a);
+  ChunkHeader* chunk = pool.chunk_of(a);
   const std::size_t bump_before = chunk->bump;
   pool.free_block(b, 256, chunk);
   EXPECT_EQ(chunk->bump, bump_before - 256) << "bump retreats over b";
@@ -131,9 +125,10 @@ TEST(Pool, EmptyChunkReleasedOnlyWithGrowShrink) {
     FakeHost host;
     DmmConfig cfg = variable_cfg();
     cfg.adaptivity = adaptivity;
-    Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+    Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+              host.stats);
     std::byte* a = pool.allocate_block(512);
-    ChunkHeader* chunk = host.pool_find_chunk(a);
+    ChunkHeader* chunk = pool.chunk_of(a);
     pool.free_block(a, 512, chunk);
     if (adaptivity == PoolAdaptivity::kGrowAndShrink) {
       EXPECT_EQ(host.releases, 1) << "empty chunk goes back";
@@ -150,10 +145,11 @@ TEST(Pool, DeferredSweepBridgesScatteredFrees) {
   DmmConfig cfg = variable_cfg();
   cfg.coalesce_when = CoalesceWhen::kDeferred;
   cfg.adaptivity = PoolAdaptivity::kGrowOnly;
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+            host.stats);
   std::vector<std::byte*> blocks;
   for (int i = 0; i < 32; ++i) blocks.push_back(pool.allocate_block(256));
-  ChunkHeader* chunk = host.pool_find_chunk(blocks[0]);
+  ChunkHeader* chunk = pool.chunk_of(blocks[0]);
   // Free all but the last (it guards the wilderness edge).
   for (int i = 0; i < 31; ++i) {
     pool.free_block(blocks[static_cast<std::size_t>(i)], 256, chunk);
@@ -171,12 +167,13 @@ TEST(Pool, FixedPoolServesUniformBlocks) {
   FakeHost host;
   DmmConfig cfg = fig4_wrong_order_config();  // no tags, fixed pools
   cfg.chunk_bytes = 16 * 1024;
-  Pool pool(cfg, BlockLayout::from(cfg), /*fixed_block_size=*/128, host);
+  Pool pool(cfg, BlockLayout::from(cfg), /*fixed_block_size=*/128, host,
+            host.arena(), &host, host.stats);
   std::byte* a = pool.allocate_block(128);
   std::byte* b = pool.allocate_block(128);
   EXPECT_EQ(pool.block_size_of(a), 128u) << "size from pool membership";
   EXPECT_EQ(b - a, 128) << "uniform grid";
-  ChunkHeader* chunk = host.pool_find_chunk(a);
+  ChunkHeader* chunk = pool.chunk_of(a);
   pool.free_block(a, 128, chunk);
   std::byte* c = pool.allocate_block(128);
   EXPECT_EQ(c, a) << "free list recycles the slot";
@@ -188,10 +185,10 @@ TEST(Pool, SplitHonoursMinimumViableRemainder) {
   FakeHost host;
   const DmmConfig cfg = variable_cfg();
   const BlockLayout layout = BlockLayout::from(cfg);
-  Pool pool(cfg, layout, 0, host);
+  Pool pool(cfg, layout, 0, host, host.arena(), &host, host.stats);
   std::byte* big = pool.allocate_block(512);
   std::byte* barrier = pool.allocate_block(64);
-  ChunkHeader* chunk = host.pool_find_chunk(big);
+  ChunkHeader* chunk = pool.chunk_of(big);
   pool.free_block(big, 512, chunk);
   // Request leaving a remainder below min_block: no split, whole block.
   const std::size_t min_block =
@@ -208,10 +205,11 @@ TEST(Pool, BoundedSplitProducesClassSizedRemainders) {
   FakeHost host;
   DmmConfig cfg = variable_cfg();
   cfg.split_sizes = SplitSizes::kBoundedByClass;
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+            host.stats);
   std::byte* big = pool.allocate_block(1000);
   std::byte* barrier = pool.allocate_block(64);
-  ChunkHeader* chunk = host.pool_find_chunk(big);
+  ChunkHeader* chunk = pool.chunk_of(big);
   pool.free_block(big, 1000, chunk);
   // 1000-block for a 200 request: remainder 800 rounds down to 512.
   std::byte* taken = pool.allocate_block(200);
@@ -229,13 +227,14 @@ TEST(Pool, BoundedSplitProducesClassSizedRemainders) {
 TEST(Pool, GrowReserveProvisionsWithoutAllocating) {
   FakeHost host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host);
+  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
+            host.stats);
   ASSERT_NE(pool.grow_reserve(64 * 1024), nullptr);
   EXPECT_EQ(pool.live_blocks(), 0u);
   EXPECT_GE(host.arena().footprint(), 64u * 1024);
   std::byte* b = pool.allocate_block(1024);
   EXPECT_EQ(host.grows, 1) << "the reserve serves the allocation";
-  pool.free_block(b, 1024, host.pool_find_chunk(b));
+  pool.free_block(b, 1024, pool.chunk_of(b));
 }
 
 }  // namespace

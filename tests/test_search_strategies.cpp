@@ -14,7 +14,9 @@
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
 //    the manager provably never reads it, B2 must stay distinct because
 //    the linked-list pool lookup charges work the array lookup does not,
-//  * a strategy that throws mid-run still persists the score cache.
+//  * a strategy that throws mid-run still persists the score cache,
+//  * the greedy lookahead's hints are adopted on a DRR cut without moving
+//    any result or count.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 
 #include "dmm/core/explorer.h"
 #include "dmm/core/search.h"
+#include "dmm/workloads/workload.h"
 
 namespace dmm::core {
 namespace {
@@ -247,6 +250,27 @@ TEST_F(SearchStrategies, AllStrategiesBitIdenticalAcrossThreadCounts) {
               " threads");
     }
   }
+}
+
+TEST(GreedyLookahead, TwoThreadGreedyAdoptsHintsOnADrrCut) {
+  AllocTrace cut = workloads::record_trace(workloads::case_study("drr"), 7);
+  cut.events().resize(20000);
+  cut.close_leaks();
+  const auto trace = std::make_shared<const AllocTrace>(std::move(cut));
+  ExplorerOptions serial_opts;
+  Explorer serial(trace, serial_opts);
+  const ExplorationResult want = serial.explore(paper_order());
+
+  ExplorerOptions opts;
+  opts.num_threads = 2;
+  Explorer pooled(trace, opts);
+  const ExplorationResult got = pooled.explore(paper_order());
+  expect_identical_with_accounting(got, want, "2-thread greedy with hints");
+  // Engine-side counter only: nothing a result reports depends on it.
+  const EvalEngine::HintStats hs = pooled.engine().hint_stats();
+  EXPECT_GT(hs.adopted, 0u) << "queued " << hs.queued << ", started "
+                            << hs.started;
+  EXPECT_LE(hs.adopted, got.simulations);
 }
 
 TEST_F(SearchStrategies, CacheScopesShiftAccountingNotResults) {

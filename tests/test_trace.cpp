@@ -102,5 +102,47 @@ TEST(AllocTrace, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(AllocTrace, IdBoundsRecomputeAfterEveryMutation) {
+  AllocTrace t = simple_trace();
+  EXPECT_EQ(t.id_bounds().max_id, 2u);
+  EXPECT_EQ(t.id_bounds().allocs, 3u);  // second call: served by the memo
+
+  t.record_alloc(9, 10);
+  EXPECT_EQ(t.id_bounds().max_id, 9u) << "record_alloc";
+  EXPECT_EQ(t.id_bounds().allocs, 4u);
+
+  t.close_leaks();
+  t.record_free(11);
+  EXPECT_EQ(t.id_bounds().max_id, 11u) << "record_free";
+  EXPECT_EQ(t.id_bounds().allocs, 4u);
+
+  t.events().push_back({AllocEvent::Op::kAlloc, 20, 8, 0});
+  EXPECT_EQ(t.id_bounds().max_id, 20u) << "mutable events()";
+  EXPECT_EQ(t.id_bounds().allocs, 5u);
+
+  const TraceIdBounds before = t.id_bounds();
+  t.append(simple_trace());
+  EXPECT_EQ(t.id_bounds().max_id, 21u + 2u) << "append offsets ids past 20";
+  EXPECT_EQ(t.id_bounds().allocs, before.allocs + 3u);
+
+  AllocTrace leaky;
+  leaky.record_alloc(0, 16);
+  EXPECT_EQ(leaky.id_bounds().allocs, 1u);
+  leaky.close_leaks();
+  EXPECT_EQ(leaky.size(), 2u) << "close_leaks";
+  leaky.record_alloc(3, 16);
+  EXPECT_EQ(leaky.id_bounds().max_id, 3u);
+
+  // Copies and moves carry the memo along with the events.
+  const AllocTrace copy = t;
+  EXPECT_EQ(copy.id_bounds().max_id, t.id_bounds().max_id);
+  EXPECT_EQ(copy.id_bounds().allocs, t.id_bounds().allocs);
+  AllocTrace moved = std::move(t);
+  EXPECT_EQ(moved.id_bounds().max_id, copy.id_bounds().max_id);
+  moved.record_alloc(40, 1);
+  EXPECT_EQ(moved.id_bounds().max_id, 40u);
+  EXPECT_EQ(copy.id_bounds().max_id, 23u) << "a copy is independent";
+}
+
 }  // namespace
 }  // namespace dmm::core
