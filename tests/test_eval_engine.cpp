@@ -293,9 +293,16 @@ TEST(EvalEngine, SharedTraceIsNotCopied) {
 // Speculation: hints are replayed by idle workers and adopted at submit
 // ---------------------------------------------------------------------------
 
-/// Blocks until a worker of @p engine has started @p n hints.
-void wait_hints_started(const EvalEngine& engine, std::uint64_t n) {
-  while (engine.hint_stats().started < n) std::this_thread::yield();
+/// Waits until workers of @p engine have started @p n hints; false after
+/// a minute, so a hint that was never queued fails the test, not hangs it.
+bool hints_started(const EvalEngine& engine, std::uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (engine.hint_stats().started < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 void expect_same_outcome(const EvalOutcome& a, const EvalOutcome& b,
@@ -347,7 +354,9 @@ TEST(EngineHint, HintedThenSubmittedEqualsUnhinted) {
     // Hinted under other tags: adoption keeps the submitted job's tag.
     pool.hint(trace, {jobs[0].cfg, 100}, &cache);
     pool.hint(trace, {jobs[1].cfg, 101}, &cache);
-    if (wait >= 1) wait_hints_started(pool, 2);
+    if (wait >= 1) {
+      ASSERT_TRUE(hints_started(pool, 2)) << what;
+    }
     if (wait >= 2) std::this_thread::sleep_for(std::chrono::milliseconds(50));
     const std::vector<EvalOutcome> got = pool.evaluate(trace, jobs, &cache);
     ASSERT_EQ(got.size(), want.size());
@@ -395,7 +404,7 @@ TEST(EngineHint, UnsubmittedHintsLeaveTheCacheUntouched) {
       // replayed but never submitted.
       pool.hint(trace, {cfgs[0], 0}, &cache);
       pool.hint(trace, {cfgs[3], 3}, &cache);
-      wait_hints_started(pool, 1);
+      EXPECT_TRUE(hints_started(pool, 1));
       pool.settle_hints();
       EXPECT_EQ(pool.hint_stats().queued, 1u) << "cached vector hinted";
       EXPECT_EQ(pool.hint_stats().adopted, 0u);
@@ -426,7 +435,7 @@ TEST(EngineHint, HintOnOneTraceIsNeverAdoptedOnAnother) {
   SharedScoreCache::Session cache_b = store.begin_search(b.fingerprint());
   ThreadPoolEngine pool(2);
   pool.hint(a, {cfg, 0}, &cache_a);
-  wait_hints_started(pool, 1);
+  ASSERT_TRUE(hints_started(pool, 1));
   const std::vector<EvalOutcome> got = pool.evaluate(b, {{cfg, 0}}, &cache_b);
   pool.settle_hints();
   EXPECT_EQ(pool.hint_stats().adopted, 0u);
@@ -453,7 +462,7 @@ TEST(EngineHint, TraceDestroyedRightAfterFinishIsSafe) {
     ctx.hint({never_submitted[0], 0});
     ctx.hint({never_submitted[1], 1});
     ASSERT_EQ(pool.hint_stats().queued, before.queued + 2);
-    wait_hints_started(pool, before.started + 2);
+    ASSERT_TRUE(hints_started(pool, before.started + 2));
     const ExplorationResult r = ctx.finish();
     trace.reset();
     EXPECT_GT(r.simulations, 0u);
