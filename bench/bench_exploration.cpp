@@ -6,7 +6,7 @@
 // Also reports the search cost (trace replays) of each strategy, the
 // cross-search savings of running every strategy against one
 // SharedScoreCache, and the replay reduction of enumerating the canonical
-// quotient space in exhaustive().  Emits BENCH_cache.json for the perf
+// quotient space in the exhaustive search.  Emits BENCH_cache.json for the perf
 // trajectory.
 //
 // Optional argv[1]: cap on trace events (0 = full trace).  Full case-study
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 
 namespace {
 
@@ -91,13 +91,10 @@ int main(int argc, char** argv) {
   bool first_workload = true;
   bool all_prunes_kept_best = true;
   for (const workloads::Workload& w : workloads::case_studies()) {
-    core::AllocTrace recorded = workloads::record_trace(w, 1);
-    bench::cap_events(recorded, max_events);
-    const auto trace =
-        std::make_shared<const core::AllocTrace>(std::move(recorded));
+    core::AllocTrace trace = workloads::record_trace(w, 1);
+    trace.truncate(max_events);
     std::printf("\n== %s (%zu events, %zu distinct sizes) ==\n",
-                w.name.c_str(), trace->size(),
-                trace->stats().distinct_sizes);
+                w.name.c_str(), trace.size(), trace.stats().distinct_sizes);
     std::printf("%-34s %14s %8s %6s %6s %6s\n", "strategy", "peak (B)",
                 "replays", "cached", "cross", "warm");
     bench::print_rule();
@@ -113,19 +110,24 @@ int main(int argc, char** argv) {
     if (!args.cache_file.empty()) {
       (void)opts.shared_cache->load(args.cache_file);
     }
-    core::Explorer ex(trace, opts);
+    const auto greedy_walk = [&](const std::vector<TreeId>& order) {
+      core::GreedySearch walk(order);
+      return core::run_search(trace, walk, opts);
+    };
 
-    const core::ExplorationResult greedy = ex.explore(core::paper_order());
-    const core::ExplorationResult wrong = ex.explore(core::fig4_wrong_order());
-    const core::ExplorationResult naive = ex.explore(core::naive_order());
+    const core::ExplorationResult greedy = greedy_walk(core::paper_order());
+    const core::ExplorationResult wrong = greedy_walk(core::fig4_wrong_order());
+    const core::ExplorationResult naive = greedy_walk(core::naive_order());
     // Equal budget = the greedy walk's *evaluations* (replays + hits).
+    core::RandomSearch sampler(greedy.simulations + greedy.cache_hits,
+                               /*seed=*/42);
     const core::ExplorationResult random =
-        ex.random_search(greedy.simulations + greedy.cache_hits, /*seed=*/42);
+        core::run_search(trace, sampler, opts);
     // Ground truth over the six highest-impact trees (others repaired).
-    const std::vector<TreeId> subspace = {TreeId::kA2, TreeId::kA5,
-                                          TreeId::kE2, TreeId::kD2,
-                                          TreeId::kB4, TreeId::kC1};
-    const core::ExplorationResult truth = ex.exhaustive(subspace);
+    core::ExhaustiveSearch exhaustive({TreeId::kA2, TreeId::kA5, TreeId::kE2,
+                                       TreeId::kD2, TreeId::kB4, TreeId::kC1});
+    const core::ExplorationResult truth =
+        core::run_search(trace, exhaustive, opts);
     if (!args.cache_file.empty()) {
       (void)opts.shared_cache->save(args.cache_file);
     }
@@ -164,18 +166,17 @@ int main(int argc, char** argv) {
     // rules only) of the alias-rich A5/E2/D2 trees with caches off, so
     // `simulations` counts every replay of the seed-style enumeration
     // honestly, then again with the canonical-seen prune.
-    const std::vector<TreeId> alias_space = {TreeId::kA5, TreeId::kE2,
-                                             TreeId::kD2};
+    core::ExhaustiveSearch alias_space({TreeId::kA5, TreeId::kE2, TreeId::kD2});
     core::ExplorerOptions raw_opts;
     raw_opts.prune_soft = false;
     raw_opts.cache = false;
     raw_opts.canonical_prune = false;
-    core::Explorer raw_ex(trace, raw_opts);
-    const core::ExplorationResult raw = raw_ex.exhaustive(alias_space);
+    const core::ExplorationResult raw =
+        core::run_search(trace, alias_space, raw_opts);
     core::ExplorerOptions quotient_opts = raw_opts;
     quotient_opts.canonical_prune = true;
-    core::Explorer quotient_ex(trace, quotient_opts);
-    const core::ExplorationResult quotient = quotient_ex.exhaustive(alias_space);
+    const core::ExplorationResult quotient =
+        core::run_search(trace, alias_space, quotient_opts);
     const bool same_best = raw.best == quotient.best &&
                            raw.best_sim.peak_footprint ==
                                quotient.best_sim.peak_footprint;
@@ -196,7 +197,7 @@ int main(int argc, char** argv) {
 
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
                  first_workload ? "" : ",", w.name.c_str());
-    std::fprintf(json, "      \"events\": %zu,\n", trace->size());
+    std::fprintf(json, "      \"events\": %zu,\n", trace.size());
     std::fprintf(json, "      \"searches\": [");
     bool first_row = true;
     for (const SearchRow& row : rows) {

@@ -30,7 +30,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 
 namespace {
 
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     std::vector<core::AllocTrace> traces;
     for (const unsigned seed : kSeeds) {
       core::AllocTrace t = workloads::record_trace(w, seed);
-      bench::cap_events(t, args.max_events);
+      t.truncate(args.max_events);
       traces.push_back(std::move(t));
     }
     std::printf("\n== %s (%zu traces, %zu events each) ==\n", w.name.c_str(),
@@ -80,25 +81,30 @@ int main(int argc, char** argv) {
 
     // The paper's flow, once per trace.
     std::vector<alloc::DmmConfig> solo_best;
-    std::vector<std::unique_ptr<core::Explorer>> explorers;
-    for (std::size_t i = 0; i < n; ++i) {
-      explorers.push_back(std::make_unique<core::Explorer>(traces[i], opts));
-      solo_best.push_back(explorers[i]->explore(core::paper_order()).best);
+    core::GreedySearch greedy(core::paper_order());
+    for (const core::AllocTrace& t : traces) {
+      solo_best.push_back(core::run_search(t, greedy, opts).best);
     }
 
     // Cross-application matrix: peak[i][j] = solo best of trace i replayed
     // on trace j.  The diagonal is each trace's own designed peak — the
-    // per-trace oracle regret is measured against.
+    // per-trace oracle regret is measured against.  Scored through the
+    // shared cache, so the family search below rides these replays too.
+    core::SerialEngine engine;
     std::vector<std::vector<std::size_t>> peak(n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        peak[i].push_back(explorers[j]->score(solo_best[i]).peak_footprint);
+        core::SharedScoreCache::Session session =
+            opts.shared_cache->begin_search(traces[j].fingerprint());
+        peak[i].push_back(
+            engine.evaluate(traces[j], {{solo_best[i], 0}}, &session)[0]
+                .sim.peak_footprint);
       }
     }
 
     // The family design: a budgeted portfolio over the same cache, seeded
     // with every solo best so the result can only generalize better.
-    core::FamilyDesignOptions fopts;
+    core::DesignOptions fopts;
     fopts.explorer_options = opts;
     fopts.explorer_options.search =
         *core::parse_search_spec("portfolio:300:greedy+beam:2+anneal");

@@ -18,7 +18,7 @@
 
 #include "bench_util.h"
 #include "dmm/core/constraints.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 
 int main() {
   using namespace dmm;
@@ -70,10 +70,10 @@ int main() {
   }
 
   // ---- quantify both managers on the trace -----------------------------
-  core::Explorer explorer(trace);
-  const core::ExplorationResult right = explorer.explore(core::paper_order());
+  core::GreedySearch published(core::paper_order());
+  const core::ExplorationResult right = core::run_search(trace, published);
   const core::SimResult wrong_sim =
-      explorer.score(alloc::fig4_wrong_order_config());
+      core::score_candidate(trace, {alloc::fig4_wrong_order_config(), 0}).sim;
 
   bench::print_rule();
   std::printf("resulting managers on the DRR trace:\n");
@@ -106,8 +106,8 @@ int main() {
       {"naive A1..E2", core::naive_order()},
   };
   for (const OrderCase& oc : cases) {
-    core::Explorer ex(trace);
-    const core::ExplorationResult r = ex.explore(oc.order);
+    core::GreedySearch walk(oc.order);
+    const core::ExplorationResult r = core::run_search(trace, walk);
     std::printf("  %-22s peak %9zu bytes, %llu simulations\n", oc.name,
                 r.best_sim.peak_footprint,
                 static_cast<unsigned long long>(r.simulations));

@@ -8,12 +8,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 
 namespace {
 
@@ -68,18 +69,16 @@ int main(int argc, char** argv) {
   bool first_workload = true;
   bool all_identical = true;
   for (const char* name : {"drr", "render3d"}) {
-    core::AllocTrace recorded =
+    core::AllocTrace trace =
         workloads::record_trace(workloads::case_study(name), 1);
-    bench::cap_events(recorded, max_events);
-    const auto trace =
-        std::make_shared<const core::AllocTrace>(std::move(recorded));
+    trace.truncate(max_events);
     // The scaling workload: the greedy walk plus the exhaustive validator
     // over the six highest-impact trees — the paper's full Sec. 5 loop.
-    const std::vector<TreeId> subspace = {TreeId::kA2, TreeId::kA5,
-                                          TreeId::kE2, TreeId::kD2,
-                                          TreeId::kB4, TreeId::kC1};
+    core::GreedySearch greedy;
+    core::ExhaustiveSearch validator({TreeId::kA2, TreeId::kA5, TreeId::kE2,
+                                      TreeId::kD2, TreeId::kB4, TreeId::kC1});
 
-    std::printf("\n== %s (%zu events) ==\n", name, trace->size());
+    std::printf("\n== %s (%zu events) ==\n", name, trace.size());
     std::printf("%8s %12s %9s %9s %11s %11s\n", "threads", "seconds",
                 "speedup", "eff.", "replays", "cache hits");
     bench::print_rule();
@@ -88,11 +87,13 @@ int main(int argc, char** argv) {
     for (const unsigned threads : thread_counts) {
       core::ExplorerOptions opts;
       opts.num_threads = threads;
-      core::Explorer ex(trace, opts);
+      const std::unique_ptr<core::EvalEngine> engine =
+          core::make_engine(threads);
       const auto t0 = std::chrono::steady_clock::now();
       Run run;
-      run.result = ex.explore();
-      const core::ExplorationResult validation = ex.exhaustive(subspace);
+      run.result = core::run_search(trace, greedy, opts, engine.get());
+      const core::ExplorationResult validation =
+          core::run_search(trace, validator, opts, engine.get());
       run.threads = threads;
       run.seconds = seconds_since(t0);
       run.result.simulations += validation.simulations;
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
 
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
                  first_workload ? "" : ",", name);
-    std::fprintf(json, "      \"events\": %zu,\n", trace->size());
+    std::fprintf(json, "      \"events\": %zu,\n", trace.size());
     std::fprintf(json, "      \"cache_saved_pct\": %.2f,\n", saved_pct);
     std::fprintf(json, "      \"runs\": [");
     for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
   // --- design on the DRR case study --------------------------------------
   const workloads::Workload& drr = workloads::case_study("drr");
   core::AllocTrace design_trace = workloads::record_trace(drr, /*seed=*/1);
-  bench::cap_events(design_trace, args.max_events);
+  design_trace.truncate(args.max_events);
 
-  core::MethodologyOptions options;
+  core::DesignOptions options;
   options.explorer_options.num_threads = 0;
   const core::MethodologyResult design =
       core::design_manager(design_trace, options);
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
     std::vector<core::AllocTrace> traces;
     for (unsigned t = 0; t < threads; ++t) {
       core::AllocTrace trace = workloads::record_trace(drr, 100 + t);
-      bench::cap_events(trace, args.max_events);
+      trace.truncate(args.max_events);
       traces.push_back(std::move(trace));
     }
 

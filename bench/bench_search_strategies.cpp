@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 
 namespace {
 
@@ -71,11 +71,9 @@ int main(int argc, char** argv) {
   bool first_workload = true;
   bool fig4_gate_passed = true;
   for (const workloads::Workload& w : workloads::case_studies()) {
-    core::AllocTrace recorded = workloads::record_trace(w, 1);
-    bench::cap_events(recorded, args.max_events);
-    const auto trace =
-        std::make_shared<const core::AllocTrace>(std::move(recorded));
-    std::printf("\n== %s (%zu events) ==\n", w.name.c_str(), trace->size());
+    core::AllocTrace trace = workloads::record_trace(w, 1);
+    trace.truncate(args.max_events);
+    std::printf("\n== %s (%zu events) ==\n", w.name.c_str(), trace.size());
     std::printf("%-14s %14s %8s %9s %9s\n", "strategy", "best peak (B)",
                 "evals", "to-best", "feasible");
     bench::print_rule();
@@ -85,26 +83,28 @@ int main(int argc, char** argv) {
     // honest per-strategy cost either way.
     core::ExplorerOptions opts;
     opts.shared_cache = std::make_shared<core::SharedScoreCache>();
-    core::Explorer ex(trace, opts);
 
     std::vector<StrategyRow> rows;
-    rows.push_back({"greedy", ex.explore(core::paper_order())});
+    core::GreedySearch greedy(core::paper_order());
+    rows.push_back({"greedy", core::run_search(trace, greedy, opts)});
     // Streaming budgets: 4x the greedy walk's evaluations — enough room
     // for the order-free searchers to move, still smoke-run fast.
     const std::size_t budget =
         4 * (rows[0].result.simulations + rows[0].result.cache_hits);
     for (const std::size_t width : {2u, 4u}) {
       core::BeamSearch beam(width, core::paper_order());
-      rows.push_back({beam.name(), ex.run(beam)});
+      rows.push_back({beam.name(), core::run_search(trace, beam, opts)});
     }
     {
       core::AnnealingOptions aopts;
       aopts.max_evals = budget;
       core::AnnealingSearch anneal(aopts);
-      rows.push_back({anneal.name(), ex.run(anneal)});
+      rows.push_back({anneal.name(), core::run_search(trace, anneal, opts)});
     }
-    rows.push_back({"random", ex.random_search(budget, /*seed=*/42)});
-    rows.push_back({"exhaustive", ex.exhaustive(core::high_impact_trees())});
+    core::RandomSearch sampler(budget, /*seed=*/42);
+    rows.push_back({"random", core::run_search(trace, sampler, opts)});
+    core::ExhaustiveSearch exhaustive(core::high_impact_trees());
+    rows.push_back({"exhaustive", core::run_search(trace, exhaustive, opts)});
     for (const StrategyRow& row : rows) print_row(row);
 
     // --- the Fig. 4 trap, executably adversarial ------------------------
@@ -114,11 +114,12 @@ int main(int argc, char** argv) {
     core::ExplorerOptions myopic;
     myopic.defaults = alloc::minimal_config();
     myopic.shared_cache = std::make_shared<core::SharedScoreCache>();
-    core::Explorer trap_ex(trace, myopic);
+    core::GreedySearch trap_walk(core::fig4_wrong_order());
     const core::ExplorationResult trap_greedy =
-        trap_ex.explore(core::fig4_wrong_order());
+        core::run_search(trace, trap_walk, myopic);
     core::BeamSearch trap_beam(2, core::fig4_wrong_order());
-    const core::ExplorationResult trap_beam2 = trap_ex.run(trap_beam);
+    const core::ExplorationResult trap_beam2 =
+        core::run_search(trace, trap_beam, myopic);
     const bool escaped = trap_beam2.best_sim.peak_footprint <=
                          trap_greedy.best_sim.peak_footprint;
     fig4_gate_passed = fig4_gate_passed && escaped;
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
 
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
                  first_workload ? "" : ",", w.name.c_str());
-    std::fprintf(json, "      \"events\": %zu,\n", trace->size());
+    std::fprintf(json, "      \"events\": %zu,\n", trace.size());
     std::fprintf(json, "      \"strategies\": [");
     bool first_row = true;
     for (const StrategyRow& row : rows) {

@@ -30,7 +30,7 @@
 
 #include "bench_util.h"
 #include "dmm/alloc/custom_manager.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 #include "dmm/core/trace.h"
 #include "dmm/trace/trace_sample.h"
 #include "dmm/trace/trace_store.h"
@@ -270,15 +270,12 @@ int main(int argc, char** argv) {
                sample.trace.size(), sample.strata.size());
 
   // --- 6. greedy design parity: file-backed vs in-memory ------------------
-  core::ExplorerOptions eopts;
-  eopts.num_threads = 1;
-  std::shared_ptr<const core::TraceSource> file_source = std::move(mapped);
-  core::Explorer file_explorer(file_source, eopts);
+  core::GreedySearch greedy;
   const double g0 = now_seconds();
-  const core::ExplorationResult file_result = file_explorer.run();
+  const core::ExplorationResult file_result = core::run_search(*mapped, greedy);
   const double file_design_wall = now_seconds() - g0;
-  core::Explorer mem_explorer(in_memory, eopts);
-  const core::ExplorationResult mem_result = mem_explorer.run();
+  const core::ExplorationResult mem_result =
+      core::run_search(in_memory, greedy);
   const bool parity_gate = file_result.best == mem_result.best;
   struct rusage usage = {};
   getrusage(RUSAGE_SELF, &usage);

@@ -3,13 +3,13 @@
 // are possible using our methodology, if the requirements of the final
 // design need it."
 //
-// Sweep the explorer's time weight and print the footprint/work Pareto
+// Sweep the search's time weight and print the footprint/work Pareto
 // points it lands on for the DRR case study.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 
 int main() {
   using namespace dmm;
@@ -25,11 +25,11 @@ int main() {
               "work steps", "decision vector highlights");
   bench::print_rule();
 
+  core::GreedySearch greedy;
   for (double weight : {0.0, 0.5, 2.0, 10.0, 100.0}) {
     core::ExplorerOptions opts;
     opts.time_weight = weight;
-    core::Explorer ex(trace, opts);
-    const core::ExplorationResult r = ex.explore();
+    const core::ExplorationResult r = core::run_search(trace, greedy, opts);
     std::printf("%-14.1f %14zu %14llu  A5=%s C1=%s B4=%s\n", weight,
                 r.best_sim.peak_footprint,
                 static_cast<unsigned long long>(r.work_steps),

@@ -91,15 +91,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
   return args;
 }
 
-/// Truncates @p trace to at most @p max_events events (0 = no cap),
-/// closing the leaks the cut introduces so the trace stays replayable.
-inline void cap_events(core::AllocTrace& trace, std::size_t max_events) {
-  if (max_events != 0 && trace.size() > max_events) {
-    trace.events().resize(max_events);
-    trace.close_leaks();
-  }
-}
-
 /// Mean peak footprint of running @p workload on manager @p name over the
 /// given seeds (the paper averages 10 simulations per manager).
 inline double mean_peak_footprint(const workloads::Workload& workload,

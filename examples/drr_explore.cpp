@@ -42,8 +42,8 @@
 
 #include "dmm/alloc/custom_manager.h"
 #include "dmm/api/design_api.h"
-#include "dmm/core/explorer.h"
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 #include "dmm/managers/registry.h"
 #include "dmm/trace/trace_sample.h"
 #include "dmm/trace/trace_store.h"
@@ -136,11 +136,10 @@ int main(int argc, char** argv) {
   if (traces.size() >= 2) {
     // --- family mode: one vector for a set of traces ---------------------
     std::printf("== DRR family design: %zu traces ==\n", traces.size());
-    core::FamilyDesignOptions fopts = api::to_family_options(cli.request);
     // No cache injected: design_manager_family creates a private
     // run-scoped one (and loads/saves cache_file into it when set).
-    const core::FamilyDesignResult family =
-        core::design_manager_family(traces, fopts);
+    const core::FamilyDesignResult family = core::design_manager_family(
+        traces, api::to_design_options(cli.request));
     const bool max_peak =
         cli.request.aggregate == core::FamilyAggregate::kMaxPeak;
     std::printf("aggregate objective (%s): %.0f, best found at family "
@@ -203,15 +202,16 @@ int main(int argc, char** argv) {
                 sample.strata.size(),
                 static_cast<unsigned long long>(sample.trace.size()));
 
-    core::ExplorerOptions opts = api::to_explorer_options(cli.request);
+    core::ExplorerOptions opts =
+        api::to_design_options(cli.request).explorer_options;
     const std::string& cache_file = cli.request.cache_file;
     if (!cache_file.empty()) {
       // --cache-file: warm-start from the snapshot, write it back after.
       opts.shared_cache = std::make_shared<core::SharedScoreCache>();
       (void)opts.shared_cache->load(cache_file);
     }
-    core::Explorer explorer(sample.trace, opts);
-    const core::ExplorationResult result = explorer.run();
+    const core::ExplorationResult result = core::run_search(
+        sample.trace, *core::make_strategy(opts.search), opts);
     if (!cache_file.empty()) (void)opts.shared_cache->save(cache_file);
     std::printf("\nsearch on the sample: %llu replays of %llu events "
                 "each\n",
@@ -256,15 +256,18 @@ int main(int argc, char** argv) {
   // shared score cache carries this walk's replays over to the
   // design_manager() run below — same trace, so its walk is served
   // almost entirely from cross-search hits.
-  core::ExplorerOptions opts = api::to_explorer_options(cli.request);
+  core::DesignOptions design_opts = api::to_design_options(cli.request);
+  core::ExplorerOptions opts = design_opts.explorer_options;
   opts.shared_cache = std::make_shared<core::SharedScoreCache>();
   // --cache-file: the walk warm-starts from the snapshot and writes the
   // cache back right after; a second run of this example then replays
   // nothing at all.
   const std::string& cache_file = cli.request.cache_file;
   if (!cache_file.empty()) (void)opts.shared_cache->load(cache_file);
-  core::Explorer explorer(trace, opts);
-  const core::ExplorationResult result = explorer.run();
+  const std::unique_ptr<core::EvalEngine> engine =
+      core::make_engine(opts.num_threads);
+  const core::ExplorationResult result = core::run_search(
+      trace, *core::make_strategy(opts.search), opts, engine.get());
   if (!cache_file.empty()) (void)opts.shared_cache->save(cache_file);
   for (const core::StepLog& step : result.steps) {
     std::printf("%s (%s):\n", core::tree_id(step.tree).c_str(),
@@ -287,7 +290,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.cache_hits),
               static_cast<unsigned long long>(result.persisted_hits),
               cache_file.empty() ? "(no cache file)" : cache_file.c_str(),
-              explorer.engine().name().c_str());
+              engine->name().c_str());
   std::printf("\nfinal decision vector:\n%s\n",
               alloc::describe(result.best).c_str());
 
@@ -314,12 +317,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("== comparison on 5 fresh traces (Table 1 style) ==\n");
-  // Persistence belongs to the run, not to each phase: the methodology
+  // Persistence belongs to the run, not to each phase: the request
   // bridge hands the snapshot path to design_manager (one load up front,
   // one save at the end).  Share the walk's cache so the design run
   // reuses its replays.
-  core::MethodologyOptions design_opts =
-      api::to_methodology_options(cli.request);
   design_opts.explorer_options.shared_cache = opts.shared_cache;
   const core::MethodologyResult design =
       core::design_manager(trace, design_opts);

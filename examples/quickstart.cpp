@@ -15,7 +15,8 @@
 // --export-config FILE picks where step 4 writes the design artifact
 // (default: quickstart.dmmconfig in the working directory).  The other
 // shared DesignRequest flags (--search, --threads; api::RequestCli) work
-// too; the profiled trace is produced in-process below.
+// too; the profiled trace is produced in-process below, and
+// --max-events N caps it for a quick run.
 
 #include <cstdio>
 #include <cstring>
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
     }
     for (void* p : live) profiler.deallocate(p);
   }
-  const core::AllocTrace trace = profiler.take_trace();
+  core::AllocTrace trace = profiler.take_trace();
+  trace.truncate(static_cast<std::size_t>(cli.request.max_events));
   const core::TraceStats stats = trace.stats();
   std::printf("profiled: %llu events, %zu distinct sizes, peak live %zu B\n",
               static_cast<unsigned long long>(stats.events),
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
   // the whole run: the greedy walk of every phase plus the validation
   // pass below reuse each other's replays.  Results are bit-identical to
   // a serial, per-search-cache run, just faster.
-  core::MethodologyOptions options = api::to_methodology_options(cli.request);
+  core::DesignOptions options = api::to_design_options(cli.request);
   options.explorer_options.shared_cache =
       std::make_shared<core::SharedScoreCache>();
   // Cross-check the walk against exhaustive ground truth on a small

@@ -8,9 +8,11 @@
 // portfolio[:BUDGET]:CHILD+CHILD+... picks the per-phase design strategy
 // (default: the paper's greedy ordered traversal).  The other shared
 // DesignRequest flags (api::RequestCli) work too; the profiled trace is
-// fixed in-process.
+// fixed (seed 1), and --max-events N caps it for a quick run.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "dmm/api/design_api.h"
 #include "dmm/core/methodology.h"
@@ -58,7 +60,13 @@ int main(int argc, char** argv) {
   }
 
   const workloads::Workload& recon = workloads::case_study("recon3d");
-  const core::AllocTrace trace = workloads::record_trace(recon, 1);
+  std::vector<core::AllocTrace> traces;
+  std::string why;
+  if (!api::load_traces(cli.request, &traces, &why)) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    return 2;
+  }
+  const core::AllocTrace& trace = traces[0];
   const core::TraceStats stats = trace.stats();
   std::printf("\nprofile: %llu events, peak live %zu B; dominant sizes:\n",
               static_cast<unsigned long long>(stats.events),
@@ -73,10 +81,8 @@ int main(int argc, char** argv) {
                                      : "");
   }
 
-  const core::MethodologyOptions design_opts =
-      api::to_methodology_options(cli.request);
   const core::MethodologyResult design =
-      core::design_manager(trace, design_opts);
+      core::design_manager(trace, api::to_design_options(cli.request));
   std::printf("\ndesigned vector: %s\n",
               alloc::signature(design.phase_configs[0]).c_str());
 

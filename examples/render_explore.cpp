@@ -8,9 +8,11 @@
 // portfolio[:BUDGET]:CHILD+CHILD+... picks the per-phase design strategy
 // (default: the paper's greedy ordered traversal).  The other shared
 // DesignRequest flags (api::RequestCli) work too; the profiled trace is
-// fixed in-process.
+// fixed (seed 1), and --max-events N caps it for a quick run.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "dmm/api/design_api.h"
 #include "dmm/core/methodology.h"
@@ -55,15 +57,19 @@ int main(int argc, char** argv) {
   }
 
   const workloads::Workload& render = workloads::case_study("render3d");
-  const core::AllocTrace trace = workloads::record_trace(render, 1);
+  std::vector<core::AllocTrace> traces;
+  std::string why;
+  if (!api::load_traces(cli.request, &traces, &why)) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    return 2;
+  }
+  const core::AllocTrace& trace = traces[0];
   std::printf("\nprofile: %llu events in %u application phases\n",
               static_cast<unsigned long long>(trace.stats().events),
               trace.stats().phases);
 
-  const core::MethodologyOptions design_opts =
-      api::to_methodology_options(cli.request);
   const core::MethodologyResult design =
-      core::design_manager(trace, design_opts);
+      core::design_manager(trace, api::to_design_options(cli.request));
   std::printf("\none atomic manager per phase (Sec. 3.3 global manager):\n");
   for (std::size_t i = 0; i < design.phase_configs.size(); ++i) {
     std::printf("  phase %zu (%s): %s\n", i,

@@ -203,8 +203,8 @@ struct DmmConfig {
 ///
 /// All other leaves are preserved — they are the design vector's identity.
 /// The score caches key on this form: it is what makes the greedy walk's
-/// repaired completions collide into cache hits, and what lets
-/// Explorer::exhaustive enumerate the canonical quotient space instead of
+/// repaired completions collide into cache hits, and what lets the
+/// exhaustive search enumerate the canonical quotient space instead of
 /// the raw cartesian product.
 [[nodiscard]] DmmConfig canonical(const DmmConfig& cfg);
 

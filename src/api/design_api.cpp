@@ -1,10 +1,11 @@
-// The unified request/reply API — validation, option bridges, trace
+// The unified request/reply API — validation, the option bridge, trace
 // resolution, the in-process runner over core::DesignRun, and the
 // line-based wire form.  See design_api.h for the contract.
 
 #include "dmm/api/design_api.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -185,7 +186,7 @@ std::string u64_field(const char* key, std::uint64_t v) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Validation and bridges
+// Validation and the option bridge
 // ---------------------------------------------------------------------------
 
 bool validate_request(const DesignRequest& req, std::string* why) {
@@ -224,6 +225,19 @@ bool validate_request(const DesignRequest& req, std::string* why) {
       return false;
     }
   }
+  // Wire doubles are raw bit patterns: NaN, infinities and negatives all
+  // parse, and each would silently skew or void the objective.
+  const auto usable_weight = [](double w) {
+    return std::isfinite(w) && w >= 0.0;
+  };
+  if (!usable_weight(req.time_weight)) {
+    *why = "time weight must be finite and non-negative";
+    return false;
+  }
+  if (!std::all_of(req.weights.begin(), req.weights.end(), usable_weight)) {
+    *why = "weights must be finite and non-negative";
+    return false;
+  }
   if (req.validate && family) {
     *why = "validate applies to single-trace requests only";
     return false;
@@ -231,30 +245,21 @@ bool validate_request(const DesignRequest& req, std::string* why) {
   return true;
 }
 
-core::ExplorerOptions to_explorer_options(const DesignRequest& req) {
-  core::ExplorerOptions opts;
+core::DesignOptions to_design_options(const DesignRequest& req) {
+  core::DesignOptions options;
+  core::ExplorerOptions& opts = options.explorer_options;
   opts.num_threads = req.num_threads;
   opts.time_weight = req.time_weight;
   opts.cache = req.cache;
   const auto spec = core::parse_search_spec(req.search_text);
   if (spec) opts.search = *spec;
-  return opts;
-}
-
-core::MethodologyOptions to_methodology_options(const DesignRequest& req) {
-  core::MethodologyOptions options;
-  options.explorer_options = to_explorer_options(req);
-  options.validate = req.validate;
   options.cache_file = req.cache_file;
-  return options;
-}
-
-core::FamilyDesignOptions to_family_options(const DesignRequest& req) {
-  core::FamilyDesignOptions options;
-  options.explorer_options = to_explorer_options(req);
-  options.aggregate = req.aggregate;
-  options.weights = req.weights;
-  options.cache_file = req.cache_file;
+  if (req.traces.size() >= 2) {
+    options.aggregate = req.aggregate;
+    options.weights = req.weights;
+  } else {
+    options.validate = req.validate;
+  }
   return options;
 }
 
@@ -302,14 +307,7 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
       }
       traces.push_back(std::move(trace));
     }
-    if (req.max_events != 0 &&
-        traces.back().events().size() > req.max_events) {
-      // Same cap the benches apply: cut, then close the leaks the cut
-      // introduced so the trace stays replayable.
-      traces.back().events().resize(
-          static_cast<std::size_t>(req.max_events));
-      traces.back().close_leaks();
-    }
+    traces.back().truncate(static_cast<std::size_t>(req.max_events));
   }
   *out = std::move(traces);
   return true;
@@ -323,14 +321,9 @@ std::unique_ptr<core::DesignRun> make_design_run(
     const DesignRequest& req, const std::vector<core::AllocTrace>& traces,
     core::EvalEngine& engine,
     std::shared_ptr<core::SharedScoreCache> shared_cache) {
-  if (traces.size() >= 2) {
-    core::FamilyDesignOptions options = to_family_options(req);
-    options.explorer_options.shared_cache = std::move(shared_cache);
-    return std::make_unique<core::DesignRun>(traces, options, engine);
-  }
-  core::MethodologyOptions options = to_methodology_options(req);
+  core::DesignOptions options = to_design_options(req);
   options.explorer_options.shared_cache = std::move(shared_cache);
-  return std::make_unique<core::DesignRun>(traces[0], options, engine);
+  return std::make_unique<core::DesignRun>(traces, options, engine);
 }
 
 DesignReply harvest_reply(core::DesignRun& run) {
@@ -747,6 +740,16 @@ RequestCli::Arg RequestCli::consume(int argc, char** argv, int* i) {
     request.eval_budget = *v;
     return Arg::kConsumed;
   }
+  if (match_flag(argc, argv, i, "--max-events", &value)) {
+    const auto v = core::parse_number(value);
+    if (!v) {
+      error_ =
+          "--max-events must be a non-negative integer, got '" + value + "'";
+      return Arg::kError;
+    }
+    request.max_events = *v;
+    return Arg::kConsumed;
+  }
   if (!allow_trace_flags) return Arg::kNotMine;
   if (match_flag(argc, argv, i, "--trace", &value)) {
     if (value.empty()) {
@@ -795,16 +798,6 @@ RequestCli::Arg RequestCli::consume(int argc, char** argv, int* i) {
     seed_ = static_cast<unsigned>(*v);
     return Arg::kConsumed;
   }
-  if (match_flag(argc, argv, i, "--max-events", &value)) {
-    const auto v = core::parse_number(value);
-    if (!v) {
-      error_ =
-          "--max-events must be a non-negative integer, got '" + value + "'";
-      return Arg::kError;
-    }
-    request.max_events = *v;
-    return Arg::kConsumed;
-  }
   return Arg::kNotMine;
 }
 
@@ -848,7 +841,7 @@ bool RequestCli::finish() {
     // family fold would misreport what was designed.
     error_ = "--aggregate only applies to --family runs";
     return false;
-  } else if (allow_trace_flags && request.traces.empty()) {
+  } else if (request.traces.empty()) {
     TraceRef ref;
     ref.kind = TraceRef::Kind::kWorkload;
     ref.workload = default_workload_;
@@ -866,10 +859,11 @@ bool RequestCli::finish() {
 
 std::string RequestCli::flags_help() const {
   std::string help =
-      "[--search SPEC] [--cache-file PATH] [--threads N] [--budget N]";
+      "[--search SPEC] [--cache-file PATH] [--threads N] [--budget N] "
+      "[--max-events N]";
   if (allow_trace_flags) {
-    help += " [--workload NAME] [--seed N] [--max-events N] "
-            "[--trace FILE] [--family T1,T2,...] [--aggregate max|wsum]";
+    help += " [--workload NAME] [--seed N] [--trace FILE] "
+            "[--family T1,T2,...] [--aggregate max|wsum]";
   }
   return help;
 }

@@ -5,9 +5,9 @@
 //
 // Everything a caller can ask the library to do — "design a manager for
 // these traces, with this search, under these knobs" — is one validated,
-// versioned value type (DesignRequest) instead of the ExplorerOptions /
-// MethodologyOptions / FamilyDesignOptions / CLI-flag spread that accreted
-// across the earlier milestones.  One request type serves three fronts:
+// versioned value type (DesignRequest) instead of a per-binary flag
+// spread; to_design_options() resolves it into the one core::DesignOptions
+// a core::DesignRun executes.  One request type serves three fronts:
 //
 //   * the library: run_design_request() executes a request in-process as
 //     one core::DesignRun stepped to completion — results are bit-for-bit
@@ -67,8 +67,8 @@ struct DesignRequest {
   /// non-family request is a validation error, not a silent no-op.
   core::FamilyAggregate aggregate = core::FamilyAggregate::kMaxPeak;
   bool aggregate_set = false;
-  /// kWeightedSum member weights; empty = 1.0 each, anything else must
-  /// match the trace count.
+  /// kWeightedSum member weights, finite and non-negative; empty = 1.0
+  /// each, anything else must match the trace count.
   std::vector<double> weights;
 
   /// The search strategy, in the same grammar the --search flag accepts
@@ -81,15 +81,16 @@ struct DesignRequest {
   /// 1 = serial, 0 = one worker per hardware thread).  Results are
   /// bit-identical regardless.
   unsigned num_threads = 1;
-  /// Secondary objective weight (ExplorerOptions::time_weight).
+  /// Secondary objective weight (ExplorerOptions::time_weight), finite
+  /// and non-negative.
   double time_weight = 0.0;
   /// Memoize candidate scores (ExplorerOptions::cache).
   bool cache = true;
   /// Cross-check each phase walk against exhaustive ground truth
-  /// (MethodologyOptions::validate; single-trace requests only).
+  /// (DesignOptions::validate; single-trace requests only).
   bool validate = false;
-  /// Persist the run's score cache across processes (the cache_file knob
-  /// of MethodologyOptions / FamilyDesignOptions).  The daemon rejects
+  /// Persist the run's score cache across processes
+  /// (DesignOptions::cache_file).  The daemon rejects
   /// requests carrying this: its snapshot is daemon-owned.
   std::string cache_file;
 
@@ -104,25 +105,17 @@ struct DesignRequest {
 
 /// True iff @p req is well-formed (traces present and individually sane,
 /// search text parseable, weights/aggregate consistent with the trace
-/// count); fills @p why otherwise.
+/// count, time weight and weights finite and non-negative); fills @p why
+/// otherwise.
 [[nodiscard]] bool validate_request(const DesignRequest& req,
                                     std::string* why);
 
-/// The per-search knob subset of a request (search/threads/time-weight/
-/// cache); shared_cache and cache_file stay unset — run-level concerns.
-/// Requires a valid request (the search text must parse).
-[[nodiscard]] core::ExplorerOptions to_explorer_options(
-    const DesignRequest& req);
-
-/// The single-trace methodology bridge: explorer options plus validate and
-/// the run-level cache_file.
-[[nodiscard]] core::MethodologyOptions to_methodology_options(
-    const DesignRequest& req);
-
-/// The family bridge: explorer options plus aggregate/weights and the
-/// run-level cache_file.
-[[nodiscard]] core::FamilyDesignOptions to_family_options(
-    const DesignRequest& req);
+/// The one request bridge: the run's DesignOptions (search, threads,
+/// time weight, cache, cache_file, plus validate for one trace or
+/// aggregate/weights for a family).  shared_cache stays unset — the
+/// caller's concern.  Requires a valid request (the search text must
+/// parse); the options of a valid request never make DesignRun throw.
+[[nodiscard]] core::DesignOptions to_design_options(const DesignRequest& req);
 
 /// Resolves every TraceRef of @p req into a loaded, validated trace (in
 /// request order), applying the max_events cap.  False (with @p why) on an
@@ -249,8 +242,10 @@ class RequestCli {
   DesignRequest request;
 
   /// When false, the trace-selection flags (--family, --aggregate,
-  /// --workload, --seed, --max-events) are not recognized — for binaries
-  /// whose trace is fixed in-process (quickstart).
+  /// --workload, --seed, --trace) are not recognized and finish() leaves
+  /// the request on the default trace — for binaries whose trace is fixed
+  /// (render_explore, recon_explore) or profiled in-process (quickstart).
+  /// --max-events still caps that trace.
   bool allow_trace_flags = true;
 
   enum class Arg : std::uint8_t {

@@ -274,8 +274,8 @@ void EvalEngine::stream_submit(const EvalJob& job) {
   if (stream_cache_ != nullptr) {
     // Cache protocol on the coordinating thread: canonicalize once, then
     // the same form feeds the lookup, the in-session dedup, and the
-    // at-emission insert.  Without a cache every job replays (matching the
-    // pre-engine Explorer), so no canonicalization happens at all.
+    // at-emission insert.  Without a cache every job replays, so no
+    // canonicalization happens at all.
     slot->canon = alloc::canonical(job.cfg);
     SharedScoreCache::Entry hit;
     if (stream_cache_->lookup_canonical(slot->canon, &hit)) {

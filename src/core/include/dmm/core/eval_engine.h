@@ -43,7 +43,7 @@ struct EvalOutcome {
 /// injected opens its session on a private instance (per-search memo, no
 /// cross-search hits), while one shared instance can serve every search of
 /// a design run (each phase's walk plus the validation passes) and any
-/// number of concurrent Explorers.
+/// number of concurrent searches.
 ///
 /// Entries are keyed by trace fingerprint x canonical decision vector, so
 /// searches over the same trace reuse each other's replays while distinct
@@ -314,7 +314,7 @@ struct FamilyEvalMember {
 /// submit, cache lookups and in-session deduplication happen against that
 /// canonical form before anything is dispatched, only unique misses reach
 /// the workers, and results are inserted back in submit order as they are
-/// emitted.  That makes `from_cache` (and hence the Explorer's
+/// emitted.  That makes `from_cache` (and hence a search's
 /// simulations/cache_hits accounting) a function of the job stream and
 /// prior cache contents alone — never of thread count or scheduling.
 ///
@@ -525,8 +525,8 @@ class ThreadPoolEngine : public EvalEngine {
   std::vector<std::thread> workers_;
 };
 
-/// Engine factory used by ExplorerOptions: 1 thread = serial, otherwise a
-/// pool (0 = hardware concurrency).
+/// Engine factory for ExplorerOptions::num_threads: 1 thread = serial,
+/// otherwise a pool (0 = hardware concurrency).
 [[nodiscard]] std::unique_ptr<EvalEngine> make_engine(unsigned num_threads);
 
 }  // namespace dmm::core

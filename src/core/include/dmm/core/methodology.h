@@ -3,49 +3,68 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "dmm/core/explorer.h"
 #include "dmm/core/global_manager.h"
 #include "dmm/core/phase.h"
+#include "dmm/core/search.h"
 
 namespace dmm::core {
 
-/// Options of the end-to-end methodology run.
-struct MethodologyOptions {
-  /// Re-detect phases from the trace; when false, the phase annotations
-  /// already present in the trace (profiler markers) are used as-is.
-  bool detect_phases = false;
-  PhaseDetectorOptions phase_options{};
-  /// Steers every per-phase search.  Set explorer_options.shared_cache to
-  /// serve the whole run — all phase walks plus the validation passes —
-  /// from one cross-search score cache.  `explorer_options.search` picks
-  /// the per-phase strategy (greedy by default; beam/anneal/exhaustive/
-  /// random via the same SearchSpec the CLIs' --search flag parses);
-  /// ordered strategies traverse `order`, the exhaustive one enumerates
-  /// `validation_trees`.
+/// Options of one design run (DesignRun, design_manager(),
+/// design_manager_family()).  One trace means a phased run, two or more a
+/// family run; a field that does not apply to the trace count makes the
+/// run throw std::invalid_argument instead of being silently ignored.
+/// Ordered strategies traverse paper_order(), phases are detected with
+/// PhaseDetectorOptions{}, and each validation pass is an ExhaustiveSearch
+/// at its default budget.
+struct DesignOptions {
+  /// Steers every search of the run.  `search` picks the strategy (greedy
+  /// by default; the same SearchSpec grammar as the CLIs' --search flag,
+  /// portfolios included).  Set `shared_cache` to serve the whole run —
+  /// all phase walks plus the validation passes, or the family search —
+  /// from one cross-search score cache.  In family mode an evaluation
+  /// budget (anneal/random/exhaustive/portfolio budgets) is counted in
+  /// *family* evaluations — one per candidate, however many member traces
+  /// it replays.
   ExplorerOptions explorer_options{};
-  /// Traversal order (defaults to the published one).
-  std::vector<TreeId> order = paper_order();
-  /// Cross-check each phase's greedy walk against the exhaustive searcher
-  /// over validation_trees (the paper's greedy-vs-ground-truth
-  /// comparison).  With a shared cache the validator reuses the walk's
-  /// replays and only pays for vectors the walk never visited.
+  /// Single trace only: re-detect phases from the trace; when false, the
+  /// phase annotations already present in the trace (profiler markers)
+  /// are used as-is.
+  bool detect_phases = false;
+  /// Single trace only: cross-check each phase's walk against the
+  /// exhaustive searcher over validation_trees (the paper's
+  /// greedy-vs-ground-truth comparison).  With a shared cache the
+  /// validator reuses the walk's replays and only pays for vectors the
+  /// walk never visited.
   bool validate = false;
-  /// High-impact subspace the validator enumerates (canonical quotient).
+  /// Subspace the validator, or an exhaustive strategy/child, enumerates
+  /// (canonical quotient).
   std::vector<TreeId> validation_trees = high_impact_trees();
-  /// Evaluation budget of each per-phase validation pass.
-  std::size_t validation_max_evals = 100000;
   /// Persist the run's shared score cache across processes.  When
   /// non-empty (and explorer_options.cache is on), DesignRun::complete()
-  /// loads this snapshot before the first phase — the run creates
+  /// loads this snapshot before the first search — the run creates
   /// explorer_options.shared_cache first if none was injected, so one
-  /// cache still serves every walk and validation pass — and saves it
-  /// back atomically after the last.  A rejected snapshot (truncated,
+  /// cache still serves every search — and saves it back atomically after
+  /// the last, and on the failure path.  A rejected snapshot (truncated,
   /// corrupted, version mismatch) just means a cold start; warm hits are
-  /// reported as MethodologyResult::total_persisted_hits.
+  /// reported as persisted hits.
   std::string cache_file;
+  /// Family only: how per-trace scores fold into the objective the search
+  /// minimises.
+  FamilyAggregate aggregate = FamilyAggregate::kMaxPeak;
+  /// Family only: kWeightedSum member weights, finite and non-negative;
+  /// empty = 1.0 each, anything else must match the trace count.
+  std::vector<double> weights;
+  /// Family only: extra candidate vectors scored on the aggregate after
+  /// the search and offered to the incumbent — seeding with each trace's
+  /// solo-designed best guarantees the family result is never worse
+  /// (beyond the comparator's 1% tie band) than deploying any one of them
+  /// family-wide.  Offered after the search, not before: an ordered walk
+  /// crowns its own completion and would clobber a pre-offered seed.
+  std::vector<alloc::DmmConfig> seed_candidates;
 };
 
 /// Everything the methodology produces for one application.
@@ -54,12 +73,12 @@ struct MethodologyResult {
   /// events has none, so this can be shorter than phase_configs).
   std::vector<PhaseSpan> phases;
   /// One decision vector per phase id — the atomic DM managers (Sec. 3.3);
-  /// a phase without allocations gets the explorer defaults.
+  /// a phase without allocations gets ExplorerOptions::defaults.
   std::vector<alloc::DmmConfig> phase_configs;
   /// Per-phase exploration logs (decision walks as in Sec. 5).
   std::vector<ExplorationResult> phase_results;
   /// Per-phase exhaustive validation passes (empty unless
-  /// MethodologyOptions::validate; entries for empty phases are default).
+  /// DesignOptions::validate; entries for empty phases are default).
   std::vector<ExplorationResult> validation_results;
   std::uint64_t total_simulations = 0;
   /// Evaluations a score cache answered without a replay, across every
@@ -70,7 +89,7 @@ struct MethodologyResult {
   /// set.  With it, the validator typically rides the walk's replays.
   std::uint64_t total_cross_search_hits = 0;
   /// Subset of total_cache_hits served from snapshot entries a previous
-  /// process replayed (MethodologyOptions::cache_file); disjoint from
+  /// process replayed (DesignOptions::cache_file); disjoint from
   /// total_cross_search_hits.
   std::uint64_t total_persisted_hits = 0;
 
@@ -92,7 +111,7 @@ struct MethodologyResult {
 /// comes from a CLI, the dmm_serve daemon, or anywhere the knobs should be
 /// validated and serialized as one value.
 [[nodiscard]] MethodologyResult design_manager(
-    const AllocTrace& trace, const MethodologyOptions& options = {});
+    const AllocTrace& trace, const DesignOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Family design: one decision vector for a *set* of traces.  The paper
@@ -101,40 +120,6 @@ struct MethodologyResult {
 // family mode searches the same decision space against every trace at once
 // (see FamilyAggregate for the fold) instead of overfitting to one.
 // ---------------------------------------------------------------------------
-
-/// Options of a design_manager_family() run.
-struct FamilyDesignOptions {
-  /// Steers the one family-wide search: `search` picks the strategy (the
-  /// same SearchSpec grammar as the CLIs' --search flag, portfolios
-  /// included), `shared_cache` lets the run ride and feed a cross-search
-  /// score cache (per-trace member entries are shared with single-trace
-  /// searches over the same traces).  In family mode an evaluation budget
-  /// (anneal/random/exhaustive/portfolio budgets) is counted in *family*
-  /// evaluations — one per candidate, however many member traces it
-  /// replays.
-  ExplorerOptions explorer_options{};
-  /// Traversal order of ordered strategies (defaults to the published one).
-  std::vector<TreeId> order = paper_order();
-  /// Subspace an exhaustive strategy/child enumerates.
-  std::vector<TreeId> validation_trees = high_impact_trees();
-  /// How per-trace scores fold into the objective the search minimises.
-  FamilyAggregate aggregate = FamilyAggregate::kMaxPeak;
-  /// kWeightedSum member weights; empty = 1.0 each.  Anything else must
-  /// match the trace count (std::invalid_argument otherwise).
-  std::vector<double> weights;
-  /// Extra candidate vectors scored on the aggregate after the search and
-  /// offered to the incumbent — seeding with each trace's solo-designed
-  /// best guarantees the family result is never worse (beyond the
-  /// comparator's 1% tie band) than deploying any one of them family-wide.
-  /// Offered after the search, not before: an ordered walk crowns its own
-  /// completion and would clobber a pre-offered seed.
-  std::vector<alloc::DmmConfig> seed_candidates;
-  /// Persist the run's shared score cache across processes (same contract
-  /// as MethodologyOptions::cache_file): loaded once up front, saved once
-  /// at the end — and on the failure path — with rejected snapshots
-  /// meaning a cold start, never an error.
-  std::string cache_file;
-};
 
 /// How the family-designed vector behaves on one member trace.
 struct FamilyTraceReport {
@@ -154,7 +139,7 @@ struct FamilyDesignResult {
   /// folded outcome: worst-case peak under kMaxPeak, weighted-sum peak
   /// under kWeightedSum).
   double aggregate_objective = 0.0;
-  /// Index into FamilyDesignOptions::seed_candidates of the seed that
+  /// Index into DesignOptions::seed_candidates of the seed that
   /// ended up as `best`, or -1 when the search's own result won.  When a
   /// seed wins, the search log's per-child attribution and step log are
   /// cleared — no child found the best.
@@ -171,15 +156,14 @@ struct FamilyDesignResult {
 /// is scored on every trace and folded by options.aggregate, so the winner
 /// is the vector that serves the *family* best, not any single profile.
 /// Phases are not split in family mode — the result is one atomic manager.
-/// Throws std::invalid_argument on an empty family or a weight list whose
-/// size does not match the trace count.
+/// Throws std::invalid_argument on fewer than two traces or options the
+/// DesignRun constructor rejects.
 ///
 /// A family DesignRun stepped to completion, plus the per-trace breakdown
 /// of the winner.  A multi-trace api::DesignRequest runs the same
 /// DesignRun, pinned bit-for-bit by tests/test_api_request.cpp.
 [[nodiscard]] FamilyDesignResult design_manager_family(
-    const std::vector<AllocTrace>& traces,
-    const FamilyDesignOptions& options = {});
+    const std::vector<AllocTrace>& traces, const DesignOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // DesignRun: the design flow as one resumable value.  design_manager(),
@@ -206,21 +190,23 @@ struct DesignProgress {
 /// The paper's search sequence as one resumable value.  A single-trace run
 /// splits the trace into phases (detected, or its own annotations) and
 /// searches each non-empty phase with explorer_options.search, followed —
-/// with MethodologyOptions::validate — by the exhaustive validation pass;
-/// empty phases keep the explorer defaults.  A family run is one
+/// with DesignOptions::validate — by the exhaustive validation pass;
+/// empty phases keep ExplorerOptions::defaults.  A family run is one
 /// family-wide search followed by the seed candidates.  The run borrows
 /// one EvalEngine throughout and splits the sub-traces once.  Results are
 /// bit-identical however the run is sliced: streaming strategies pause and
 /// resume exactly, ordered walks are indivisible (SearchStrategy::step).
 class DesignRun {
  public:
-  /// Single-trace run over @p trace (read only during construction).
-  DesignRun(const AllocTrace& trace, const MethodologyOptions& options,
+  /// One trace: a phased run (the trace is read only during
+  /// construction).  Two or more: a family run over @p traces, which must
+  /// outlive the run.  Throws std::invalid_argument on no traces, on a
+  /// field that does not apply to the trace count (validate or
+  /// detect_phases on a family; weights, seeds or a non-max aggregate on a
+  /// single trace), on a weight list whose size does not match the trace
+  /// count, and on a negative or non-finite time_weight or weight.
+  DesignRun(std::span<const AllocTrace> traces, const DesignOptions& options,
             EvalEngine& engine);
-  /// Family run over @p traces, which must outlive the run; throws like
-  /// design_manager_family().
-  DesignRun(const std::vector<AllocTrace>& traces,
-            const FamilyDesignOptions& options, EvalEngine& engine);
 
   DesignRun(const DesignRun&) = delete;
   DesignRun& operator=(const DesignRun&) = delete;
@@ -240,14 +226,14 @@ class DesignRun {
   [[nodiscard]] DesignProgress progress() const;
   /// The resolved options; explorer_options.shared_cache is the run's
   /// cache (injected, or run-scoped for family and cache_file runs).
-  [[nodiscard]] const MethodologyOptions& options() const { return options_; }
+  [[nodiscard]] const DesignOptions& options() const { return options_; }
 
   /// What the run produced so far: every finished phase, plus the
   /// accounting — never the incumbent — of a search interrupted by
   /// cancel, budget or shutdown.  Call once; the run is spent after.
   [[nodiscard]] MethodologyResult harvest();
   /// The family counterpart (per_trace left empty); an interrupted family
-  /// run reports only the search accounting.
+  /// run reports only the search accounting.  Family runs only.
   [[nodiscard]] FamilyDesignResult harvest_family();
 
  private:
@@ -259,10 +245,8 @@ class DesignRun {
   void interrupt();
   void charge(const ExplorationResult& r);
 
-  /// Family runs fill explorer_options, order, validation_trees and
-  /// cache_file; explorer_options is the home every SearchContext
-  /// references.
-  MethodologyOptions options_;
+  /// explorer_options is the home every SearchContext references.
+  DesignOptions options_;
   EvalEngine& engine_;
 
   std::vector<AllocTrace> sub_traces_;
@@ -271,8 +255,6 @@ class DesignRun {
   MethodologyResult design_;  ///< family runs keep only the totals here
 
   std::vector<FamilyEvalMember> members_;
-  FamilyAggregate aggregate_ = FamilyAggregate::kMaxPeak;
-  std::vector<alloc::DmmConfig> seeds_;
   FamilyDesignResult family_;
 
   std::unique_ptr<SearchContext> ctx_;

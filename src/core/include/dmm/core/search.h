@@ -26,7 +26,9 @@ namespace dmm::core {
 // batching into the EvalEngine, candidate_better-based best tracking, the
 // per-search/shared/persisted cache accounting, the canonical seen-set, and
 // ExplorationResult assembly — so a new searcher is ~100 lines of "propose
-// vectors, offer outcomes", not a fork of the Explorer.
+// vectors, offer outcomes", not a fork of the search loop.  run_search()
+// runs one strategy over one trace; core::DesignRun sequences them for a
+// whole design.
 // ===========================================================================
 
 /// Knobs of the simulated-annealing searcher (AnnealingSearch).  The
@@ -106,16 +108,16 @@ struct ExplorerOptions {
   /// (best, step logs) are bit-identical either way; only the
   /// simulations/cache_hits split shifts as more replays are reused.
   /// Persisting it across processes is the caller's business
-  /// (SharedScoreCache::load / save, or MethodologyOptions::cache_file).
+  /// (SharedScoreCache::load / save, or DesignOptions::cache_file).
   std::shared_ptr<SharedScoreCache> shared_cache;
-  /// exhaustive(): enumerate the canonical quotient space — skip any
+  /// ExhaustiveSearch: enumerate the canonical quotient space — skip any
   /// odometer vector whose repaired canonical form was already enumerated
   /// this run, so the cartesian product collapses to behaviourally
   /// distinct managers and max_evals buys real coverage.
   bool canonical_prune = true;
-  /// The strategy Explorer::run() (no arguments) executes; the CLIs'
-  /// `--search` flag and MethodologyOptions land here.  The explicit
-  /// explore()/exhaustive()/random_search() calls ignore it.
+  /// The strategy a design run executes per search (make_strategy); the
+  /// CLIs' `--search` flag lands here.  run_search() ignores it and runs
+  /// the strategy it is handed.
   SearchSpec search{};
 };
 
@@ -166,7 +168,7 @@ struct ExplorationResult {
   /// cache (always 0 with a search's private cache).
   std::uint64_t cross_search_hits = 0;
   /// Subset of cache_hits served from snapshot entries a previous process
-  /// replayed (SharedScoreCache::load, MethodologyOptions::cache_file);
+  /// replayed (SharedScoreCache::load, DesignOptions::cache_file);
   /// disjoint from cross_search_hits.
   std::uint64_t persisted_hits = 0;
   /// Family mode only: evaluations served *whole* from the aggregate-level
@@ -175,7 +177,7 @@ struct ExplorationResult {
   /// per-member units.  Always 0 in single-trace mode.
   std::uint64_t family_hits = 0;
   /// Vectors skipped as canonical duplicates of an already-seen one:
-  /// exhaustive() under canonical_prune, and annealing proposals that
+  /// ExhaustiveSearch under canonical_prune, and annealing proposals that
   /// mutated a dead leaf (a no-op in the canonical quotient).  Skips are
   /// never charged to the evaluation budget.
   std::uint64_t canonical_skips = 0;
@@ -397,7 +399,7 @@ class SearchContext {
 /// A search algorithm over the decision space: proposes candidate vectors
 /// and offers their outcomes to the context.  Implementations own *where
 /// to look*; the context owns scoring, accounting, and result assembly.
-/// Run one via Explorer::run().
+/// Run one via run_search().
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;
@@ -429,7 +431,7 @@ class SearchStrategy {
 
 /// The paper's greedy ordered traversal (Sec. 4.2): decide trees in order,
 /// scoring each admissible leaf by replaying the trace on the repaired
-/// completion.  Explorer::explore() runs exactly this strategy.
+/// completion.
 class GreedySearch final : public SearchStrategy {
  public:
   explicit GreedySearch(std::vector<TreeId> order = paper_order());
@@ -460,10 +462,12 @@ class BeamSearch final : public SearchStrategy {
 
 /// Exhaustive odometer over the given trees' cartesian product (other
 /// trees repaired from defaults), enumerating the canonical quotient when
-/// ExplorerOptions::canonical_prune is on.  Explorer::exhaustive().
+/// ExplorerOptions::canonical_prune is on.  Stops after @p max_evals
+/// evaluations (replays + cache hits).
 class ExhaustiveSearch final : public SearchStrategy {
  public:
-  ExhaustiveSearch(std::vector<TreeId> trees, std::size_t max_evals);
+  explicit ExhaustiveSearch(std::vector<TreeId> trees,
+                            std::size_t max_evals = 100000);
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
   void run(SearchContext& ctx) override;
   void reset() override { begun_ = false; }
@@ -481,7 +485,7 @@ class ExhaustiveSearch final : public SearchStrategy {
 
 /// Uniform random sampling of full decision vectors, with replacement
 /// (invalid draws are rejected without charge; duplicate draws are charged
-/// and served by the score cache).  Explorer::random_search().
+/// and served by the score cache).
 class RandomSearch final : public SearchStrategy {
  public:
   RandomSearch(std::size_t samples, unsigned seed);
@@ -536,7 +540,7 @@ class AnnealingSearch final : public SearchStrategy {
 };
 
 /// The high-impact subspace the exhaustive validator enumerates by
-/// default (also MethodologyOptions::validation_trees' default).
+/// default (also DesignOptions::validation_trees' default).
 [[nodiscard]] const std::vector<TreeId>& high_impact_trees();
 
 /// Races several child strategies against one SearchContext — one shared
@@ -597,6 +601,14 @@ class PortfolioSearch final : public SearchStrategy {
 [[nodiscard]] std::unique_ptr<SearchStrategy> make_strategy(
     const SearchSpec& spec, const std::vector<TreeId>& order = paper_order(),
     const std::vector<TreeId>& trees = high_impact_trees());
+
+/// Runs @p strategy over @p trace: builds the SearchContext, executes the
+/// strategy and returns the assembled result.  Batches go to @p engine,
+/// or to a fresh make_engine(opts.num_threads) when none is passed.
+[[nodiscard]] ExplorationResult run_search(const TraceSource& trace,
+                                           SearchStrategy& strategy,
+                                           const ExplorerOptions& opts = {},
+                                           EvalEngine* engine = nullptr);
 
 }  // namespace dmm::core
 

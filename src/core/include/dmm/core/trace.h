@@ -181,6 +181,10 @@ class AllocTrace : public TraceSource {
   /// replayable in a loop.
   void close_leaks();
 
+  /// Keeps the first @p max_events events (0 = all) and closes the leaks
+  /// the cut introduced, so the shortened trace stays replayable.
+  void truncate(std::size_t max_events);
+
   /// True iff every free matches a live alloc and ids are not reused
   /// while live.
   [[nodiscard]] bool validate(std::string* why = nullptr) const;

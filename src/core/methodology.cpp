@@ -1,6 +1,7 @@
 #include "dmm/core/methodology.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -51,66 +52,86 @@ std::unique_ptr<alloc::Allocator> MethodologyResult::make_manager(
 // DesignRun
 // ---------------------------------------------------------------------------
 
-DesignRun::DesignRun(const AllocTrace& trace, const MethodologyOptions& options,
-                     EvalEngine& engine)
+DesignRun::DesignRun(std::span<const AllocTrace> traces,
+                     const DesignOptions& options, EvalEngine& engine)
     : options_(options), engine_(engine) {
-  if (options.detect_phases) {
-    AllocTrace working = trace;
-    design_.phases = detect_phases(working, options.phase_options);
-    apply_phases(working, design_.phases);
-    sub_traces_ = split_by_phase(working);
-  } else {
-    design_.phases = annotated_spans(trace);
-    sub_traces_ = split_by_phase(trace);
-  }
-  // Persisting needs one cache for the whole run: with a cache_file and no
-  // injected cache, every walk and validation pass shares a run-scoped one.
-  ExplorerOptions& opts = options_.explorer_options;
-  if (opts.cache && !options_.cache_file.empty() && !opts.shared_cache) {
-    opts.shared_cache = std::make_shared<SharedScoreCache>();
-  }
-  open_search();
-}
-
-DesignRun::DesignRun(const std::vector<AllocTrace>& traces,
-                     const FamilyDesignOptions& options, EvalEngine& engine)
-    : engine_(engine),
-      aggregate_(options.aggregate),
-      seeds_(options.seed_candidates) {
-  // Family inputs are caller data (CLI lists, recorded files) — validate
-  // loudly instead of designing against a half-read family.
+  // Options are caller data (CLI lists, wire requests) — validate loudly
+  // instead of designing against a half-read ask.
   if (traces.empty()) {
-    throw std::invalid_argument(
-        "design_manager_family: the trace family is empty");
+    throw std::invalid_argument("design run: no traces");
   }
-  if (!options.weights.empty() && options.weights.size() != traces.size()) {
-    throw std::invalid_argument(
-        "design_manager_family: " + std::to_string(options.weights.size()) +
-        " weights for " + std::to_string(traces.size()) + " traces");
+  const bool is_family = traces.size() >= 2;
+  const auto reject = [](const std::string& why) {
+    throw std::invalid_argument("design run: " + why);
+  };
+  const auto usable_weight = [](double w) {
+    return std::isfinite(w) && w >= 0.0;
+  };
+  if (!usable_weight(options.explorer_options.time_weight)) {
+    reject("time_weight must be finite and non-negative");
   }
-  options_.explorer_options = options.explorer_options;
-  options_.order = options.order;
-  options_.validation_trees = options.validation_trees;
-  options_.cache_file = options.cache_file;
-  members_.reserve(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    FamilyEvalMember m;
-    // Aliasing, non-owning: the caller's traces outlive the run, and a
-    // full case-study trace is millions of events — copying every member
-    // would double the trace memory before any search work starts.
-    m.trace = std::shared_ptr<const AllocTrace>(
-        std::shared_ptr<const AllocTrace>(), &traces[i]);
-    m.fingerprint = m.trace->fingerprint();
-    m.weight = options.weights.empty() ? 1.0 : options.weights[i];
-    members_.push_back(std::move(m));
+  if (is_family) {
+    if (options.validate) reject("validate applies to a single trace only");
+    if (options.detect_phases) {
+      reject("detect_phases applies to a single trace only");
+    }
+    if (!options.weights.empty() && options.weights.size() != traces.size()) {
+      reject(std::to_string(options.weights.size()) + " weights for " +
+             std::to_string(traces.size()) + " traces");
+    }
+    if (!std::all_of(options.weights.begin(), options.weights.end(),
+                     usable_weight)) {
+      reject("weights must be finite and non-negative");
+    }
+  } else {
+    if (!options.weights.empty()) reject("weights apply to a family only");
+    if (!options.seed_candidates.empty()) {
+      reject("seed candidates apply to a family only");
+    }
+    if (options.aggregate != FamilyAggregate::kMaxPeak) {
+      reject("an aggregate applies to a family only");
+    }
   }
+
   ExplorerOptions& opts = options_.explorer_options;
-  if (opts.cache && !opts.shared_cache) {
+  if (is_family) {
+    members_.reserve(traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      FamilyEvalMember m;
+      // Aliasing, non-owning: the caller's traces outlive the run, and a
+      // full case-study trace is millions of events — copying every
+      // member would double the trace memory before any search work
+      // starts.
+      m.trace = std::shared_ptr<const AllocTrace>(
+          std::shared_ptr<const AllocTrace>(), &traces[i]);
+      m.fingerprint = m.trace->fingerprint();
+      m.weight = options.weights.empty() ? 1.0 : options.weights[i];
+      members_.push_back(std::move(m));
+    }
     // No cache injected: a private run-scoped cache still lets the
     // per-trace breakdown ride the search's member replays instead of
     // re-replaying the winner on every trace (minutes each on full
     // case-study traces).
-    opts.shared_cache = std::make_shared<SharedScoreCache>();
+    if (opts.cache && !opts.shared_cache) {
+      opts.shared_cache = std::make_shared<SharedScoreCache>();
+    }
+  } else {
+    const AllocTrace& trace = traces[0];
+    if (options.detect_phases) {
+      AllocTrace working = trace;
+      design_.phases = detect_phases(working, PhaseDetectorOptions{});
+      apply_phases(working, design_.phases);
+      sub_traces_ = split_by_phase(working);
+    } else {
+      design_.phases = annotated_spans(trace);
+      sub_traces_ = split_by_phase(trace);
+    }
+    // Persisting needs one cache for the whole run: with a cache_file and
+    // no injected cache, every walk and validation pass shares a
+    // run-scoped one.
+    if (opts.cache && !options_.cache_file.empty() && !opts.shared_cache) {
+      opts.shared_cache = std::make_shared<SharedScoreCache>();
+    }
   }
   open_search();
 }
@@ -118,9 +139,9 @@ DesignRun::DesignRun(const std::vector<AllocTrace>& traces,
 void DesignRun::open_search() {
   const ExplorerOptions& opts = options_.explorer_options;
   if (family()) {
-    ctx_ = std::make_unique<SearchContext>(members_, aggregate_, opts,
-                                           engine_);
-    strategy_ = make_strategy(opts.search, options_.order,
+    ctx_ = std::make_unique<SearchContext>(members_, options_.aggregate,
+                                           opts, engine_);
+    strategy_ = make_strategy(opts.search, paper_order(),
                               options_.validation_trees);
     return;
   }
@@ -146,12 +167,11 @@ void DesignRun::open_search() {
     // walk, so the walk's outcome is byte-for-byte what it would be
     // without validation; with a shared cache the two searches reuse each
     // other's replays (reported as cross-search hits).
-    strategy_ = std::make_unique<ExhaustiveSearch>(
-        options_.validation_trees, options_.validation_max_evals);
+    strategy_ = std::make_unique<ExhaustiveSearch>(options_.validation_trees);
   } else {
     // The per-phase searcher is pluggable (explorer_options.search):
     // greedy stays the default and the published flow.
-    strategy_ = make_strategy(opts.search, options_.order,
+    strategy_ = make_strategy(opts.search, paper_order(),
                               options_.validation_trees);
   }
 }
@@ -183,17 +203,18 @@ void DesignRun::complete() {
 }
 
 void DesignRun::close_search() {
-  if (family() && !seeds_.empty()) {
+  const std::vector<alloc::DmmConfig>& seeds = options_.seed_candidates;
+  if (family() && !seeds.empty()) {
     // Warm-start candidates compete *after* the search (an ordered walk's
     // final crowning would clobber anything offered before it): the family
     // best is the fold over the search's offers and every seed, in order.
     std::vector<EvalJob> jobs;
-    jobs.reserve(seeds_.size());
-    for (std::size_t k = 0; k < seeds_.size(); ++k) {
-      jobs.push_back({seeds_[k], k});
+    jobs.reserve(seeds.size());
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      jobs.push_back({seeds[k], k});
     }
     for (const EvalOutcome& out : ctx_->evaluate(jobs)) {
-      if (ctx_->offer_best(seeds_[out.tag], out)) {
+      if (ctx_->offer_best(seeds[out.tag], out)) {
         family_.best_seed = static_cast<int>(out.tag);
       }
     }
@@ -299,16 +320,20 @@ FamilyDesignResult DesignRun::harvest_family() {
 // ---------------------------------------------------------------------------
 
 MethodologyResult design_manager(const AllocTrace& trace,
-                                 const MethodologyOptions& options) {
+                                 const DesignOptions& options) {
   const std::unique_ptr<EvalEngine> engine =
       make_engine(options.explorer_options.num_threads);
-  DesignRun run(trace, options, *engine);
+  DesignRun run({&trace, 1}, options, *engine);
   run.complete();
   return run.harvest();
 }
 
 FamilyDesignResult design_manager_family(const std::vector<AllocTrace>& traces,
-                                         const FamilyDesignOptions& options) {
+                                         const DesignOptions& options) {
+  if (traces.size() < 2) {
+    throw std::invalid_argument(
+        "design_manager_family: a family needs two or more traces");
+  }
   const std::unique_ptr<EvalEngine> engine =
       make_engine(options.explorer_options.num_threads);
   DesignRun run(traces, options, *engine);

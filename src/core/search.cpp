@@ -1027,4 +1027,17 @@ std::unique_ptr<SearchStrategy> make_strategy(const SearchSpec& spec,
   return std::make_unique<GreedySearch>(order);
 }
 
+ExplorationResult run_search(const TraceSource& trace,
+                             SearchStrategy& strategy,
+                             const ExplorerOptions& opts, EvalEngine* engine) {
+  std::unique_ptr<EvalEngine> own;
+  if (engine == nullptr) {
+    own = make_engine(opts.num_threads);
+    engine = own.get();
+  }
+  SearchContext ctx(trace, trace.fingerprint(), opts, *engine);
+  strategy.run(ctx);
+  return ctx.finish();
+}
+
 }  // namespace dmm::core

@@ -161,6 +161,12 @@ void AllocTrace::close_leaks() {
   for (std::uint32_t id : live) record_free(id, last_phase);
 }
 
+void AllocTrace::truncate(std::size_t max_events) {
+  if (max_events == 0 || events_.size() <= max_events) return;
+  events().resize(max_events);
+  close_leaks();
+}
+
 bool AllocTrace::validate(std::string* why) const {
   std::unordered_set<std::uint32_t> live;
   for (std::size_t i = 0; i < events_.size(); ++i) {

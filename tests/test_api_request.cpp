@@ -3,13 +3,15 @@
 //    IEEE-754 bit patterns, so even -0.0 and 1e300 survive — and rejects
 //    garbage, foreign payloads, and future versions without touching *out,
 //  * validate_request raises every inconsistent-ask error the CLIs always
-//    raised,
+//    raised, and rejects non-finite or negative weights off the wire,
 //  * RequestCli parses the shared flag surface into the same request the
 //    hand-rolled example parsers used to build,
+//  * to_design_options() maps a request onto the one DesignOptions, and
+//    never hands DesignRun a config it rejects,
 //  * the adapters are *pinned*: run_design_request() is bit-for-bit
-//    design_manager() / design_manager_family(), and Explorer's
-//    convenience entry points (explore / exhaustive / random_search) are
-//    bit-for-bit run(strategy) — at 1, 2, 4, and 8 evaluation threads,
+//    design_manager() / design_manager_family(), and a parsed search spec
+//    is bit-for-bit the explicit strategy — at 1, 2, 4, and 8 evaluation
+//    threads,
 //  * a core::DesignRun stepped in slices of any size lands exactly where
 //    stepping it to completion does (the daemon's path vs the library's),
 //    and a budget-capped run stops at its budget and harvests what it
@@ -20,14 +22,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dmm/alloc/config.h"
 #include "dmm/api/design_api.h"
-#include "dmm/core/explorer.h"
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
 
 namespace dmm::api {
@@ -213,6 +217,47 @@ TEST(ApiWire, ParseRejectsTruncatedAndMangledFields) {
   EXPECT_FALSE(parse_request(mangled, &out, &why));
 }
 
+TEST(ApiWire, ParseRejectsNonFiniteAndNegativeWeights) {
+  // Doubles travel as raw bit patterns, so a peer can send any of these;
+  // each would skew the objective (a negative time weight rewards work) or
+  // void it (NaN ranks every feasible candidate as infeasible).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  DesignRequest sentinel;
+  sentinel.search_text = "sentinel";
+  for (const double w : {-1.0, kNaN, kInf, -kInf}) {
+    DesignRequest single;
+    single.traces.resize(1);
+    single.time_weight = w;
+    DesignRequest out = sentinel;
+    std::string why;
+    EXPECT_FALSE(parse_request(serialize_request(single), &out, &why))
+        << "time weight bits " << bits(w);
+    EXPECT_NE(why.find("time weight"), std::string::npos) << why;
+    EXPECT_EQ(out.search_text, "sentinel") << "failed parse clobbered *out";
+  }
+  DesignRequest family;
+  family.traces.resize(2);
+  family.aggregate = core::FamilyAggregate::kWeightedSum;
+  family.aggregate_set = true;
+  const std::vector<std::vector<double>> bad_weights = {
+      {kNaN, -3.0}, {1.0, -3.0}, {kInf, 1.0}};
+  for (const std::vector<double>& weights : bad_weights) {
+    family.weights = weights;
+    DesignRequest out;
+    std::string why;
+    EXPECT_FALSE(parse_request(serialize_request(family), &out, &why))
+        << "weight bits " << bits(weights[0]) << ", " << bits(weights[1]);
+    EXPECT_NE(why.find("weights"), std::string::npos) << why;
+  }
+  // Zero (of either sign) stays a legal weight.
+  family.weights = {0.0, -0.0};
+  family.time_weight = 0.0;
+  DesignRequest out;
+  std::string why;
+  EXPECT_TRUE(parse_request(serialize_request(family), &out, &why)) << why;
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
@@ -346,29 +391,88 @@ TEST(ApiCli, TraceFlagsCanBeDisabled) {
   char* argv[] = {arg0, arg1};
   int i = 1;
   EXPECT_EQ(cli.consume(2, argv, &i), RequestCli::Arg::kNotMine);
+  // The cap still applies to the binary's fixed trace, which finish()
+  // leaves as the request's one default trace.
+  char arg2[] = "--max-events=500";
+  char* cap_argv[] = {arg0, arg2};
+  EXPECT_EQ(cli.consume(2, cap_argv, &i), RequestCli::Arg::kConsumed);
+  ASSERT_TRUE(cli.finish()) << cli.error();
+  EXPECT_EQ(cli.request.max_events, 500u);
+  ASSERT_EQ(cli.request.traces.size(), 1u);
+  EXPECT_EQ(cli.request.traces[0].workload, "drr");
 }
 
 // ---------------------------------------------------------------------------
 // Bridges
 // ---------------------------------------------------------------------------
 
-TEST(ApiBridge, MapsEveryKnobOntoTheLegacyOptionStructs) {
-  const DesignRequest req = full_request();
-  const core::ExplorerOptions opts = to_explorer_options(req);
+TEST(ApiBridge, MapsEveryKnobOntoDesignOptions) {
+  DesignRequest req = full_request();
+  const core::DesignOptions family = to_design_options(req);
+  const core::ExplorerOptions& opts = family.explorer_options;
   EXPECT_EQ(opts.num_threads, req.num_threads);
   EXPECT_EQ(bits(opts.time_weight), bits(req.time_weight));
   EXPECT_EQ(opts.cache, req.cache);
   EXPECT_EQ(opts.search.kind, core::parse_search_spec(req.search_text)->kind);
+  EXPECT_EQ(opts.shared_cache, nullptr);
+  EXPECT_EQ(family.cache_file, req.cache_file);
+  EXPECT_EQ(family.aggregate, req.aggregate);
+  ASSERT_EQ(family.weights.size(), req.weights.size());
+  EXPECT_FALSE(family.validate);
 
-  const core::MethodologyOptions m = to_methodology_options(req);
-  EXPECT_EQ(m.validate, req.validate);
-  EXPECT_EQ(m.cache_file, req.cache_file);
-  EXPECT_EQ(m.explorer_options.num_threads, req.num_threads);
+  // One trace: validate maps, the family-only fields stay at their
+  // defaults even if the request carries them unset-but-filled.
+  req.traces.resize(1);
+  req.weights.clear();
+  req.aggregate_set = false;
+  req.validate = true;
+  const core::DesignOptions single = to_design_options(req);
+  EXPECT_TRUE(single.validate);
+  EXPECT_EQ(single.aggregate, core::FamilyAggregate::kMaxPeak);
+  EXPECT_TRUE(single.weights.empty());
+  EXPECT_EQ(single.cache_file, req.cache_file);
+}
 
-  const core::FamilyDesignOptions f = to_family_options(req);
-  EXPECT_EQ(f.aggregate, req.aggregate);
-  ASSERT_EQ(f.weights.size(), req.weights.size());
-  EXPECT_EQ(f.cache_file, req.cache_file);
+TEST(ApiBridge, ValidRequestsNeverMakeDesignRunThrow) {
+  // Every request below passes validate_request; its DesignOptions must
+  // construct a DesignRun over the request's trace count.
+  std::vector<core::AllocTrace> traces(2);
+  for (std::uint32_t id = 0; id < 32; ++id) {
+    traces[0].record_alloc(id, 64 + id);
+    traces[1].record_alloc(id, 512 + id);
+  }
+  for (core::AllocTrace& t : traces) t.close_leaks();
+  std::vector<DesignRequest> valid;
+  DesignRequest single;
+  single.traces.resize(1);
+  valid.push_back(single);
+  single.validate = true;
+  single.time_weight = 0.5;
+  valid.push_back(single);
+  single = DesignRequest{};
+  single.traces.resize(1);
+  // An aggregate the request never set is not an ask.
+  single.aggregate = core::FamilyAggregate::kWeightedSum;
+  valid.push_back(single);
+  DesignRequest family;
+  family.traces.resize(2);
+  valid.push_back(family);
+  family.aggregate = core::FamilyAggregate::kWeightedSum;
+  family.aggregate_set = true;
+  family.weights = {0.0, 2.5};
+  family.search_text = "portfolio:40:greedy+random:20";
+  valid.push_back(family);
+
+  core::SerialEngine engine;
+  for (const DesignRequest& req : valid) {
+    std::string why;
+    ASSERT_TRUE(validate_request(req, &why)) << why;
+    const std::vector<core::AllocTrace> loaded(
+        traces.begin(),
+        traces.begin() + static_cast<std::ptrdiff_t>(req.traces.size()));
+    EXPECT_NO_THROW((void)make_design_run(req, loaded, engine))
+        << serialize_request(req);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +512,7 @@ TEST(ApiAdapterPin, RunDesignRequestIsDesignManagerBitForBit) {
     std::string why;
     ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
     const core::MethodologyResult design =
-        core::design_manager(traces[0], to_methodology_options(req));
+        core::design_manager(traces[0], to_design_options(req));
 
     const std::string what = "threads=" + std::to_string(threads);
     ASSERT_EQ(reply.phase_signatures.size(), design.phase_configs.size())
@@ -455,7 +559,7 @@ TEST(ApiAdapterPin, RunDesignRequestIsDesignManagerFamilyBitForBit) {
     std::string why;
     ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
     const core::FamilyDesignResult family =
-        core::design_manager_family(traces, to_family_options(req));
+        core::design_manager_family(traces, to_design_options(req));
 
     const std::string what = "threads=" + std::to_string(threads);
     ASSERT_EQ(reply.phase_signatures.size(), 1u) << what;
@@ -471,38 +575,32 @@ TEST(ApiAdapterPin, RunDesignRequestIsDesignManagerFamilyBitForBit) {
   }
 }
 
-TEST(ApiAdapterPin, ExplorerConveniencesAreRunStrategyBitForBit) {
+TEST(ApiAdapterPin, SearchSpecsAreTheExplicitStrategiesBitForBit) {
   std::vector<core::AllocTrace> traces;
   std::string why;
   ASSERT_TRUE(load_traces(small_drr_request(1), &traces, &why)) << why;
-  const auto trace = std::make_shared<const core::AllocTrace>(traces[0]);
+  const core::AllocTrace& trace = traces[0];
 
   for (const unsigned threads : kThreadCounts) {
     core::ExplorerOptions opts;
     opts.num_threads = threads;
     const std::string what = "threads=" + std::to_string(threads);
-
-    {  // explore() == run(greedy strategy)
-      core::Explorer a(trace, opts);
-      core::Explorer b(trace, opts);
-      const auto greedy = core::make_strategy(
-          *core::parse_search_spec("greedy"), core::paper_order());
-      expect_same_result(a.explore(), b.run(*greedy), what + " explore");
-    }
-    {  // exhaustive() == run(ExhaustiveSearch)
-      core::Explorer a(trace, opts);
-      core::Explorer b(trace, opts);
-      core::ExhaustiveSearch strategy(core::high_impact_trees(), 200);
-      expect_same_result(a.exhaustive(core::high_impact_trees(), 200),
-                        b.run(strategy), what + " exhaustive");
-    }
-    {  // random_search() == run(RandomSearch)
-      core::Explorer a(trace, opts);
-      core::Explorer b(trace, opts);
-      core::RandomSearch strategy(40, 7);
-      expect_same_result(a.random_search(40, 7), b.run(strategy),
-                        what + " random");
-    }
+    const auto via_spec = [&](const char* spec) {
+      return core::run_search(
+          trace, *core::make_strategy(*core::parse_search_spec(spec)), opts);
+    };
+    core::GreedySearch greedy(core::paper_order());
+    expect_same_result(via_spec("greedy"),
+                       core::run_search(trace, greedy, opts),
+                       what + " greedy");
+    core::ExhaustiveSearch exhaustive(core::high_impact_trees(), 200);
+    expect_same_result(via_spec("exhaustive:200"),
+                       core::run_search(trace, exhaustive, opts),
+                       what + " exhaustive");
+    core::RandomSearch random(40, 7);
+    expect_same_result(via_spec("random:40:7"),
+                       core::run_search(trace, random, opts),
+                       what + " random");
   }
 }
 
@@ -569,7 +667,7 @@ TEST_P(DesignRunSlicing, SlicesMatchCompletionAndDesignManager) {
   std::string why;
   ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
   const core::MethodologyResult want =
-      core::design_manager(traces[0], to_methodology_options(req));
+      core::design_manager(traces[0], to_design_options(req));
   const std::unique_ptr<core::EvalEngine> engine = core::make_engine(2);
   for (const std::size_t slice : kSlices) {
     const std::string what = req.traces[0].workload + " " + req.search_text +
@@ -611,7 +709,7 @@ TEST(DesignRunSlicing, FamilyRunMatchesDesignManagerFamily) {
   std::string why;
   ASSERT_TRUE(load_traces(req, &traces, &why)) << why;
   const core::FamilyDesignResult want =
-      core::design_manager_family(traces, to_family_options(req));
+      core::design_manager_family(traces, to_design_options(req));
   const std::unique_ptr<core::EvalEngine> engine = core::make_engine(2);
   for (const std::size_t slice : kSlices) {
     const std::string what = "family slice " + std::to_string(slice);

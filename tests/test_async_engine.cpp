@@ -19,10 +19,7 @@ using alloc::DmmConfig;
 
 AllocTrace workload_trace(const std::string& name, std::size_t max_events) {
   AllocTrace t = workloads::record_trace(workloads::case_study(name), 7);
-  if (t.size() > max_events) {
-    t.events().resize(max_events);
-    t.close_leaks();
-  }
+  t.truncate(max_events);
   std::string why;
   EXPECT_TRUE(t.validate(&why)) << why;
   return t;

@@ -6,8 +6,8 @@
 //    partial import),
 //  * saves are atomic (temp file + rename): concurrent savers
 //    last-writer-win and the surviving file always loads,
-//  * an explicit load/save around an Explorer, and
-//    MethodologyOptions::cache_file around a design run, thread warm
+//  * an explicit load/save around a search, and
+//    DesignOptions::cache_file around a design run, thread warm
 //    starts end to end: a second run over the same trace replays nothing,
 //    reports persisted hits, and returns a bit-identical best.
 
@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "dmm/core/cache_snapshot.h"
-#include "dmm/core/explorer.h"
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 
 namespace dmm::core {
 namespace {
@@ -353,28 +353,23 @@ TEST_F(CachePersist, SaveIntoMissingDirectoryFailsGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: warm explorer and methodology runs
+// End to end: warm searches and methodology runs
 // ---------------------------------------------------------------------------
 
 TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(2500));
+  const AllocTrace trace = variable_size_trace(2500);
   ExplorerOptions opts;
   opts.shared_cache = std::make_shared<SharedScoreCache>();
 
-  ExplorationResult cold;
-  {
-    Explorer ex(trace, opts);
-    cold = ex.explore();
-    EXPECT_GT(cold.simulations, 0u);
-    EXPECT_EQ(cold.persisted_hits, 0u);
-  }
+  GreedySearch greedy;
+  const ExplorationResult cold = run_search(trace, greedy, opts);
+  EXPECT_GT(cold.simulations, 0u);
+  EXPECT_EQ(cold.persisted_hits, 0u);
   ASSERT_TRUE(opts.shared_cache->save(path_).saved);
 
   opts.shared_cache = std::make_shared<SharedScoreCache>();  // fresh cache
   ASSERT_TRUE(opts.shared_cache->load(path_).loaded);
-  Explorer warm_ex(trace, opts);
-  const ExplorationResult warm = warm_ex.explore();
+  const ExplorationResult warm = run_search(trace, greedy, opts);
   EXPECT_EQ(warm.best, cold.best) << "warm best must be bit-identical";
   EXPECT_EQ(warm.best_sim.peak_footprint, cold.best_sim.peak_footprint);
   EXPECT_EQ(warm.best_sim.avg_footprint, cold.best_sim.avg_footprint);
@@ -391,7 +386,7 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
 
 TEST_F(CachePersist, CorruptSnapshotDegradesToAColdRunNotAnError) {
   const AllocTrace trace = variable_size_trace(2000);
-  MethodologyOptions options;
+  DesignOptions options;
   options.cache_file = path_;
   const MethodologyResult cold = design_manager(trace, options);
   std::vector<std::uint8_t> buf = slurp();
@@ -412,7 +407,7 @@ TEST_F(CachePersist, CorruptSnapshotDegradesToAColdRunNotAnError) {
 
 TEST_F(CachePersist, DesignManagerWarmRunReplaysNothing) {
   const AllocTrace trace = variable_size_trace(2000);
-  MethodologyOptions options;
+  DesignOptions options;
   options.validate = true;
   options.validation_trees = {TreeId::kA2, TreeId::kA5, TreeId::kE2};
   options.cache_file = path_;
@@ -433,7 +428,7 @@ TEST_F(CachePersist, DesignManagerWarmRunReplaysNothing) {
 
 TEST_F(CachePersist, CacheFileWithCachingOffIsIgnored) {
   const AllocTrace trace = variable_size_trace(1000);
-  MethodologyOptions options;
+  DesignOptions options;
   options.explorer_options.cache = false;
   options.cache_file = path_;
   (void)design_manager(trace, options);

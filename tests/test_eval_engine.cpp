@@ -10,7 +10,6 @@
 #include <memory>
 #include <thread>
 
-#include "dmm/core/explorer.h"
 #include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
 
@@ -22,10 +21,7 @@ using alloc::DmmConfig;
 /// Recorded workload trace, truncated so one explore stays test-sized.
 AllocTrace workload_trace(const std::string& name, std::size_t max_events) {
   AllocTrace t = workloads::record_trace(workloads::case_study(name), 7);
-  if (t.size() > max_events) {
-    t.events().resize(max_events);
-    t.close_leaks();
-  }
+  t.truncate(max_events);
   std::string why;
   EXPECT_TRUE(t.validate(&why)) << why;
   return t;
@@ -183,10 +179,9 @@ TEST(ScoreSession, ExplorerHitAccounting) {
   with_cache.cache = true;
   ExplorerOptions without_cache;
   without_cache.cache = false;
-  Explorer cached(trace, with_cache);
-  Explorer uncached(trace, without_cache);
-  const ExplorationResult on = cached.explore();
-  const ExplorationResult off = uncached.explore();
+  GreedySearch greedy;
+  const ExplorationResult on = run_search(trace, greedy, with_cache);
+  const ExplorationResult off = run_search(trace, greedy, without_cache);
   EXPECT_EQ(off.cache_hits, 0u);
   EXPECT_GT(on.cache_hits, 0u)
       << "the greedy walk's repaired completions must collide";
@@ -238,22 +233,13 @@ TEST(EvalEngine, DirectBatchMatchesSerial) {
 class EngineDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineDeterminism, ExploreIsBitIdenticalAcrossThreadCounts) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(workload_trace(GetParam(), 5000));
-  ExplorationResult serial_result;
-  {
-    ExplorerOptions opts;
-    opts.num_threads = 1;
-    Explorer ex(trace, opts);
-    serial_result = ex.explore();
-    EXPECT_EQ(ex.engine().name(), "serial");
-  }
+  const AllocTrace trace = workload_trace(GetParam(), 5000);
+  GreedySearch greedy;
+  const ExplorationResult serial_result = run_search(trace, greedy);
   for (const unsigned threads : {2u, 4u, 8u}) {
     ExplorerOptions opts;
     opts.num_threads = threads;
-    Explorer ex(trace, opts);
-    EXPECT_EQ(ex.engine().name(), "thread-pool");
-    const ExplorationResult parallel_result = ex.explore();
+    const ExplorationResult parallel_result = run_search(trace, greedy, opts);
     expect_identical(serial_result, parallel_result,
                      std::string(GetParam()) + " @" +
                          std::to_string(threads) + " threads");
@@ -264,29 +250,16 @@ INSTANTIATE_TEST_SUITE_P(Workloads, EngineDeterminism,
                          ::testing::Values("drr", "render3d"));
 
 TEST(EvalEngine, ExhaustiveAndRandomMatchAcrossEngines) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(workload_trace("drr", 3000));
+  const AllocTrace trace = workload_trace("drr", 3000);
   ExplorerOptions serial_opts;
   ExplorerOptions pool_opts;
   pool_opts.num_threads = 4;
-  Explorer serial(trace, serial_opts);
-  Explorer pool(trace, pool_opts);
-  const std::vector<TreeId> subspace = {TreeId::kA2, TreeId::kA5,
-                                        TreeId::kE2};
-  expect_identical(serial.exhaustive(subspace), pool.exhaustive(subspace),
-                   "exhaustive");
-  expect_identical(serial.random_search(40, 11), pool.random_search(40, 11),
-                   "random");
-}
-
-TEST(EvalEngine, SharedTraceIsNotCopied) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(workload_trace("drr", 2000));
-  Explorer a(trace);
-  Explorer b(trace);
-  EXPECT_EQ(a.shared_trace().get(), trace.get());
-  EXPECT_EQ(b.shared_trace().get(), trace.get());
-  EXPECT_EQ(&a.trace(), &b.trace());
+  ExhaustiveSearch exhaustive({TreeId::kA2, TreeId::kA5, TreeId::kE2});
+  expect_identical(run_search(trace, exhaustive, serial_opts),
+                   run_search(trace, exhaustive, pool_opts), "exhaustive");
+  RandomSearch sampler(40, 11);
+  expect_identical(run_search(trace, sampler, serial_opts),
+                   run_search(trace, sampler, pool_opts), "random");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-#include "dmm/core/explorer.h"
-
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 
 namespace dmm::core {
 namespace {
@@ -39,8 +38,8 @@ class ExplorerTest : public ::testing::Test {
 };
 
 TEST_F(ExplorerTest, OrderedTraversalDecidesEveryTree) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.explore();
+  GreedySearch greedy;
+  const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(r.steps.size(), paper_order().size());
   for (std::size_t i = 0; i < r.steps.size(); ++i) {
     EXPECT_EQ(r.steps[i].tree, paper_order()[i]);
@@ -56,8 +55,8 @@ TEST_F(ExplorerTest, OrderedTraversalDecidesEveryTree) {
 TEST_F(ExplorerTest, ChoosesDefragmentationForVariableSizes) {
   // The Sec. 5 walk: variable sizes => split+coalesce always, not fixed,
   // shrink-capable pools.
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.explore();
+  GreedySearch greedy;
+  const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(r.best.block_sizes, alloc::BlockSizes::kMany);
   EXPECT_EQ(r.best.flexible, alloc::FlexibleBlockSize::kSplitAndCoalesce);
   EXPECT_EQ(r.best.split_when, alloc::SplitWhen::kAlways);
@@ -66,9 +65,10 @@ TEST_F(ExplorerTest, ChoosesDefragmentationForVariableSizes) {
 }
 
 TEST_F(ExplorerTest, PublishedOrderBeatsOrMatchesWrongOrder) {
-  Explorer ex(trace_);
-  const ExplorationResult good = ex.explore(paper_order());
-  const ExplorationResult bad = ex.explore(fig4_wrong_order());
+  GreedySearch published(paper_order());
+  GreedySearch wrong(fig4_wrong_order());
+  const ExplorationResult good = run_search(trace_, published);
+  const ExplorationResult bad = run_search(trace_, wrong);
   EXPECT_LE(good.best_sim.peak_footprint, bad.best_sim.peak_footprint)
       << "Fig. 4: deciding A3/A4 first must not win";
 }
@@ -76,32 +76,30 @@ TEST_F(ExplorerTest, PublishedOrderBeatsOrMatchesWrongOrder) {
 TEST_F(ExplorerTest, GreedyOrderedIsCloseToExhaustiveOnSubspace) {
   // Exhaustive ground truth over the highest-impact trees; the greedy
   // ordered traversal must land within 10% of it.
-  Explorer ex(trace_);
-  const std::vector<TreeId> subspace = {TreeId::kA2, TreeId::kA5,
-                                        TreeId::kE2, TreeId::kD2,
-                                        TreeId::kB4, TreeId::kC1};
-  const ExplorationResult truth = ex.exhaustive(subspace);
-  const ExplorationResult greedy = ex.explore();
+  ExhaustiveSearch exhaustive({TreeId::kA2, TreeId::kA5, TreeId::kE2,
+                               TreeId::kD2, TreeId::kB4, TreeId::kC1});
+  GreedySearch walk;
+  const ExplorationResult truth = run_search(trace_, exhaustive);
+  const ExplorationResult greedy = run_search(trace_, walk);
   EXPECT_LE(static_cast<double>(greedy.best_sim.peak_footprint),
             1.10 * static_cast<double>(truth.best_sim.peak_footprint));
 }
 
 TEST_F(ExplorerTest, GreedyBeatsRandomSearchBudgetForBudget) {
-  Explorer ex(trace_);
-  const ExplorationResult greedy = ex.explore();
+  GreedySearch walk;
+  const ExplorationResult greedy = run_search(trace_, walk);
   // Give random search the same simulation budget.
-  const ExplorationResult random =
-      ex.random_search(greedy.simulations, /*seed=*/11);
+  RandomSearch sampler(greedy.simulations, /*seed=*/11);
+  const ExplorationResult random = run_search(trace_, sampler);
   EXPECT_LE(greedy.best_sim.peak_footprint,
             random.best_sim.peak_footprint * 105 / 100)
       << "ordered traversal should not lose to random sampling";
 }
 
 TEST_F(ExplorerTest, ScoreIsDeterministic) {
-  Explorer ex(trace_);
-  const SimResult a = ex.score(alloc::drr_paper_config());
-  const SimResult b = ex.score(alloc::drr_paper_config());
-  EXPECT_EQ(a.peak_footprint, b.peak_footprint);
+  const EvalOutcome a = score_candidate(trace_, {alloc::drr_paper_config(), 0});
+  const EvalOutcome b = score_candidate(trace_, {alloc::drr_paper_config(), 0});
+  EXPECT_EQ(a.sim.peak_footprint, b.sim.peak_footprint);
 }
 
 TEST_F(ExplorerTest, TimeWeightTradesFootprintForSpeed) {
@@ -109,10 +107,9 @@ TEST_F(ExplorerTest, TimeWeightTradesFootprintForSpeed) {
   ExplorerOptions footprint_only;
   ExplorerOptions time_heavy;
   time_heavy.time_weight = 1000.0;
-  Explorer ex_a(trace_, footprint_only);
-  Explorer ex_b(trace_, time_heavy);
-  const ExplorationResult a = ex_a.explore();
-  const ExplorationResult b = ex_b.explore();
+  GreedySearch walk;
+  const ExplorationResult a = run_search(trace_, walk, footprint_only);
+  const ExplorationResult b = run_search(trace_, walk, time_heavy);
   EXPECT_LE(a.best_sim.peak_footprint, b.best_sim.peak_footprint)
       << "pure-footprint search wins on footprint";
   EXPECT_LE(b.work_steps, a.work_steps)
@@ -169,9 +166,8 @@ TEST(Methodology, DetectPhasesPathWorksEndToEnd) {
     }
     trace.append(big, /*phase_offset=*/0);  // no annotation: detector's job
   }
-  MethodologyOptions opts;
+  DesignOptions opts;
   opts.detect_phases = true;
-  opts.phase_options.window = 1024;
   const MethodologyResult r = design_manager(trace, opts);
   EXPECT_GE(r.phase_configs.size(), 2u)
       << "the detector must find the behaviour shift";

@@ -10,21 +10,25 @@
 //    never (beyond the 1% tie band) worse family-wide than any seed,
 //  * family searches ride the per-trace cache entries single-trace
 //    searches share, and a repeated family run replays nothing,
-//  * malformed families (empty, weight-count mismatch) throw instead of
-//    designing against garbage.
+//  * malformed families (empty, weight-count mismatch) and options outside
+//    their mode (family-only fields on one trace and vice versa, unusable
+//    weights) throw instead of designing against garbage.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "dmm/core/explorer.h"
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 
 namespace dmm::core {
 namespace {
@@ -157,7 +161,7 @@ TEST(DesignManagerFamily, BitIdenticalAcrossThreadCounts) {
   const std::vector<AllocTrace> traces = small_family();
   FamilyDesignResult baseline;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    FamilyDesignOptions opts;
+    DesignOptions opts;
     opts.explorer_options.num_threads = threads;
     opts.explorer_options.search =
         *parse_search_spec("portfolio:greedy+beam:2+anneal");
@@ -178,11 +182,11 @@ TEST(DesignManagerFamily, BitIdenticalAcrossThreadCounts) {
 
 TEST(DesignManagerFamily, BitIdenticalAcrossCacheScopes) {
   const std::vector<AllocTrace> traces = small_family();
-  FamilyDesignOptions per_search;
+  DesignOptions per_search;
   per_search.explorer_options.search = *parse_search_spec("greedy");
-  FamilyDesignOptions shared = per_search;
+  DesignOptions shared = per_search;
   shared.explorer_options.shared_cache = std::make_shared<SharedScoreCache>();
-  FamilyDesignOptions uncached = per_search;
+  DesignOptions uncached = per_search;
   uncached.explorer_options.cache = false;
   const FamilyDesignResult a = design_manager_family(traces, per_search);
   const FamilyDesignResult b = design_manager_family(traces, shared);
@@ -193,19 +197,18 @@ TEST(DesignManagerFamily, BitIdenticalAcrossCacheScopes) {
 
 TEST(DesignManagerFamily, PerTraceBreakdownMatchesDirectReplays) {
   const std::vector<AllocTrace> traces = small_family();
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   const FamilyDesignResult family = design_manager_family(traces, opts);
   ASSERT_EQ(family.per_trace.size(), traces.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     EXPECT_EQ(family.per_trace[i].fingerprint, traces[i].fingerprint());
-    Explorer ex(traces[i]);
-    std::uint64_t work = 0;
-    const SimResult direct = ex.score(family.best, &work);
+    const EvalOutcome out = score_candidate(traces[i], {family.best, 0});
+    const SimResult& direct = out.sim;
     EXPECT_EQ(family.per_trace[i].sim.peak_footprint, direct.peak_footprint);
     EXPECT_DOUBLE_EQ(family.per_trace[i].sim.avg_footprint,
                      direct.avg_footprint);
-    EXPECT_EQ(family.per_trace[i].work_steps, work);
+    EXPECT_EQ(family.per_trace[i].work_steps, out.work_steps);
     EXPECT_TRUE(family.per_trace[i].feasible());
     worst = std::max(worst,
                      static_cast<double>(direct.peak_footprint));
@@ -217,11 +220,11 @@ TEST(DesignManagerFamily, PerTraceBreakdownMatchesDirectReplays) {
 TEST(DesignManagerFamily, SeededSolosBoundTheFamilyRegret) {
   const std::vector<AllocTrace> traces = small_family();
   // The paper's flow per trace...
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   std::vector<DmmConfig> solos;
+  GreedySearch greedy(paper_order());
   for (const AllocTrace& t : traces) {
-    Explorer ex(t);
-    solos.push_back(ex.explore(paper_order()).best);
+    solos.push_back(run_search(t, greedy).best);
   }
   // ... seeds the family search, so the family-wide worst peak can exceed
   // no seed's worst peak beyond the comparator's 1% tie band.
@@ -241,9 +244,9 @@ TEST(DesignManagerFamily, SeededSolosBoundTheFamilyRegret) {
   for (const DmmConfig& solo : solos) {
     double solo_worst = 0.0;
     for (const AllocTrace& t : traces) {
-      Explorer ex(t);
-      solo_worst = std::max(
-          solo_worst, static_cast<double>(ex.score(solo).peak_footprint));
+      const EvalOutcome out = score_candidate(t, {solo, 0});
+      solo_worst =
+          std::max(solo_worst, static_cast<double>(out.sim.peak_footprint));
     }
     EXPECT_LE(family.aggregate_objective, solo_worst * 1.0101);
   }
@@ -252,7 +255,7 @@ TEST(DesignManagerFamily, SeededSolosBoundTheFamilyRegret) {
 TEST(DesignManagerFamily, RidesAndFeedsThePerTraceCacheEntries) {
   const std::vector<AllocTrace> traces = small_family();
   const auto cache = std::make_shared<SharedScoreCache>();
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   opts.explorer_options.shared_cache = cache;
   const FamilyDesignResult cold = design_manager_family(traces, opts);
   EXPECT_GT(cold.search.simulations, 0u);
@@ -261,8 +264,8 @@ TEST(DesignManagerFamily, RidesAndFeedsThePerTraceCacheEntries) {
   // entries: the first probes of the walk are the same repaired vectors.
   ExplorerOptions single;
   single.shared_cache = cache;
-  Explorer ex(traces[0], single);
-  const ExplorationResult walk = ex.explore(paper_order());
+  GreedySearch greedy(paper_order());
+  const ExplorationResult walk = run_search(traces[0], greedy, single);
   EXPECT_GT(walk.cross_search_hits, 0u)
       << "family member replays must be shared with single-trace searches";
 
@@ -283,7 +286,7 @@ TEST(DesignManagerFamily, RidesAndFeedsThePerTraceCacheEntries) {
 TEST(DesignManagerFamily, WeightedSumUsesTheWeights) {
   const std::vector<AllocTrace> traces = {sized_trace(1200, 5),
                                           sized_trace(1200, 6)};
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   opts.aggregate = FamilyAggregate::kWeightedSum;
   opts.weights = {1.0, 2.0};
   const FamilyDesignResult r = design_manager_family(traces, opts);
@@ -300,7 +303,7 @@ TEST(DesignManagerFamily, RejectsMalformedFamilies) {
   EXPECT_THROW((void)design_manager_family({}, {}), std::invalid_argument);
   const std::vector<AllocTrace> traces = {sized_trace(400, 1),
                                           sized_trace(400, 2)};
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   opts.weights = {1.0};  // two traces, one weight
   EXPECT_THROW((void)design_manager_family(traces, opts),
                std::invalid_argument);
@@ -309,13 +312,61 @@ TEST(DesignManagerFamily, RejectsMalformedFamilies) {
                std::invalid_argument);
 }
 
+TEST(DesignOptionsModes, FieldsOutsideTheirModeThrow) {
+  // One trace is a phased run, two or more a family run; a field that only
+  // applies to the other mode — or an unusable weight — must throw rather
+  // than be silently ignored.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<AllocTrace> traces = {sized_trace(200, 1),
+                                          sized_trace(200, 2)};
+  // (trace count, options) pairs DesignRun must reject.
+  std::vector<std::pair<std::size_t, DesignOptions>> cases;
+  const auto add = [&cases](std::size_t trace_count) -> DesignOptions& {
+    return cases.emplace_back(trace_count, DesignOptions{}).second;
+  };
+  add(2).validate = true;
+  add(2).detect_phases = true;
+  add(2).weights = {kNaN, 1.0};
+  add(2).weights = {1.0, -3.0};
+  add(2).weights = {kInf, 1.0};
+  add(2).explorer_options.time_weight = -1.0;
+  add(1).weights = {1.0};
+  add(1).seed_candidates = {alloc::drr_paper_config()};
+  add(1).aggregate = FamilyAggregate::kWeightedSum;
+  add(1).explorer_options.time_weight = kNaN;
+  add(1).explorer_options.time_weight = kInf;
+  add(0);  // no traces at all
+  SerialEngine engine;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::span<const AllocTrace> span(traces.data(), cases[i].first);
+    EXPECT_THROW((void)std::make_unique<DesignRun>(span, cases[i].second,
+                                                   engine),
+                 std::invalid_argument)
+        << "case " << i;
+  }
+  // The same fields in their own mode are accepted.
+  DesignOptions family;
+  family.aggregate = FamilyAggregate::kWeightedSum;
+  family.weights = {0.0, 2.0};
+  family.seed_candidates = {alloc::drr_paper_config()};
+  EXPECT_NO_THROW((void)std::make_unique<DesignRun>(
+      std::span<const AllocTrace>(traces), family, engine));
+  DesignOptions single;
+  single.validate = true;
+  single.detect_phases = true;
+  single.explorer_options.time_weight = 0.5;
+  EXPECT_NO_THROW((void)std::make_unique<DesignRun>(
+      std::span<const AllocTrace>(traces.data(), 1), single, engine));
+}
+
 TEST(DesignManagerFamily, PersistsAcrossProcessesViaCacheFile) {
   const std::vector<AllocTrace> traces = {sized_trace(1000, 7),
                                           sized_trace(1000, 8)};
   const std::string path =
       ::testing::TempDir() + "dmm_family_design.snapshot";
   std::remove(path.c_str());
-  FamilyDesignOptions opts;
+  DesignOptions opts;
   opts.cache_file = path;
   const FamilyDesignResult cold = design_manager_family(traces, opts);
   EXPECT_GT(cold.search.simulations, 0u);

@@ -1,6 +1,6 @@
 // PortfolioSearch (src/core/search.h) and the hardened spec/number
 // parsing:
-//  * portfolio:greedy is bit-identical to explore() — racing one child is
+//  * portfolio:greedy is bit-identical to GreedySearch — racing one child is
 //    the degenerate case,
 //  * portfolio:greedy+beam:4+anneal is bit-identical across 1/2/4/8
 //    threads and across per-search / shared / persisted cache scopes,
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "dmm/core/explorer.h"
 #include "dmm/core/search.h"
 
 namespace dmm::core {
@@ -93,16 +92,13 @@ class PortfolioSearchTest : public ::testing::Test {
   PortfolioSearchTest() : trace_(variable_size_trace(3000)) {}
 
   ExplorationResult run_spec(const std::string& spec,
-                             const ExplorerOptions& base = {}) {
-    ExplorerOptions opts = base;
+                             const ExplorerOptions& opts = {}) {
     const auto parsed = parse_search_spec(spec);
     if (!parsed.has_value()) {
       ADD_FAILURE() << "unparseable spec: " << spec;
       return {};
     }
-    opts.search = *parsed;
-    Explorer ex(trace_, opts);
-    return ex.run();
+    return run_search(trace_, *make_strategy(*parsed), opts);
   }
 
   AllocTrace trace_;
@@ -113,8 +109,8 @@ class PortfolioSearchTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(PortfolioSearchTest, SingleGreedyChildMatchesExploreBitForBit) {
-  Explorer ex(trace_);
-  const ExplorationResult greedy = ex.explore(paper_order());
+  GreedySearch walk(paper_order());
+  const ExplorationResult greedy = run_search(trace_, walk);
   const ExplorationResult portfolio = run_spec("portfolio:greedy");
   EXPECT_EQ(portfolio.best, greedy.best);
   EXPECT_EQ(portfolio.best_sim.peak_footprint, greedy.best_sim.peak_footprint);
@@ -338,10 +334,8 @@ TEST(SpecParseHardening, ExhaustiveAcceptsAnOptionalBudget) {
 
 TEST(SpecParseHardening, ExhaustiveBudgetCapsTheEnumeration) {
   const AllocTrace trace = variable_size_trace(600);
-  ExplorerOptions opts;
-  opts.search = *parse_search_spec("exhaustive:12");
-  Explorer ex(trace, opts);
-  const ExplorationResult r = ex.run();
+  const ExplorationResult r =
+      run_search(trace, *make_strategy(*parse_search_spec("exhaustive:12")));
   EXPECT_EQ(r.simulations + r.cache_hits, 12u);
 }
 

@@ -1,15 +1,14 @@
 // The SearchStrategy seam (src/core/search.h):
-//  * Explorer::explore / exhaustive / random_search are thin wrappers over
-//    Greedy/Exhaustive/RandomSearch — golden logs captured from the
-//    pre-refactor Explorer pin them bit for bit,
-//  * BeamSearch(1) is bit-identical to explore(); width >= 2 escapes the
+//  * Greedy/Exhaustive/RandomSearch run through run_search() — golden logs
+//    captured before the strategy seam existed pin them bit for bit,
+//  * BeamSearch(1) is bit-identical to greedy; width >= 2 escapes the
 //    Fig. 4 ordering trap (myopic defaults + A3-first order) that greedy
 //    falls into,
 //  * every strategy is bit-identical across 1/2/4/8 threads and across
 //    per-search / shared / persisted cache scopes (only the replay/hit
 //    split may shift),
 //  * AnnealingSearch is deterministic for a fixed seed,
-//  * random_search's opt-in canonical prune skips duplicate draws without
+//  * random search's opt-in canonical prune skips duplicate draws without
 //    charging them,
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
 //    the manager provably never reads it, B2 must stay distinct because
@@ -21,12 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "dmm/core/explorer.h"
 #include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
 
@@ -113,15 +112,15 @@ class SearchStrategies : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Golden parity: the wrappers must reproduce the pre-refactor Explorer's
+// Golden parity: the strategies must reproduce the pre-refactor search
 // results bit for bit.  These constants were captured from the monolithic
 // explorer.cpp (PR 3 state + the B3 canonical collapse) on this exact
 // trace; any drift here is a behaviour change, not a refactor.
 // ---------------------------------------------------------------------------
 
 TEST_F(SearchStrategies, GoldenExplorePaperOrder) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.explore(paper_order());
+  GreedySearch greedy(paper_order());
+  const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
             "B1=single-pool B2=array B3=one B4=grow+shrink C1=best-fit "
@@ -140,8 +139,8 @@ TEST_F(SearchStrategies, GoldenExplorePaperOrder) {
 }
 
 TEST_F(SearchStrategies, GoldenExploreFig4Order) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.explore(fig4_wrong_order());
+  GreedySearch greedy(fig4_wrong_order());
+  const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header A4=size+status A5=split+coalesce "
             "B1=single-pool B2=array B3=one B4=grow-only C1=best-fit "
@@ -156,8 +155,8 @@ TEST_F(SearchStrategies, GoldenExploreFig4Order) {
 }
 
 TEST_F(SearchStrategies, GoldenExhaustiveSubspace) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.exhaustive(high_impact_trees());
+  ExhaustiveSearch exhaustive(high_impact_trees());
+  const ExplorationResult r = run_search(trace_, exhaustive);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
             "B1=single-pool B2=array B3=one B4=grow+shrink C1=best-fit "
@@ -170,8 +169,8 @@ TEST_F(SearchStrategies, GoldenExhaustiveSubspace) {
 }
 
 TEST_F(SearchStrategies, GoldenRandomSearch) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.random_search(60, 7);
+  RandomSearch sampler(60, 7);
+  const ExplorationResult r = run_search(trace_, sampler);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
             "B1=single-pool B2=linked-list B3=one B4=grow-only C1=best-fit "
@@ -188,11 +187,11 @@ TEST_F(SearchStrategies, GoldenRandomSearch) {
 // ---------------------------------------------------------------------------
 
 TEST_F(SearchStrategies, BeamWidthOneBitIdenticalToExplore) {
-  Explorer ex(trace_);
-  const ExplorationResult greedy = ex.explore(paper_order());
+  GreedySearch walk(paper_order());
+  const ExplorationResult greedy = run_search(trace_, walk);
   BeamSearch beam(1, paper_order());
-  const ExplorationResult r = ex.run(beam);
-  expect_identical_with_accounting(r, greedy, "beam:1 vs explore()");
+  const ExplorationResult r = run_search(trace_, beam);
+  expect_identical_with_accounting(r, greedy, "beam:1 vs greedy");
 }
 
 TEST_F(SearchStrategies, BeamEscapesFig4OrderingTrap) {
@@ -204,17 +203,17 @@ TEST_F(SearchStrategies, BeamEscapesFig4OrderingTrap) {
   // downstream payoff is visible and must land strictly below the trap.
   ExplorerOptions myopic;
   myopic.defaults = alloc::minimal_config();
-  Explorer ex(trace_, myopic);
-  const ExplorationResult greedy = ex.explore(fig4_wrong_order());
+  GreedySearch walk(fig4_wrong_order());
+  const ExplorationResult greedy = run_search(trace_, walk, myopic);
   EXPECT_EQ(greedy.best.block_tags, alloc::BlockTags::kNone)
       << "the trap must bite the myopic greedy walk for this test to mean "
          "anything";
   BeamSearch beam2(2, fig4_wrong_order());
-  const ExplorationResult r2 = ex.run(beam2);
+  const ExplorationResult r2 = run_search(trace_, beam2, myopic);
   EXPECT_LT(r2.best_sim.peak_footprint, greedy.best_sim.peak_footprint)
       << "width 2 must escape the Fig. 4 trap";
   BeamSearch beam4(4, fig4_wrong_order());
-  const ExplorationResult r4 = ex.run(beam4);
+  const ExplorationResult r4 = run_search(trace_, beam4, myopic);
   EXPECT_LE(r4.best_sim.peak_footprint, greedy.best_sim.peak_footprint);
 }
 
@@ -225,19 +224,24 @@ TEST_F(SearchStrategies, BeamEscapesFig4OrderingTrap) {
 TEST_F(SearchStrategies, AllStrategiesBitIdenticalAcrossThreadCounts) {
   std::vector<ExplorationResult> baselines;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    ExplorerOptions opts;
-    opts.num_threads = threads;
-    Explorer ex(trace_, opts);
-    std::vector<ExplorationResult> results;
-    results.push_back(ex.explore(paper_order()));
+    // One engine serves every strategy, as it would a design run's searches.
+    const std::unique_ptr<EvalEngine> engine = make_engine(threads);
+    const auto run = [&](SearchStrategy& strategy) {
+      return run_search(trace_, strategy, {}, engine.get());
+    };
+    GreedySearch greedy(paper_order());
     BeamSearch beam(2, paper_order());
-    results.push_back(ex.run(beam));
-    results.push_back(ex.exhaustive(high_impact_trees()));
-    results.push_back(ex.random_search(40, 11));
+    ExhaustiveSearch exhaustive(high_impact_trees());
+    RandomSearch sampler(40, 11);
     AnnealingOptions aopts;
     aopts.max_evals = 60;
     AnnealingSearch anneal(aopts);
-    results.push_back(ex.run(anneal));
+    std::vector<ExplorationResult> results;
+    results.push_back(run(greedy));
+    results.push_back(run(beam));
+    results.push_back(run(exhaustive));
+    results.push_back(run(sampler));
+    results.push_back(run(anneal));
     if (threads == 1) {
       baselines = std::move(results);
       continue;
@@ -254,20 +258,17 @@ TEST_F(SearchStrategies, AllStrategiesBitIdenticalAcrossThreadCounts) {
 
 TEST(GreedyLookahead, TwoThreadGreedyAdoptsHintsOnADrrCut) {
   AllocTrace cut = workloads::record_trace(workloads::case_study("drr"), 7);
-  cut.events().resize(20000);
-  cut.close_leaks();
-  const auto trace = std::make_shared<const AllocTrace>(std::move(cut));
-  ExplorerOptions serial_opts;
-  Explorer serial(trace, serial_opts);
-  const ExplorationResult want = serial.explore(paper_order());
+  cut.truncate(20000);
+  GreedySearch greedy(paper_order());
+  const ExplorationResult want = run_search(cut, greedy);
 
   ExplorerOptions opts;
   opts.num_threads = 2;
-  Explorer pooled(trace, opts);
-  const ExplorationResult got = pooled.explore(paper_order());
+  ThreadPoolEngine pooled(2);
+  const ExplorationResult got = run_search(cut, greedy, opts, &pooled);
   expect_identical_with_accounting(got, want, "2-thread greedy with hints");
   // Engine-side counter only: nothing a result reports depends on it.
-  const EvalEngine::HintStats hs = pooled.engine().hint_stats();
+  const EvalEngine::HintStats hs = pooled.hint_stats();
   EXPECT_GT(hs.adopted, 0u) << "queued " << hs.queued << ", started "
                             << hs.started;
   EXPECT_LE(hs.adopted, got.simulations);
@@ -278,15 +279,15 @@ TEST_F(SearchStrategies, CacheScopesShiftAccountingNotResults) {
   // logs, and total evaluation count are invariant; only the replay/hit
   // split moves.
   const auto run_all = [this](const ExplorerOptions& opts) {
-    Explorer ex(trace_, opts);
     std::vector<ExplorationResult> out;
     BeamSearch beam(2, paper_order());
-    out.push_back(ex.run(beam));
+    out.push_back(run_search(trace_, beam, opts));
     AnnealingOptions aopts;
     aopts.max_evals = 60;
     AnnealingSearch anneal(aopts);
-    out.push_back(ex.run(anneal));
-    out.push_back(ex.exhaustive(high_impact_trees()));
+    out.push_back(run_search(trace_, anneal, opts));
+    ExhaustiveSearch exhaustive(high_impact_trees());
+    out.push_back(run_search(trace_, exhaustive, opts));
     return out;
   };
   ExplorerOptions per_search;
@@ -318,19 +319,13 @@ TEST_F(SearchStrategies, PersistedCacheKeepsResultsBitIdentical) {
   std::remove(path.c_str());
   ExplorerOptions cold_opts;
   cold_opts.shared_cache = std::make_shared<SharedScoreCache>();
-  ExplorationResult cold;
-  {
-    Explorer ex(trace_, cold_opts);
-    BeamSearch beam(2, paper_order());
-    cold = ex.run(beam);
-  }
+  BeamSearch beam(2, paper_order());
+  const ExplorationResult cold = run_search(trace_, beam, cold_opts);
   ASSERT_TRUE(cold_opts.shared_cache->save(path).saved);
   ExplorerOptions warm_opts;
   warm_opts.shared_cache = std::make_shared<SharedScoreCache>();
   ASSERT_TRUE(warm_opts.shared_cache->load(path).loaded);
-  Explorer ex(trace_, warm_opts);
-  BeamSearch beam(2, paper_order());
-  const ExplorationResult warm = ex.run(beam);
+  const ExplorationResult warm = run_search(trace_, beam, warm_opts);
   expect_identical(warm, cold, "warm vs cold beam:2");
   EXPECT_EQ(warm.simulations, 0u)
       << "a warm run over the same trace must replay nothing";
@@ -343,13 +338,12 @@ TEST_F(SearchStrategies, PersistedCacheKeepsResultsBitIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST_F(SearchStrategies, AnnealingDeterministicForFixedSeed) {
-  Explorer ex(trace_);
   AnnealingOptions opts;
   opts.max_evals = 80;
   opts.seed = 5;
   AnnealingSearch a(opts), b(opts);
-  const ExplorationResult ra = ex.run(a);
-  const ExplorationResult rb = ex.run(b);
+  const ExplorationResult ra = run_search(trace_, a);
+  const ExplorationResult rb = run_search(trace_, b);
   expect_identical_with_accounting(ra, rb, "anneal seed 5, twice");
   EXPECT_TRUE(ra.feasible);
   EXPECT_EQ(ra.simulations + ra.cache_hits, 80u)
@@ -360,12 +354,12 @@ TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
   // SA over the canonical quotient must land within 10% of the greedy
   // walk's peak on this trace at a modest budget — the point of the
   // strategy is order-independence, not luck.
-  Explorer ex(trace_);
-  const ExplorationResult greedy = ex.explore(paper_order());
+  GreedySearch walk(paper_order());
+  const ExplorationResult greedy = run_search(trace_, walk);
   AnnealingOptions opts;
   opts.max_evals = 120;
   AnnealingSearch sa(opts);
-  const ExplorationResult r = ex.run(sa);
+  const ExplorationResult r = run_search(trace_, sa);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(static_cast<double>(r.best_sim.peak_footprint),
             1.10 * static_cast<double>(greedy.best_sim.peak_footprint));
@@ -412,15 +406,12 @@ TEST_F(SearchStrategies, B2SinglePoolAliasesStayDistinct) {
   list_cfg.pool_structure = alloc::PoolStructure::kLinkedList;
   EXPECT_NE(alloc::canonical(array_cfg), alloc::canonical(list_cfg));
 
-  Explorer ex(trace_);
-  std::uint64_t array_work = 0;
-  std::uint64_t list_work = 0;
-  const SimResult array_sim = ex.score(array_cfg, &array_work);
-  const SimResult list_sim = ex.score(list_cfg, &list_work);
-  EXPECT_EQ(array_sim.peak_footprint, list_sim.peak_footprint)
+  const EvalOutcome array_out = score_candidate(trace_, {array_cfg, 0});
+  const EvalOutcome list_out = score_candidate(trace_, {list_cfg, 0});
+  EXPECT_EQ(array_out.sim.peak_footprint, list_out.sim.peak_footprint)
       << "the managers behave identically...";
-  EXPECT_DOUBLE_EQ(array_sim.avg_footprint, list_sim.avg_footprint);
-  EXPECT_GT(list_work, array_work)
+  EXPECT_DOUBLE_EQ(array_out.sim.avg_footprint, list_out.sim.avg_footprint);
+  EXPECT_GT(list_out.work_steps, array_out.work_steps)
       << "...but the linked-list lookup pays a routing step per request";
 }
 
@@ -468,15 +459,14 @@ TEST(SearchSpecParse, AcceptsTheCliGrammar) {
   EXPECT_TRUE(parse_search_spec("anneal:4294967295").has_value());
 }
 
-TEST_F(SearchStrategies, ExplorerRunHonoursOptionsSearch) {
-  ExplorerOptions opts;
-  opts.search = *parse_search_spec("beam:2");
-  Explorer ex(trace_, opts);
-  const ExplorationResult via_options = ex.run();
+TEST_F(SearchStrategies, MakeStrategyMatchesTheExplicitStrategy) {
+  const std::unique_ptr<SearchStrategy> parsed =
+      make_strategy(*parse_search_spec("beam:2"));
+  const ExplorationResult via_spec = run_search(trace_, *parsed);
   BeamSearch beam(2, paper_order());
-  const ExplorationResult direct = ex.run(beam);
-  expect_identical_with_accounting(via_options, direct,
-                                   "opts.search vs explicit strategy");
+  const ExplorationResult direct = run_search(trace_, beam);
+  expect_identical_with_accounting(via_spec, direct,
+                                   "parsed spec vs explicit strategy");
 }
 
 // ---------------------------------------------------------------------------
@@ -498,12 +488,10 @@ TEST_F(SearchStrategies, ThrowingStrategyStillPersistsPaidReplays) {
   std::remove(path.c_str());
   ExplorerOptions opts;
   opts.shared_cache = std::make_shared<SharedScoreCache>();
-  Explorer ex(trace_, opts);
   ThrowingStrategy strategy;
-  EXPECT_THROW((void)ex.run(strategy), std::runtime_error);
+  EXPECT_THROW((void)run_search(trace_, strategy, opts), std::runtime_error);
   // The cache absorbed the replay before the throw, so the owner's save
-  // on its failure path (DesignRun::complete's) persists it — now, while
-  // the Explorer is still alive.
+  // on its failure path (DesignRun::complete's) persists it.
   ASSERT_TRUE(opts.shared_cache->save(path).saved);
   SharedScoreCache fresh;
   const SnapshotLoadResult loaded = fresh.load(path);

@@ -6,8 +6,8 @@
 //  * a SharedScoreCache serves many searches bit-identically to each
 //    search's private cache while reporting cross-search reuse, from any
 //    number of threads,
-//  * exhaustive() enumerates the canonical quotient space: same best,
-//    strictly fewer replays.
+//  * the exhaustive search enumerates the canonical quotient space: same
+//    best, strictly fewer replays.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "dmm/alloc/config_rules.h"
-#include "dmm/core/explorer.h"
 #include "dmm/core/methodology.h"
+#include "dmm/core/search.h"
 
 namespace dmm::core {
 namespace {
@@ -132,15 +132,15 @@ class InfeasibleSearch : public ::testing::Test {
 };
 
 TEST_F(InfeasibleSearch, ExploreFlagsInfeasibility) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.explore();
+  GreedySearch greedy;
+  const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.best_sim.failed_allocs, 0u);
 }
 
 TEST_F(InfeasibleSearch, ExhaustiveFlagsInfeasibility) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.exhaustive({TreeId::kB4, TreeId::kC1});
+  ExhaustiveSearch exhaustive({TreeId::kB4, TreeId::kC1});
+  const ExplorationResult r = run_search(trace_, exhaustive);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.simulations + r.cache_hits, 0u);
   EXPECT_GT(r.best_sim.failed_allocs, 0u);
@@ -149,8 +149,8 @@ TEST_F(InfeasibleSearch, ExhaustiveFlagsInfeasibility) {
 }
 
 TEST_F(InfeasibleSearch, RandomSearchFlagsInfeasibility) {
-  Explorer ex(trace_);
-  const ExplorationResult r = ex.random_search(10, /*seed=*/7);
+  RandomSearch sampler(10, /*seed=*/7);
+  const ExplorationResult r = run_search(trace_, sampler);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.best_sim.failed_allocs, 0u);
 }
@@ -161,8 +161,8 @@ TEST(FeasibleSearch, FeasibleCandidateBeatsInfeasibleOne) {
   AllocTrace t;
   for (std::uint32_t i = 0; i < 64; ++i) t.record_alloc(i, 32 * 1024);
   for (std::uint32_t i = 0; i < 64; ++i) t.record_free(i);
-  Explorer ex(t);
-  const ExplorationResult r = ex.exhaustive({TreeId::kB4});
+  ExhaustiveSearch exhaustive({TreeId::kB4});
+  const ExplorationResult r = run_search(t, exhaustive);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.best_sim.failed_allocs, 0u);
   EXPECT_NE(r.best.adaptivity, alloc::PoolAdaptivity::kStaticPreallocated);
@@ -216,17 +216,15 @@ TEST(SharedScoreCache, SessionRoundTripAndCrossSearchAccounting) {
 class SharedCacheIdentity : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SharedCacheIdentity, ExploreMatchesPerSearchCache) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(3000));
+  const AllocTrace trace = variable_size_trace(3000);
   ExplorerOptions per_search;
   per_search.num_threads = GetParam();
-  Explorer baseline(trace, per_search);
-  const ExplorationResult expected = baseline.explore();
+  GreedySearch greedy;
+  const ExplorationResult expected = run_search(trace, greedy, per_search);
 
   ExplorerOptions shared = per_search;
   shared.shared_cache = std::make_shared<SharedScoreCache>();
-  Explorer ex(trace, shared);
-  const ExplorationResult got = ex.explore();
+  const ExplorationResult got = run_search(trace, greedy, shared);
   expect_same_search(expected, got,
                      "shared cache @" + std::to_string(GetParam()));
   // On a cold shared cache the accounting matches the per-search cache
@@ -236,7 +234,7 @@ TEST_P(SharedCacheIdentity, ExploreMatchesPerSearchCache) {
   EXPECT_EQ(got.cross_search_hits, 0u);
 
   // A second identical search is served entirely by the first one.
-  const ExplorationResult warm = ex.explore();
+  const ExplorationResult warm = run_search(trace, greedy, shared);
   expect_same_search(expected, warm,
                      "warm shared cache @" + std::to_string(GetParam()));
   EXPECT_EQ(warm.simulations, 0u);
@@ -248,20 +246,16 @@ INSTANTIATE_TEST_SUITE_P(Threads, SharedCacheIdentity,
                          ::testing::Values(1u, 4u));
 
 TEST(SharedCache, ExhaustiveReusesGreedyReplaysAcrossSearches) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(3000));
-  const std::vector<TreeId> subspace = {TreeId::kA2, TreeId::kA5,
-                                        TreeId::kE2};
-  ExplorerOptions per_search;
-  Explorer baseline(trace, per_search);
-  const ExplorationResult expected = baseline.exhaustive(subspace);
+  const AllocTrace trace = variable_size_trace(3000);
+  ExhaustiveSearch exhaustive({TreeId::kA2, TreeId::kA5, TreeId::kE2});
+  const ExplorationResult expected = run_search(trace, exhaustive);
 
-  ExplorerOptions shared = per_search;
+  ExplorerOptions shared;
   shared.shared_cache = std::make_shared<SharedScoreCache>();
-  Explorer ex(trace, shared);
-  const ExplorationResult walk = ex.explore();
+  GreedySearch greedy;
+  const ExplorationResult walk = run_search(trace, greedy, shared);
   EXPECT_GT(walk.simulations, 0u);
-  const ExplorationResult validation = ex.exhaustive(subspace);
+  const ExplorationResult validation = run_search(trace, exhaustive, shared);
   expect_same_search(expected, validation, "exhaustive after walk");
   EXPECT_EQ(expected.simulations + expected.cache_hits,
             validation.simulations + validation.cache_hits)
@@ -276,13 +270,13 @@ TEST(SharedCache, ExhaustiveReusesGreedyReplaysAcrossSearches) {
 TEST(SharedCache, DesignManagerIsBitIdenticalAndReportsCrossSearchHits) {
   const AllocTrace trace = variable_size_trace(2500);
   for (const unsigned threads : {1u, 4u}) {
-    MethodologyOptions per_search;
+    DesignOptions per_search;
     per_search.explorer_options.num_threads = threads;
     per_search.validate = true;
     per_search.validation_trees = {TreeId::kA2, TreeId::kA5, TreeId::kE2};
     const MethodologyResult expected = design_manager(trace, per_search);
 
-    MethodologyOptions shared = per_search;
+    DesignOptions shared = per_search;
     shared.explorer_options.shared_cache =
         std::make_shared<SharedScoreCache>();
     const MethodologyResult got = design_manager(trace, shared);
@@ -321,11 +315,9 @@ TEST(SharedCache, DesignManagerIsBitIdenticalAndReportsCrossSearchHits) {
 // ---------------------------------------------------------------------------
 
 TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(1500));
-  ExplorerOptions reference_opts;
-  Explorer reference(trace, reference_opts);
-  const ExplorationResult expected = reference.explore();
+  const AllocTrace trace = variable_size_trace(1500);
+  GreedySearch reference;
+  const ExplorationResult expected = run_search(trace, reference);
 
   const auto cache = std::make_shared<SharedScoreCache>();
   constexpr std::size_t kThreads = 4;
@@ -337,8 +329,8 @@ TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
       threads.emplace_back([&, i] {
         ExplorerOptions opts;
         opts.shared_cache = cache;
-        Explorer ex(trace, opts);
-        results[i] = ex.explore();
+        GreedySearch greedy;
+        results[i] = run_search(trace, greedy, opts);
       });
     }
     for (std::thread& t : threads) t.join();
@@ -346,7 +338,7 @@ TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
   std::uint64_t total_replays = 0;
   for (std::size_t i = 0; i < kThreads; ++i) {
     expect_same_search(expected, results[i],
-                       "concurrent explorer " + std::to_string(i));
+                       "concurrent search " + std::to_string(i));
     total_replays += results[i].simulations;
   }
   // Races decide who replays what, but the union of replays can never
@@ -356,29 +348,26 @@ TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical-space exhaustive(): same best, strictly fewer replays
+// Canonical-space exhaustive search: same best, strictly fewer replays
 // ---------------------------------------------------------------------------
 
 TEST(CanonicalExhaustive, QuotientEnumerationFindsSameBestWithFewerReplays) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(2000));
+  const AllocTrace trace = variable_size_trace(2000);
   // The operational space (hard rules only) is rich in behavioural
   // aliases: a mechanism granted by A5 but scheduled never (or vice
   // versa) builds the very same manager.  Caches off, so `simulations`
   // counts every replay honestly.
-  const std::vector<TreeId> subspace = {TreeId::kA5, TreeId::kE2,
-                                        TreeId::kD2};
+  ExhaustiveSearch exhaustive({TreeId::kA5, TreeId::kE2, TreeId::kD2});
   ExplorerOptions seed_opts;
   seed_opts.prune_soft = false;
   seed_opts.cache = false;
   seed_opts.canonical_prune = false;
-  Explorer seed(trace, seed_opts);
-  const ExplorationResult full = seed.exhaustive(subspace);
+  const ExplorationResult full = run_search(trace, exhaustive, seed_opts);
 
   ExplorerOptions quotient_opts = seed_opts;
   quotient_opts.canonical_prune = true;
-  Explorer quotient(trace, quotient_opts);
-  const ExplorationResult pruned = quotient.exhaustive(subspace);
+  const ExplorationResult pruned =
+      run_search(trace, exhaustive, quotient_opts);
 
   EXPECT_EQ(full.best, pruned.best) << "the quotient must keep the winner";
   EXPECT_EQ(full.best_sim.peak_footprint, pruned.best_sim.peak_footprint);
@@ -392,42 +381,21 @@ TEST(CanonicalExhaustive, QuotientEnumerationFindsSameBestWithFewerReplays) {
 }
 
 TEST(CanonicalExhaustive, BudgetBuysCoverageNotDuplicates) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(2000));
+  const AllocTrace trace = variable_size_trace(2000);
   const std::vector<TreeId> subspace = {TreeId::kA5, TreeId::kE2,
                                         TreeId::kD2};
   ExplorerOptions opts;
   opts.prune_soft = false;
   opts.cache = false;
   opts.canonical_prune = true;
-  Explorer ex(trace, opts);
-  const ExplorationResult unbounded = ex.exhaustive(subspace);
+  ExhaustiveSearch unbounded_search(subspace);
+  const ExplorationResult unbounded =
+      run_search(trace, unbounded_search, opts);
   // A budget of exactly the quotient size reaches the same winner even
   // though the raw cartesian product is far larger.
-  const ExplorationResult tight =
-      ex.exhaustive(subspace, unbounded.simulations);
+  ExhaustiveSearch tight_search(subspace, unbounded.simulations);
+  const ExplorationResult tight = run_search(trace, tight_search, opts);
   EXPECT_EQ(unbounded.best, tight.best);
-}
-
-// ---------------------------------------------------------------------------
-// score() rides the engine and the shared cache
-// ---------------------------------------------------------------------------
-
-TEST(SharedCache, ScoreContributesAndReusesReplays) {
-  const auto trace =
-      std::make_shared<const AllocTrace>(variable_size_trace(2000));
-  ExplorerOptions opts;
-  opts.shared_cache = std::make_shared<SharedScoreCache>();
-  Explorer ex(trace, opts);
-  const SimResult first = ex.score(alloc::drr_paper_config());
-  EXPECT_EQ(opts.shared_cache->stats().insertions, 1u);
-  const SimResult second = ex.score(alloc::drr_paper_config());
-  EXPECT_EQ(first.peak_footprint, second.peak_footprint);
-  EXPECT_EQ(first.avg_footprint, second.avg_footprint);
-  const SharedScoreCache::Stats stats = opts.shared_cache->stats();
-  EXPECT_EQ(stats.insertions, 1u) << "the second score must not replay";
-  EXPECT_EQ(stats.cross_search_hits, 1u)
-      << "each score() call is its own search session";
 }
 
 }  // namespace

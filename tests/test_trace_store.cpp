@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "dmm/core/explorer.h"
+#include "dmm/core/search.h"
 #include "dmm/trace/trace_codec.h"
 #include "dmm/workloads/workload.h"
 
@@ -29,10 +29,7 @@ using core::TraceStats;
 AllocTrace workload_trace(const std::string& name,
                           std::size_t max_events = 0) {
   AllocTrace t = workloads::record_trace(workloads::case_study(name), 7);
-  if (max_events != 0 && t.size() > max_events) {
-    t.events().resize(max_events);
-    t.close_leaks();
-  }
+  t.truncate(max_events);
   std::string why;
   EXPECT_TRUE(t.validate(&why)) << name << ": " << why;
   return t;
@@ -361,10 +358,9 @@ TEST_F(TraceStore, FileBackedExplorationIsBitIdenticalToInMemory) {
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     core::ExplorerOptions opts;
     opts.num_threads = threads;
-    core::Explorer in_memory(t, opts);
-    core::Explorer file_backed(mapped, opts);
-    const core::ExplorationResult a = in_memory.explore();
-    const core::ExplorationResult b = file_backed.explore();
+    core::GreedySearch greedy;
+    const core::ExplorationResult a = core::run_search(t, greedy, opts);
+    const core::ExplorationResult b = core::run_search(*mapped, greedy, opts);
 
     EXPECT_EQ(a.best, b.best) << threads << " threads";
     EXPECT_EQ(a.best_sim.peak_footprint, b.best_sim.peak_footprint)
