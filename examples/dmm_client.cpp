@@ -21,7 +21,7 @@
 //   --quiet            suppress per-beat progress lines
 //   --export-config F  write the reply's designed vectors as a checksummed
 //                      config artifact (runtime/config_artifact.h) for
-//                      runtime::DesignedAllocator / bench_runtime
+//                      runtime::DesignedAllocator
 //
 // Exit codes: 0 ok, 1 error reply / connection trouble, 2 usage,
 // 3 request cancelled.

@@ -31,8 +31,8 @@
 //   --export-config F   write the designed decision vector(s) as a
 //                       checksummed config artifact (one record per phase;
 //                       runtime/config_artifact.h) that
-//                       runtime::DesignedAllocator and bench_runtime load
-//                       to serve live malloc/free traffic.
+//                       runtime::DesignedAllocator loads to serve live
+//                       malloc/free traffic.
 
 #include <cstdio>
 #include <cstring>

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "dmm/alloc/config.h"
@@ -287,13 +288,20 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
       // Columnar .dmmt store: open (header + checksum validation) and
       // materialize.  Daemon scoring replays traces many times across
       // candidates, so a one-time decode beats per-pass block decoding.
+      // Checksums do not prove a payload decodes, so materialize may throw.
       std::string reason;
       const auto mapped = trace::MappedTrace::open(ref.path, &reason);
-      if (mapped == nullptr) {
+      if (mapped != nullptr) {
+        try {
+          traces.push_back(mapped->materialize());
+        } catch (const std::runtime_error& e) {
+          reason = e.what();
+        }
+      }
+      if (!reason.empty()) {
         *why = "trace '" + ref.path + "' rejected: " + reason;
         return false;
       }
-      traces.push_back(mapped->materialize());
     } else {
       core::AllocTrace trace = core::AllocTrace::load(ref.path);
       if (trace.events().empty()) {

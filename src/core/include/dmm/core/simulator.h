@@ -46,7 +46,8 @@ struct TimelinePoint {
 /// artefact instead of the decision vector.  With caching disabled the
 /// front forwards calls 1:1 to its core, so the peak this function reports
 /// for a vector is exactly the peak runtime::DesignedAllocator imposes on
-/// a single-threaded replay of the same trace (bench_runtime checks this).
+/// a single-threaded replay of the same trace (test_runtime_allocator
+/// checks this).
 ///
 /// Failed allocations (arena budget) are tolerated: the object is skipped
 /// and its free ignored, mirroring an embedded malloc returning NULL.

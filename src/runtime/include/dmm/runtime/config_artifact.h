@@ -14,7 +14,7 @@ namespace dmm::runtime {
 // The design-to-deployment handoff: a small, versioned, checksummed file
 // carrying the winning decision vector(s) from a search CLI (`drr_explore
 // --export-config`, `dmm_client --export-config`) to the deployable
-// runtime (DesignedAllocator, bench_runtime).  One record per designed
+// runtime (DesignedAllocator, perfbench deploy-drr).  One record per designed
 // phase, in phase order; single-phase and family designs carry one.
 //
 // On-disk layout (little-endian, fixed width, written byte by byte like

@@ -43,8 +43,9 @@ namespace dmm::runtime {
 // Determinism escape hatch: with RuntimeOptions::thread_cache_bytes == 0
 // every call forwards straight to the core under the lock, so a
 // single-threaded replay through the front touches the arena in exactly
-// the order the simulator did — bench_runtime uses this to check the
-// deployed peak footprint against the designed bound to the byte.
+// the order the simulator did — test_runtime_allocator and perfbench's
+// deploy-drr use this to check the deployed peak footprint against the
+// designed bound to the byte.
 // ---------------------------------------------------------------------------
 
 struct RuntimeOptions {

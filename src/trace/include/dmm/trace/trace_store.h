@@ -39,9 +39,11 @@ namespace dmm::trace {
 /// file, a bad magic, a future version, a header/stats/index checksum
 /// mismatch, a declared size that disagrees with the actual file, an
 /// index that is non-monotone or points outside the block region, and
-/// any block whose checksum or declared coverage is wrong.  A trace that
-/// opens is structurally sound end to end; block payloads are decoded
-/// lazily per cursor with fully bounds-checked column parsing.
+/// any block whose checksum or declared coverage is wrong (including more
+/// events than payload bytes).  A trace that opens is structurally sound
+/// end to end; block payloads are decoded lazily per cursor with fully
+/// bounds-checked column parsing.  Decode buffers are sized by the largest
+/// block the index holds, never by the header's block_events claim.
 ///
 /// The header carries the event-stream fingerprint (same definition as
 /// AllocTrace::fingerprint), the full TraceStats, and the id bounds, so
@@ -147,11 +149,11 @@ class MappedTrace final : public core::TraceSource {
   }
   [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
 
-  /// Bytes of decoded-event buffer one cursor holds: block_events x
-  /// sizeof(AllocEvent), by construction independent of trace length —
-  /// the block-cursor accounting bench_trace asserts.
+  /// Bytes of decoded-event buffer one cursor holds: the largest block
+  /// in the index x sizeof(AllocEvent), independent of trace length (the
+  /// test_trace_store cursor accounting checks this).
   [[nodiscard]] std::size_t cursor_buffer_bytes() const {
-    return static_cast<std::size_t>(block_events_) *
+    return static_cast<std::size_t>(buffer_events_) *
            sizeof(core::AllocEvent);
   }
 
@@ -175,7 +177,7 @@ class MappedTrace final : public core::TraceSource {
 
   MappedTrace() = default;
 
-  /// Decodes block @p b into @p out (capacity >= block_events_); throws
+  /// Decodes block @p b into @p out (capacity >= buffer_events_); throws
   /// std::runtime_error on malformed payload.
   void decode_block_at(std::size_t b, core::AllocEvent* out) const;
 
@@ -184,7 +186,8 @@ class MappedTrace final : public core::TraceSource {
   std::uint64_t event_count_ = 0;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t file_bytes_ = 0;
-  std::uint32_t block_events_ = 0;
+  std::uint32_t block_events_ = 0;   ///< the header's declared block size
+  std::uint32_t buffer_events_ = 0;  ///< the largest block the index holds
   core::TraceIdBounds bounds_;
   core::TraceStats stats_;
   std::vector<BlockRef> blocks_;

@@ -423,12 +423,16 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
     if (read_u32(blk + 4) != ref.events) {
       return reject("block prefix disagrees with index");
     }
+    // The id column spends >= 1 varint byte per event, so a block that
+    // claims more events than payload bytes is forged.
+    if (ref.events > payload_bytes) return reject("block events > payload");
     if (read_u64(blk + 8 + payload_bytes) !=
         snapshot_checksum(blk, 8 + payload_bytes)) {
       return reject("block checksum mismatch");
     }
     next_offset = ref.offset + 8 + payload_bytes + 8;
     next_event = ref.first_event + ref.events;
+    t->buffer_events_ = std::max(t->buffer_events_, ref.events);
     t->blocks_.push_back(ref);
   }
   if (next_offset != stats_offset) return reject("block region has a gap");
@@ -452,7 +456,7 @@ void MappedTrace::decode_block_at(std::size_t b, AllocEvent* out) const {
 class MappedCursor final : public core::TraceCursor {
  public:
   explicit MappedCursor(const MappedTrace* t)
-      : t_(t), buf_(t->block_events()) {}
+      : t_(t), buf_(t->buffer_events_) {}
 
   std::size_t next(const AllocEvent** run) override;
 
@@ -476,7 +480,7 @@ std::unique_ptr<core::TraceCursor> MappedTrace::cursor() const {
 }
 
 bool MappedTrace::verify_blocks(std::string* why) const {
-  std::vector<AllocEvent> scratch(block_events_);
+  std::vector<AllocEvent> scratch(buffer_events_);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const BlockRef& ref = blocks_[b];
     const std::uint8_t* const blk = base_ + ref.offset;
@@ -498,7 +502,7 @@ core::AllocTrace MappedTrace::materialize() const {
   core::AllocTrace out;
   std::vector<AllocEvent>& events = out.events();
   events.reserve(static_cast<std::size_t>(event_count_));
-  std::vector<AllocEvent> scratch(block_events_);
+  std::vector<AllocEvent> scratch(buffer_events_);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     decode_block_at(b, scratch.data());
     events.insert(events.end(), scratch.begin(),

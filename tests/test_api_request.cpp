@@ -8,6 +8,8 @@
 //    hand-rolled example parsers used to build,
 //  * to_design_options() maps a request onto the one DesignOptions, and
 //    never hands DesignRun a config it rejects,
+//  * a trace file that passes its checksums but does not decode is
+//    rejected with an error naming it,
 //  * the adapters are *pinned*: run_design_request() is bit-for-bit
 //    design_manager() / design_manager_family(), and a parsed search spec
 //    is bit-for-bit the explicit strategy — at 1, 2, 4, and 8 evaluation
@@ -23,6 +25,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -33,6 +36,7 @@
 #include "dmm/core/methodology.h"
 #include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
+#include "dmmt_forge.h"
 
 namespace dmm::api {
 namespace {
@@ -473,6 +477,23 @@ TEST(ApiBridge, ValidRequestsNeverMakeDesignRunThrow) {
     EXPECT_NO_THROW((void)make_design_run(req, loaded, engine))
         << serialize_request(req);
   }
+}
+
+// A .dmmt whose checksums hold but whose payload does not decode is a bad
+// input, not a crash: the request gets an error naming the file.
+TEST(ApiLoad, UndecodableTraceFileIsRejectedNotFatal) {
+  const std::string path = ::testing::TempDir() + "dmm_api_undecodable.dmmt";
+  ASSERT_TRUE(trace::forge::write_undecodable_trace(path));
+  DesignRequest req;
+  req.traces.resize(1);
+  req.traces[0].kind = TraceRef::Kind::kFile;
+  req.traces[0].path = path;
+  const DesignReply reply = run_design_request(req);
+  std::remove(path.c_str());
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("trace '" + path + "' rejected: "),
+            std::string::npos)
+      << reply.error;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // The deployable runtime front (runtime/designed_allocator.h): malloc/
 // free/realloc semantics, thread-cache behaviour (deferred eviction
-// release, shell lifetime), the cache-off replay parity that anchors
-// bench_runtime's peak gate, and the concurrent integrity stress the TSan
-// job runs.
+// release, shell lifetime), the cache-off replay parity that is the
+// designed-bound gate, and the concurrent integrity stress the TSan job
+// runs.
 
 #include "dmm/runtime/designed_allocator.h"
 
@@ -191,7 +191,7 @@ TEST(DesignedAllocator, CacheOffReplayMatchesTheSimulatedPeakExactly) {
   // The determinism escape hatch: with caching disabled the front forwards
   // calls 1:1 to the policy core, so a single-threaded replay must hit the
   // arena in exactly the simulator's order — equal peaks to the byte.
-  // This is the designed-bound gate bench_runtime enforces in CI.
+  // This is CI's designed-bound gate for the deployed front.
   core::AllocTrace trace =
       workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
   if (trace.events().size() > 20000) {

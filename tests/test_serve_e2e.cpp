@@ -6,8 +6,9 @@
 //  * concurrent requests interleave fairly and both finish correctly,
 //  * cancellation frees a request's budget without disturbing a survivor,
 //  * an exhausted eval budget finalizes with a clean budget_exhausted reply,
-//  * garbage bytes get one error frame and a closed connection — the
-//    daemon survives,
+//  * garbage bytes get one error frame and a closed connection, and a
+//    trace file that does not decode gets an error reply — the daemon
+//    survives both,
 //  * graceful shutdown saves the cache snapshot, and a restarted daemon
 //    serves persisted hits from it.
 
@@ -28,6 +29,7 @@
 #include "dmm/serve/client.h"
 #include "dmm/serve/frame.h"
 #include "dmm/serve/server.h"
+#include "dmmt_forge.h"
 
 namespace dmm::serve {
 namespace {
@@ -264,6 +266,26 @@ TEST_F(ServeE2e, RequestsMayNotCarryACacheFile) {
   EXPECT_FALSE(outcome.reply.ok);
   EXPECT_NE(outcome.reply.error.find("daemon-owned"), std::string::npos)
       << outcome.reply.error;
+}
+
+TEST_F(ServeE2e, UndecodableTraceFileIsRejectedAndTheDaemonServesOn) {
+  TestServer daemon(options());
+  std::string why;
+  ASSERT_TRUE(daemon.start(&why)) << why;
+
+  const std::string path = socket_ + ".dmmt";
+  ASSERT_TRUE(trace::forge::write_undecodable_trace(path));
+  api::DesignRequest req = small_request();
+  req.traces[0].kind = api::TraceRef::Kind::kFile;
+  req.traces[0].path = path;
+  const Outcome rejected = run_client(socket_, req);
+  std::remove(path.c_str());
+  EXPECT_FALSE(rejected.reply.ok);
+  EXPECT_NE(rejected.reply.error.find(path), std::string::npos)
+      << rejected.reply.error;
+
+  const Outcome outcome = run_client(socket_, small_request());
+  EXPECT_TRUE(outcome.reply.ok) << outcome.reply.error;
 }
 
 TEST_F(ServeE2e, GarbageBytesGetOneErrorFrameAndAClosedConnection) {

@@ -1,23 +1,26 @@
 // DMMT trace store: round trips must preserve the event stream,
 // fingerprint, stats, and id bounds bit-for-bit; every corruption mode
 // (truncation, bit flips, bad magic, future versions, forged indexes)
-// must reject cleanly at open; and a file-backed exploration must be
-// bit-identical to the same search on the in-memory trace at every thread
-// count.
+// must reject cleanly at open — including forged block sizes and counts,
+// before they can size a buffer; the DRR trace encodes to <= 8/3 B/event
+// and a cursor's working set does not grow with trace length; and a
+// file-backed exploration must be bit-identical to the same search on the
+// in-memory trace at every thread count.
 
 #include "dmm/trace/trace_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmm/core/search.h"
 #include "dmm/trace/trace_codec.h"
 #include "dmm/workloads/workload.h"
+#include "dmmt_forge.h"
 
 namespace dmm::trace {
 namespace {
@@ -97,8 +100,12 @@ class TraceStore : public ::testing::Test {
 };
 
 TEST_F(TraceStore, RoundTripsEveryBundledWorkload) {
-  for (const std::string name : {"drr", "recon3d", "render3d"}) {
-    const AllocTrace t = workload_trace(name);
+  // The 10,000-event DRR cut rides along to pin the cursor's working set:
+  // one default block, the same as for the full trace.
+  const std::pair<std::string, std::size_t> inputs[] = {
+      {"drr", 10000}, {"drr", 0}, {"recon3d", 0}, {"render3d", 0}};
+  for (const auto& [name, max_events] : inputs) {
+    const AllocTrace t = workload_trace(name, max_events);
     std::string why;
     ASSERT_TRUE(write_trace_file(t, path_, {}, &why)) << name << ": " << why;
     const auto m = MappedTrace::open(path_, &why);
@@ -110,6 +117,16 @@ TEST_F(TraceStore, RoundTripsEveryBundledWorkload) {
     EXPECT_EQ(m->id_bounds().allocs, t.id_bounds().allocs) << name;
     expect_stats_eq(m->stats(), t.stats(), name);
     EXPECT_TRUE(m->verify_blocks(&why)) << name << ": " << why;
+    // >= 3x smaller than a naive 8 B/event dump.
+    EXPECT_LE(static_cast<double>(m->file_bytes()) /
+                  static_cast<double>(t.size()),
+              8.0 / 3.0)
+        << name;
+    if (name == "drr") {
+      EXPECT_EQ(m->cursor_buffer_bytes(),
+                kDefaultBlockEvents * sizeof(AllocEvent))
+          << max_events;
+    }
 
     const AllocTrace back = m->materialize();
     ASSERT_EQ(back.size(), t.size()) << name;
@@ -205,12 +222,7 @@ TEST_F(TraceStore, RejectsFutureVersion) {
   auto bytes = read_file();
   bytes[4] = static_cast<std::uint8_t>(kTraceVersion + 1);
   // Re-seal the header checksum so *only* the version is at fault.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < 80; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  std::memcpy(&bytes[80], &h, 8);
+  forge::reseal_header(&bytes);
   write_file(bytes);
   std::string why;
   EXPECT_EQ(MappedTrace::open(path_, &why), nullptr);
@@ -266,6 +278,49 @@ TEST_F(TraceStore, RejectsTrailingGarbage) {
   write_file(bytes);
   std::string why;
   EXPECT_EQ(MappedTrace::open(path_, &why), nullptr);
+}
+
+// A forged header may claim any block size; buffers follow the blocks the
+// index actually holds.  Asserted before any decode, so a reader that
+// trusts the claim fails here rather than attempting a 64 GiB allocation.
+TEST_F(TraceStore, ForgedBlockSizeClaimDoesNotSizeBuffers) {
+  const AllocTrace t = workload_trace("drr", 1280);
+  std::string why;
+  ASSERT_TRUE(write_trace_file(t, path_, {}, &why)) << why;
+  auto bytes = read_file();
+  forge::set_le(&bytes, 24, 4, 0xffffffffu);  // header block_events
+  forge::reseal_header(&bytes);
+  write_file(bytes);
+
+  const auto m = MappedTrace::open(path_, &why);
+  ASSERT_NE(m, nullptr) << why;
+  ASSERT_EQ(m->cursor_buffer_bytes(), t.size() * sizeof(AllocEvent));
+  EXPECT_TRUE(m->materialize().events() == t.events());
+}
+
+// A block (prefix and index entry agreeing, every checksum re-sealed) that
+// claims more events than its payload has bytes cannot be genuine, and
+// would otherwise inflate event_count() and materialize()'s reserve.
+TEST_F(TraceStore, RejectsBlockClaimingMoreEventsThanPayloadBytes) {
+  const AllocTrace t = workload_trace("drr", 1280);
+  std::string why;
+  ASSERT_TRUE(write_trace_file(t, path_, {}, &why)) << why;
+  auto bytes = read_file();
+  const std::uint32_t forged = 0x7fffffffu;
+  forge::set_le(&bytes, 8, 8, forged);        // header event_count
+  forge::set_le(&bytes, 24, 4, 0xffffffffu);  // header block_events
+  forge::reseal_header(&bytes);
+  forge::set_le(&bytes, kTraceHeaderBytes + 4, 4, forged);  // block prefix
+  forge::reseal_block(&bytes, kTraceHeaderBytes);
+  const std::size_t entry0 = forge::get_le(bytes, 32, 8) + 8;
+  forge::set_le(&bytes, entry0 + 16, 4, forged);  // index entry 0 events
+  forge::reseal_index(&bytes);
+  write_file(bytes);
+
+  const auto m = MappedTrace::open(path_, &why);
+  ASSERT_EQ(m, nullptr) << "forged count accepted; event_count() = "
+                        << m->event_count();
+  EXPECT_NE(why.find("payload"), std::string::npos) << why;
 }
 
 // --- Codec edge cases ---------------------------------------------------
