@@ -40,7 +40,7 @@ int main() {
   bench::print_rule();
   std::printf("weight 0 reproduces the paper's pure-footprint objective;\n"
               "larger weights surrender footprint for cheaper mechanisms "
-              "(less splitting,\ncheaper fits, fewer chunk cycles) — the "
-              "trade-off knob the paper describes.\n");
+              "(less splitting,\ncheaper fits) — the trade-off knob the "
+              "paper describes.\n");
   return 0;
 }

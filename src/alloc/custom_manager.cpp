@@ -11,17 +11,37 @@ namespace dmm::alloc {
 
 namespace {
 [[noreturn]] void die(const char* what) {
-  std::fprintf(stderr, "dmm::alloc::CustomManager fatal: %s\n", what);
-  std::abort();
+  detail::fatal("CustomManager", what);
+}
+
+template <class S>
+Pool<S>& as(PoolBase* pool) {
+  return static_cast<Pool<S>&>(*pool);
+}
+template <class S>
+const Pool<S>& as(const PoolBase* pool) {
+  return static_cast<const Pool<S>&>(*pool);
 }
 }  // namespace
 
 CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
                              std::string name, bool strict_accounting)
+    : CustomManager(arena, cfg, std::move(name), strict_accounting,
+                    shape_id(cfg)) {}
+
+CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
+                             std::string name, bool strict_accounting,
+                             DynamicShapeOnly)
+    : CustomManager(arena, cfg, std::move(name), strict_accounting,
+                    ShapeId::kDynamic) {}
+
+CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
+                             std::string name, bool strict_accounting,
+                             ShapeId shape)
     : Allocator(arena),
       cfg_(cfg),
-      layout_(BlockLayout::from(cfg)),
-      link_bytes_(FreeIndex::link_bytes(cfg.block_structure)),
+      leaves_(PolicyLeaves::from(cfg)),
+      shape_(shape),
       name_(std::move(name)),
       strict_(strict_accounting) {
   if (auto why = unsupported_reason(cfg)) {
@@ -29,25 +49,27 @@ CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
                  why->c_str());
     std::abort();
   }
-  if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass) {
-    class_slot_.assign(SizeClass::kCount, -1);
-    if (cfg_.pool_count == PoolCount::kStaticMany) {
-      // Pre-create the full class roster (pools only; chunks on demand).
-      for (unsigned i = 0; i < SizeClass::kCount; ++i) {
-        make_pool(i, class_pool_block_size(i));
+  with_shape(shape_, [&]<class S>() {
+    if (leaves_.division == PoolDivision::kPoolPerSizeClass) {
+      class_slot_.assign(SizeClass::kCount, -1);
+      if (leaves_.static_many) {
+        // Pre-create the full class roster (pools only; chunks on demand).
+        for (unsigned i = 0; i < SizeClass::kCount; ++i) {
+          make_pool<S>(i, class_pool_block_size(i));
+        }
       }
     }
-  }
-  if (cfg_.pool_division == PoolDivision::kSinglePool) {
-    Pool* p = make_pool(0, 0);
-    if (cfg_.adaptivity == PoolAdaptivity::kStaticPreallocated) {
-      // One up-front grant; afterwards the pool may never grow again.
-      if (p->grow_reserve(cfg_.static_pool_bytes) == nullptr) {
-        die("static preallocation exceeds the arena budget");
+    if (leaves_.division == PoolDivision::kSinglePool) {
+      PoolBase* p = make_pool<S>(0, 0);
+      if (!leaves_.big_path) {
+        // One up-front grant; afterwards the pool may never grow again.
+        if (p->grow_reserve(leaves_.static_pool_bytes) == nullptr) {
+          die("static preallocation exceeds the arena budget");
+        }
+        p->stop_growing();
       }
-      static_exhausted_ = true;
     }
-  }
+  });
 }
 
 CustomManager::~CustomManager() {
@@ -61,52 +83,34 @@ CustomManager::~CustomManager() {
 }
 
 // ---------------------------------------------------------------------------
-// chunk traffic
+// pools and routing
 // ---------------------------------------------------------------------------
 
-ChunkHeader* CustomManager::pool_grow(std::size_t min_data_bytes) {
-  if (static_exhausted_) return nullptr;
-  std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
-  if (total < cfg_.chunk_bytes) total = cfg_.chunk_bytes;
-  std::size_t granted = 0;
-  std::byte* base = arena_->request(total, owner_tag(), &granted);
-  if (base == nullptr) return nullptr;
-  auto* chunk = reinterpret_cast<ChunkHeader*>(base);
-  chunk->init(granted, nullptr);
-  return chunk;
-}
-
-void CustomManager::pool_release(ChunkHeader* chunk) {
-  arena_->release(chunk->base());
-}
-
-Pool* CustomManager::make_pool(std::size_t key,
-                               std::size_t fixed_block_size) {
-  // The derived-to-private-base conversion must happen here, inside the
-  // class scope, not inside std::make_unique.
-  PoolHost& host = *this;
-  pools_.push_back(
-      {key, std::make_unique<Pool>(cfg_, layout_, fixed_block_size, host,
-                                   *arena_, owner_tag(), stats_)});
+template <class S>
+PoolBase* CustomManager::make_pool(std::size_t key,
+                                   std::size_t fixed_block_size) {
+  pools_.push_back({key, std::make_unique<Pool<S>>(leaves_, fixed_block_size,
+                                                   *arena_, owner_tag(),
+                                                   stats_)});
   const std::size_t slot = pools_.size() - 1;
-  if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass &&
-      cfg_.pool_structure == PoolStructure::kArray) {
+  if (leaves_.array_routing &&
+      leaves_.division == PoolDivision::kPoolPerSizeClass) {
     class_slot_[key] = static_cast<int>(slot);
-  } else if (cfg_.pool_division == PoolDivision::kPoolPerExactSize &&
-             cfg_.pool_structure == PoolStructure::kArray) {
+  } else if (leaves_.array_routing &&
+             leaves_.division == PoolDivision::kPoolPerExactSize) {
     exact_slot_[key] = slot;
   }
   return pools_.back().pool.get();
 }
 
-Pool* CustomManager::find_pool(std::size_t key) {
-  if (cfg_.pool_structure == PoolStructure::kArray) {
-    if (cfg_.pool_division == PoolDivision::kPoolPerSizeClass) {
+inline PoolBase* CustomManager::find_pool(std::size_t key) {
+  if (leaves_.array_routing) {
+    if (leaves_.division == PoolDivision::kPoolPerSizeClass) {
       const int slot = class_slot_[key];
       return slot < 0 ? nullptr
                       : pools_[static_cast<std::size_t>(slot)].pool.get();
     }
-    if (cfg_.pool_division == PoolDivision::kPoolPerExactSize) {
+    if (leaves_.division == PoolDivision::kPoolPerExactSize) {
       auto it = exact_slot_.find(key);
       return it == exact_slot_.end() ? nullptr : pools_[it->second].pool.get();
     }
@@ -120,46 +124,50 @@ Pool* CustomManager::find_pool(std::size_t key) {
   return nullptr;
 }
 
-// ---------------------------------------------------------------------------
-// request sizing and routing
-// ---------------------------------------------------------------------------
-
-std::size_t CustomManager::block_size_for_request(std::size_t payload) const {
+template <class S>
+inline std::size_t CustomManager::block_size_for(
+    std::size_t payload) const {
   if (payload == 0) payload = 1;
   std::size_t p = align_up(payload);
-  if (cfg_.block_sizes == BlockSizes::kFixedClasses) {
-    p = SizeClass::round_to_class(p);
-  }
-  return layout_.block_size_for(p, link_bytes_);
+  if (leaves_.class_rounding) p = SizeClass::round_to_class(p);
+  const S shape(leaves_.block_structure, leaves_.layout);
+  return shape.layout().block_size_for(p, link_bytes(shape.structure()));
+}
+
+std::size_t CustomManager::block_size_for_request(std::size_t payload) const {
+  return with_shape(shape_,
+                    [&]<class S>() { return block_size_for<S>(payload); });
 }
 
 std::size_t CustomManager::class_pool_block_size(unsigned idx) const {
   // Fixed class pools hold blocks sized for the class's payload ceiling;
   // variable class pools (A2 = many) hold the class's payload range.
-  return pool_blocks_fixed(cfg_)
-             ? layout_.block_size_for(SizeClass::size_of(idx), link_bytes_)
+  return leaves_.fixed_class_pools
+             ? leaves_.layout.block_size_for(
+                   SizeClass::size_of(idx), link_bytes(leaves_.block_structure))
              : 0;
 }
 
-CustomManager::Route CustomManager::route(std::size_t request) {
-  switch (cfg_.pool_division) {
+template <class S>
+inline CustomManager::Route CustomManager::route(std::size_t request) {
+  switch (leaves_.division) {
     case PoolDivision::kSinglePool:
-      return {find_pool(0), block_size_for_request(request)};
+      return {find_pool(0), block_size_for<S>(request)};
     case PoolDivision::kPoolPerSizeClass: {
       const unsigned idx = SizeClass::index_for(align_up(request));
-      Pool* p = find_pool(idx);
-      if (p == nullptr && cfg_.pool_count == PoolCount::kDynamic) {
-        p = make_pool(idx, class_pool_block_size(idx));
+      PoolBase* p = find_pool(idx);
+      if (p == nullptr && leaves_.dynamic_classes) {
+        p = make_pool<S>(idx, class_pool_block_size(idx));
       }
       const std::size_t bs = (p != nullptr && p->is_fixed())
                                  ? p->fixed_block_size()
-                                 : block_size_for_request(request);
+                                 : block_size_for<S>(request);
       return {p, bs};
     }
     case PoolDivision::kPoolPerExactSize: {
-      const std::size_t bs = block_size_for_request(request);
-      Pool* p = find_pool(bs);
-      if (p == nullptr) p = make_pool(bs, bs);
+      const std::size_t bs = block_size_for<S>(request);
+      PoolBase* p = find_pool(bs);
+      if (p == nullptr) p = make_pool<S>(bs, bs);
       return {p, bs};
     }
   }
@@ -167,31 +175,42 @@ CustomManager::Route CustomManager::route(std::size_t request) {
 }
 
 // ---------------------------------------------------------------------------
-// the malloc/free surface
+// the malloc/free surface: one switch to the shape's inlined path
 // ---------------------------------------------------------------------------
 
 void* CustomManager::allocate(std::size_t bytes) {
+  return with_shape(shape_,
+                    [&]<class S>() { return allocate_as<S>(bytes); });
+}
+
+void CustomManager::deallocate(void* ptr) {
+  with_shape(shape_, [&]<class S>() { deallocate_as<S>(ptr); });
+}
+
+template <class S>
+inline void* CustomManager::allocate_as(std::size_t bytes) {
   if (reject_oversized(bytes)) return nullptr;
   const std::size_t request = bytes == 0 ? 1 : bytes;
-  if (cfg_.adaptivity != PoolAdaptivity::kStaticPreallocated &&
-      request >= cfg_.big_request_bytes) {
+  if (leaves_.big_path && request >= leaves_.big_request_bytes) {
     return big_allocate(request);
   }
-  const Route r = route(request);
+  const Route r = route<S>(request);
   if (r.pool == nullptr) {
     ++stats_.failed_allocs;
     return nullptr;
   }
-  std::byte* block = r.pool->allocate_block(r.block_size);
+  Pool<S>& pool = as<S>(r.pool);
+  std::byte* block = pool.allocate_block(r.block_size);
   if (block == nullptr) {
     ++stats_.failed_allocs;
     return nullptr;
   }
-  void* payload = layout_.payload(block);
+  const S shape(leaves_.block_structure, leaves_.layout);
+  void* payload = shape.layout().payload(block);
   // Non-strict accounting books block capacity (the pool may have handed
   // out a larger, unsplit block); deallocate mirrors this exactly.
   note_alloc(strict_ ? request
-                     : layout_.live_payload(r.pool->block_size_of(block)));
+                     : shape.layout().live_payload(pool.block_size_of(block)));
   if (strict_) {
     auto [it, inserted] = requested_.emplace(payload, request);
     if (!inserted) die("allocator handed out a live pointer twice");
@@ -199,7 +218,8 @@ void* CustomManager::allocate(std::size_t bytes) {
   return payload;
 }
 
-void CustomManager::deallocate(void* ptr) {
+template <class S>
+inline void CustomManager::deallocate_as(void* ptr) {
   if (ptr == nullptr) return;
   ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("deallocate: pointer not owned by this manager");
@@ -210,19 +230,20 @@ void CustomManager::deallocate(void* ptr) {
     request_hint = it->second;
     requested_.erase(it);
   }
+  const S shape(leaves_.block_structure, leaves_.layout);
   if (chunk->owner == nullptr) {
     const std::size_t payload =
         strict_ ? request_hint
-                : layout_.live_payload(chunk->chunk_size - sizeof(ChunkHeader));
+                : shape.layout().live_payload(chunk->data_bytes());
     note_free(payload);
     big_deallocate(chunk, ptr);
     return;
   }
-  Pool* pool = chunk->owner;
-  std::byte* block = layout_.block_of(ptr);
-  const std::size_t block_size = pool->block_size_of(block);
-  note_free(strict_ ? request_hint : layout_.live_payload(block_size));
-  pool->free_block(block, block_size, chunk);
+  Pool<S>& pool = as<S>(chunk->owner);
+  std::byte* block = shape.layout().block_of(ptr);
+  const std::size_t block_size = pool.block_size_of(block);
+  note_free(strict_ ? request_hint : shape.layout().live_payload(block_size));
+  pool.free_block(block, block_size, chunk);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,8 +251,9 @@ void CustomManager::deallocate(void* ptr) {
 // ---------------------------------------------------------------------------
 
 void* CustomManager::big_allocate(std::size_t payload) {
-  const std::size_t need =
-      layout_.block_size_for(align_up(payload), link_bytes_);
+  const BlockLayout& layout = leaves_.layout;
+  const std::size_t need = layout.block_size_for(
+      align_up(payload), link_bytes(leaves_.block_structure));
   ChunkHeader* chunk = nullptr;
   // Reuse a cached dedicated chunk when the manager never shrinks.
   for (std::size_t i = 0; i < big_cache_.size(); ++i) {
@@ -261,9 +283,9 @@ void* CustomManager::big_allocate(std::size_t payload) {
   chunk->live_blocks = 1;
   chunk->bump = chunk->chunk_size;  // the whole data area is the block
   std::byte* block = chunk->data();
-  layout_.write_header(block, chunk->data_bytes(), /*free=*/false);
-  void* p = layout_.payload(block);
-  note_alloc(strict_ ? payload : layout_.live_payload(chunk->data_bytes()));
+  layout.write_header(block, chunk->data_bytes(), /*free=*/false);
+  void* p = layout.payload(block);
+  note_alloc(strict_ ? payload : layout.live_payload(chunk->data_bytes()));
   if (strict_) {
     auto [it, inserted] = requested_.emplace(p, payload);
     if (!inserted) die("allocator handed out a live pointer twice");
@@ -272,7 +294,7 @@ void* CustomManager::big_allocate(std::size_t payload) {
 }
 
 void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
-  if (layout_.block_of(static_cast<std::byte*>(ptr)) != chunk->data() ||
+  if (leaves_.layout.block_of(ptr) != chunk->data() ||
       chunk->live_blocks != 1) {
     die("big_deallocate: pointer does not match its dedicated chunk");
   }
@@ -280,9 +302,9 @@ void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
   --live_dedicated_;
   // Shrink decision point: B4 decides between releasing and caching the
   // now-empty dedicated chunk.
-  if (cfg_.adaptivity == PoolAdaptivity::kGrowAndShrink) {
+  if (leaves_.shrink) {
     ++stats_.chunks_released;
-    pool_release(chunk);
+    arena_->release(chunk->base());
   } else {
     big_cache_.push_back(chunk);
     big_cache_bytes_ += chunk->chunk_size;
@@ -294,31 +316,40 @@ void CustomManager::big_deallocate(ChunkHeader* chunk, void* ptr) {
 std::size_t CustomManager::usable_size(const void* ptr) const {
   const ChunkHeader* chunk = own_chunk(ptr);
   if (chunk == nullptr) die("usable_size: pointer not owned by this manager");
+  const BlockLayout& layout = leaves_.layout;
   if (chunk->owner == nullptr) {
-    return layout_.live_payload(chunk->data_bytes());
+    return layout.live_payload(chunk->data_bytes());
   }
-  const std::byte* block = layout_.block_of(ptr);
-  return layout_.live_payload(chunk->owner->block_size_of(block));
+  const std::byte* block = layout.block_of(ptr);
+  return layout.live_payload(with_shape(shape_, [&]<class S>() {
+    return as<S>(chunk->owner).block_size_of(block);
+  }));
 }
 
 std::uint64_t CustomManager::work_steps() const {
-  std::uint64_t steps = routing_steps_;
-  for (const PoolEntry& e : pools_) steps += e.pool->index().scan_steps();
-  return steps;
+  return with_shape(shape_, [&]<class S>() {
+    std::uint64_t steps = routing_steps_;
+    for (const PoolEntry& e : pools_) {
+      steps += as<S>(e.pool.get()).index().scan_steps();
+    }
+    return steps;
+  });
 }
 
 CustomManager::FootprintBreakdown CustomManager::breakdown() const {
   FootprintBreakdown b;
   b.footprint = arena_->footprint();
   b.live_payload = stats_.live_bytes;
-  b.header_overhead = stats_.live_blocks * layout_.header_bytes();
-  for (const PoolEntry& e : pools_) {
-    b.free_cached += e.pool->index().bytes();
-    for (ChunkHeader* c = e.pool->chunks(); c != nullptr; c = c->next) {
-      b.chunk_headers += sizeof(ChunkHeader);
-      b.wilderness += c->wilderness_bytes();
+  b.header_overhead = stats_.live_blocks * leaves_.layout.header_bytes();
+  with_shape(shape_, [&]<class S>() {
+    for (const PoolEntry& e : pools_) {
+      b.free_cached += as<S>(e.pool.get()).index().bytes();
+      for (ChunkHeader* c = e.pool->chunks(); c != nullptr; c = c->next) {
+        b.chunk_headers += sizeof(ChunkHeader);
+        b.wilderness += c->wilderness_bytes();
+      }
     }
-  }
+  });
   // Dedicated live chunks contribute their header too.
   b.chunk_headers += live_dedicated_ * sizeof(ChunkHeader);
   b.big_cache = big_cache_bytes_;
@@ -328,7 +359,9 @@ CustomManager::FootprintBreakdown CustomManager::breakdown() const {
 }
 
 void CustomManager::check_integrity() const {
-  for (const PoolEntry& e : pools_) e.pool->check_integrity();
+  with_shape(shape_, [&]<class S>() {
+    for (const PoolEntry& e : pools_) as<S>(e.pool.get()).check_integrity();
+  });
   if (strict_ && requested_.size() != stats_.live_blocks) {
     die("integrity: live block count diverged from pointer registry");
   }

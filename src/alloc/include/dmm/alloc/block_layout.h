@@ -36,12 +36,15 @@ class BlockLayout {
   static constexpr std::size_t kPrevFreeBit = 2;  ///< preceding block is free
   static constexpr std::size_t kFlagMask = kStatusBit | kPrevFreeBit;
 
-  BlockLayout() = default;
+  constexpr BlockLayout() = default;
 
   /// Derives the layout from the A3/A4 decisions of @p cfg.
-  static BlockLayout from(const DmmConfig& cfg) {
-    const BlockTags tags = cfg.block_tags;
-    const RecordedInfo info = cfg.recorded_info;
+  static constexpr BlockLayout from(const DmmConfig& cfg) {
+    return from(cfg.block_tags, cfg.recorded_info);
+  }
+
+  /// Derives the layout from an A3 (tags) and A4 (recorded info) leaf.
+  static constexpr BlockLayout from(BlockTags tags, RecordedInfo info) {
     BlockLayout l;
     l.has_header_ =
         tags == BlockTags::kHeader || tags == BlockTags::kHeaderFooter;
@@ -57,23 +60,26 @@ class BlockLayout {
     return l;
   }
 
-  [[nodiscard]] std::size_t header_bytes() const {
+  [[nodiscard]] constexpr std::size_t header_bytes() const {
     return has_header_ ? kWord : 0;
   }
   /// Footer space reserved *inside free blocks only* (see class comment).
-  [[nodiscard]] std::size_t footer_bytes() const {
+  [[nodiscard]] constexpr std::size_t footer_bytes() const {
     return has_footer_ ? kWord : 0;
   }
-  [[nodiscard]] bool has_header() const { return has_header_; }
-  [[nodiscard]] bool has_footer() const { return has_footer_; }
-  [[nodiscard]] bool records_size() const { return records_size_ && has_header_; }
-  [[nodiscard]] bool records_status() const {
+  [[nodiscard]] constexpr bool has_header() const { return has_header_; }
+  [[nodiscard]] constexpr bool has_footer() const { return has_footer_; }
+  [[nodiscard]] constexpr bool records_size() const {
+    return records_size_ && has_header_;
+  }
+  [[nodiscard]] constexpr bool records_status() const {
     return records_status_ && has_header_;
   }
 
   /// Smallest block size (header + payload) that can later be threaded
   /// into a free structure needing @p link_bytes of in-payload links.
-  [[nodiscard]] std::size_t min_block_size(std::size_t link_bytes) const {
+  [[nodiscard]] constexpr std::size_t min_block_size(
+      std::size_t link_bytes) const {
     const std::size_t payload =
         align_up(link_bytes > kAlignment ? link_bytes : kAlignment) +
         footer_bytes();
@@ -152,18 +158,21 @@ class BlockLayout {
 
   /// Payload bytes available to the application in a *live* block of
   /// @p block_size (footer overlaps payload on live blocks).
-  [[nodiscard]] std::size_t live_payload(std::size_t block_size) const {
+  [[nodiscard]] constexpr std::size_t live_payload(
+      std::size_t block_size) const {
     return block_size - header_bytes();
   }
 
   /// Total block size needed to serve a payload request of @p payload,
   /// also viable as a future free block with @p link_bytes links.
-  [[nodiscard]] std::size_t block_size_for(std::size_t payload,
-                                           std::size_t link_bytes) const {
+  [[nodiscard]] constexpr std::size_t block_size_for(
+      std::size_t payload, std::size_t link_bytes) const {
     const std::size_t sz = align_up(header_bytes() + align_up(payload));
     const std::size_t min_sz = min_block_size(link_bytes);
     return sz < min_sz ? min_sz : sz;
   }
+
+  constexpr bool operator==(const BlockLayout&) const = default;
 
  private:
   bool has_header_ = false;

@@ -5,7 +5,7 @@
 
 namespace dmm::alloc {
 
-class Pool;
+class PoolBase;
 
 /// In-band header at the start of every chunk a manager obtains from the
 /// SystemArena.  Blocks are carved from the *data area* behind the header;
@@ -23,7 +23,7 @@ struct alignas(16) ChunkHeader {
   std::size_t chunk_size = 0;   ///< total bytes including this header
   std::size_t bump = 0;         ///< offset of the wilderness start
   std::size_t live_blocks = 0;  ///< allocated (not freed) blocks inside
-  Pool* owner = nullptr;        ///< owning pool; nullptr = dedicated chunk
+  PoolBase* owner = nullptr;    ///< owning pool; nullptr = dedicated chunk
   ChunkHeader* next = nullptr;  ///< pool's chunk list
   ChunkHeader* prev = nullptr;
 
@@ -45,7 +45,7 @@ struct alignas(16) ChunkHeader {
     return chunk_size - sizeof(ChunkHeader);
   }
 
-  void init(std::size_t total_size, Pool* pool) {
+  void init(std::size_t total_size, PoolBase* pool) {
     chunk_size = total_size;
     bump = sizeof(ChunkHeader);
     live_blocks = 0;

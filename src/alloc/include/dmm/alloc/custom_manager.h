@@ -12,6 +12,7 @@
 #include "dmm/alloc/chunk.h"
 #include "dmm/alloc/config.h"
 #include "dmm/alloc/pool.h"
+#include "dmm/alloc/shape.h"
 
 namespace dmm::alloc {
 
@@ -35,7 +36,7 @@ namespace dmm::alloc {
 /// standard mmap-threshold engineering floor): one chunk per block,
 /// released straight back to the arena when pool adaptivity allows, else
 /// cached for reuse.
-class CustomManager : public Allocator, private PoolHost {
+class CustomManager : public Allocator {
  public:
   /// @param strict_accounting  track per-pointer requested sizes (exact
   ///        live-byte accounting, double-free detection).  Disable only in
@@ -50,7 +51,9 @@ class CustomManager : public Allocator, private PoolHost {
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] const DmmConfig& config() const { return cfg_; }
-  [[nodiscard]] const BlockLayout& layout() const { return layout_; }
+  [[nodiscard]] const BlockLayout& layout() const { return leaves_.layout; }
+  /// The Pool/FreeIndex instantiation this core runs on (see shape.h).
+  [[nodiscard]] ShapeId shape() const { return shape_; }
 
   /// Total block size (header included) that a payload request of
   /// @p payload bytes occupies under this configuration.
@@ -91,31 +94,48 @@ class CustomManager : public Allocator, private PoolHost {
   /// accounting (live_payload must be exact).
   [[nodiscard]] FootprintBreakdown breakdown() const;
 
+ protected:
+  /// Builds the vector on the DynamicShape instantiation whatever its
+  /// shape: the reference the shape-specialised instantiations are
+  /// differentially tested against.
+  struct DynamicShapeOnly {};
+  CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
+                std::string name, bool strict_accounting, DynamicShapeOnly);
+
  private:
   struct PoolEntry {
     std::size_t key;  ///< class index or exact block size, per division
-    std::unique_ptr<Pool> pool;
+    std::unique_ptr<PoolBase> pool;
   };
   struct Route {
-    Pool* pool;
+    PoolBase* pool;
     std::size_t block_size;
   };
 
-  [[nodiscard]] std::size_t class_pool_block_size(unsigned idx) const;
-  [[nodiscard]] Route route(std::size_t request);
-  [[nodiscard]] Pool* find_pool(std::size_t key);
-  Pool* make_pool(std::size_t key, std::size_t fixed_block_size);
+  CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
+                std::string name, bool strict_accounting, ShapeId shape);
 
-  // PoolHost (chunk services for the pools)
-  ChunkHeader* pool_grow(std::size_t min_data_bytes) override;
-  void pool_release(ChunkHeader* chunk) override;
+  template <class S>
+  [[nodiscard, gnu::always_inline]] void* allocate_as(std::size_t bytes);
+  template <class S>
+  [[gnu::always_inline]] void deallocate_as(void* ptr);
+  template <class S>
+  [[nodiscard, gnu::always_inline]] std::size_t block_size_for(
+      std::size_t payload) const;
+  template <class S>
+  [[nodiscard, gnu::always_inline]] Route route(std::size_t request);
+  template <class S>
+  PoolBase* make_pool(std::size_t key, std::size_t fixed_block_size);
+  [[nodiscard]] std::size_t class_pool_block_size(unsigned idx) const;
+  [[nodiscard, gnu::always_inline]] PoolBase* find_pool(std::size_t key);
 
   [[nodiscard]] void* big_allocate(std::size_t payload);
   void big_deallocate(ChunkHeader* chunk, void* ptr);
 
-  DmmConfig cfg_;
-  BlockLayout layout_;
-  std::size_t link_bytes_;
+  const DmmConfig cfg_;
+  /// The canonical vector's leaves, hoisted once (the pools copy them).
+  const PolicyLeaves leaves_;
+  const ShapeId shape_;
   std::string name_;
   bool strict_;
 
@@ -133,7 +153,6 @@ class CustomManager : public Allocator, private PoolHost {
   /// strict accounting: payload pointer -> requested bytes.
   std::unordered_map<const void*, std::size_t> requested_;
   mutable std::uint64_t routing_steps_ = 0;
-  bool static_exhausted_ = false;
 };
 
 }  // namespace dmm::alloc

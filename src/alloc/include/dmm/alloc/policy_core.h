@@ -26,6 +26,15 @@ namespace dmm::alloc {
 // Keeping the split at the type level (one class, two named roles) rather
 // than forking the allocator is what guarantees the deployed layout is
 // byte-for-byte the layout the offline search evaluated.
+//
+// Inside the core, Pool and FreeIndex are one template over a block shape
+// (shape.h): the A1, A3 and A4 leaves.  A FixedShape fixes them at
+// compile time, so allocate() and deallocate() run one inlined path per
+// shape; DynamicShape reads them at run time and serves every triple no
+// FixedShape names.  The constructor picks the instantiation with
+// shape_id(), a pure function of the vector, and hoists every other leaf
+// once (PolicyLeaves) — so both roles above run the same instantiation
+// for the same vector, and no option selects another.
 // ---------------------------------------------------------------------------
 
 using PolicyCore = CustomManager;

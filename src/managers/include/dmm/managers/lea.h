@@ -71,8 +71,9 @@ class LeaAllocator : public alloc::Allocator {
   std::size_t chunk_bytes_;
   std::size_t mmap_threshold_;
   alloc::BlockLayout layout_;
-  std::array<std::unique_ptr<alloc::FreeIndex>, kSmallBins> small_bins_;
-  std::unique_ptr<alloc::FreeIndex> large_bin_;
+  using LeaBin = alloc::FreeIndex<alloc::DynamicShape>;
+  std::array<std::unique_ptr<LeaBin>, kSmallBins> small_bins_;
+  std::unique_ptr<LeaBin> large_bin_;
   alloc::ChunkHeader* chunks_ = nullptr;  ///< heap chunks, never released
   alloc::ChunkHeader* carve_chunk_ = nullptr;
 };

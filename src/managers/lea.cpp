@@ -9,7 +9,6 @@ namespace dmm::managers {
 
 using alloc::BlockLayout;
 using alloc::ChunkHeader;
-using alloc::FreeIndex;
 
 namespace {
 [[noreturn]] void die(const char* what) {
@@ -19,7 +18,9 @@ namespace {
 
 // Non-null marker distinguishing heap chunks from dedicated (mmap-like)
 // chunks, which use owner == nullptr as in the rest of the library.
-alloc::Pool* heap_tag() { return reinterpret_cast<alloc::Pool*>(1); }
+alloc::PoolBase* heap_tag() {
+  return reinterpret_cast<alloc::PoolBase*>(1);
+}
 
 alloc::DmmConfig lea_layout_config() {
   alloc::DmmConfig c;
@@ -37,11 +38,11 @@ LeaAllocator::LeaAllocator(sysmem::SystemArena& arena,
       mmap_threshold_(mmap_threshold),
       layout_(BlockLayout::from(lea_layout_config())) {
   for (auto& bin : small_bins_) {
-    bin = std::make_unique<FreeIndex>(alloc::BlockStructure::kDoublyLinkedList,
-                                      alloc::FreeListOrder::kLIFO, layout_,
-                                      /*fixed_size=*/0);
+    bin = std::make_unique<LeaBin>(alloc::BlockStructure::kDoublyLinkedList,
+                                   alloc::FreeListOrder::kLIFO, layout_,
+                                   /*fixed_size=*/0);
   }
-  large_bin_ = std::make_unique<FreeIndex>(
+  large_bin_ = std::make_unique<LeaBin>(
       alloc::BlockStructure::kDoublySortedBySize,
       alloc::FreeListOrder::kSizeOrdered, layout_, /*fixed_size=*/0);
 }

@@ -175,6 +175,24 @@ class SystemArena {
   std::map<std::size_t, std::size_t> free_regions_;  // offset -> size
 };
 
+inline Grant SystemArena::grant_of(const void* p) const {
+  const auto* q = static_cast<const std::byte*>(p);
+  // std::less orders unrelated pointers too, so a pointer from outside the
+  // slab is turned away before any pointer arithmetic on it.
+  const std::less<const std::byte*> before;
+  if (slab_ == nullptr || before(q, slab_) || !before(q, slab_ + bump_)) {
+    return {};
+  }
+  const auto offset = static_cast<std::size_t>(q - slab_);
+  const std::size_t head = page_map_[offset >> grain_shift_].head;
+  if (head == 0) return {};
+  const Slot& start = page_map_[head - 1];
+  const std::size_t base = (head - 1) << grain_shift_;
+  // A sub-granule grant (page size < 16) leaves a tail no grant covers.
+  if (offset - base >= start.size) return {};
+  return {slab_ + base, start.size, start.owner};
+}
+
 }  // namespace dmm::sysmem
 
 #endif  // DMM_SYSMEM_SYSTEM_ARENA_H

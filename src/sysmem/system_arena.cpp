@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <iterator>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -198,24 +197,6 @@ void SystemArena::release_all(const void* owner) {
       release(slab_ + (i << grain_shift_));
     }
   }
-}
-
-Grant SystemArena::grant_of(const void* p) const {
-  const auto* q = static_cast<const std::byte*>(p);
-  // std::less orders unrelated pointers too, so a pointer from outside the
-  // slab is turned away before any pointer arithmetic on it.
-  const std::less<const std::byte*> before;
-  if (slab_ == nullptr || before(q, slab_) || !before(q, slab_ + bump_)) {
-    return {};
-  }
-  const auto offset = static_cast<std::size_t>(q - slab_);
-  const std::size_t head = page_map_[offset >> grain_shift_].head;
-  if (head == 0) return {};
-  const Slot& start = page_map_[head - 1];
-  const std::size_t base = (head - 1) << grain_shift_;
-  // A sub-granule grant (page size < 16) leaves a tail no grant covers.
-  if (offset - base >= start.size) return {};
-  return {slab_ + base, start.size, start.owner};
 }
 
 }  // namespace dmm::sysmem

@@ -13,6 +13,10 @@
 namespace dmm::alloc {
 namespace {
 
+// Every case runs on the DynamicShape instantiation, which reads A1 and
+// the layout at run time.
+using DynamicIndex = FreeIndex<DynamicShape>;
+
 // Standalone blocks with a size/status header, as FreeIndex sees them.
 class BlockFarm {
  public:
@@ -51,14 +55,14 @@ std::string param_name(const ::testing::TestParamInfo<IndexParam>& info) {
 
 class FreeIndexAllDdts : public ::testing::TestWithParam<IndexParam> {
  protected:
-  FreeIndex make_index() {
-    return FreeIndex(GetParam().ddt, GetParam().order, farm_.layout(), 0);
+  DynamicIndex make_index() {
+    return DynamicIndex(GetParam().ddt, GetParam().order, farm_.layout(), 0);
   }
   BlockFarm farm_;
 };
 
 TEST_P(FreeIndexAllDdts, InsertRemoveKeepsCounts) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   std::vector<std::byte*> blocks;
   for (std::size_t s : {32u, 64u, 48u, 128u, 32u}) {
     blocks.push_back(farm_.make(s));
@@ -75,10 +79,10 @@ TEST_P(FreeIndexAllDdts, InsertRemoveKeepsCounts) {
 }
 
 TEST_P(FreeIndexAllDdts, TakeFitNeverReturnsTooSmallABlock) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   for (std::size_t s : {32u, 48u, 64u, 96u, 256u}) idx.insert(farm_.make(s));
   for (std::size_t need : {8u, 33u, 64u, 100u, 256u}) {
-    FreeIndex probe = make_index();
+    DynamicIndex probe = make_index();
     std::vector<std::byte*> blocks;
     for (std::size_t s : {32u, 48u, 64u, 96u, 256u}) {
       blocks.push_back(farm_.make(s));
@@ -88,7 +92,7 @@ TEST_P(FreeIndexAllDdts, TakeFitNeverReturnsTooSmallABlock) {
          {FitAlgorithm::kFirstFit, FitAlgorithm::kNextFit,
           FitAlgorithm::kBestFit, FitAlgorithm::kWorstFit,
           FitAlgorithm::kExactFit}) {
-      FreeIndex probe2 = make_index();
+      DynamicIndex probe2 = make_index();
       for (std::byte* b : blocks) probe2.insert(b);
       std::byte* got = probe2.take_fit(need, fit);
       ASSERT_NE(got, nullptr);
@@ -108,7 +112,7 @@ TEST_P(FreeIndexAllDdts, TakeFitNeverReturnsTooSmallABlock) {
 }
 
 TEST_P(FreeIndexAllDdts, TakeFitFailsWhenNothingFits) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   idx.insert(farm_.make(32));
   idx.insert(farm_.make(64));
   EXPECT_EQ(idx.take_fit(128, FitAlgorithm::kBestFit), nullptr);
@@ -116,7 +120,7 @@ TEST_P(FreeIndexAllDdts, TakeFitFailsWhenNothingFits) {
 }
 
 TEST_P(FreeIndexAllDdts, PopAnyDrainsEverything) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   for (std::size_t s : {32u, 64u, 48u}) idx.insert(farm_.make(s));
   std::set<std::byte*> seen;
   while (!idx.empty()) {
@@ -130,7 +134,7 @@ TEST_P(FreeIndexAllDdts, PopAnyDrainsEverything) {
 }
 
 TEST_P(FreeIndexAllDdts, ForEachVisitsAllExactlyOnce) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   std::set<std::byte*> inserted;
   for (std::size_t s : {32u, 40u, 48u, 56u, 64u, 72u}) {
     std::byte* b = farm_.make(s);
@@ -145,7 +149,7 @@ TEST_P(FreeIndexAllDdts, ForEachVisitsAllExactlyOnce) {
 }
 
 TEST_P(FreeIndexAllDdts, RandomChurnKeepsStructureConsistent) {
-  FreeIndex idx = make_index();
+  DynamicIndex idx = make_index();
   std::mt19937 rng(42);
   std::vector<std::byte*> inside;
   for (int step = 0; step < 2000; ++step) {
@@ -210,7 +214,7 @@ class FitSemantics : public ::testing::Test {
   }
   BlockFarm farm_;
   std::vector<std::byte*> blocks_;
-  FreeIndex idx_;
+  DynamicIndex idx_;
 };
 
 TEST_F(FitSemantics, FirstFitTakesFirstInListOrder) {
@@ -249,8 +253,8 @@ TEST_F(FitSemantics, NextFitRovesPastLastTake) {
 
 TEST(FreeIndexSorted, SortedListKeepsAscendingSizes) {
   BlockFarm farm;
-  FreeIndex idx(BlockStructure::kDoublySortedBySize,
-                FreeListOrder::kSizeOrdered, farm.layout(), 0);
+  DynamicIndex idx(BlockStructure::kDoublySortedBySize,
+                   FreeListOrder::kSizeOrdered, farm.layout(), 0);
   for (std::size_t s : {128u, 32u, 64u, 48u, 256u, 40u}) {
     idx.insert(farm.make(s));
   }
@@ -265,16 +269,16 @@ TEST(FreeIndexSorted, SortedListKeepsAscendingSizes) {
 
 TEST(FreeIndexSorted, BstOverridesOrderToSizeOrdered) {
   BlockFarm farm;
-  FreeIndex idx(BlockStructure::kSizeBinaryTree, FreeListOrder::kLIFO,
-                farm.layout(), 0);
+  DynamicIndex idx(BlockStructure::kSizeBinaryTree, FreeListOrder::kLIFO,
+                   farm.layout(), 0);
   EXPECT_EQ(idx.order(), FreeListOrder::kSizeOrdered)
       << "self-ordering DDTs force the C2 leaf (linked decision)";
 }
 
 TEST(FreeIndexWork, ScanStepsGrowWithListSearches) {
   BlockFarm farm;
-  FreeIndex idx(BlockStructure::kSinglyLinkedList, FreeListOrder::kFIFO,
-                farm.layout(), 0);
+  DynamicIndex idx(BlockStructure::kSinglyLinkedList, FreeListOrder::kFIFO,
+                   farm.layout(), 0);
   for (int i = 0; i < 100; ++i) idx.insert(farm.make(32));
   idx.insert(farm.make(4096));  // FIFO: the big block lands at the tail
   const std::uint64_t before = idx.scan_steps();

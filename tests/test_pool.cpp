@@ -1,6 +1,6 @@
 // Direct Pool-level tests: carving, splitting, coalescing (immediate and
-// deferred), wilderness retreat, empty-chunk release — through a fake
-// PoolHost so every chunk interaction is visible.
+// deferred), wilderness retreat, empty-chunk release — on a private arena
+// so every chunk interaction is visible in its request/release counts.
 
 #include "dmm/alloc/pool.h"
 
@@ -14,43 +14,32 @@
 namespace dmm::alloc {
 namespace {
 
-class FakeHost : public PoolHost {
+// The arena and stats a pool draws on; the arena's request/release
+// counts are the pool's chunk traffic.
+class Host {
  public:
-  explicit FakeHost(std::size_t chunk_bytes = 16 * 1024)
-      : chunk_bytes_(chunk_bytes) {}
-
-  ~FakeHost() override {
-    // Pools release through pool_release; anything left is a test bug
-    // surfaced by the arena's live_chunks() check in the test body.
+  [[nodiscard]] sysmem::SystemArena& arena() { return arena_; }
+  [[nodiscard]] std::size_t grows() const {
+    return arena_.stats().request_count;
   }
-
-  ChunkHeader* pool_grow(std::size_t min_data_bytes) override {
-    std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
-    if (total < chunk_bytes_) total = chunk_bytes_;
-    std::size_t granted = 0;
-    std::byte* base = arena_.request(total, this, &granted);
-    if (base == nullptr) return nullptr;
-    auto* chunk = reinterpret_cast<ChunkHeader*>(base);
-    chunk->init(granted, nullptr);
-    ++grows;
-    return chunk;
+  [[nodiscard]] std::size_t releases() const {
+    return arena_.stats().release_count;
   }
-
-  void pool_release(ChunkHeader* chunk) override {
-    arena_.release(chunk->base());
-    ++releases;
-  }
-
-  sysmem::SystemArena& arena() { return arena_; }
 
   AllocatorStats stats;
-  int grows = 0;
-  int releases = 0;
 
  private:
-  std::size_t chunk_bytes_;
   sysmem::SystemArena arena_;
 };
+
+/// Every case runs on the DynamicShape instantiation.
+using DynamicPool = Pool<DynamicShape>;
+
+DynamicPool make_pool(Host& host, const DmmConfig& cfg,
+                      std::size_t fixed_block_size = 0) {
+  return DynamicPool(PolicyLeaves::from(cfg), fixed_block_size, host.arena(),
+                     &host, host.stats);
+}
 
 DmmConfig variable_cfg() {
   DmmConfig c = drr_paper_config();
@@ -59,11 +48,10 @@ DmmConfig variable_cfg() {
 }
 
 TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
-  FakeHost host;
+  Host host;
   const DmmConfig cfg = variable_cfg();
   {
-    Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-              host.stats);
+    DynamicPool pool = make_pool(host, cfg);
     std::vector<std::byte*> blocks;
     // 16 KiB chunk minus header = 16336; 100 x 160-byte blocks need two.
     for (int i = 0; i < 110; ++i) {
@@ -71,7 +59,7 @@ TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
       ASSERT_NE(b, nullptr);
       blocks.push_back(b);
     }
-    EXPECT_EQ(host.grows, 2);
+    EXPECT_EQ(host.grows(), 2u);
     EXPECT_EQ(pool.live_blocks(), 110u);
     pool.check_integrity();
     ChunkHeader* chunk = pool.chunk_of(blocks[0]);
@@ -84,10 +72,9 @@ TEST(Pool, CarvesFromWildernessAndGrowsOnDemand) {
 }
 
 TEST(Pool, ImmediateCoalesceMergesRunsBidirectionally) {
-  FakeHost host;
+  Host host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-            host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   // a | b | c | barrier — free a, c, then b: b must bridge a and c.
   std::byte* a = pool.allocate_block(256);
   std::byte* b = pool.allocate_block(256);
@@ -105,10 +92,9 @@ TEST(Pool, ImmediateCoalesceMergesRunsBidirectionally) {
 }
 
 TEST(Pool, WildernessRetreatInsteadOfTrailingFreeBlock) {
-  FakeHost host;
+  Host host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-            host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   std::byte* a = pool.allocate_block(256);
   std::byte* b = pool.allocate_block(256);  // b touches the wilderness
   ChunkHeader* chunk = pool.chunk_of(a);
@@ -122,31 +108,29 @@ TEST(Pool, WildernessRetreatInsteadOfTrailingFreeBlock) {
 TEST(Pool, EmptyChunkReleasedOnlyWithGrowShrink) {
   for (PoolAdaptivity adaptivity :
        {PoolAdaptivity::kGrowOnly, PoolAdaptivity::kGrowAndShrink}) {
-    FakeHost host;
+    Host host;
     DmmConfig cfg = variable_cfg();
     cfg.adaptivity = adaptivity;
-    Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-              host.stats);
+    DynamicPool pool = make_pool(host, cfg);
     std::byte* a = pool.allocate_block(512);
     ChunkHeader* chunk = pool.chunk_of(a);
     pool.free_block(a, 512, chunk);
     if (adaptivity == PoolAdaptivity::kGrowAndShrink) {
-      EXPECT_EQ(host.releases, 1) << "empty chunk goes back";
+      EXPECT_EQ(host.releases(), 1u) << "empty chunk goes back";
       EXPECT_EQ(pool.chunk_count(), 0u);
     } else {
-      EXPECT_EQ(host.releases, 0) << "grow-only retains";
+      EXPECT_EQ(host.releases(), 0u) << "grow-only retains";
       EXPECT_EQ(pool.chunk_count(), 1u);
     }
   }
 }
 
 TEST(Pool, DeferredSweepBridgesScatteredFrees) {
-  FakeHost host;
+  Host host;
   DmmConfig cfg = variable_cfg();
   cfg.coalesce_when = CoalesceWhen::kDeferred;
   cfg.adaptivity = PoolAdaptivity::kGrowOnly;
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-            host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   std::vector<std::byte*> blocks;
   for (int i = 0; i < 32; ++i) blocks.push_back(pool.allocate_block(256));
   ChunkHeader* chunk = pool.chunk_of(blocks[0]);
@@ -164,11 +148,10 @@ TEST(Pool, DeferredSweepBridgesScatteredFrees) {
 }
 
 TEST(Pool, FixedPoolServesUniformBlocks) {
-  FakeHost host;
+  Host host;
   DmmConfig cfg = fig4_wrong_order_config();  // no tags, fixed pools
   cfg.chunk_bytes = 16 * 1024;
-  Pool pool(cfg, BlockLayout::from(cfg), /*fixed_block_size=*/128, host,
-            host.arena(), &host, host.stats);
+  DynamicPool pool = make_pool(host, cfg, /*fixed_block_size=*/128);
   std::byte* a = pool.allocate_block(128);
   std::byte* b = pool.allocate_block(128);
   EXPECT_EQ(pool.block_size_of(a), 128u) << "size from pool membership";
@@ -182,17 +165,17 @@ TEST(Pool, FixedPoolServesUniformBlocks) {
 }
 
 TEST(Pool, SplitHonoursMinimumViableRemainder) {
-  FakeHost host;
+  Host host;
   const DmmConfig cfg = variable_cfg();
   const BlockLayout layout = BlockLayout::from(cfg);
-  Pool pool(cfg, layout, 0, host, host.arena(), &host, host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   std::byte* big = pool.allocate_block(512);
   std::byte* barrier = pool.allocate_block(64);
   ChunkHeader* chunk = pool.chunk_of(big);
   pool.free_block(big, 512, chunk);
   // Request leaving a remainder below min_block: no split, whole block.
   const std::size_t min_block =
-      layout.min_block_size(FreeIndex::link_bytes(cfg.block_structure));
+      layout.min_block_size(link_bytes(cfg.block_structure));
   std::byte* taken = pool.allocate_block(512 - min_block + 8);
   EXPECT_EQ(taken, big);
   EXPECT_EQ(pool.block_size_of(taken), 512u)
@@ -202,11 +185,10 @@ TEST(Pool, SplitHonoursMinimumViableRemainder) {
 }
 
 TEST(Pool, BoundedSplitProducesClassSizedRemainders) {
-  FakeHost host;
+  Host host;
   DmmConfig cfg = variable_cfg();
   cfg.split_sizes = SplitSizes::kBoundedByClass;
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-            host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   std::byte* big = pool.allocate_block(1000);
   std::byte* barrier = pool.allocate_block(64);
   ChunkHeader* chunk = pool.chunk_of(big);
@@ -225,15 +207,14 @@ TEST(Pool, BoundedSplitProducesClassSizedRemainders) {
 }
 
 TEST(Pool, GrowReserveProvisionsWithoutAllocating) {
-  FakeHost host;
+  Host host;
   const DmmConfig cfg = variable_cfg();
-  Pool pool(cfg, BlockLayout::from(cfg), 0, host, host.arena(), &host,
-            host.stats);
+  DynamicPool pool = make_pool(host, cfg);
   ASSERT_NE(pool.grow_reserve(64 * 1024), nullptr);
   EXPECT_EQ(pool.live_blocks(), 0u);
   EXPECT_GE(host.arena().footprint(), 64u * 1024);
   std::byte* b = pool.allocate_block(1024);
-  EXPECT_EQ(host.grows, 1) << "the reserve serves the allocation";
+  EXPECT_EQ(host.grows(), 1u) << "the reserve serves the allocation";
   pool.free_block(b, 1024, pool.chunk_of(b));
 }
 
