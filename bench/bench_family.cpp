@@ -5,8 +5,8 @@
 // For every case-study workload we record traces at several seeds, design
 // a solo best per trace (the paper's flow), cross-apply each solo best to
 // every other trace, and design a family best over all traces at once
-// (max-peak aggregate, searched by a budgeted portfolio and seeded with
-// the solo bests).  Regret of a vector on a trace is its peak over that
+// (max-peak aggregate, searched by beam:2 and seeded with the solo
+// bests).  Regret of a vector on a trace is its peak over that
 // trace's own solo-designed peak, minus one — reported per trace in the
 // JSON.  The gate asserts what seeding actually guarantees: the family
 // vector's worst-case *peak* (bytes — the max-peak objective itself)
@@ -102,12 +102,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    // The family design: a budgeted portfolio over the same cache, seeded
-    // with every solo best so the result can only generalize better.
+    // The family design: a width-2 beam over the same cache, seeded with
+    // every solo best so the result can only generalize better.
     core::DesignOptions fopts;
     fopts.explorer_options = opts;
-    fopts.explorer_options.search =
-        *core::parse_search_spec("portfolio:300:greedy+beam:2+anneal");
+    fopts.explorer_options.search = *core::parse_search_spec("beam:2");
     fopts.seed_candidates = solo_best;
     const core::FamilyDesignResult family =
         core::design_manager_family(traces, fopts);
@@ -160,12 +159,6 @@ int main(int argc, char** argv) {
                 family_worst_peak, best_single_worst_peak,
                 family_worst_regret, best_single_worst_regret,
                 ok ? "family generalizes" : "FAIL — family lost the race");
-    for (const core::ChildSearchReport& child : family.search.children) {
-      std::printf("  portfolio child %-10s %6llu evals%s\n",
-                  child.name.c_str(),
-                  static_cast<unsigned long long>(child.evaluations),
-                  child.found_best ? "   <= found the family best" : "");
-    }
     if (family.best_seed >= 0) {
       std::printf("  family best = the seeded solo design of seed %u\n",
                   kSeeds[family.best_seed]);
@@ -191,20 +184,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json,
                  "], \"feasible\": %s,\n        \"signature\": \"%s\",\n"
-                 "        \"best_seed\": %d,\n        \"children\": [",
+                 "        \"best_seed\": %d},\n",
                  family.feasible ? "true" : "false",
                  alloc::signature(family.best).c_str(), family.best_seed);
-    for (std::size_t c = 0; c < family.search.children.size(); ++c) {
-      const core::ChildSearchReport& child = family.search.children[c];
-      std::fprintf(json,
-                   "%s\n          {\"name\": \"%s\", \"evals\": %llu, "
-                   "\"replays\": %llu, \"found_best\": %s}",
-                   c == 0 ? "" : ",", child.name.c_str(),
-                   static_cast<unsigned long long>(child.evaluations),
-                   static_cast<unsigned long long>(child.simulations),
-                   child.found_best ? "true" : "false");
-    }
-    std::fprintf(json, "\n        ]},\n");
     std::fprintf(json,
                  "      \"worst_peak\": {\"family\": %.0f, "
                  "\"best_single\": %.0f},\n"

@@ -11,9 +11,9 @@
 //   --cache-file PATH   persists the score cache across runs — a second
 //                       invocation replays nothing the first already
 //                       scored and reaches the identical decision vector;
-//   --search SPEC       greedy|beam:K|anneal|exhaustive[:N]|random|
-//                       portfolio[:BUDGET]:CHILD+CHILD+... picks the
-//                       strategy for the walk and the design run;
+//   --search SPEC       greedy|beam:K|anneal[:SEED]|exhaustive[:N]|
+//                       random[:N[:SEED]] picks the strategy for the walk
+//                       and the design run;
 //   --family T1,T2,...  designs ONE decision vector for a whole family of
 //                       traces — each element is a DRR traffic seed
 //                       (digits) recorded in-process or a trace file
@@ -151,12 +151,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(family.search.simulations),
                 static_cast<unsigned long long>(family.search.cache_hits),
                 static_cast<unsigned long long>(family.search.family_hits));
-    for (const core::ChildSearchReport& child : family.search.children) {
-      std::printf("  portfolio child %-14s %6llu evals%s\n",
-                  child.name.c_str(),
-                  static_cast<unsigned long long>(child.evaluations),
-                  child.found_best ? "   <= found the best" : "");
-    }
     std::printf("\nfamily decision vector:\n%s\n",
                 alloc::describe(family.best).c_str());
     std::printf("per-trace breakdown:\n");

@@ -4,11 +4,11 @@
 // what the application actually computed (recovered displacements).
 //
 // Build & run:  ./build/examples/recon_explore [--search SPEC]
-// --search greedy|beam:K|anneal|exhaustive[:N]|random|
-// portfolio[:BUDGET]:CHILD+CHILD+... picks the per-phase design strategy
-// (default: the paper's greedy ordered traversal).  The other shared
-// DesignRequest flags (api::RequestCli) work too; the profiled trace is
-// fixed (seed 1), and --max-events N caps it for a quick run.
+// --search greedy|beam:K|anneal[:SEED]|exhaustive[:N]|random[:N[:SEED]]
+// picks the per-phase design strategy (default: the paper's greedy
+// ordered traversal).  The other shared DesignRequest flags
+// (api::RequestCli) work too; the profiled trace is fixed (seed 1), and
+// --max-events N caps it for a quick run.
 
 #include <cstdio>
 #include <string>

@@ -206,7 +206,8 @@ bool validate_request(const DesignRequest& req, std::string* why) {
     }
   }
   if (!core::parse_search_spec(req.search_text)) {
-    *why = "unparseable search spec '" + req.search_text + "'";
+    *why = "unparseable search spec '" + req.search_text + "' (want " +
+           std::string(core::kSearchSpecForms) + ")";
     return false;
   }
   const bool family = req.traces.size() >= 2;
@@ -716,9 +717,8 @@ RequestCli::Arg RequestCli::consume(int argc, char** argv, int* i) {
   std::string value;
   if (match_flag(argc, argv, i, "--search", &value)) {
     if (!core::parse_search_spec(value)) {
-      error_ = "unknown --search value '" + value +
-               "' (want greedy, beam:K, anneal[:SEED], exhaustive[:N], "
-               "random[:N[:SEED]], or portfolio[:BUDGET]:CHILD+CHILD+...)";
+      error_ = "unknown --search value '" + value + "' (want " +
+               std::string(core::kSearchSpecForms) + ")";
       return Arg::kError;
     }
     request.search_text = value;

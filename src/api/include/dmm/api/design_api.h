@@ -98,8 +98,8 @@ struct DesignRequest {
   /// step() slices to the request's search once this many evaluations
   /// were charged and finalizes with the incumbent (0 = unlimited).  The
   /// in-process path runs searches to their natural end — a strategy's
-  /// own budget (random:N, portfolio:BUDGET, ...) is the portable way to
-  /// bound work identically on both paths.
+  /// own budget (exhaustive:N, random:N) is the portable way to bound
+  /// work identically on both paths.
   std::uint64_t eval_budget = 0;
 };
 

@@ -22,13 +22,12 @@ namespace dmm::core {
 /// at its default budget.
 struct DesignOptions {
   /// Steers every search of the run.  `search` picks the strategy (greedy
-  /// by default; the same SearchSpec grammar as the CLIs' --search flag,
-  /// portfolios included).  Set `shared_cache` to serve the whole run —
-  /// all phase walks plus the validation passes, or the family search —
-  /// from one cross-search score cache.  In family mode an evaluation
-  /// budget (anneal/random/exhaustive/portfolio budgets) is counted in
-  /// *family* evaluations — one per candidate, however many member traces
-  /// it replays.
+  /// by default; the same SearchSpec grammar as the CLIs' --search flag).
+  /// Set `shared_cache` to serve the whole run — all phase walks plus the
+  /// validation passes, or the family search — from one cross-search score
+  /// cache.  In family mode an evaluation budget (the anneal, exhaustive
+  /// and random budgets) is counted in *family* evaluations — one per
+  /// candidate, however many member traces it replays.
   ExplorerOptions explorer_options{};
   /// Single trace only: re-detect phases from the trace; when false, the
   /// phase annotations already present in the trace (profiler markers)
@@ -141,12 +140,11 @@ struct FamilyDesignResult {
   double aggregate_objective = 0.0;
   /// Index into DesignOptions::seed_candidates of the seed that
   /// ended up as `best`, or -1 when the search's own result won.  When a
-  /// seed wins, the search log's per-child attribution and step log are
-  /// cleared — no child found the best.
+  /// seed wins, the search log's step log is cleared — the walk did not
+  /// find the best.
   int best_seed = -1;
   /// The family-space search log: accounting counts *member* replays and
-  /// hits, evals_to_best counts family evaluations, and `children` carries
-  /// portfolio attribution when the strategy was one.
+  /// hits, and evals_to_best counts family evaluations.
   ExplorationResult search;
   /// Per-member breakdown of `best`, in trace order.
   std::vector<FamilyTraceReport> per_trace;

@@ -6,6 +6,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -49,29 +50,18 @@ struct AnnealingOptions {
   std::size_t moves_per_temp = 8;  ///< evaluated proposals between coolings
 };
 
-/// Parsed strategy selection, the CLI's `--search` value:
-///   greedy | beam:K | anneal[:SEED] | exhaustive[:N] | random[:N[:SEED]]
-///   | portfolio[:BUDGET]:CHILD+CHILD[+CHILD...]
-/// Ordered strategies (greedy, beam) traverse the order the caller passes
-/// to make_strategy(); exhaustive enumerates the caller's tree subspace.
-/// A portfolio composes child specs (any non-portfolio form, '+'-separated)
-/// raced round-robin against one shared score cache; the optional BUDGET
-/// caps the portfolio's total evaluations (children also honour their own
-/// budgets, e.g. `random:500`'s sample count).
+/// Parsed strategy selection, the CLI's `--search` value (grammar in
+/// kSearchSpecForms).  Ordered strategies (greedy, beam) traverse the order
+/// the caller passes to make_strategy(); exhaustive enumerates the
+/// caller's tree subspace.
 struct SearchSpec {
-  enum class Kind { kGreedy, kBeam, kAnneal, kExhaustive, kRandom,
-                    kPortfolio };
+  enum class Kind { kGreedy, kBeam, kAnneal, kExhaustive, kRandom };
   Kind kind = Kind::kGreedy;
   std::size_t beam_width = 2;      ///< kBeam
   AnnealingOptions anneal{};       ///< kAnneal
   std::size_t max_evals = 100000;  ///< kExhaustive budget
   std::size_t samples = 200;       ///< kRandom budget
   unsigned seed = 1;               ///< kRandom seed
-  /// kPortfolio: the raced child specs (never kPortfolio themselves) and
-  /// the overall evaluation budget (0 = unlimited: every child runs to its
-  /// own budget or natural end).
-  std::vector<SearchSpec> children;
-  std::size_t portfolio_budget = 0;
 };
 
 /// Options steering the search (paper Sec. 4/5).
@@ -138,20 +128,6 @@ struct StepLog {
   std::vector<CandidateScore> candidates;
 };
 
-/// Per-child attribution of a portfolio run: what one raced child strategy
-/// consumed and whether the portfolio's final best was recorded during one
-/// of its turns.
-struct ChildSearchReport {
-  std::string name;                ///< child strategy name ("beam:4", ...)
-  /// Budget charges this child consumed: one per candidate it had scored
-  /// (== simulations + cache_hits in single-trace mode; in family mode a
-  /// candidate is one charge however many member traces it replays).
-  std::uint64_t evaluations = 0;
-  std::uint64_t simulations = 0;   ///< trace replays it actually paid for
-  std::uint64_t cache_hits = 0;    ///< evaluations a score cache answered
-  bool found_best = false;         ///< the final best came from this child
-};
-
 /// Outcome of a search over the decision space.
 struct ExplorationResult {
   alloc::DmmConfig best{};
@@ -186,10 +162,6 @@ struct ExplorationResult {
   /// "evals-to-best".  Streaming searches improve mid-run; ordered walks
   /// commit their completion only at the end, so theirs equals the total.
   std::uint64_t evals_to_best = 0;
-  /// Per-child attribution of a PortfolioSearch run, in child order
-  /// (empty for every other strategy).  `steps` holds the winning child's
-  /// ordered-walk log when that child is an ordered strategy.
-  std::vector<ChildSearchReport> children;
 };
 
 /// Lexicographic candidate comparison shared by every search mode: primary
@@ -333,14 +305,7 @@ class SearchContext {
   bool offer_best(const alloc::DmmConfig& cfg, const EvalOutcome& out);
 
   /// Unconditionally crowns @p cfg (an ordered walk's final completion).
-  /// Under set_competitive() the crowning is demoted to an offer_best()
-  /// so a portfolio child cannot clobber a better sibling result.
   void set_best(const alloc::DmmConfig& cfg, const EvalOutcome& out);
-
-  /// Racing mode (PortfolioSearch): strategies that unconditionally crown
-  /// their completion (the ordered walks) instead *offer* it against the
-  /// shared incumbent.
-  void set_competitive(bool competitive) { competitive_ = competitive; }
 
   /// True (and counts a canonical_skip) iff @p cfg's canonical form was
   /// already recorded this search; records it otherwise.
@@ -392,7 +357,6 @@ class SearchContext {
   bool stream_open_ = false;
   /// Family-mode streaming: jobs buffered between submit() and drain().
   std::vector<EvalJob> stream_pending_;
-  bool competitive_ = false;
   std::unordered_set<alloc::DmmConfig, alloc::DmmConfigHash> canonical_seen_;
 };
 
@@ -409,19 +373,14 @@ class SearchStrategy {
 
   virtual void run(SearchContext& ctx) = 0;
 
-  /// Discards any in-progress step() state so the next step() starts a
-  /// fresh search.  run() implementations call this on entry; a driver
-  /// stepping strategies directly (PortfolioSearch) calls it once up
-  /// front.  No-op for strategies without resumable state.
-  virtual void reset() {}
-
-  /// Incremental execution for drivers that interleave strategies: charge
-  /// at most @p eval_budget more evaluations against @p ctx (and never
-  /// more than the strategy's own remaining budget), then return true iff
-  /// the search can still make progress.  The streaming strategies
-  /// (exhaustive, random, annealing) pause and resume exactly; ordered
-  /// walks are indivisible, so the default completes run() in the first
-  /// step — possibly overshooting the slice — and returns false.
+  /// Incremental execution for drivers that interleave searches
+  /// (DesignRun, and through it the dmm_serve scheduler): charge at most
+  /// @p eval_budget more evaluations against @p ctx (and never more than
+  /// the strategy's own remaining budget), then return true iff the search
+  /// can still make progress.  The streaming strategies (exhaustive,
+  /// random, annealing) pause and resume exactly; ordered walks are
+  /// indivisible, so the default completes run() in the first step —
+  /// possibly overshooting the slice — and returns false.
   virtual bool step(SearchContext& ctx, std::size_t eval_budget) {
     (void)eval_budget;
     run(ctx);
@@ -470,7 +429,6 @@ class ExhaustiveSearch final : public SearchStrategy {
                             std::size_t max_evals = 100000);
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
   void run(SearchContext& ctx) override;
-  void reset() override { begun_ = false; }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
@@ -491,7 +449,6 @@ class RandomSearch final : public SearchStrategy {
   RandomSearch(std::size_t samples, unsigned seed);
   [[nodiscard]] std::string name() const override { return "random"; }
   void run(SearchContext& ctx) override;
-  void reset() override { begun_ = false; }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
@@ -522,7 +479,6 @@ class AnnealingSearch final : public SearchStrategy {
   explicit AnnealingSearch(AnnealingOptions opts = {});
   [[nodiscard]] std::string name() const override { return "anneal"; }
   void run(SearchContext& ctx) override;
-  void reset() override { begun_ = false; }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
@@ -543,40 +499,6 @@ class AnnealingSearch final : public SearchStrategy {
 /// default (also DesignOptions::validation_trees' default).
 [[nodiscard]] const std::vector<TreeId>& high_impact_trees();
 
-/// Races several child strategies against one SearchContext — one shared
-/// score cache, one shared canonical seen-set, one shared incumbent (the
-/// context runs in competitive mode, so an ordered child's final crowning
-/// is an *offer*, never a clobber).  The overall evaluation budget is
-/// dealt in round-robin slices of kSliceEvals: each alive child in turn
-/// steps for at most one slice (streaming children pause and resume
-/// exactly; ordered walks are indivisible and complete in their first
-/// turn, overshooting the slice by their natural cost) until the budget is
-/// spent or every child has finished its own budget.  The schedule is a
-/// pure function of (specs, budget), so portfolio results are bit-identical
-/// across thread counts and cache scopes.  Per-child consumption and which
-/// child produced the final best are reported in
-/// ExplorationResult::children.
-class PortfolioSearch final : public SearchStrategy {
- public:
-  /// The evaluation slice one child is dealt per round-robin turn.
-  static constexpr std::size_t kSliceEvals = 64;
-
-  /// @param children  child specs (must not be portfolios themselves —
-  ///                  parse_search_spec never produces nested ones).
-  /// @param budget    overall evaluation budget; 0 = unlimited (children
-  ///                  stop at their own budgets / natural ends).
-  explicit PortfolioSearch(std::vector<SearchSpec> children,
-                           std::size_t budget = 0,
-                           std::vector<TreeId> order = paper_order(),
-                           std::vector<TreeId> trees = high_impact_trees());
-  [[nodiscard]] std::string name() const override;
-  void run(SearchContext& ctx) override;
-
- private:
-  std::vector<std::unique_ptr<SearchStrategy>> children_;
-  std::size_t budget_;
-};
-
 /// Strict digits-only parse of a whole non-negative number, shared by the
 /// spec grammar and the CLIs/benches: nullopt on empty input, any
 /// non-digit character (signs, whitespace, hex, trailing junk), and on
@@ -585,19 +507,20 @@ class PortfolioSearch final : public SearchStrategy {
 [[nodiscard]] std::optional<std::uint64_t> parse_number(
     const std::string& text);
 
+/// The `--search` grammar parse_search_spec() accepts, as every error
+/// message names it: "beam:K" takes K >= 1, "anneal:SEED" seeds the
+/// trajectory, "exhaustive:N" (N >= 1) caps the enumeration budget, and
+/// "random:N:SEED" draws N >= 1 samples from a seeded stream.
+inline constexpr std::string_view kSearchSpecForms =
+    "greedy, beam:K, anneal[:SEED], exhaustive[:N], random[:N[:SEED]]";
+
 /// Parses a `--search` value; nullopt (with no side effects) on syntax or
-/// range errors.  Accepted forms: "greedy", "beam:K" (K >= 1), "anneal",
-/// "anneal:SEED", "exhaustive", "exhaustive:N" (N >= 1 caps the
-/// enumeration budget), "random", "random:N", "random:N:SEED", and
-/// "portfolio[:BUDGET]:CHILD+CHILD[+CHILD...]" where each CHILD is any
-/// non-portfolio form and BUDGET (>= 1) caps the portfolio's total
-/// evaluations.
+/// range errors, or on any form outside kSearchSpecForms.
 [[nodiscard]] std::optional<SearchSpec> parse_search_spec(
     const std::string& text);
 
 /// Builds the strategy @p spec names.  @p order steers the ordered
-/// strategies (greedy, beam); @p trees is the exhaustive subspace.  Both
-/// are forwarded to every child of a portfolio spec.
+/// strategies (greedy, beam); @p trees is the exhaustive subspace.
 [[nodiscard]] std::unique_ptr<SearchStrategy> make_strategy(
     const SearchSpec& spec, const std::vector<TreeId>& order = paper_order(),
     const std::vector<TreeId>& trees = high_impact_trees());

@@ -219,13 +219,9 @@ void DesignRun::close_search() {
       }
     }
     if (family_.best_seed >= 0) {
-      // A seed displaced the search's best: the portfolio's per-child
-      // found_best flag and the winning walk's step log no longer
-      // describe `best` — clear them instead of publishing a false
-      // attribution.
-      for (ChildSearchReport& child : ctx_->result().children) {
-        child.found_best = false;
-      }
+      // A seed displaced the search's best: the winning walk's step log
+      // no longer describes `best` — clear it instead of publishing a
+      // false attribution.
       ctx_->result().steps.clear();
     }
   }

@@ -266,12 +266,6 @@ bool SearchContext::offer_best(const DmmConfig& cfg, const EvalOutcome& out) {
 }
 
 void SearchContext::set_best(const DmmConfig& cfg, const EvalOutcome& out) {
-  if (competitive_) {
-    // Portfolio racing: an ordered walk's final completion competes with
-    // the other children's offers instead of overriding them.
-    (void)offer_best(cfg, out);
-    return;
-  }
   tracker_.obj = candidate_objective(opts_, out.sim, out.work_steps);
   tracker_.failed = out.sim.failed_allocs;
   tracker_.avg = out.sim.avg_footprint;
@@ -559,7 +553,7 @@ ExhaustiveSearch::ExhaustiveSearch(std::vector<TreeId> trees,
     : trees_(std::move(trees)), max_evals_(max_evals) {}
 
 void ExhaustiveSearch::run(SearchContext& ctx) {
-  reset();
+  begun_ = false;
   while (step(ctx, max_evals_)) {
   }
 }
@@ -630,7 +624,7 @@ RandomSearch::RandomSearch(std::size_t samples, unsigned seed)
     : samples_(samples), seed_(seed) {}
 
 void RandomSearch::run(SearchContext& ctx) {
-  reset();
+  begun_ = false;
   while (step(ctx, samples_)) {
   }
 }
@@ -693,7 +687,7 @@ double anneal_energy(const ExplorerOptions& opts, const EvalOutcome& out) {
 AnnealingSearch::AnnealingSearch(AnnealingOptions opts) : anneal_(opts) {}
 
 void AnnealingSearch::run(SearchContext& ctx) {
-  reset();
+  begun_ = false;
   while (step(ctx, anneal_.max_evals)) {
   }
 }
@@ -779,102 +773,6 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
 }
 
 // ---------------------------------------------------------------------------
-// PortfolioSearch — race child strategies round-robin on one context
-// ---------------------------------------------------------------------------
-
-PortfolioSearch::PortfolioSearch(std::vector<SearchSpec> children,
-                                 std::size_t budget, std::vector<TreeId> order,
-                                 std::vector<TreeId> trees)
-    : budget_(budget) {
-  children_.reserve(children.size());
-  for (const SearchSpec& spec : children) {
-    children_.push_back(make_strategy(spec, order, trees));
-  }
-}
-
-std::string PortfolioSearch::name() const {
-  std::string n = "portfolio:";
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (i != 0) n += '+';
-    n += children_[i]->name();
-  }
-  return n;
-}
-
-void PortfolioSearch::run(SearchContext& ctx) {
-  // Racing semantics: every child offers into one shared incumbent, so an
-  // ordered walk's final crowning must compete, not clobber.
-  ctx.set_competitive(true);
-  ExplorationResult& result = ctx.result();
-  result.children.assign(children_.size(), {});
-  std::vector<std::vector<StepLog>> child_steps(children_.size());
-  std::vector<char> alive(children_.size(), 1);
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    children_[i]->reset();
-    result.children[i].name = children_[i]->name();
-  }
-
-  // Deal the overall budget round-robin in kSliceEvals slices: child i
-  // steps, its actual consumption is charged against the pot, and the
-  // turn passes on.  Streaming children pause exactly at the slice edge;
-  // ordered walks are indivisible and spend their natural cost in their
-  // first (only) turn.  Everything here is a pure function of the specs
-  // and the budget — no wall clock, no thread count.
-  std::uint64_t remaining = budget_ == 0
-                                ? std::numeric_limits<std::uint64_t>::max()
-                                : budget_;
-  std::size_t best_child = children_.size();  // none yet
-  std::uint64_t last_best_mark = result.evals_to_best;
-  bool any_alive = !children_.empty();
-  while (any_alive && remaining > 0) {
-    any_alive = false;
-    bool progressed = false;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (!alive[i]) continue;
-      const std::uint64_t slice =
-          std::min<std::uint64_t>(kSliceEvals, remaining);
-      if (slice == 0) break;
-      ChildSearchReport& attr = result.children[i];
-      const std::uint64_t evals_before = ctx.evaluations();
-      const std::uint64_t sims_before = result.simulations;
-      const std::uint64_t hits_before = result.cache_hits;
-      // Isolate this child's step logs: greedy appends to result.steps and
-      // beam replaces it wholesale, so the shared vector is parked and a
-      // fresh one handed to the child.
-      std::vector<StepLog> parked = std::move(result.steps);
-      result.steps.clear();
-      const bool more = children_[i]->step(ctx, slice);
-      for (StepLog& log : result.steps) {
-        child_steps[i].push_back(std::move(log));
-      }
-      result.steps = std::move(parked);
-      const std::uint64_t used = ctx.evaluations() - evals_before;
-      attr.evaluations += used;
-      attr.simulations += result.simulations - sims_before;
-      attr.cache_hits += result.cache_hits - hits_before;
-      if (result.evals_to_best != last_best_mark) {
-        // The incumbent was displaced during this child's turn — offers
-        // always land at a strictly higher charge count than any earlier
-        // turn's, so the mark is unambiguous.
-        last_best_mark = result.evals_to_best;
-        best_child = i;
-      }
-      remaining -= std::min(used, remaining);
-      progressed = progressed || used > 0 || !more;
-      if (!more) alive[i] = false;
-      any_alive = any_alive || alive[i];
-    }
-    // Safety valve: a full round where every child claimed more work but
-    // charged nothing would spin forever.
-    if (!progressed) break;
-  }
-  if (best_child < children_.size()) {
-    result.children[best_child].found_best = true;
-    result.steps = std::move(child_steps[best_child]);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // strategy selection
 // ---------------------------------------------------------------------------
 
@@ -913,40 +811,6 @@ std::optional<unsigned> parse_seed(const std::string& s) {
 }  // namespace
 
 std::optional<SearchSpec> parse_search_spec(const std::string& text) {
-  // Portfolio first: its tail is a '+'-separated list of child specs that
-  // themselves contain colons, so it cannot go through the generic colon
-  // split below.  Grammar: portfolio[:BUDGET]:CHILD+CHILD[+CHILD...].
-  if (text.rfind("portfolio:", 0) == 0) {
-    SearchSpec spec;
-    spec.kind = SearchSpec::Kind::kPortfolio;
-    std::string rest = text.substr(std::string("portfolio:").size());
-    // An all-digits segment before another ':' is the overall budget — a
-    // child spec never starts with a digit, so the form is unambiguous.
-    const std::size_t colon = rest.find(':');
-    if (colon != std::string::npos &&
-        rest.find_first_not_of("0123456789") >= colon) {
-      const auto budget = parse_number(rest.substr(0, colon));
-      if (!budget || *budget == 0 ||
-          *budget > std::numeric_limits<std::size_t>::max()) {
-        return std::nullopt;
-      }
-      spec.portfolio_budget = static_cast<std::size_t>(*budget);
-      rest = rest.substr(colon + 1);
-    }
-    std::size_t begin = 0;
-    for (;;) {
-      const std::size_t plus = rest.find('+', begin);
-      const auto child = parse_search_spec(rest.substr(begin, plus - begin));
-      // No nesting: a portfolio child must name a concrete searcher.
-      if (!child || child->kind == SearchSpec::Kind::kPortfolio) {
-        return std::nullopt;
-      }
-      spec.children.push_back(*child);
-      if (plus == std::string::npos) break;
-      begin = plus + 1;
-    }
-    return spec;
-  }
   std::vector<std::string> parts;
   std::size_t begin = 0;
   for (;;) {
@@ -1019,10 +883,6 @@ std::unique_ptr<SearchStrategy> make_strategy(const SearchSpec& spec,
       return std::make_unique<ExhaustiveSearch>(trees, spec.max_evals);
     case SearchSpec::Kind::kRandom:
       return std::make_unique<RandomSearch>(spec.samples, spec.seed);
-    case SearchSpec::Kind::kPortfolio:
-      return std::make_unique<PortfolioSearch>(spec.children,
-                                               spec.portfolio_budget, order,
-                                               trees);
   }
   return std::make_unique<GreedySearch>(order);
 }

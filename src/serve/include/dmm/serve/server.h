@@ -6,22 +6,21 @@
 // EvalEngine, speaking the frame protocol of frame.h with api-layer
 // payloads (design_api.h) over a Unix-domain socket.
 //
-// Scheduling model — the PortfolioSearch slice scheduler, lifted from
-// racing child strategies to racing client requests: every request runs as
-// the same core::DesignRun design_manager()/design_manager_family() and
-// api::run_design_request() step to completion (per-phase walks, optional
-// exhaustive validation pass, or one family search), dealt round-robin in
-// DesignRun::step() slices of ServeOptions::slice_evals evaluations, and
-// answered through the same api::harvest_reply().  Consequences:
+// Scheduling model — a round-robin slice scheduler over client requests:
+// every request runs as the same core::DesignRun design_manager()/
+// design_manager_family() and api::run_design_request() step to completion
+// (per-phase walks, optional exhaustive validation pass, or one family
+// search), dealt round-robin in DesignRun::step() slices of
+// ServeOptions::slice_evals evaluations, and answered through the same
+// api::harvest_reply().  Consequences:
 //
 //   * results are bit-identical to the in-process library path — a
 //     request's run submits the same job stream, and search outcomes
 //     never depend on cache scope or scheduling (only the
 //     simulations/cache-hits split does);
 //   * fairness is at slice granularity for the resumable strategies
-//     (exhaustive / random / anneal / portfolio children); the ordered
-//     walks (greedy, beam) are indivisible and complete a whole phase in
-//     one turn, as they do inside PortfolioSearch;
+//     (exhaustive, random, anneal); the ordered walks (greedy, beam) are
+//     indivisible and complete a whole phase in one turn;
 //   * cancellation is cooperative: a kCancel frame marks the session and
 //     takes effect at its next turn — the request's remaining budget is
 //     freed, every other session is untouched;

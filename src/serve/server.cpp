@@ -379,7 +379,7 @@ struct Server::Impl {
         if (c.fd >= 0 && (re & POLLOUT) != 0) flush(c);
       }
       // The scheduler: one slice per session per loop turn — round-robin
-      // fairness at slice granularity, the PortfolioSearch deal.
+      // fairness at slice granularity.
       for (const std::unique_ptr<Connection>& c : conns) {
         if (should_shutdown()) break;
         if (c->fd >= 0 && c->session != nullptr) session_turn(*c);

@@ -63,7 +63,7 @@ DesignRequest full_request() {
   req.aggregate_set = true;
   req.weights = {0.1, -0.0, 1e300};  // not exactly representable / signed
                                      // zero / huge: bit patterns must hold
-  req.search_text = "portfolio:500:greedy+random:100:7";
+  req.search_text = "exhaustive:500";
   req.num_threads = 8;
   req.time_weight = 0.3;
   req.cache = false;
@@ -335,6 +335,30 @@ RequestCli parse_cli(std::vector<std::string> args,
   return cli;
 }
 
+TEST(ApiValidate, UnknownSearchFormsNameTheGrammar) {
+  // The request path and the CLI flag name the accepted forms with one
+  // text, so a caller of an unknown strategy learns what to send instead.
+  for (const char* unknown : {"portfolio:greedy", "bogus:40"}) {
+    DesignRequest req;
+    req.traces.resize(1);
+    req.search_text = unknown;
+    std::string why;
+    EXPECT_FALSE(validate_request(req, &why)) << unknown;
+    EXPECT_NE(why.find(unknown), std::string::npos) << why;
+    EXPECT_NE(why.find(core::kSearchSpecForms), std::string::npos) << why;
+
+    RequestCli cli;
+    std::string flag = "--search";
+    std::string value = unknown;
+    char arg0[] = "prog";
+    char* argv[] = {arg0, flag.data(), value.data()};
+    int i = 1;
+    EXPECT_EQ(cli.consume(3, argv, &i), RequestCli::Arg::kError);
+    EXPECT_NE(cli.error().find(core::kSearchSpecForms), std::string::npos)
+        << cli.error();
+  }
+}
+
 TEST(ApiCli, ParsesTheSharedFlagSurface) {
   RequestCli cli = parse_cli({"--search", "beam:3", "--seed=5",
                               "--max-events", "1234", "--threads=2",
@@ -464,7 +488,7 @@ TEST(ApiBridge, ValidRequestsNeverMakeDesignRunThrow) {
   family.aggregate = core::FamilyAggregate::kWeightedSum;
   family.aggregate_set = true;
   family.weights = {0.0, 2.5};
-  family.search_text = "portfolio:40:greedy+random:20";
+  family.search_text = "exhaustive:40";
   valid.push_back(family);
 
   core::SerialEngine engine;
@@ -716,7 +740,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SliceCase{"drr", 2000, "greedy", false},
                       SliceCase{"drr", 2000, "beam:4", false},
                       SliceCase{"drr", 2000, "anneal:7", false},
-                      SliceCase{"drr", 2000, "portfolio:greedy+anneal", false},
+                      SliceCase{"drr", 2000, "exhaustive", false},
                       SliceCase{"drr", 2000, "greedy", true},
                       // Two annotated phases: the run crosses a phase
                       // boundary between slices.
@@ -746,7 +770,7 @@ TEST(DesignRunSlicing, FamilyRunMatchesDesignManagerFamily) {
 
 TEST(DesignRunSlicing, BudgetCappedRunStopsAtItsBudget) {
   DesignRequest req = small_drr_request(2);
-  req.search_text = "random:5000";
+  req.search_text = "exhaustive";
   std::vector<core::AllocTrace> traces;
   std::string why;
   ASSERT_TRUE(load_traces(req, &traces, &why)) << why;

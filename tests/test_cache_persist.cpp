@@ -9,7 +9,10 @@
 //  * an explicit load/save around a search, and
 //    DesignOptions::cache_file around a design run, thread warm
 //    starts end to end: a second run over the same trace replays nothing,
-//    reports persisted hits, and returns a bit-identical best.
+//    reports persisted hits, and returns a bit-identical best,
+//  * one snapshot file accumulates several case studies: each cold run
+//    adds its trace's entries, and a warm greedy walk on every one of
+//    them replays nothing and lands on the same best.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include "dmm/core/cache_snapshot.h"
 #include "dmm/core/methodology.h"
 #include "dmm/core/search.h"
+#include "dmm/workloads/workload.h"
 
 namespace dmm::core {
 namespace {
@@ -382,6 +386,43 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
   EXPECT_EQ(warm.cache_hits, warm.persisted_hits);
   EXPECT_EQ(warm.cross_search_hits, 0u)
       << "persisted hits are accounted apart from cross-search hits";
+}
+
+TEST_F(CachePersist, OneSnapshotServesEveryCaseStudy) {
+  std::vector<AllocTrace> traces;
+  for (const workloads::Workload& w : workloads::case_studies()) {
+    traces.push_back(workloads::record_trace(w, 1));
+    traces.back().truncate(2000);
+  }
+  ASSERT_EQ(traces.size(), 3u);
+
+  // Cold: each case study loads the file the earlier ones saved, searches
+  // and saves back — its own entries are new, so nothing is persisted.
+  GreedySearch greedy;
+  std::vector<ExplorationResult> cold;
+  for (const AllocTrace& trace : traces) {
+    ExplorerOptions opts;
+    opts.shared_cache = std::make_shared<SharedScoreCache>();
+    (void)opts.shared_cache->load(path_);
+    cold.push_back(run_search(trace, greedy, opts));
+    EXPECT_GT(cold.back().simulations, 0u);
+    EXPECT_EQ(cold.back().persisted_hits, 0u);
+    ASSERT_TRUE(opts.shared_cache->save(path_).saved);
+  }
+
+  // Warm: one load of the accumulated file serves every case study.
+  ExplorerOptions opts;
+  opts.shared_cache = std::make_shared<SharedScoreCache>();
+  ASSERT_TRUE(opts.shared_cache->load(path_).loaded);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const ExplorationResult warm = run_search(traces[i], greedy, opts);
+    EXPECT_EQ(warm.best, cold[i].best) << "case study " << i;
+    EXPECT_EQ(warm.best_sim.peak_footprint, cold[i].best_sim.peak_footprint)
+        << "case study " << i;
+    EXPECT_EQ(warm.simulations, 0u) << "case study " << i;
+    EXPECT_EQ(warm.persisted_hits, cold[i].simulations + cold[i].cache_hits)
+        << "case study " << i;
+  }
 }
 
 TEST_F(CachePersist, CorruptSnapshotDegradesToAColdRunNotAnError) {

@@ -210,12 +210,20 @@ TEST_F(ServeE2e, ConcurrentRequestsBothFinishCorrectly) {
 }
 
 TEST_F(ServeE2e, CancelFreesTheRequestWithoutDisturbingTheSurvivor) {
-  TestServer daemon(options());
+  // The doomed request is the exhaustive validator over the uncapped DRR
+  // trace: every candidate replays 159k events, so one 4-evaluation slice
+  // outlasts the cancel's round trip and the enumeration is nowhere near
+  // done when its first progress beat draws the cancel.  Small slices also
+  // let the cancel land before the candidates that replay for seconds.
+  ServeOptions opts = options();
+  opts.slice_evals = 4;
+  TestServer daemon(std::move(opts));
   std::string why;
   ASSERT_TRUE(daemon.start(&why)) << why;
 
   api::DesignRequest doomed = small_request();
-  doomed.search_text = "random:50000";  // long enough to never finish first
+  doomed.max_events = 0;
+  doomed.search_text = "exhaustive";
 
   Outcome survivor;
   std::thread ts(
@@ -228,8 +236,13 @@ TEST_F(ServeE2e, CancelFreesTheRequestWithoutDisturbingTheSurvivor) {
   EXPECT_TRUE(cancelled.reply.cancelled);
   EXPECT_NE(cancelled.reply.error.find("cancelled"), std::string::npos)
       << cancelled.reply.error;
-  // Far below the 50000-sample budget: the slices stopped being dealt.
-  EXPECT_LT(cancelled.reply.evaluations, 10000u);
+  // Below the full enumeration: the slices stopped being dealt.  The
+  // canonical quotient's size does not depend on the trace, so the cut's
+  // enumeration counts it.
+  api::DesignRequest full = small_request();
+  full.search_text = "exhaustive";
+  EXPECT_LT(cancelled.reply.evaluations,
+            api::run_design_request(full).evaluations);
 
   ASSERT_TRUE(survivor.reply.ok) << survivor.reply.error;
   EXPECT_EQ(survivor.reply.phase_signatures,
@@ -242,7 +255,7 @@ TEST_F(ServeE2e, EvalBudgetExhaustionFinalizesCleanly) {
   ASSERT_TRUE(daemon.start(&why)) << why;
 
   api::DesignRequest req = small_request();
-  req.search_text = "random:50000";
+  req.search_text = "exhaustive";  // ~270 evaluations, past the budget
   req.eval_budget = 100;
   const Outcome outcome = run_client(socket_, req);
   EXPECT_FALSE(outcome.reply.ok);

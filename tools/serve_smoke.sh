@@ -66,16 +66,20 @@ REQ=(--search greedy --seed 1 --max-events 5000 --quiet)
 grep -v '^cost\|^daemon cache' "$WORK/local.out" > "$WORK/local.best"
 
 echo "serve_smoke: cold daemon, two concurrent clients + one cancelled"
-start_daemon --max-entries 64
+start_daemon --max-entries 64 --slice 4
 # Two identical requests race; a third long request gets cancelled after
-# its first progress beat and must not disturb them.
+# its first progress beat and must not disturb them.  It is the exhaustive
+# validator over the uncapped DRR trace: every candidate replays 159k
+# events, so a 4-evaluation slice outlasts the cancel's round trip and the
+# enumeration cannot finish first; small slices let the cancel land before
+# the candidates that replay for seconds.
 "$CLIENT" --socket "$SOCK" "${REQ[@]}" > "$WORK/c1.out" &
 C1=$!
 "$CLIENT" --socket "$SOCK" "${REQ[@]}" > "$WORK/c2.out" &
 C2=$!
 set +e
 "$CLIENT" --socket "$SOCK" --quiet --cancel-after 1 \
-  --search random:200000 --seed 1 --max-events 5000 > "$WORK/c3.out" \
+  --search exhaustive --seed 1 > "$WORK/c3.out" \
   2> "$WORK/c3.err"
 C3_RC=$?
 set -e
