@@ -53,6 +53,16 @@
 
 namespace {
 
+/// A random:N search whose draw cap ran out says how short it fell.
+void report_draw_cap(const dmm::core::ExplorationResult& r,
+                     const dmm::core::SearchSpec& spec) {
+  if (!r.draws_capped) return;
+  std::printf("random search stopped at %llu of %zu evaluations: its draw "
+              "cap (%zu draws) ran out of rule-valid vectors\n",
+              static_cast<unsigned long long>(r.simulations + r.cache_hits),
+              spec.samples, dmm::core::RandomSearch::draw_cap(spec.samples));
+}
+
 int usage(const char* prog, const dmm::api::RequestCli& cli) {
   std::fprintf(stderr,
                "usage: %s %s [--sample N] [--export-config FILE]\n"
@@ -211,6 +221,7 @@ int main(int argc, char** argv) {
                 "each\n",
                 static_cast<unsigned long long>(result.simulations),
                 static_cast<unsigned long long>(sample.trace.size()));
+    report_draw_cap(result, opts.search);
     std::printf("\nsampled decision vector:\n%s\n",
                 alloc::describe(result.best).c_str());
 
@@ -285,6 +296,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.persisted_hits),
               cache_file.empty() ? "(no cache file)" : cache_file.c_str(),
               engine->name().c_str());
+  report_draw_cap(result, opts.search);
   std::printf("\nfinal decision vector:\n%s\n",
               alloc::describe(result.best).c_str());
 

@@ -162,6 +162,10 @@ struct ExplorationResult {
   /// "evals-to-best".  Streaming searches improve mid-run; ordered walks
   /// commit their completion only at the end, so theirs equals the total.
   std::uint64_t evals_to_best = 0;
+  /// RandomSearch only: true iff its draw cap (RandomSearch::draw_cap)
+  /// ran out before `samples` rule-valid vectors were drawn, so the search
+  /// made fewer evaluations than its spec asked for.
+  bool draws_capped = false;
 };
 
 /// Lexicographic candidate comparison shared by every search mode: primary
@@ -448,6 +452,10 @@ class RandomSearch final : public SearchStrategy {
  public:
   RandomSearch(std::size_t samples, unsigned seed);
   [[nodiscard]] std::string name() const override { return "random"; }
+  /// Draws (valid or not) a search of @p samples makes at most.
+  [[nodiscard]] static std::size_t draw_cap(std::size_t samples) {
+    return samples * 500 + 1000;
+  }
   void run(SearchContext& ctx) override;
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 

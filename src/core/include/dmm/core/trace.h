@@ -53,6 +53,13 @@ struct TraceIdBounds {
   std::uint32_t max_id = 0;
   /// number of alloc events
   std::uint64_t allocs = 0;
+
+  /// True iff the id space is within 2x of the alloc count, so a flat
+  /// table indexed by id wastes at most about half its slots.  Traces the
+  /// workloads record number objects densely from 0.
+  [[nodiscard]] bool dense() const {
+    return static_cast<std::uint64_t>(max_id) + 1 <= 2 * allocs + 16;
+  }
 };
 
 /// Streams a trace's events in order as contiguous runs.  Cursors are

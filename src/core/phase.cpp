@@ -89,22 +89,41 @@ void apply_phases(AllocTrace& trace, const std::vector<PhaseSpan>& spans) {
 }
 
 std::vector<AllocTrace> split_by_phase(const AllocTrace& trace) {
-  std::unordered_map<std::uint32_t, std::uint16_t> owner;  // id -> phase
-  std::uint16_t max_phase = 0;
-  for (const AllocEvent& e : trace.events()) {
-    max_phase = std::max(max_phase, e.phase);
+  const std::vector<AllocEvent>& events = trace.events();
+  std::vector<std::uint64_t> allocs;  // per phase
+  for (const AllocEvent& e : events) {
+    if (e.phase >= allocs.size()) allocs.resize(e.phase + std::size_t{1});
+    if (e.op == AllocEvent::Op::kAlloc) ++allocs[e.phase];
   }
-  std::vector<AllocTrace> out(static_cast<std::size_t>(max_phase) + 1);
-  for (const AllocEvent& e : trace.events()) {
+  std::vector<AllocTrace> out(std::max<std::size_t>(allocs.size(), 1));
+  // Each object contributes its alloc and at most one free.
+  for (std::size_t p = 0; p < allocs.size(); ++p) {
+    out[p].events().reserve(2 * allocs[p]);
+  }
+  // id -> owning phase: a flat table when the ids are dense, else a hash
+  // map.
+  const TraceIdBounds bounds = trace.id_bounds();
+  const bool dense = bounds.dense();
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> flat(dense ? bounds.max_id + std::size_t{1} : 0,
+                                  kNone);
+  std::unordered_map<std::uint32_t, std::uint16_t> sparse;
+  for (const AllocEvent& e : events) {
     if (e.op == AllocEvent::Op::kAlloc) {
-      owner[e.id] = e.phase;
-      out[e.phase].record_alloc(e.id, e.size, e.phase);
-    } else {
-      auto it = owner.find(e.id);
-      if (it != owner.end()) {
-        out[it->second].record_free(e.id, e.phase);
-        owner.erase(it);
+      if (dense) {
+        flat[e.id] = e.phase;
+      } else {
+        sparse[e.id] = e.phase;
       }
+      out[e.phase].record_alloc(e.id, e.size, e.phase);
+    } else if (dense) {
+      if (flat[e.id] != kNone) {
+        out[flat[e.id]].record_free(e.id, e.phase);
+        flat[e.id] = kNone;
+      }
+    } else if (const auto it = sparse.find(e.id); it != sparse.end()) {
+      out[it->second].record_free(e.id, e.phase);
+      sparse.erase(it);
     }
   }
   return out;

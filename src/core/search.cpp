@@ -640,7 +640,7 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
   // Budget = number of *evaluations* (replays + cache hits), matching the
   // ordered traversal's accounting; invalid draws are rejected without
   // charge (bounded).
-  const std::size_t max_attempts = samples_ * 500 + 1000;
+  const std::size_t max_attempts = draw_cap(samples_);
   const std::uint64_t budget =
       std::min<std::uint64_t>(eval_budget, samples_ - charged_);
   std::uint64_t stepped = 0;
@@ -664,6 +664,9 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     }
   }
   charged_ += stepped;
+  if (attempts_ >= max_attempts && charged_ < samples_) {
+    ctx.result().draws_capped = true;
+  }
   return attempts_ < max_attempts && charged_ < samples_;
 }
 

@@ -112,12 +112,9 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
 
   // Dense-id sizing pre-pass: in-memory traces answer with one linear
   // scan (far cheaper than the replay it sizes), mapped traces straight
-  // from their header.  "Dense" = the id space is within 2x of the alloc
-  // count, so the flat vector wastes at most ~half its slots.
+  // from their header.
   const TraceIdBounds bounds = trace.id_bounds();
-  const bool dense = static_cast<std::uint64_t>(bounds.max_id) + 1 <=
-                     2 * bounds.allocs + 16;
-  LiveMap live(dense, bounds.max_id);
+  LiveMap live(bounds.dense(), bounds.max_id);
 
   double footprint_sum = 0.0;
   std::size_t live_bytes = 0;

@@ -8,13 +8,21 @@
 //   ThreadCache::mu — one per thread cache; the owning thread's fast path
 //                     plus the teardown paths that drain someone else's
 //   core_mu_        — serialises the single-threaded policy core and its
-//                     arena (including the stats read of telemetry())
+//                     arena (including the stats read of telemetry()),
+//                     and guards the allocator's counters and roster
+//                     reads
 //
 // Shard locks (pointer bookkeeping) are leaves: nothing is acquired while
 // one is held.  They may be taken under ThreadCache::mu (eviction and
 // flush erase the entries of the blocks they hand back).  core_mu_ and the
 // shard locks are SpinParkLocks; the registry mutex and ThreadCache::mu,
 // held on cold paths or by one thread at a time, stay std::mutex.
+//
+// Bins: a cached block of capacity c sits in bin SizeClass::index_for(c),
+// the class whose range (2^(k-1), 2^k] holds c.  A request r scans bin
+// index_for(r) newest first for a block with capacity >= r, then takes the
+// newest block of the bin above, whose capacities all exceed 2^k >= r.  So
+// a freed block serves the next request of its own size.
 //
 // Deferred release: a block a thread cache evicts leaves the side table at
 // once but waits in the cache's pending list.  Every core_mu_ hold taken
@@ -24,6 +32,12 @@
 // kPendingDrainBlocks.  A thread's releases thus reach the core in the same
 // order relative to its own core calls as if each were released at
 // eviction: a single-threaded run makes exactly the same core calls.
+//
+// Counters: each thread counts its calls in its own cache (written by that
+// thread only); the cache-off path counts in core_counts_ under core_mu_,
+// and an exiting thread's counts fold into core_counts_ under the registry
+// mutex and core_mu_.  Every core-lock hold and every snapshot samples the
+// live sum into peak_live_ (telemetry.h has the resulting semantics).
 //
 // Thread-cache lifetime: a cache is created by its thread on first use,
 // registered with the allocator, and deleted by its thread at exit (the
@@ -60,13 +74,10 @@ constexpr std::size_t kPendingDrainBlocks = 64;
   std::abort();
 }
 
-/// Largest size-class index whose class size the capacity covers: every
-/// entry filed in bin b can serve any request of class b (capacity >=
-/// size_of(b) >= request).  Requires capacity >= size_of(0).
-unsigned bin_for_capacity(std::size_t capacity) {
-  unsigned idx = alloc::SizeClass::index_for(capacity);
-  if (alloc::SizeClass::size_of(idx) > capacity) --idx;
-  return idx;
+/// The bin a size lands in: its size class, clamped to the last bin.
+unsigned bin_for(std::size_t bytes) {
+  return std::min(alloc::SizeClass::index_for(bytes),
+                  alloc::SizeClass::kCount - 1);
 }
 
 }  // namespace
@@ -82,7 +93,8 @@ struct DesignedAllocator::ThreadCache {
   /// Guarded by the registry mutex AND mu (writers hold both, readers
   /// hold either): which allocator drains into at thread exit.
   DesignedAllocator* owner = nullptr;
-  /// bins[b] holds (ptr, capacity) with capacity >= SizeClass::size_of(b).
+  /// bins[b] holds (ptr, capacity) with bin_for(capacity) == b, oldest
+  /// first.
   std::array<std::vector<std::pair<void*, std::size_t>>,
              alloc::SizeClass::kCount>
       bins;
@@ -90,6 +102,12 @@ struct DesignedAllocator::ThreadCache {
   /// Evicted blocks not yet released to the core, oldest first; under mu.
   /// Cleared, never shrunk, so draining allocates nothing.
   std::vector<void*> pending;
+  /// The owning thread's calls through owner; written by that thread only.
+  /// On its own cache line, away from the neighbouring heap objects.
+  alignas(64) ThreadCounters counts;
+  /// owner->roster_epoch_ when counts' high mark last restarted; under
+  /// the owner's core_mu_.
+  std::uint64_t high_epoch = 0;
 };
 
 struct ThreadCacheRegistry {
@@ -106,14 +124,8 @@ struct ThreadCacheRegistry {
     ~TlsHolder() {
       const std::lock_guard<std::mutex> reg(mutex());
       for (DesignedAllocator::ThreadCache* c : caches) {
-        DesignedAllocator* owner = c->owner;
-        if (owner != nullptr) {
-          // Thread exits first: its cached blocks go back to the core.
-          owner->flush_cache(*c);
-          auto& roster = owner->caches_;
-          roster.erase(std::remove(roster.begin(), roster.end(), c),
-                       roster.end());
-        }
+        // Thread exits first: its cached blocks go back to the core.
+        if (c->owner != nullptr) c->owner->retire(c);
         // Allocator already gone (owner nulled): the entries died with
         // its arena; only the cache shell is left to delete.
         delete c;
@@ -152,10 +164,27 @@ DesignedAllocator::ThreadCache* DesignedAllocator::this_thread_cache() {
   c->owner = this;
   {
     const std::lock_guard<std::mutex> reg(ThreadCacheRegistry::mutex());
-    caches_.push_back(c);
+    enlist(c);
   }
   shells.push_back(c);
   return c;
+}
+
+void DesignedAllocator::enlist(ThreadCache* cache) {
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+  sample_peak();  // closes a lone thread's interval before the roster grows
+  caches_.push_back(cache);
+  cache->high_epoch = ++roster_epoch_;
+}
+
+void DesignedAllocator::retire(ThreadCache* cache) {
+  flush_cache(*cache);
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+  sample_peak();
+  core_counts_.absorb(cache->counts);
+  caches_.erase(std::remove(caches_.begin(), caches_.end(), cache),
+                caches_.end());
+  ++roster_epoch_;
 }
 
 std::size_t DesignedAllocator::thread_cache_shells() {
@@ -167,8 +196,41 @@ decltype(auto) DesignedAllocator::with_core(ThreadCache* cache, Body&& body) {
   std::unique_lock<std::mutex> cache_lock;
   if (cache != nullptr) cache_lock = std::unique_lock<std::mutex>(cache->mu);
   const std::lock_guard<SpinParkLock> core_lock(core_mu_);
-  if (cache != nullptr) drain_pending(*cache);
+  if (cache != nullptr) core_hold(*cache);
   return body();
+}
+
+void DesignedAllocator::core_hold(ThreadCache& cache) {
+  drain_pending(cache);
+  sample_peak();
+  if (cache.high_epoch != roster_epoch_) {
+    // Others came or went since the high mark began: start a new one.
+    cache.counts.restart_high();
+    cache.high_epoch = roster_epoch_;
+  }
+}
+
+template <class Note>
+void DesignedAllocator::count(ThreadCache* cache, Note&& note) {
+  if (cache != nullptr) {
+    note(cache->counts);
+    return;
+  }
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
+  note(core_counts_);
+  sample_peak();
+}
+
+void DesignedAllocator::sample_peak() const {
+  const std::int64_t retired = core_counts_.live();
+  std::int64_t live = retired;
+  for (const ThreadCache* c : caches_) live += c->counts.live();
+  peak_live_ = std::max(peak_live_, live);
+  if (caches_.size() == 1 && caches_[0]->high_epoch == roster_epoch_) {
+    // Every call since the high mark restarted came from this thread, and
+    // the retired share has not moved: its high mark is the exact peak.
+    peak_live_ = std::max(peak_live_, retired + caches_[0]->counts.high());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -190,6 +252,7 @@ DesignedAllocator::~DesignedAllocator() {
     const std::lock_guard<std::mutex> lock(c->mu);
     c->owner = nullptr;  // its thread deletes the shell at exit
   }
+  const std::lock_guard<SpinParkLock> core_lock(core_mu_);
   caches_.clear();
 }
 
@@ -220,7 +283,7 @@ void* DesignedAllocator::malloc(std::size_t bytes) {
         }
         it->second.requested = request;
       }
-      telemetry_.note_alloc(request, /*from_cache=*/true);
+      cache->counts.note_alloc(request, /*from_cache=*/true);
       return p;
     }
   }
@@ -245,7 +308,10 @@ void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
       die("core handed out a live pointer twice", p);
     }
   }
-  telemetry_.note_alloc(request, /*from_cache=*/false);
+  // The cache-off path counted inside its core-lock hold.
+  if (cache != nullptr) {
+    cache->counts.note_alloc(request, /*from_cache=*/false);
+  }
   return p;
 }
 
@@ -255,7 +321,12 @@ void* DesignedAllocator::core_allocate(std::size_t request,
   return with_core(cache, [&]() -> void* {
     if (consume_injected_failure()) return nullptr;
     void* p = core_.allocate(request);
-    if (p != nullptr) *capacity = core_.usable_size(p);
+    if (p == nullptr) return nullptr;
+    *capacity = core_.usable_size(p);
+    if (cache == nullptr) {
+      core_counts_.note_alloc(request, /*from_cache=*/false);
+      sample_peak();
+    }
     return p;
   });
 }
@@ -264,7 +335,7 @@ void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
                                     ThreadCache* cache) {
   switch (opts_.oom_policy) {
     case OomPolicy::kDie: {
-      telemetry_.note_oom_died();
+      oom_.note_died();
       // The emalloc/die_oom contract: report the failed request, stop.
       std::fprintf(stderr,
                    "DesignedAllocator: out of memory allocating %zu bytes "
@@ -273,7 +344,7 @@ void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
       std::abort();
     }
     case OomPolicy::kNull:
-      telemetry_.note_oom_null();
+      oom_.note_null();
       return nullptr;
     case OomPolicy::kCallback: {
       // No lock is held here: the callback may free() through this
@@ -281,14 +352,14 @@ void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
       for (unsigned attempt = 1;
            opts_.oom_callback && attempt <= opts_.oom_retry_limit;
            ++attempt) {
-        telemetry_.note_oom_callback();
+        oom_.note_callback();
         if (!opts_.oom_callback(request, attempt)) break;
         if (void* p = core_allocate(request, capacity, cache)) {
-          telemetry_.note_oom_recovered();
+          oom_.note_recovered();
           return p;
         }
       }
-      telemetry_.note_oom_null();
+      oom_.note_null();
       return nullptr;
     }
   }
@@ -322,7 +393,14 @@ void DesignedAllocator::free(void* ptr) {
       sh.map.erase(it);
     }
   }
-  telemetry_.note_free(requested);
+  if (cache == nullptr) {
+    with_core(nullptr, [&] {
+      core_.deallocate(ptr);
+      core_counts_.note_free(requested);
+    });
+    return;
+  }
+  cache->counts.note_free(requested);
   if (to_cache) {
     cache_push(*cache, ptr, capacity);
     return;
@@ -331,13 +409,15 @@ void DesignedAllocator::free(void* ptr) {
 }
 
 void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
-  telemetry_.note_realloc();
+  ThreadCache* cache = this_thread_cache();
+  count(cache, [](ThreadCounters& c) { c.note_realloc(); });
   if (ptr == nullptr) return malloc(bytes);
   if (bytes == 0) {
     free(ptr);
     return nullptr;
   }
   std::size_t old_requested = 0;
+  bool in_place = false;
   {
     Shard& sh = shard_for(ptr);
     const std::lock_guard<SpinParkLock> lock(sh.mu);
@@ -345,14 +425,15 @@ void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
     if (it == sh.map.end() || it->second.requested == kCachedSentinel) {
       die("realloc of a pointer this allocator does not own", ptr);
     }
-    if (it->second.capacity >= bytes) {
-      // In place: the core's grant already covers the new size.
-      old_requested = it->second.requested;
-      it->second.requested = bytes;
-      telemetry_.note_resize(old_requested, bytes);
-      return ptr;
-    }
     old_requested = it->second.requested;
+    // In place when the core's grant already covers the new size.
+    in_place = it->second.capacity >= bytes;
+    if (in_place) it->second.requested = bytes;
+  }
+  if (in_place) {
+    count(cache,
+          [&](ThreadCounters& c) { c.note_resize(old_requested, bytes); });
+    return ptr;
   }
   void* moved = malloc(bytes);
   if (moved == nullptr) return nullptr;  // old block stays intact
@@ -377,8 +458,15 @@ std::size_t DesignedAllocator::usable_size(const void* ptr) const {
 // ---------------------------------------------------------------------------
 
 TelemetrySnapshot DesignedAllocator::telemetry() const {
-  TelemetrySnapshot s = telemetry_.snapshot();
+  TelemetrySnapshot s;
+  oom_.add_to(s);
   const std::lock_guard<SpinParkLock> lock(core_mu_);
+  sample_peak();
+  core_counts_.add_to(s);
+  for (const ThreadCache* c : caches_) c->counts.add_to(s);
+  // Mid-traffic, a free counted before the alloc it undoes can show.
+  if (static_cast<std::int64_t>(s.bytes_live) < 0) s.bytes_live = 0;
+  s.peak_bytes_live = static_cast<std::uint64_t>(peak_live_);
   s.arena = arena_.stats();
   return s;
 }
@@ -411,7 +499,7 @@ bool DesignedAllocator::cacheable(std::size_t capacity) const {
 void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
                                    std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(cache.mu);
-  auto& bin = cache.bins[bin_for_capacity(capacity)];
+  auto& bin = cache.bins[bin_for(capacity)];
   bin.emplace_back(ptr, capacity);
   cache.cached_bytes += capacity;
   // Per-bin entry cap: evict the oldest of this bin beyond it.
@@ -433,21 +521,33 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
   }
   if (cache.pending.size() >= kPendingDrainBlocks) {
     const std::lock_guard<SpinParkLock> core_lock(core_mu_);
-    drain_pending(cache);
+    core_hold(cache);
   }
 }
 
 void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
   if (request >= cache_block_limit_) return nullptr;
-  const unsigned bin_idx = alloc::SizeClass::index_for(request);
-  if (bin_idx >= cache.bins.size()) return nullptr;
+  const unsigned b = bin_for(request);
   const std::lock_guard<std::mutex> lock(cache.mu);
-  auto& bin = cache.bins[bin_idx];
-  if (bin.empty()) return nullptr;
-  const auto [p, cap] = bin.back();
-  bin.pop_back();
-  cache.cached_bytes -= cap;
-  return p;
+  const auto take = [&cache](auto& bin, std::size_t i) {
+    void* p = bin[i].first;
+    cache.cached_bytes -= bin[i].second;
+    bin.erase(bin.begin() + static_cast<std::ptrdiff_t>(i));
+    return p;
+  };
+  // Own class, newest first: the first block whose capacity fits.
+  auto& own = cache.bins[b];
+  const std::size_t stop =
+      own.size() - std::min(own.size(), opts_.thread_cache_bin_entries);
+  for (std::size_t i = own.size(); i-- > stop;) {
+    if (own[i].second >= request) return take(own, i);
+  }
+  // The class above: every capacity there exceeds this class's size.
+  if (b + 1 < cache.bins.size() && !cache.bins[b + 1].empty()) {
+    auto& above = cache.bins[b + 1];
+    return take(above, above.size() - 1);
+  }
+  return nullptr;
 }
 
 void DesignedAllocator::evict(ThreadCache& cache, void* ptr,
@@ -474,7 +574,7 @@ void DesignedAllocator::flush_cache(ThreadCache& cache) {
   }
   if (cache.pending.empty()) return;
   const std::lock_guard<SpinParkLock> core_lock(core_mu_);
-  drain_pending(cache);
+  core_hold(cache);
 }
 
 }  // namespace dmm::runtime

@@ -28,18 +28,22 @@ namespace dmm::runtime {
 //   * concurrency  — the core runs under one lock; per-thread caches of
 //     freed blocks absorb the fast path so the designed pool layout stays
 //     exactly as the offline search scored it while concurrent alloc/free
-//     is safe.  Caches are bounded (bytes + per-bin entries) and recycle a
-//     block only for requests its capacity is known to satisfy, so cache
-//     hits never widen a block beyond what the core already granted.
-//     Blocks a cache evicts wait in its thread's pending list and reach
-//     the core inside that thread's next core-lock hold, in eviction
-//     order, so one lock hold carries many releases.
+//     is safe.  A freed block is filed by the size class that holds its
+//     capacity, and a request takes the newest block of its own class
+//     that fits it, else the newest of the class above (whose blocks all
+//     fit), so a block comes back for requests of its own size and a hit
+//     never widens a block beyond what the core already granted.  Caches
+//     are bounded (bytes + per-bin entries).  Blocks a cache evicts wait
+//     in its thread's pending list and reach the core inside that
+//     thread's next core-lock hold, in eviction order, so one lock hold
+//     carries many releases.
 //   * failure policy — the core reports exhaustion as nullptr; the front
 //     turns that into the configured OOM contract (oom.h) after first
 //     reclaiming the calling thread's cache back into the core.
-//   * telemetry   — relaxed-atomic counters riding the arena's accounting
-//     (telemetry.h), snapshot-readable from any thread mid-traffic.
-//
+//   * telemetry   — per-thread counters kept in each thread's cache and
+//     summed on demand (telemetry.h), snapshot-readable from any thread
+//     mid-traffic.
+
 // Determinism escape hatch: with RuntimeOptions::thread_cache_bytes == 0
 // every call forwards straight to the core under the lock, so a
 // single-threaded replay through the front touches the arena in exactly
@@ -101,7 +105,8 @@ class DesignedAllocator {
   [[nodiscard]] std::size_t usable_size(const void* ptr) const;
 
   /// Counter snapshot plus the designed arena's accounting; callable from
-  /// any thread while traffic is in flight.
+  /// any thread while traffic is in flight (telemetry.h says which
+  /// figures are exact when).
   [[nodiscard]] TelemetrySnapshot telemetry() const;
 
   /// Returns every block cached by the *calling* thread to the core
@@ -144,10 +149,29 @@ class DesignedAllocator {
   [[nodiscard]] ThreadCache* this_thread_cache();
 
   /// Runs @p body under core_mu_ on behalf of the calling thread: takes
-  /// @p cache's mu first (if any), then core_mu_, and drains the cache's
-  /// pending evictions before the body's own core work.
+  /// @p cache's mu first (if any), then core_mu_, and runs core_hold()
+  /// before the body's own core work.
   template <class Body>
   decltype(auto) with_core(ThreadCache* cache, Body&& body);
+  /// What every core-lock hold taken for @p cache does first: drains its
+  /// pending evictions and samples the live sum.  Caller holds cache.mu
+  /// and core_mu_.
+  void core_hold(ThreadCache& cache);
+  /// Applies @p note to the calling thread's counters, or to the
+  /// allocator's under core_mu_ when caches are off.
+  template <class Note>
+  void count(ThreadCache* cache, Note&& note);
+  /// Raises peak_live_ to the live sum of every counter, or, while one
+  /// thread has used the allocator alone since its high mark restarted,
+  /// to that thread's high mark.  Caller holds core_mu_.
+  void sample_peak() const;
+  /// Registers @p cache with this allocator (caller holds the registry
+  /// mutex).
+  void enlist(ThreadCache* cache);
+  /// A thread exits while this allocator lives: flushes its cache, folds
+  /// its counters into retired ones and drops it from the roster (caller
+  /// holds the registry mutex).
+  void retire(ThreadCache* cache);
 
   [[nodiscard]] void* slow_malloc(std::size_t request, ThreadCache* cache);
   [[nodiscard]] void* core_allocate(std::size_t request, std::size_t* capacity,
@@ -179,9 +203,17 @@ class DesignedAllocator {
   /// flow back to the arena, not sit in a cache.
   std::size_t cache_block_limit_;
   mutable std::array<Shard, kShardCount> shards_;
-  RuntimeTelemetry telemetry_;
-  /// This allocator's live thread caches; guarded by the process-wide
-  /// cache registry mutex (see designed_allocator.cpp).
+  /// Counters of the cache-off path plus those folded in from exited
+  /// threads; under core_mu_.
+  ThreadCounters core_counts_;
+  /// Highest live sum sampled (see telemetry.h); under core_mu_.
+  mutable std::int64_t peak_live_ = 0;
+  /// Bumped on every change of caches_; under core_mu_.
+  std::uint64_t roster_epoch_ = 0;
+  OomCounters oom_;
+  /// This allocator's live thread caches.  Written under both the
+  /// process-wide cache registry mutex (see designed_allocator.cpp) and
+  /// core_mu_, so either lock suffices to read it.
   std::vector<ThreadCache*> caches_;
   std::atomic<std::uint64_t> injected_failures_{0};
 };

@@ -11,13 +11,26 @@ namespace dmm::runtime {
 // ---------------------------------------------------------------------------
 // Always-on telemetry of the deployable runtime front.
 //
-// Every counter is a relaxed atomic: updates ride the allocation fast path
-// (one or two uncontended RMWs per call, no locks, no fences beyond the
-// RMW itself) and a snapshot may be taken from any thread while traffic is
-// in flight.  Relaxed ordering means a snapshot is not a single cross-
-// counter instant — alloc_count and bytes_live may disagree by the calls
-// racing the read — but each counter individually is exact, which is the
-// contract monitoring needs.
+// The per-call counters live with their writer, never on a shared cache
+// line: each thread cache carries the counts of its own thread's calls
+// (ThreadCounters, written by that thread alone), the allocator carries
+// those of the cache-off path (written under its core lock) and the
+// folded-in counts of threads that have exited.  A snapshot sums them.
+// Only the OOM counters, on the cold path, stay shared relaxed atomics.
+//
+// Snapshot semantics (DesignedAllocator::telemetry()):
+//   * alloc_count, free_count, realloc_count, cache_hits and bytes_live
+//     are exact once the threads using the allocator are quiescent (joined,
+//     or parked after their last call).  Mid-traffic each is a sum of
+//     per-thread counters read one after another, so it may trail or lead
+//     the calls racing the read.
+//   * peak_bytes_live is exact while one thread uses the allocator.  With
+//     several threads it is the highest live sum the front has sampled:
+//     the sum is taken on every core-lock hold and at every snapshot, so a
+//     rise and fall between two samples is missed and the figure is a
+//     lower bound of the true multi-thread peak.  (A sample is itself a
+//     sequence of relaxed reads, so threads freeing each other's blocks
+//     during one can skew it by the bytes those calls move.)
 //
 // The byte counters account *requested* bytes (application demand), the
 // same quantity the simulator's peak_live_bytes tracks; the arena view in
@@ -25,8 +38,8 @@ namespace dmm::runtime {
 // so a snapshot exposes both halves of the paper's Sec. 4.1 split.
 // ---------------------------------------------------------------------------
 
-/// One coherent-enough copy of every counter plus the arena's accounting,
-/// readable without stopping traffic (see RuntimeTelemetry::snapshot).
+/// Every counter plus the arena's accounting, readable without stopping
+/// traffic (see the snapshot semantics above).
 struct TelemetrySnapshot {
   std::uint64_t alloc_count = 0;    ///< successful malloc/realloc-grow calls
   std::uint64_t free_count = 0;     ///< free calls with a live pointer
@@ -35,9 +48,9 @@ struct TelemetrySnapshot {
   std::uint64_t bytes_live = 0;     ///< requested bytes currently live
   std::uint64_t peak_bytes_live = 0;  ///< high-water mark of bytes_live
 
-  // OOM events, split per policy outcome (the ISSUE's "per policy
-  // outcome" contract): every exhausted allocation lands in exactly one
-  // of died/returned_null/callback_recovered/callback_failed.
+  // OOM events, split per policy outcome: every exhausted allocation
+  // lands in exactly one of died/returned_null/callback_recovered/
+  // callback_failed.
   std::uint64_t oom_died = 0;           ///< kDie fired (counted pre-abort)
   std::uint64_t oom_returned_null = 0;  ///< kNull, or kCallback gave up
   std::uint64_t oom_callback_invocations = 0;  ///< callback calls, total
@@ -47,84 +60,112 @@ struct TelemetrySnapshot {
   sysmem::ArenaStats arena;
 };
 
-/// The live counters.  Mutation is relaxed-atomic and wait-free; reading
-/// happens through snapshot().
-class RuntimeTelemetry {
+/// Per-call counters with one writer at a time: a thread cache's (its
+/// owning thread) or the allocator's (whoever holds the core lock).  A
+/// writer updates with a relaxed load and store, no read-modify-write;
+/// any thread may read them relaxed.
+class ThreadCounters {
  public:
   void note_alloc(std::uint64_t requested, bool from_cache) {
-    alloc_count_.fetch_add(1, std::memory_order_relaxed);
-    if (from_cache) cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    note_live_delta(static_cast<std::int64_t>(requested));
+    bump(alloc_count_);
+    if (from_cache) bump(cache_hits_);
+    add_live(static_cast<std::int64_t>(requested));
   }
 
   void note_free(std::uint64_t requested) {
-    free_count_.fetch_add(1, std::memory_order_relaxed);
-    note_live_delta(-static_cast<std::int64_t>(requested));
+    bump(free_count_);
+    add_live(-static_cast<std::int64_t>(requested));
   }
 
-  void note_realloc() {
-    realloc_count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_realloc() { bump(realloc_count_); }
 
   /// In-place realloc: the pointer stays, only the requested size moves.
   void note_resize(std::uint64_t old_requested, std::uint64_t new_requested) {
-    note_live_delta(static_cast<std::int64_t>(new_requested) -
-                    static_cast<std::int64_t>(old_requested));
+    add_live(static_cast<std::int64_t>(new_requested) -
+             static_cast<std::int64_t>(old_requested));
   }
 
-  void note_oom_died() {
-    oom_died_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_oom_null() {
-    oom_returned_null_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_oom_callback() {
-    oom_callback_invocations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_oom_recovered() {
-    oom_callback_recovered_.fetch_add(1, std::memory_order_relaxed);
+  /// Net requested bytes this writer allocated minus those it freed;
+  /// negative when it freed blocks another thread allocated.
+  [[nodiscard]] std::int64_t live() const {
+    return live_.load(std::memory_order_relaxed);
   }
 
-  /// Counter half of a snapshot; the caller merges the arena stats (which
-  /// live with the arena, under the core lock).
-  [[nodiscard]] TelemetrySnapshot snapshot() const {
-    TelemetrySnapshot s;
-    s.alloc_count = alloc_count_.load(std::memory_order_relaxed);
-    s.free_count = free_count_.load(std::memory_order_relaxed);
-    s.realloc_count = realloc_count_.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-    s.bytes_live = bytes_live_.load(std::memory_order_relaxed);
-    s.peak_bytes_live = peak_bytes_live_.load(std::memory_order_relaxed);
-    s.oom_died = oom_died_.load(std::memory_order_relaxed);
-    s.oom_returned_null =
-        oom_returned_null_.load(std::memory_order_relaxed);
-    s.oom_callback_invocations =
-        oom_callback_invocations_.load(std::memory_order_relaxed);
-    s.oom_callback_recovered =
-        oom_callback_recovered_.load(std::memory_order_relaxed);
-    return s;
+  /// Highest live() since the last restart_high().
+  [[nodiscard]] std::int64_t high() const {
+    return high_.load(std::memory_order_relaxed);
+  }
+
+  /// Starts a new high-water interval at the current live().  Writer only.
+  void restart_high() { high_.store(live(), std::memory_order_relaxed); }
+
+  /// Adds this writer's counts into @p s (bytes_live as a signed delta,
+  /// wrapping; the caller clamps the total).
+  void add_to(TelemetrySnapshot& s) const {
+    s.alloc_count += alloc_count_.load(std::memory_order_relaxed);
+    s.free_count += free_count_.load(std::memory_order_relaxed);
+    s.realloc_count += realloc_count_.load(std::memory_order_relaxed);
+    s.cache_hits += cache_hits_.load(std::memory_order_relaxed);
+    s.bytes_live += static_cast<std::uint64_t>(live());
+  }
+
+  /// Folds @p other's counts into these (an exiting thread's into the
+  /// allocator's).  Writer only; @p other must be quiescent.
+  void absorb(const ThreadCounters& other) {
+    bump(alloc_count_, other.alloc_count_.load(std::memory_order_relaxed));
+    bump(free_count_, other.free_count_.load(std::memory_order_relaxed));
+    bump(realloc_count_,
+         other.realloc_count_.load(std::memory_order_relaxed));
+    bump(cache_hits_, other.cache_hits_.load(std::memory_order_relaxed));
+    add_live(other.live());
   }
 
  private:
-  void note_live_delta(std::int64_t delta) {
-    const std::uint64_t now =
-        bytes_live_.fetch_add(static_cast<std::uint64_t>(delta),
-                              std::memory_order_relaxed) +
-        static_cast<std::uint64_t>(delta);
-    // Lock-free high-water mark: racing updaters each raise the peak to at
-    // least their own observation; the max of all observations wins.
-    std::uint64_t peak = peak_bytes_live_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_bytes_live_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
+    c.store(c.load(std::memory_order_relaxed) + by,
+            std::memory_order_relaxed);
+  }
+
+  void add_live(std::int64_t delta) {
+    const std::int64_t now = live() + delta;
+    live_.store(now, std::memory_order_relaxed);
+    if (now > high()) high_.store(now, std::memory_order_relaxed);
   }
 
   std::atomic<std::uint64_t> alloc_count_{0};
   std::atomic<std::uint64_t> free_count_{0};
   std::atomic<std::uint64_t> realloc_count_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> bytes_live_{0};
-  std::atomic<std::uint64_t> peak_bytes_live_{0};
+  std::atomic<std::int64_t> live_{0};
+  std::atomic<std::int64_t> high_{0};
+};
+
+/// The OOM counters: shared relaxed atomics, touched on the exhaustion
+/// path only.
+class OomCounters {
+ public:
+  void note_died() { oom_died_.fetch_add(1, std::memory_order_relaxed); }
+  void note_null() {
+    oom_returned_null_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void note_callback() {
+    oom_callback_invocations_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void note_recovered() {
+    oom_callback_recovered_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  void add_to(TelemetrySnapshot& s) const {
+    s.oom_died += oom_died_.load(std::memory_order_relaxed);
+    s.oom_returned_null +=
+        oom_returned_null_.load(std::memory_order_relaxed);
+    s.oom_callback_invocations +=
+        oom_callback_invocations_.load(std::memory_order_relaxed);
+    s.oom_callback_recovered +=
+        oom_callback_recovered_.load(std::memory_order_relaxed);
+  }
+
+ private:
   std::atomic<std::uint64_t> oom_died_{0};
   std::atomic<std::uint64_t> oom_returned_null_{0};
   std::atomic<std::uint64_t> oom_callback_invocations_{0};

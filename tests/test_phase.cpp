@@ -5,6 +5,7 @@
 #include <random>
 
 #include "dmm/core/methodology.h"
+#include "dmm/workloads/workload.h"
 
 namespace dmm::core {
 namespace {
@@ -93,6 +94,26 @@ TEST(SplitByPhase, ObjectsFollowTheirAllocationPhase) {
   EXPECT_TRUE(subs[1].validate());
 }
 
+TEST(SplitByPhase, SparseIdsSplitLikeDenseOnes) {
+  // Ids far apart take the hash-map path; the split must not change.
+  AllocTrace dense = two_phase_trace(500);
+  apply_phases(dense, detect_phases(dense));
+  AllocTrace sparse = dense;
+  for (AllocEvent& e : sparse.events()) e.id = e.id * 100003u + 7u;
+  ASSERT_FALSE(sparse.id_bounds().dense());
+  const auto a = split_by_phase(dense);
+  const auto b = split_by_phase(sparse);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p].size(), b[p].size()) << "phase " << p;
+    for (std::size_t i = 0; i < a[p].size(); ++i) {
+      AllocEvent want = a[p].events()[i];
+      want.id = want.id * 100003u + 7u;
+      EXPECT_TRUE(b[p].events()[i] == want) << "phase " << p << " event " << i;
+    }
+  }
+}
+
 TEST(SplitByPhase, SubTraceDemandSumsCoverTotal) {
   const AllocTrace t = two_phase_trace(2000);
   AllocTrace annotated = t;
@@ -101,6 +122,30 @@ TEST(SplitByPhase, SubTraceDemandSumsCoverTotal) {
   std::uint64_t allocs = 0;
   for (const auto& s : subs) allocs += s.stats().allocs;
   EXPECT_EQ(allocs, t.stats().allocs);
+}
+
+TEST(SplitByPhase, CaseStudySplitsKeepTheirEvents) {
+  // A trace with one phase and no orphan free splits into one sub-trace
+  // equal to it event for event.  render3d annotates two phases; its
+  // sub-traces keep the fingerprints (score-cache keys) they have always
+  // had.
+  std::size_t whole = 0;
+  for (const workloads::Workload& w : workloads::case_studies()) {
+    const AllocTrace t = workloads::record_trace(w, /*seed=*/1);
+    const auto subs = split_by_phase(t);
+    if (t.stats().phases == 1 && t.validate()) {
+      ASSERT_EQ(subs.size(), 1u) << w.name;
+      EXPECT_TRUE(subs[0].events() == t.events()) << w.name;
+      ++whole;
+    }
+    if (w.name == "render3d") {
+      ASSERT_EQ(subs.size(), 2u);
+      EXPECT_EQ(subs[0].fingerprint(), 0x979e9300ededb6adull);
+      EXPECT_EQ(subs[1].fingerprint(), 0x9de0e03f2dd148e0ull);
+      EXPECT_EQ(subs[0].size() + subs[1].size(), t.size());
+    }
+  }
+  EXPECT_EQ(whole, 2u) << "drr and recon3d record one phase";
 }
 
 TEST(AnnotatedPhases, AnAbsentPhaseGetsNoSpan) {

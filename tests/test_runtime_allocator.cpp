@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <barrier>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -98,17 +100,20 @@ TEST(DesignedAllocator, ReallocWithinCapacityStaysInPlace) {
 }
 
 TEST(DesignedAllocator, FreedBlockIsServedBackFromTheThreadCache) {
-  DesignedAllocator a(alloc::drr_paper_config());
-  // A class-sized request: the granted capacity files into the same bin
-  // the next request of that size pops from.
-  void* p = a.malloc(128);
-  ASSERT_NE(p, nullptr);
-  ASSERT_GE(a.usable_size(p), 128u);
-  a.free(p);
-  void* q = a.malloc(128);
-  EXPECT_EQ(q, p) << "same size class, same thread: cache must serve it";
-  EXPECT_EQ(a.telemetry().cache_hits, 1u);
-  a.free(q);
+  // A freed block is filed by its capacity's size class, the class a
+  // request of the same size looks in: a class size and a size between
+  // classes both come straight back.
+  for (const std::size_t size : {std::size_t{128}, std::size_t{100}}) {
+    DesignedAllocator a(alloc::drr_paper_config());
+    void* p = a.malloc(size);
+    ASSERT_NE(p, nullptr);
+    ASSERT_GE(a.usable_size(p), size);
+    a.free(p);
+    void* q = a.malloc(size);
+    EXPECT_EQ(q, p) << size << " B, same thread: the cache must serve it";
+    EXPECT_EQ(a.telemetry().cache_hits, 1u) << size << " B";
+    a.free(q);
+  }
 }
 
 TEST(DesignedAllocator, CacheNeverServesABlockTooSmallForTheRequest) {
@@ -212,24 +217,44 @@ TEST(DesignedAllocator, CacheOffReplayMatchesTheSimulatedPeakExactly) {
   EXPECT_EQ(deployed_peak, sim.peak_footprint);
 }
 
+/// The first 20,000 events of the DRR case study's seed-1 trace.
+core::AllocTrace drr_cut() {
+  core::AllocTrace trace =
+      workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
+  EXPECT_GT(trace.events().size(), 20000u);
+  trace.events().resize(20000);
+  trace.close_leaks();
+  return trace;
+}
+
 TEST(DesignedAllocator, CachesOnSingleThreadReplayMakesPinnedCoreCalls) {
   // With caches on, evicted blocks reach the core inside the thread's next
   // core-lock hold rather than one by one, in the same order relative to
   // its own core calls.  A single-threaded replay therefore drives the
   // arena exactly as an eager release would: same peak, same chunk
   // requests and releases.  The numbers are pinned from that eager front.
-  core::AllocTrace trace =
-      workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
-  ASSERT_GT(trace.events().size(), 20000u);
-  trace.events().resize(20000);
-  trace.close_leaks();
-
+  const core::AllocTrace trace = drr_cut();
   DesignedAllocator front(alloc::drr_paper_config());
   const std::size_t peak = replay_through_front(trace, front);
   const sysmem::ArenaStats arena = front.telemetry().arena;
-  EXPECT_EQ(peak, 245760u);
-  EXPECT_EQ(arena.request_count, 15u);
-  EXPECT_EQ(arena.release_count, 1u);
+  EXPECT_EQ(peak, 147456u);
+  EXPECT_EQ(arena.request_count, 9u);
+  EXPECT_EQ(arena.release_count, 0u);
+}
+
+TEST(DesignedAllocator, CachesOnReplayStaysWithinOneChunkOfTheBound) {
+  // Caches cost footprint only while a cached block cannot serve the
+  // request the core then carves fresh: with blocks coming back for
+  // requests of their own size, a single-threaded caches-on replay stays
+  // within one designed chunk of the cache-off bound.
+  const core::AllocTrace trace = drr_cut();
+  const alloc::DmmConfig cfg = alloc::drr_paper_config();
+  sysmem::SystemArena arena;
+  alloc::PolicyCore core(arena, cfg, "bound", /*strict_accounting=*/false);
+  const std::size_t bound = core::simulate(trace, core).peak_footprint;
+
+  DesignedAllocator front(cfg);
+  EXPECT_LE(replay_through_front(trace, front), bound + cfg.chunk_bytes);
 }
 
 TEST(DesignedAllocator, CrossThreadFreeIsSafe) {
@@ -344,6 +369,176 @@ TEST(DesignedAllocator, OrphanedCacheShellsArePrunedOnLookup) {
   });
   t.join();
   EXPECT_LE(worst, 1u);
+}
+
+/// One thread's blocks handed to another thread to free.
+struct Mailbox {
+  std::mutex mu;
+  std::vector<void*> blocks;
+};
+
+TEST(DesignedAllocator, TelemetryIsExactAcrossThreadsAfterJoin) {
+  // Four threads run a mixed malloc/free loop and pass some of their
+  // blocks to the next thread to free.  Each thread requests one size,
+  // two size classes away from every other thread's, and holds at most
+  // kMaxOwn of its own blocks, so no bin ever fills, and a malloc is a
+  // cache hit exactly when the thread itself freed more of its own
+  // blocks than it took back: the hit count is known too.
+  constexpr unsigned kThreads = 4;
+  constexpr std::size_t kSizes[kThreads] = {32, 128, 512, 2048};
+  constexpr std::size_t kMaxOwn = 16;
+  constexpr int kSteps = 3000;
+  DesignedAllocator a(alloc::drr_paper_config());
+  std::array<Mailbox, kThreads> mail;
+  std::array<std::uint64_t, kThreads> allocs{}, frees{}, hits{};
+  std::vector<std::thread> workers;
+  for (unsigned tid = 0; tid < kThreads; ++tid) {
+    workers.emplace_back([&, tid] {
+      const std::size_t size = kSizes[tid];
+      Mailbox& inbox = mail[tid];
+      Mailbox& next = mail[(tid + 1) % kThreads];
+      std::vector<void*> own;
+      std::uint64_t cached = 0;  // own blocks this thread's cache holds
+      unsigned rng = 31 * (tid + 1);
+      for (int step = 0; step < kSteps; ++step) {
+        rng = rng * 1664525u + 1013904223u;
+        const unsigned action = (rng >> 8) % 4;
+        if (own.empty() || (action < 2 && own.size() < kMaxOwn)) {
+          own.push_back(a.malloc(size));
+          ASSERT_NE(own.back(), nullptr);
+          ++allocs[tid];
+          if (cached > 0) {
+            ++hits[tid];
+            --cached;
+          }
+        } else if (action == 2) {
+          a.free(own.back());
+          own.pop_back();
+          ++frees[tid];
+          ++cached;
+        } else {
+          const std::lock_guard<std::mutex> lock(next.mu);
+          next.blocks.push_back(own.back());
+          own.pop_back();
+        }
+        if (step % 16 == 0) {
+          std::vector<void*> foreign;
+          {
+            const std::lock_guard<std::mutex> lock(inbox.mu);
+            foreign.swap(inbox.blocks);
+          }
+          for (void* p : foreign) a.free(p);
+          frees[tid] += foreign.size();
+        }
+      }
+      for (void* p : own) a.free(p);
+      frees[tid] += own.size();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  std::uint64_t want_allocs = 0, want_frees = 0, want_hits = 0;
+  std::uint64_t in_mail = 0;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    want_allocs += allocs[t];
+    want_frees += frees[t];
+    want_hits += hits[t];
+    // Mailbox t holds blocks of thread t - 1's size.
+    in_mail += mail[t].blocks.size() * kSizes[(t + kThreads - 1) % kThreads];
+  }
+  TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, want_allocs);
+  EXPECT_EQ(snap.free_count, want_frees);
+  EXPECT_EQ(snap.cache_hits, want_hits);
+  EXPECT_EQ(snap.bytes_live, in_mail) << "blocks still in the mailboxes";
+  for (Mailbox& m : mail) {
+    for (void* p : m.blocks) a.free(p);
+    want_frees += m.blocks.size();
+  }
+  snap = a.telemetry();
+  EXPECT_EQ(snap.free_count, want_frees);
+  EXPECT_EQ(snap.alloc_count, snap.free_count);
+  EXPECT_EQ(snap.bytes_live, 0u);
+}
+
+TEST(DesignedAllocator, TelemetryKeepsTheCountsOfAnExitedThread) {
+  DesignedAllocator a(alloc::drr_paper_config());
+  void* handed = nullptr;
+  std::thread early([&a, &handed] {
+    a.free(a.malloc(300));
+    a.free(a.malloc(300));  // a cache hit
+    handed = a.malloc(700);
+  });
+  early.join();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool counted = false;
+  bool release = false;
+  std::thread late([&] {
+    a.free(handed);
+    void* p = a.malloc(50);
+    std::unique_lock<std::mutex> lock(mu);
+    counted = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    lock.unlock();
+    a.free(p);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return counted; });
+  }
+  // The early thread is gone, the late one is parked holding 50 bytes.
+  TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, 4u);
+  EXPECT_EQ(snap.free_count, 3u);
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.bytes_live, 50u);
+  EXPECT_GE(snap.peak_bytes_live, 700u);
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  late.join();
+  snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, 4u);
+  EXPECT_EQ(snap.free_count, 4u);
+  EXPECT_EQ(snap.bytes_live, 0u);
+}
+
+TEST(DesignedAllocator, TelemetryPeakCoversTheBytesHeldAtABarrier) {
+  // peak_bytes_live is sampled with several threads; at a moment when
+  // every thread holds its blocks, a snapshot sees them all.
+  constexpr unsigned kThreads = 4;
+  constexpr std::size_t kBlocks = 40;
+  DesignedAllocator a(alloc::drr_paper_config());
+  std::barrier holding(kThreads + 1);
+  std::barrier release(kThreads + 1);
+  std::vector<std::thread> workers;
+  std::size_t held = 0;
+  for (unsigned tid = 0; tid < kThreads; ++tid) {
+    const std::size_t size = 100 + 60 * tid;
+    held += kBlocks * size;
+    workers.emplace_back([&, size] {
+      std::vector<void*> blocks;
+      for (std::size_t i = 0; i < kBlocks; ++i) {
+        blocks.push_back(a.malloc(size));
+        // Churn through the cache so cache hits carry part of the rise.
+        a.free(a.malloc(size));
+      }
+      holding.arrive_and_wait();
+      release.arrive_and_wait();
+      for (void* p : blocks) a.free(p);
+    });
+  }
+  holding.arrive_and_wait();
+  const TelemetrySnapshot snap = a.telemetry();
+  release.arrive_and_wait();
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(snap.bytes_live, held);
+  EXPECT_GE(snap.peak_bytes_live, held);
+  EXPECT_GE(a.telemetry().peak_bytes_live, held) << "peak is monotone";
 }
 
 void run_integrity_stress(const RuntimeOptions& opts) {

@@ -182,6 +182,26 @@ TEST_F(SearchStrategies, GoldenRandomSearch) {
   EXPECT_EQ(r.cache_hits, 0u);
 }
 
+TEST(RandomSearchDrawCap, ReportsASpecItCouldNotFill) {
+  // Whether a draw passes the config rules depends on the vector alone, so
+  // where the draw cap stops a random:N spec does not depend on the trace:
+  // a short DRR cut shows what a full one does.
+  AllocTrace cut = workloads::record_trace(workloads::case_study("drr"), 1);
+  cut.truncate(1000);
+  const auto run = [&cut](const char* text) {
+    const auto spec = parse_search_spec(text);
+    EXPECT_TRUE(spec.has_value()) << text;
+    return run_search(cut, *make_strategy(*spec));
+  };
+  const ExplorationResult capped = run("random:148:42");
+  EXPECT_TRUE(capped.draws_capped);
+  EXPECT_EQ(capped.simulations + capped.cache_hits, 118u);
+
+  const ExplorationResult filled = run("random:3:42");
+  EXPECT_FALSE(filled.draws_capped);
+  EXPECT_EQ(filled.simulations + filled.cache_hits, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // BeamSearch
 // ---------------------------------------------------------------------------

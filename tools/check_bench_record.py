@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Checks a perfbench run against the committed BENCH_perfbench.json.
 
-The record's "deterministic" block holds the fields of a design-drr run
-that depend only on the code, never on the host: peaks, evaluation and
-simulation counts, arena traffic, splits and coalesces.  A run must match
-every field of the block for its mode (traced or untraced) exactly, and
-report correct with no failed operation.  Timing fields are not checked.
+The record's "deterministic" block holds, per workload, the fields of a
+run that depend only on the code, never on the host: for design-drr the
+peaks, evaluation and simulation counts, arena traffic, splits and
+coalesces; for deploy-drr the single-thread caches-on peak and its ratio
+to the designed bound.  A run must match every field its own workload's
+block lists for its mode (traced or untraced) exactly, and report correct
+with no failed operation.  Timing fields are not checked.
 
 Usage (from the repository root):
 
@@ -14,8 +16,9 @@ Usage (from the repository root):
     python3 tools/check_bench_record.py BENCH_perfbench.json run.json
 
 Exit status 0 when every field matches, 1 on any mismatch, 2 on bad input
-(unreadable files, fewer than two JSON lines, or a run of another
-workload or seed than the record's).
+(unreadable files, fewer than two JSON lines, a workload the record holds
+no block for, a mode its block does not list, or a run of another seed
+than the block's).
 """
 
 import json
@@ -43,13 +46,23 @@ def main(argv):
         print(f"check_bench_record: unreadable input: {e!r}", file=sys.stderr)
         return 2
 
-    for key in ("workload", "seed"):
-        if provenance.get(key) != deterministic[key]:
-            print(f"run has {key} {provenance.get(key)!r}, the record holds "
-                  f"{deterministic[key]!r}", file=sys.stderr)
-            return 2
+    workload = provenance.get("workload")
+    block = deterministic.get(workload)
+    if not isinstance(block, dict):
+        print(f"the record holds no block for workload {workload!r}",
+              file=sys.stderr)
+        return 2
+    if provenance.get("seed") != block.get("seed"):
+        print(f"run has seed {provenance.get('seed')!r}, the record's "
+              f"{workload} block holds {block.get('seed')!r}",
+              file=sys.stderr)
+        return 2
     mode = "traced" if provenance.get("trace") else "untraced"
-    expected = deterministic[mode]
+    expected = block.get(mode)
+    if not isinstance(expected, dict):
+        print(f"the record's {workload} block lists no {mode} fields",
+              file=sys.stderr)
+        return 2
 
     problems = []
     if not result.get("correct") or result.get("failed", 1) != 0:
@@ -65,7 +78,8 @@ def main(argv):
     for p in problems:
         print(f"check_bench_record: {p}", file=sys.stderr)
     if not problems:
-        print(f"check_bench_record: {len(expected)} {mode} fields match")
+        print(f"check_bench_record: {len(expected)} {mode} {workload} "
+              "fields match")
     return 1 if problems else 0
 
 
