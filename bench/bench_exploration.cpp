@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       (void)opts.shared_cache->load(args.cache_file);
     }
     const auto greedy_walk = [&](const std::vector<TreeId>& order) {
-      core::GreedySearch walk(order);
+      core::BeamSearch walk(1, order);
       return core::run_search(trace, walk, opts);
     };
 

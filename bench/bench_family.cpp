@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
 
     // The paper's flow, once per trace.
     std::vector<alloc::DmmConfig> solo_best;
-    core::GreedySearch greedy(core::paper_order());
+    core::BeamSearch greedy(1, core::paper_order());
     for (const core::AllocTrace& t : traces) {
       solo_best.push_back(core::run_search(t, greedy, opts).best);
     }

@@ -70,7 +70,7 @@ int main() {
   }
 
   // ---- quantify both managers on the trace -----------------------------
-  core::GreedySearch published(core::paper_order());
+  core::BeamSearch published(1, core::paper_order());
   const core::ExplorationResult right = core::run_search(trace, published);
   const core::SimResult wrong_sim =
       core::score_candidate(trace, {alloc::fig4_wrong_order_config(), 0}).sim;
@@ -106,7 +106,7 @@ int main() {
       {"naive A1..E2", core::naive_order()},
   };
   for (const OrderCase& oc : cases) {
-    core::GreedySearch walk(oc.order);
+    core::BeamSearch walk(1, oc.order);
     const core::ExplorationResult r = core::run_search(trace, walk);
     std::printf("  %-22s peak %9zu bytes, %llu simulations\n", oc.name,
                 r.best_sim.peak_footprint,

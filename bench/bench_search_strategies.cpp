@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     opts.shared_cache = std::make_shared<core::SharedScoreCache>();
 
     std::vector<StrategyRow> rows;
-    core::GreedySearch greedy(core::paper_order());
+    core::BeamSearch greedy(1, core::paper_order());
     rows.push_back({"greedy", core::run_search(trace, greedy, opts)});
     // Streaming budgets: 4x the greedy walk's evaluations — enough room
     // for the order-free searchers to move, still smoke-run fast.
@@ -96,12 +96,8 @@ int main(int argc, char** argv) {
       core::BeamSearch beam(width, core::paper_order());
       rows.push_back({beam.name(), core::run_search(trace, beam, opts)});
     }
-    {
-      core::AnnealingOptions aopts;
-      aopts.max_evals = budget;
-      core::AnnealingSearch anneal(aopts);
-      rows.push_back({anneal.name(), core::run_search(trace, anneal, opts)});
-    }
+    core::AnnealingSearch anneal(budget, /*seed=*/1);
+    rows.push_back({anneal.name(), core::run_search(trace, anneal, opts)});
     core::RandomSearch sampler(budget, /*seed=*/42);
     rows.push_back({"random", core::run_search(trace, sampler, opts)});
     core::ExhaustiveSearch exhaustive(core::high_impact_trees());
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
     core::ExplorerOptions myopic;
     myopic.defaults = alloc::minimal_config();
     myopic.shared_cache = std::make_shared<core::SharedScoreCache>();
-    core::GreedySearch trap_walk(core::fig4_wrong_order());
+    core::BeamSearch trap_walk(1, core::fig4_wrong_order());
     const core::ExplorationResult trap_greedy =
         core::run_search(trace, trap_walk, myopic);
     core::BeamSearch trap_beam(2, core::fig4_wrong_order());

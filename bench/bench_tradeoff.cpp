@@ -25,7 +25,7 @@ int main() {
               "work steps", "decision vector highlights");
   bench::print_rule();
 
-  core::GreedySearch greedy;
+  core::BeamSearch greedy(1);
   for (double weight : {0.0, 0.5, 2.0, 10.0, 100.0}) {
     core::ExplorerOptions opts;
     opts.time_weight = weight;

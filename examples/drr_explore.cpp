@@ -60,7 +60,8 @@ void report_draw_cap(const dmm::core::ExplorationResult& r,
   std::printf("random search stopped at %llu of %zu evaluations: its draw "
               "cap (%zu draws) ran out of rule-valid vectors\n",
               static_cast<unsigned long long>(r.simulations + r.cache_hits),
-              spec.samples, dmm::core::RandomSearch::draw_cap(spec.samples));
+              spec.eval_budget(),
+              dmm::core::RandomSearch::draw_cap(spec.eval_budget()));
 }
 
 int usage(const char* prog, const dmm::api::RequestCli& cli) {

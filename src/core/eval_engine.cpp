@@ -20,15 +20,7 @@ SharedScoreCache::SharedScoreCache(std::size_t shard_count)
 SharedScoreCache::SharedScoreCache(const Limits& limits,
                                    std::size_t shard_count) {
   if (shard_count == 0) shard_count = 1;
-  // Fold both axes into one entry budget (tighter axis wins); 0 stays
-  // unbounded.  A byte bound below one entry still admits one entry —
-  // otherwise the cache could never serve a hit at all.
-  std::size_t cap = limits.max_entries;
-  if (limits.max_bytes > 0) {
-    const std::size_t by_bytes =
-        std::max<std::size_t>(1, limits.max_bytes / kApproxEntryBytes);
-    cap = cap == 0 ? by_bytes : std::min(cap, by_bytes);
-  }
+  const std::size_t cap = limits.max_entries;  // 0 = unbounded
   capacity_ = cap;
   // Never spread a bounded budget so thin that hash skew fills one shard
   // while the cache is mostly empty; tight budgets collapse to one shard
@@ -263,7 +255,6 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   stream_cache_ = cache;
   slots_.clear();
   pending_canon_.clear();
-  emitted_ = 0;
 }
 
 void EvalEngine::stream_submit(const EvalJob& job) {
@@ -319,17 +310,16 @@ void EvalEngine::hint(const TraceSource& trace, const EvalJob& job,
   enqueue_hint(trace, job, canon);
 }
 
-std::vector<EvalOutcome> EvalEngine::emit_ready(bool block) {
+std::vector<EvalOutcome> EvalEngine::stream_drain() {
+  assert(streaming_ && "stream_drain outside a session");
   std::vector<EvalOutcome> out;
-  while (emitted_ < slots_.size()) {
-    StreamSlot& slot = *slots_[emitted_];
+  out.reserve(slots_.size());
+  for (const std::unique_ptr<StreamSlot>& ptr : slots_) {
+    StreamSlot& slot = *ptr;
     if (slot.kind == StreamSlot::Kind::kRun) {
-      if (!slot.done.load(std::memory_order_acquire)) {
-        if (!block) break;
-        wait_slot(slot);
-      }
+      wait_slot(slot);
       // Inserts happen in submit order as slots are emitted, so the cache
-      // fills exactly as the old post-batch pass filled it.
+      // fills exactly as a post-batch pass would fill it.
       if (stream_cache_ != nullptr) {
         stream_cache_->insert_canonical(slot.canon,
                                         {slot.out.sim, slot.out.work_steps});
@@ -343,25 +333,12 @@ std::vector<EvalOutcome> EvalEngine::emit_ready(bool block) {
       slot.out.from_cache = true;
     }
     out.push_back(slot.out);
-    ++emitted_;
   }
-  return out;
-}
-
-std::vector<EvalOutcome> EvalEngine::stream_poll() {
-  assert(streaming_ && "stream_poll outside a session");
-  return emit_ready(/*block=*/false);
-}
-
-std::vector<EvalOutcome> EvalEngine::stream_drain() {
-  assert(streaming_ && "stream_drain outside a session");
-  std::vector<EvalOutcome> out = emit_ready(/*block=*/true);
   streaming_ = false;
   stream_trace_ = nullptr;
   stream_cache_ = nullptr;
   slots_.clear();
   pending_canon_.clear();
-  emitted_ = 0;
   return out;
 }
 
@@ -388,13 +365,9 @@ ThreadPoolEngine::ThreadPoolEngine(unsigned num_threads) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
   }
-  queues_.reserve(num_threads);
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  for (unsigned i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -412,58 +385,30 @@ ThreadPoolEngine::~ThreadPoolEngine() {
 }
 
 void ThreadPoolEngine::dispatch(StreamSlot& slot) {
-  // Stripe submissions round-robin across the worker deques; stealing
-  // rebalances whatever the stripe got wrong.  The pop's queue mutex is
-  // the happens-before edge from the session state written by the
+  // m_ is the happens-before edge from the session state written by the
   // coordinating thread to the worker's compute().
-  WorkerQueue& wq = *queues_[rr_next_];
-  rr_next_ = (rr_next_ + 1) % queues_.size();
-  {
-    const std::lock_guard<std::mutex> lock(wq.m);
-    wq.q.push_back(&slot);
-  }
   {
     const std::lock_guard<std::mutex> lock(m_);
-    ++pending_;
+    queue_.push_back(&slot);
   }
   work_ready_.notify_one();
 }
 
-EvalEngine::StreamSlot* ThreadPoolEngine::next_slot(std::size_t self) {
-  {
-    WorkerQueue& own = *queues_[self];
-    const std::lock_guard<std::mutex> lock(own.m);
-    if (!own.q.empty()) {
-      StreamSlot* slot = own.q.back();
-      own.q.pop_back();
-      return slot;
-    }
-  }
-  // Steal from the front of a sibling's deque (oldest job: least likely to
-  // collide with the owner working the back).
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(self + k) % queues_.size()];
-    const std::lock_guard<std::mutex> lock(victim.m);
-    if (!victim.q.empty()) {
-      StreamSlot* slot = victim.q.front();
-      victim.q.pop_front();
-      return slot;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPoolEngine::worker_main(std::size_t self) {
+void ThreadPoolEngine::worker_main() {
   for (;;) {
+    StreamSlot* slot = nullptr;
     Hint* hint = nullptr;
     {
       std::unique_lock<std::mutex> lock(m_);
       work_ready_.wait(lock, [&] {
-        return stop_ || pending_ > 0 || !hint_queue_.empty();
+        return stop_ || !queue_.empty() || !hint_queue_.empty();
       });
       if (stop_) return;
-      if (pending_ == 0) {
-        // Every deque is empty: speculate on the nearest hint.
+      if (!queue_.empty()) {
+        slot = queue_.front();
+        queue_.pop_front();
+      } else {
+        // The job queue is empty: speculate on the nearest hint.
         hint = hint_queue_.front();
         hint_queue_.pop_front();
         hint->state = Hint::State::kRunning;
@@ -475,20 +420,14 @@ void ThreadPoolEngine::worker_main(std::size_t self) {
       run_hint(*hint);
       continue;
     }
-    while (StreamSlot* slot = next_slot(self)) {
-      {
-        const std::lock_guard<std::mutex> lock(m_);
-        --pending_;
-      }
-      slot->out = compute(slot->job);
-      slot->done.store(true, std::memory_order_release);
-      {
-        // Empty critical section: a waiter that saw done == false must
-        // reach its cv wait before the notification fires, or miss it.
-        const std::lock_guard<std::mutex> lock(m_);
-      }
-      done_cv_.notify_all();
+    slot->out = compute(slot->job);
+    slot->done.store(true, std::memory_order_release);
+    {
+      // Empty critical section: a waiter that saw done == false must
+      // reach its cv wait before the notification fires, or miss it.
+      const std::lock_guard<std::mutex> lock(m_);
     }
+    done_cv_.notify_all();
   }
 }
 
@@ -545,7 +484,7 @@ bool ThreadPoolEngine::adopt_hint(const TraceSource& trace,
   if (it == hints_.end()) return false;
   switch (it->state) {
     case Hint::State::kQueued:
-      // Not started: the real job takes its place in the deques.
+      // Not started: the real job takes its place in the job queue.
       hint_queue_.erase(
           std::find(hint_queue_.begin(), hint_queue_.end(), &*it));
       hints_.erase(it);

@@ -80,20 +80,10 @@ class SharedScoreCache {
   static constexpr std::uint64_t kPersistedSearchId = 0;
 
   /// Optional growth bound for long-running processes (the dmm_serve
-  /// daemon).  0 means unbounded on that axis; when both axes are set the
-  /// tighter one wins.  max_bytes is converted to an entry budget via
-  /// kApproxEntryBytes — a documented approximation of per-entry heap
-  /// cost, not an exact accounting.
+  /// daemon), in live entries; 0 means unbounded.
   struct Limits {
     std::size_t max_entries = 0;
-    std::size_t max_bytes = 0;
   };
-
-  /// Approximate bytes one live entry costs: key (fingerprint + decision
-  /// vector), stored record (SimResult + provenance + LRU hook), and the
-  /// hash-node / list-node overhead around them.  Fixed by contract so a
-  /// given max_bytes maps to the same entry budget on every platform.
-  static constexpr std::size_t kApproxEntryBytes = 256;
 
   explicit SharedScoreCache(std::size_t shard_count = kDefaultShards);
 
@@ -304,10 +294,9 @@ struct FamilyEvalMember {
 /// The seam every evaluation backend plugs into.  The primitive is a
 /// *streaming session*: the search opens one per candidate wave
 /// (stream_begin), submits jobs as it generates them (stream_submit), and
-/// collects outcomes either opportunistically (poll) or at the barrier
-/// (stream_drain).  evaluate() is the classic batch entry point, now just
-/// begin + submit-all + drain — outcomes still come back in job order,
-/// bit-identical across engines and thread counts.
+/// collects every outcome at the barrier (stream_drain).  evaluate() is
+/// the batch entry point, begin + submit-all + drain — outcomes come back
+/// in job order, bit-identical across engines and thread counts.
 ///
 /// The base class owns the caching protocol on the coordinating thread so
 /// all engines agree on it: each job is canonicalized exactly once at
@@ -350,11 +339,8 @@ class EvalEngine {
   /// Submits one job to the open session (cache lookup + dedup happen now,
   /// misses start evaluating immediately on pooled engines).
   void stream_submit(const EvalJob& job);
-  /// Non-blocking: emits the longest prefix of submitted-but-unemitted
-  /// jobs whose outcomes are complete, in submit order (possibly empty).
-  [[nodiscard]] std::vector<EvalOutcome> stream_poll();
-  /// Blocks until every submitted job is done, emits the rest (in submit
-  /// order), and closes the session.
+  /// Blocks until every submitted job is done, emits every outcome (in
+  /// submit order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
   /// Queues @p job on @p trace for speculative replay (FIFO).  Skipped
@@ -416,15 +402,10 @@ class EvalEngine {
   [[nodiscard]] EvalOutcome compute(const EvalJob& job) const;
 
  private:
-  /// Emits ready outcomes from the session front; blocks per slot iff
-  /// @p block (drain) instead of stopping at the first unfinished one.
-  [[nodiscard]] std::vector<EvalOutcome> emit_ready(bool block);
-
   // Session state (coordinating thread only, except slot outs/done flags).
   std::vector<std::unique_ptr<StreamSlot>> slots_;
   std::unordered_map<alloc::DmmConfig, std::size_t, alloc::DmmConfigHash>
       pending_canon_;
-  std::size_t emitted_ = 0;
   const TraceSource* stream_trace_ = nullptr;
   SharedScoreCache::Session* stream_cache_ = nullptr;
   bool streaming_ = false;
@@ -437,17 +418,17 @@ class SerialEngine : public EvalEngine {
   [[nodiscard]] std::string name() const override { return "serial"; }
 };
 
-/// Persistent std::thread pool with per-worker work-stealing deques.
+/// Persistent std::thread pool over one FIFO job queue.
 ///
-/// dispatch() enqueues the slot round-robin across workers and returns, so
-/// the coordinating thread overlaps candidate generation with evaluation.
-/// Each worker drains its own deque from the back and steals from the
-/// front of its siblings' when empty — candidate replays vary wildly in
-/// cost (a config that thrashes the free index replays 10x slower), so
-/// static striping alone leaves workers idle.  Outcomes land in the
-/// submitting session's slots, keeping result order deterministic.
+/// dispatch() appends the slot to the queue and returns, so the
+/// coordinating thread overlaps candidate generation with evaluation.
+/// Idle workers take the oldest queued job — candidate replays vary wildly
+/// in cost (a config that thrashes the free index replays 10x slower), and
+/// a shared queue hands the next job to whichever worker frees up first.
+/// Outcomes land in the submitting session's slots, keeping result order
+/// deterministic.
 ///
-/// A worker that finds every deque empty takes the oldest queued hint.
+/// A worker that finds the job queue empty takes the oldest queued hint.
 /// Adoption at submit: a finished hint's outcome is copied into the slot;
 /// a running one completes the slot when it finishes; a queued one is
 /// withdrawn and the slot dispatched as usual.
@@ -491,27 +472,17 @@ class ThreadPoolEngine : public EvalEngine {
     StreamSlot* adopter = nullptr;
   };
 
-  void worker_main(std::size_t self);
-  /// Pops from own deque (back) or steals (front); null when drained.
-  [[nodiscard]] StreamSlot* next_slot(std::size_t self);
+  void worker_main();
   /// Replays @p hint on the calling worker and publishes the outcome.
   void run_hint(Hint& hint);
   /// Erases every queued hint (caller holds m_).
   void drop_queued_locked();
 
-  // Per-worker slot deques; each guarded by its own mutex so thieves only
-  // contend with the owner of the deque they rob.
-  struct WorkerQueue {
-    std::mutex m;
-    std::deque<StreamSlot*> q;
-  };
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-
-  // Wakeup state, guarded by m_.
+  // Job queue and wakeup state, guarded by m_.
   mutable std::mutex m_;
   std::condition_variable work_ready_;
   std::condition_variable done_cv_;
-  std::size_t pending_ = 0;  ///< slots enqueued, not yet popped
+  std::deque<StreamSlot*> queue_;  ///< dispatched slots, oldest first
   bool stop_ = false;
   /// Speculation state, guarded by m_: every live hint, the queued ones in
   /// FIFO order, and how many a worker is replaying.
@@ -519,8 +490,6 @@ class ThreadPoolEngine : public EvalEngine {
   std::deque<Hint*> hint_queue_;
   std::size_t running_hints_ = 0;
   HintStats hint_stats_{};
-
-  std::size_t rr_next_ = 0;  ///< coordinating thread only
 
   std::vector<std::thread> workers_;
 };

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dmm/alloc/config.h"
@@ -22,9 +23,10 @@ namespace dmm::core {
 // ===========================================================================
 // The search layer: everything between "a trace to optimise for" and "the
 // best decision vector we found".  A SearchStrategy encodes *where to look*
-// (greedy walk, beam, exhaustive odometer, random sampling, annealing); the
-// SearchContext it runs against owns everything the strategies share — job
-// batching into the EvalEngine, candidate_better-based best tracking, the
+// (the ordered walk — greedy is its width 1 — exhaustive odometer, random
+// sampling, annealing) in one entry point, step(); the SearchContext it
+// runs against owns everything the strategies share — job streaming into
+// the EvalEngine, candidate_better-based best tracking, the
 // per-search/shared/persisted cache accounting, the canonical seen-set, and
 // ExplorationResult assembly — so a new searcher is ~100 lines of "propose
 // vectors, offer outcomes", not a fork of the search loop.  run_search()
@@ -32,36 +34,22 @@ namespace dmm::core {
 // whole design.
 // ===========================================================================
 
-/// Knobs of the simulated-annealing searcher (AnnealingSearch).  The
-/// cooling schedule is geometric: the temperature starts at
-/// `initial_temp x max(1, energy of the start vector)` and is multiplied
-/// by `cooling` after every `moves_per_temp` evaluated proposals, so the
-/// trajectory is a pure function of (trace, options, seed).
-struct AnnealingOptions {
-  /// Evaluation budget (replays + cache hits), matching the other
-  /// searchers' accounting; proposal attempts rejected before scoring
-  /// (rule-invalid or canonical no-ops) are not charged.
-  std::size_t max_evals = 400;
-  /// Seeds the mt19937 driving tree/leaf choice and uphill acceptance —
-  /// the whole trajectory is deterministic for a fixed seed.
-  unsigned seed = 1;
-  double initial_temp = 0.10;      ///< T0 as a fraction of the start energy
-  double cooling = 0.95;           ///< geometric factor per cooling step
-  std::size_t moves_per_temp = 8;  ///< evaluated proposals between coolings
-};
-
 /// Parsed strategy selection, the CLI's `--search` value (grammar in
-/// kSearchSpecForms).  Ordered strategies (greedy, beam) traverse the order
-/// the caller passes to make_strategy(); exhaustive enumerates the
-/// caller's tree subspace.
+/// kSearchSpecForms).  Ordered strategies (beam, greedy = beam width 1)
+/// traverse the order the caller passes to make_strategy(); exhaustive
+/// enumerates the caller's tree subspace.
 struct SearchSpec {
-  enum class Kind { kGreedy, kBeam, kAnneal, kExhaustive, kRandom };
-  Kind kind = Kind::kGreedy;
-  std::size_t beam_width = 2;      ///< kBeam
-  AnnealingOptions anneal{};       ///< kAnneal
-  std::size_t max_evals = 100000;  ///< kExhaustive budget
-  std::size_t samples = 200;       ///< kRandom budget
-  unsigned seed = 1;               ///< kRandom seed
+  enum class Kind { kBeam, kAnneal, kExhaustive, kRandom };
+  Kind kind = Kind::kBeam;
+  std::size_t width = 1;  ///< kBeam; 1 is the paper's greedy walk
+  /// Evaluation budget of the streaming kinds (replays + cache hits); 0
+  /// stands for the kind's default (eval_budget()).
+  std::size_t budget = 0;
+  unsigned seed = 1;  ///< kAnneal / kRandom
+
+  /// `budget`, or the kind's default when it is 0: anneal 400, exhaustive
+  /// 100,000, random 200.
+  [[nodiscard]] std::size_t eval_budget() const;
 };
 
 /// Options steering the search (paper Sec. 4/5).
@@ -211,12 +199,12 @@ struct BestTracker {
 /// What every SearchStrategy runs against: one search call's worth of the
 /// machinery the strategies would otherwise each reimplement.
 ///
-///   * evaluate() — batches jobs into the EvalEngine through the search's
-///     cache session (on the injected shared cache, or on a private one
-///     the context owns; none with caching off) and charges simulations
-///     vs cache_hits.
-///   * offer_best()/set_best() — candidate_better-based incumbent
-///     tracking, recording best/best_sim/work_steps/evals_to_best.
+///   * submit()/drain() — stream jobs into the EvalEngine through the
+///     search's cache session (on the injected shared cache, or on a
+///     private one the context owns; none with caching off) and charge
+///     simulations vs cache_hits; evaluate() is submit-each + drain().
+///   * offer_best() — candidate_better-based incumbent tracking,
+///     recording best/best_sim/work_steps/evals_to_best.
 ///   * canonical_duplicate() — the canonical seen-set behind the quotient
 ///     prunes, counting canonical_skips.
 ///   * hint() — speculation: jobs the strategy expects to submit later,
@@ -261,26 +249,21 @@ class SearchContext {
     return trace_ != nullptr ? *trace_ : *family_[0].trace;
   }
 
-  /// Scores a batch through the engine and cache; outcomes come back in
-  /// job order, replays/hits charged to the result.
-  [[nodiscard]] std::vector<EvalOutcome> evaluate(
-      const std::vector<EvalJob>& jobs);
-
   /// Streaming evaluation: submit() hands one job to the engine
   /// immediately — workers start replaying it while the strategy is still
-  /// generating siblings — poll() returns whatever finished outcomes form
-  /// a ready prefix (submit order, maybe empty), and drain() blocks for
-  /// the rest and closes the stream.  Outcomes are emitted, charged, and
-  /// cache-inserted in submit order, so a submit-per-job + drain sequence
-  /// is bit-identical to one evaluate() call on the same jobs — including
-  /// the simulations/cache_hits split.  In family mode submissions are
-  /// buffered and drain() folds them as one evaluate_family() batch
-  /// (family scoring needs whole batches; poll() stays empty), so
-  /// strategies stream unconditionally.  Do not call evaluate() while a
-  /// stream is open (i.e. between the first submit() and the drain()).
+  /// generating siblings — and drain() blocks for every outcome and closes
+  /// the stream.  Outcomes are emitted, charged, and cache-inserted in
+  /// submit order, so the simulations/cache_hits split is a function of
+  /// the job stream alone.  In family mode submissions are buffered and
+  /// drain() folds them as one evaluate_family() batch (family scoring
+  /// needs whole batches), so strategies stream unconditionally.
   void submit(const EvalJob& job);
-  [[nodiscard]] std::vector<EvalOutcome> poll();
   [[nodiscard]] std::vector<EvalOutcome> drain();
+
+  /// Scores a batch: submit() each job, then drain().  Do not call it
+  /// while a stream is open (between the first submit() and the drain()).
+  [[nodiscard]] std::vector<EvalOutcome> evaluate(
+      const std::vector<EvalJob>& jobs);
 
   /// True iff hint() can pay off: single-trace mode, a score cache (hints
   /// are matched by canonical form), and an engine with more than one
@@ -308,15 +291,17 @@ class SearchContext {
   /// true iff it displaced the best, which records cfg/sim/work.
   bool offer_best(const alloc::DmmConfig& cfg, const EvalOutcome& out);
 
-  /// Unconditionally crowns @p cfg (an ordered walk's final completion).
-  void set_best(const alloc::DmmConfig& cfg, const EvalOutcome& out);
-
   /// True (and counts a canonical_skip) iff @p cfg's canonical form was
   /// already recorded this search; records it otherwise.
   bool canonical_duplicate(const alloc::DmmConfig& cfg);
 
   /// The in-progress result — strategies append step logs here.
   [[nodiscard]] ExplorationResult& result() { return result_; }
+
+  /// True on the first call for this context, false after.  A streaming
+  /// strategy asks at the top of step() and starts its search state afresh
+  /// when it is true, so one strategy object can run search after search.
+  [[nodiscard]] bool first_step() { return !std::exchange(stepped_, true); }
 
   /// Drops queued hints and waits for running ones (the trace may be
   /// destroyed right after), then assembles and returns the final result
@@ -340,8 +325,8 @@ class SearchContext {
   [[nodiscard]] std::vector<EvalOutcome> evaluate_family(
       const std::vector<EvalJob>& jobs);
 
-  /// Per-outcome accounting shared by evaluate()/poll()/drain(): the
-  /// simulations vs cache_hits split.
+  /// Per-outcome accounting shared by drain() and the family member
+  /// batches: the simulations vs cache_hits split.
   void account(const EvalOutcome& out);
 
   const TraceSource* trace_ = nullptr;  ///< single-trace mode; else family_
@@ -358,6 +343,7 @@ class SearchContext {
   BestTracker tracker_;
   ExplorationResult result_;
   std::uint64_t charged_ = 0;
+  bool stepped_ = false;
   bool stream_open_ = false;
   /// Family-mode streaming: jobs buffered between submit() and drain().
   std::vector<EvalJob> stream_pending_;
@@ -367,7 +353,8 @@ class SearchContext {
 /// A search algorithm over the decision space: proposes candidate vectors
 /// and offers their outcomes to the context.  Implementations own *where
 /// to look*; the context owns scoring, accounting, and result assembly.
-/// Run one via run_search().
+/// A strategy object runs one search at a time (its state restarts on each
+/// new SearchContext); run one via run_search().
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;
@@ -375,48 +362,33 @@ class SearchStrategy {
   /// Short id for logs/benches ("greedy", "beam:4", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  virtual void run(SearchContext& ctx) = 0;
-
-  /// Incremental execution for drivers that interleave searches
-  /// (DesignRun, and through it the dmm_serve scheduler): charge at most
-  /// @p eval_budget more evaluations against @p ctx (and never more than
-  /// the strategy's own remaining budget), then return true iff the search
-  /// can still make progress.  The streaming strategies (exhaustive,
-  /// random, annealing) pause and resume exactly; ordered walks are
-  /// indivisible, so the default completes run() in the first step —
-  /// possibly overshooting the slice — and returns false.
-  virtual bool step(SearchContext& ctx, std::size_t eval_budget) {
-    (void)eval_budget;
-    run(ctx);
-    return false;
-  }
+  /// Charges at most @p eval_budget more evaluations against @p ctx (and
+  /// never more than the strategy's own remaining budget), then returns
+  /// true iff the search can still make progress.  Drivers that interleave
+  /// searches (DesignRun, and through it the dmm_serve scheduler) deal
+  /// slices through it.  The streaming strategies (exhaustive, random,
+  /// annealing) pause and resume exactly; an ordered walk is indivisible,
+  /// so it completes in the first step — possibly overshooting the slice —
+  /// and returns false.
+  virtual bool step(SearchContext& ctx, std::size_t eval_budget) = 0;
 };
 
-/// The paper's greedy ordered traversal (Sec. 4.2): decide trees in order,
-/// scoring each admissible leaf by replaying the trace on the repaired
-/// completion.
-class GreedySearch final : public SearchStrategy {
- public:
-  explicit GreedySearch(std::vector<TreeId> order = paper_order());
-  [[nodiscard]] std::string name() const override { return "greedy"; }
-  void run(SearchContext& ctx) override;
-
- private:
-  std::vector<TreeId> order_;
-};
-
-/// Width-k generalization of the greedy walk: at every tree the k best
-/// partial vectors (ranked by candidate_better over their expansions, in
-/// job order) survive, so a locally second-best leaf — the Fig. 4
-/// example's A3=header against the myopically cheaper A3=none — stays
-/// alive until its downstream payoff is visible.  Width 1 is bit-identical
-/// to GreedySearch; the step log reports the winning beam's path.
+/// The paper's ordered traversal (Sec. 4.2), width k: decide trees in
+/// order, scoring each admissible leaf of every surviving partial vector by
+/// replaying the trace on its repaired completion; the k best partial
+/// vectors (ranked by candidate_better over their expansions, in job
+/// order) survive each tree.  Width 1 is the paper's greedy walk.  Width
+/// >= 2 keeps a locally second-best leaf — the Fig. 4 example's
+/// A3=header against the myopically cheaper A3=none — alive until its
+/// downstream payoff is visible.  The step log reports the winning beam's
+/// path.
 class BeamSearch final : public SearchStrategy {
  public:
   explicit BeamSearch(std::size_t width,
                       std::vector<TreeId> order = paper_order());
+  /// "greedy" at width 1, "beam:K" otherwise.
   [[nodiscard]] std::string name() const override;
-  void run(SearchContext& ctx) override;
+  bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
   std::size_t width_;
@@ -432,17 +404,14 @@ class ExhaustiveSearch final : public SearchStrategy {
   explicit ExhaustiveSearch(std::vector<TreeId> trees,
                             std::size_t max_evals = 100000);
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
-  void run(SearchContext& ctx) override;
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
   std::vector<TreeId> trees_;
   std::size_t max_evals_;
-  // step() state: the odometer position and the budget already charged.
-  bool begun_ = false;
+  // step() state: the odometer position.
   bool done_ = false;
   std::vector<int> leaf_;
-  std::uint64_t charged_ = 0;
 };
 
 /// Uniform random sampling of full decision vectors, with replacement
@@ -456,17 +425,14 @@ class RandomSearch final : public SearchStrategy {
   [[nodiscard]] static std::size_t draw_cap(std::size_t samples) {
     return samples * 500 + 1000;
   }
-  void run(SearchContext& ctx) override;
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
   std::size_t samples_;
   unsigned seed_;
-  // step() state: the draw stream position and the budget already charged.
-  bool begun_ = false;
+  // step() state: the draw stream position.
   std::mt19937 rng_;
   std::size_t attempts_ = 0;
-  std::uint64_t charged_ = 0;
 };
 
 /// Seeded, deterministic simulated annealing over the canonical quotient.
@@ -478,29 +444,31 @@ class RandomSearch final : public SearchStrategy {
 /// able to cross mechanism boundaries at all), canonicalizes, and skips
 /// canonical no-ops (dead-leaf mutations) unscored.  Energy is the shared
 /// candidate objective, with infeasible vectors ranked beyond any feasible
-/// one by failed-alloc count.  Cooling is AnnealingOptions' geometric
-/// schedule; uphill moves are accepted iff u < exp(-delta/T) with u drawn
-/// from the seeded mt19937 (consumed only on uphill proposals), so a fixed
-/// seed fixes the whole trajectory on every platform.
+/// one by failed-alloc count.  Cooling is geometric: the temperature
+/// starts at 0.10 x max(1, start energy) and is multiplied by 0.95 after
+/// every 8 evaluated proposals.  Uphill moves are accepted iff
+/// u < exp(-delta/T) with u drawn from the seeded mt19937 (consumed only
+/// on uphill proposals), so a fixed seed fixes the whole trajectory on
+/// every platform.
 class AnnealingSearch final : public SearchStrategy {
  public:
-  explicit AnnealingSearch(AnnealingOptions opts = {});
+  /// @p max_evals is the evaluation budget (replays + cache hits);
+  /// proposals rejected before scoring (rule-invalid or canonical no-ops)
+  /// are not charged.
+  AnnealingSearch(std::size_t max_evals, unsigned seed);
   [[nodiscard]] std::string name() const override { return "anneal"; }
-  void run(SearchContext& ctx) override;
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
-  AnnealingOptions anneal_;
-  // step() state: the SA trajectory (state/energy/temperature/rng) and the
-  // budget already charged.
-  bool begun_ = false;
+  std::size_t max_evals_;
+  unsigned seed_;
+  // step() state: the SA trajectory (state/energy/temperature/rng).
   bool frozen_ = false;
   std::mt19937 rng_;
   alloc::DmmConfig state_{};
   double energy_ = 0.0;
   double temp_ = 0.0;
   std::size_t since_cool_ = 0;
-  std::uint64_t charged_ = 0;
 };
 
 /// The high-impact subspace the exhaustive validator enumerates by
@@ -527,15 +495,16 @@ inline constexpr std::string_view kSearchSpecForms =
 [[nodiscard]] std::optional<SearchSpec> parse_search_spec(
     const std::string& text);
 
-/// Builds the strategy @p spec names.  @p order steers the ordered
-/// strategies (greedy, beam); @p trees is the exhaustive subspace.
+/// Builds the strategy @p spec names.  @p order steers the ordered walk
+/// (greedy, beam); @p trees is the exhaustive subspace.
 [[nodiscard]] std::unique_ptr<SearchStrategy> make_strategy(
     const SearchSpec& spec, const std::vector<TreeId>& order = paper_order(),
     const std::vector<TreeId>& trees = high_impact_trees());
 
-/// Runs @p strategy over @p trace: builds the SearchContext, executes the
-/// strategy and returns the assembled result.  Batches go to @p engine,
-/// or to a fresh make_engine(opts.num_threads) when none is passed.
+/// Runs @p strategy over @p trace: builds the SearchContext, steps the
+/// strategy until it returns false and returns the assembled result.
+/// Batches go to @p engine, or to a fresh make_engine(opts.num_threads)
+/// when none is passed.
 [[nodiscard]] ExplorationResult run_search(const TraceSource& trace,
                                            SearchStrategy& strategy,
                                            const ExplorerOptions& opts = {},

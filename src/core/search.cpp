@@ -154,16 +154,6 @@ void SearchContext::account(const EvalOutcome& out) {
   }
 }
 
-std::vector<EvalOutcome> SearchContext::evaluate(
-    const std::vector<EvalJob>& jobs) {
-  if (trace_ == nullptr) return evaluate_family(jobs);
-  std::vector<EvalOutcome> outcomes =
-      engine_.evaluate(*trace_, jobs, cache_.ptr());
-  for (const EvalOutcome& out : outcomes) account(out);
-  charged_ += outcomes.size();
-  return outcomes;
-}
-
 void SearchContext::submit(const EvalJob& job) {
   if (trace_ == nullptr) {
     // Family mode: member scoring folds whole batches — buffer for drain().
@@ -175,14 +165,6 @@ void SearchContext::submit(const EvalJob& job) {
     stream_open_ = true;
   }
   engine_.stream_submit(job);
-}
-
-std::vector<EvalOutcome> SearchContext::poll() {
-  if (!stream_open_) return {};
-  std::vector<EvalOutcome> outcomes = engine_.stream_poll();
-  for (const EvalOutcome& out : outcomes) account(out);
-  charged_ += outcomes.size();
-  return outcomes;
 }
 
 std::vector<EvalOutcome> SearchContext::drain() {
@@ -198,6 +180,12 @@ std::vector<EvalOutcome> SearchContext::drain() {
   charged_ += outcomes.size();
   stream_open_ = false;
   return outcomes;
+}
+
+std::vector<EvalOutcome> SearchContext::evaluate(
+    const std::vector<EvalJob>& jobs) {
+  for (const EvalJob& job : jobs) submit(job);
+  return drain();
 }
 
 std::vector<EvalOutcome> SearchContext::evaluate_family(
@@ -265,18 +253,6 @@ bool SearchContext::offer_best(const DmmConfig& cfg, const EvalOutcome& out) {
   return true;
 }
 
-void SearchContext::set_best(const DmmConfig& cfg, const EvalOutcome& out) {
-  tracker_.obj = candidate_objective(opts_, out.sim, out.work_steps);
-  tracker_.failed = out.sim.failed_allocs;
-  tracker_.avg = out.sim.avg_footprint;
-  tracker_.work = out.work_steps;
-  tracker_.any = true;
-  result_.best = cfg;
-  result_.best_sim = out.sim;
-  result_.work_steps = out.work_steps;
-  result_.evals_to_best = evaluations();
-}
-
 bool SearchContext::canonical_duplicate(const DmmConfig& cfg) {
   if (canonical_seen_.insert(alloc::canonical(cfg)).second) return false;
   ++result_.canonical_skips;
@@ -301,20 +277,18 @@ ExplorationResult SearchContext::finish() {
 }
 
 // ---------------------------------------------------------------------------
-// GreedySearch — the ordered traversal of Sec. 4.2
+// BeamSearch — the ordered traversal of Sec. 4.2, k partial vectors wide
 // ---------------------------------------------------------------------------
-
-GreedySearch::GreedySearch(std::vector<TreeId> order)
-    : order_(std::move(order)) {}
 
 namespace {
 
-/// Greedy lookahead: hints the candidates the walk will submit at steps
-/// after @p step if every step from @p step on keeps its incumbent leaf —
-/// the leaf the repaired current vector already has, which on the case
-/// studies wins nearly every step.  The incumbent candidate itself is
-/// skipped: it repeats the previous step's winning completion, a cache
-/// hit.  Steps are hinted nearest first, the order workers take them in.
+/// Lookahead along the greedy walk: hints the candidates the walk will
+/// submit at steps after @p step if every step from @p step on keeps its
+/// incumbent leaf — the leaf the repaired current vector already has,
+/// which on the case studies wins nearly every step.  The incumbent
+/// candidate itself is skipped: it repeats the previous step's winning
+/// completion, a cache hit.  Steps are hinted nearest first, the order
+/// workers take them in.
 void hint_lookahead(SearchContext& ctx, const std::vector<TreeId>& order,
                     std::size_t step, DmmConfig cfg, DecidedMask decided) {
   const bool prune_soft = ctx.options().prune_soft;
@@ -345,80 +319,14 @@ void hint_lookahead(SearchContext& ctx, const std::vector<TreeId>& order,
 
 }  // namespace
 
-void GreedySearch::run(SearchContext& ctx) {
-  const ExplorerOptions& opts = ctx.options();
-  ExplorationResult& result = ctx.result();
-  DmmConfig cfg = opts.defaults;
-  DecidedMask decided{};
-  for (std::size_t step_index = 0; step_index < order_.size(); ++step_index) {
-    const TreeId tree = order_[step_index];
-    StepLog step;
-    step.tree = tree;
-    // Submit-as-generated: each admissible leaf's repaired completion is
-    // handed to the engine the moment it exists, so worker threads replay
-    // early candidates while the walk is still repairing later ones.
-    // Outcomes come back in submit order, so the fold below is the same
-    // left fold a batched evaluate() would feed.
-    for (int leaf = 0; leaf < leaf_count(tree); ++leaf) {
-      CandidateScore cand;
-      cand.leaf = leaf;
-      cand.admissible =
-          Constraints::admissible(cfg, decided, tree, leaf, opts.prune_soft);
-      if (cand.admissible) {
-        DmmConfig probe = cfg;
-        set_leaf(probe, tree, leaf);
-        DecidedMask probe_decided = decided;
-        probe_decided[static_cast<std::size_t>(tree)] = true;
-        ctx.submit({Constraints::repair(probe, probe_decided),
-                    static_cast<std::uint64_t>(leaf)});
-      }
-      step.candidates.push_back(cand);
-    }
-    if (ctx.speculating()) {
-      // While this step's replays run, idle workers replay the later
-      // steps' likely candidates.  Hints made at earlier steps assumed an
-      // outcome this step may not have had, so unstarted ones go first.
-      ctx.drop_hints();
-      hint_lookahead(ctx, order_, step_index, cfg, decided);
-    }
-    const std::vector<EvalOutcome> outcomes = ctx.drain();
-    BestTracker best;
-    int best_leaf = -1;
-    for (const EvalOutcome& out : outcomes) {
-      CandidateScore& cand = step.candidates[out.tag];
-      cand.peak_footprint = out.sim.peak_footprint;
-      cand.avg_footprint = out.sim.avg_footprint;
-      cand.work_steps = out.work_steps;
-      cand.failed_allocs = out.sim.failed_allocs;
-      if (best.offer(opts, out)) best_leaf = static_cast<int>(out.tag);
-    }
-    if (best_leaf < 0) {
-      // No admissible leaf: keep the default (cannot happen with a
-      // coherent rule set; guarded for robustness).
-      best_leaf = get_leaf(cfg, tree);
-    }
-    set_leaf(cfg, tree, best_leaf);
-    decided[static_cast<std::size_t>(tree)] = true;
-    step.chosen = best_leaf;
-    result.steps.push_back(std::move(step));
-  }
-  const DmmConfig final_cfg = Constraints::repair(cfg, decided);
-  const std::vector<EvalOutcome> final_out = ctx.evaluate({{final_cfg, 0}});
-  ctx.set_best(final_cfg, final_out[0]);
-}
-
-// ---------------------------------------------------------------------------
-// BeamSearch — k partial vectors survive each tree
-// ---------------------------------------------------------------------------
-
 BeamSearch::BeamSearch(std::size_t width, std::vector<TreeId> order)
     : width_(width == 0 ? 1 : width), order_(std::move(order)) {}
 
 std::string BeamSearch::name() const {
-  return "beam:" + std::to_string(width_);
+  return width_ == 1 ? "greedy" : "beam:" + std::to_string(width_);
 }
 
-void BeamSearch::run(SearchContext& ctx) {
+bool BeamSearch::step(SearchContext& ctx, std::size_t /*eval_budget*/) {
   const ExplorerOptions& opts = ctx.options();
 
   // One surviving partial vector.  All beams decide the same trees in the
@@ -433,10 +341,10 @@ void BeamSearch::run(SearchContext& ctx) {
   beams[0].cfg = opts.defaults;
   DecidedMask decided{};
 
-  for (TreeId tree : order_) {
+  for (std::size_t step_index = 0; step_index < order_.size(); ++step_index) {
+    const TreeId tree = order_[step_index];
     // Expand every beam (in rank order) by every admissible leaf; one
-    // batch scores them all, so the accounting matches the greedy walk's
-    // one-batch-per-tree shape and width 1 is bit-identical to it.
+    // stream scores them all.
     struct Expansion {
       std::size_t beam = 0;
       int leaf = -1;
@@ -458,14 +366,25 @@ void BeamSearch::run(SearchContext& ctx) {
           DecidedMask probe_decided = decided;
           probe_decided[static_cast<std::size_t>(tree)] = true;
           // The child *is* the probe before repair: the partial vector
-          // with this leaf committed.  Submitted as generated (see the
-          // greedy walk); drain() returns submit order, matching tags.
+          // with this leaf committed.  Submit-as-generated: worker threads
+          // replay early candidates while the walk is still repairing
+          // later ones, and drain() returns submit order, matching tags.
           ctx.submit({Constraints::repair(child, probe_decided),
                       expansions.size()});
           expansions.push_back({b, leaf, child});
         }
         step.candidates.push_back(cand);
       }
+    }
+    if (width_ == 1 && ctx.speculating()) {
+      // While this step's replays run, idle workers replay the walk's
+      // likely later candidates.  Hints made at earlier steps assumed an
+      // outcome this step may not have had, so unstarted ones go first.
+      // Wider beams do not hint: on served traffic (beam:4 beside greedy
+      // and anneal on a 2-worker pool) hinting their lead beam made them
+      // no faster.
+      ctx.drop_hints();
+      hint_lookahead(ctx, order_, step_index, beams[0].cfg, decided);
     }
     const std::vector<EvalOutcome> outcomes = ctx.drain();
     std::vector<const EvalOutcome*> scored(expansions.size(), nullptr);
@@ -511,8 +430,7 @@ void BeamSearch::run(SearchContext& ctx) {
     }
     if (next.empty()) {
       // No admissible leaf on any beam: keep each beam's default leaf
-      // (cannot happen with a coherent rule set; guarded like the greedy
-      // walk's fallback).
+      // (cannot happen with a coherent rule set; guarded for robustness).
       for (std::size_t b = 0; b < beams.size(); ++b) {
         StepLog step = std::move(beam_steps[b]);
         step.chosen = get_leaf(beams[b].cfg, tree);
@@ -542,6 +460,7 @@ void BeamSearch::run(SearchContext& ctx) {
   if (!beams.empty()) {
     ctx.result().steps = std::move(beams[winner].steps);
   }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -552,26 +471,18 @@ ExhaustiveSearch::ExhaustiveSearch(std::vector<TreeId> trees,
                                    std::size_t max_evals)
     : trees_(std::move(trees)), max_evals_(max_evals) {}
 
-void ExhaustiveSearch::run(SearchContext& ctx) {
-  begun_ = false;
-  while (step(ctx, max_evals_)) {
-  }
-}
-
 bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
   const ExplorerOptions& opts = ctx.options();
-  if (!begun_) {
-    begun_ = true;
+  if (ctx.first_step()) {
     done_ = false;
     leaf_.assign(trees_.size(), 0);
-    charged_ = 0;
   }
   DecidedMask decided{};
   for (TreeId t : trees_) decided[static_cast<std::size_t>(t)] = true;
 
   // This turn's slice: the caller's budget capped at our own remainder.
   const std::uint64_t budget =
-      std::min<std::uint64_t>(eval_budget, max_evals_ - charged_);
+      std::min<std::uint64_t>(eval_budget, max_evals_ - ctx.evaluations());
   std::uint64_t stepped = 0;
   while (!done_ && stepped < budget) {
     // Collect the next window of valid vectors, then score it as one batch.
@@ -612,8 +523,7 @@ bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       (void)ctx.offer_best(cfgs[out.tag], out);
     }
   }
-  charged_ += stepped;
-  return !done_ && charged_ < max_evals_;
+  return !done_ && ctx.evaluations() < max_evals_;
 }
 
 // ---------------------------------------------------------------------------
@@ -623,26 +533,18 @@ bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
 RandomSearch::RandomSearch(std::size_t samples, unsigned seed)
     : samples_(samples), seed_(seed) {}
 
-void RandomSearch::run(SearchContext& ctx) {
-  begun_ = false;
-  while (step(ctx, samples_)) {
-  }
-}
-
 bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
   const ExplorerOptions& opts = ctx.options();
-  if (!begun_) {
-    begun_ = true;
+  if (ctx.first_step()) {
     rng_.seed(seed_);
     attempts_ = 0;
-    charged_ = 0;
   }
   // Budget = number of *evaluations* (replays + cache hits), matching the
   // ordered traversal's accounting; invalid draws are rejected without
   // charge (bounded).
   const std::size_t max_attempts = draw_cap(samples_);
   const std::uint64_t budget =
-      std::min<std::uint64_t>(eval_budget, samples_ - charged_);
+      std::min<std::uint64_t>(eval_budget, samples_ - ctx.evaluations());
   std::uint64_t stepped = 0;
   while (attempts_ < max_attempts && stepped < budget) {
     std::vector<EvalJob> jobs;
@@ -663,11 +565,11 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       (void)ctx.offer_best(cfgs[out.tag], out);
     }
   }
-  charged_ += stepped;
-  if (attempts_ >= max_attempts && charged_ < samples_) {
+  const bool short_of_samples = ctx.evaluations() < samples_;
+  if (attempts_ >= max_attempts && short_of_samples) {
     ctx.result().draws_capped = true;
   }
-  return attempts_ < max_attempts && charged_ < samples_;
+  return attempts_ < max_attempts && short_of_samples;
 }
 
 // ---------------------------------------------------------------------------
@@ -675,6 +577,13 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// The geometric cooling schedule: T0 as a fraction of the start energy,
+/// the factor applied per cooling step, and the evaluated proposals
+/// between coolings.
+constexpr double kInitialTemp = 0.10;
+constexpr double kCooling = 0.95;
+constexpr std::size_t kMovesPerTemp = 8;
 
 /// Scalar energy SA minimises: the shared candidate objective for
 /// feasible vectors; infeasible ones sit beyond every feasible energy,
@@ -687,23 +596,16 @@ double anneal_energy(const ExplorerOptions& opts, const EvalOutcome& out) {
 
 }  // namespace
 
-AnnealingSearch::AnnealingSearch(AnnealingOptions opts) : anneal_(opts) {}
-
-void AnnealingSearch::run(SearchContext& ctx) {
-  begun_ = false;
-  while (step(ctx, anneal_.max_evals)) {
-  }
-}
+AnnealingSearch::AnnealingSearch(std::size_t max_evals, unsigned seed)
+    : max_evals_(max_evals), seed_(seed) {}
 
 bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
   const ExplorerOptions& opts = ctx.options();
   std::uint64_t stepped = 0;
-  if (!begun_) {
-    begun_ = true;
+  if (ctx.first_step()) {
     frozen_ = false;
-    charged_ = 0;
+    rng_.seed(seed_);
     since_cool_ = 0;
-    rng_.seed(anneal_.seed);
 
     // Start state: the repaired defaults — with nothing decided, repair()
     // completes them into a valid vector — mapped into the quotient.
@@ -712,12 +614,12 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     const std::vector<EvalOutcome> out = ctx.evaluate({{state_, 0}});
     (void)ctx.offer_best(state_, out[0]);
     energy_ = anneal_energy(opts, out[0]);
-    temp_ = anneal_.initial_temp * std::max(1.0, energy_);
-    ++charged_;
+    temp_ = kInitialTemp * std::max(1.0, energy_);
     ++stepped;
   }
 
-  while (!frozen_ && charged_ < anneal_.max_evals && stepped < eval_budget) {
+  while (!frozen_ && ctx.evaluations() < max_evals_ &&
+         stepped < eval_budget) {
     // Propose: mutate one tree to a different leaf, let repair() nudge
     // only the trees a violated rule drags along (the mutated tree alone
     // counts as decided, so e.g. flipping A5 pulls its schedules with it
@@ -752,7 +654,6 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
 
     const std::vector<EvalOutcome> out = ctx.evaluate({{next, 0}});
     (void)ctx.offer_best(next, out[0]);
-    ++charged_;
     ++stepped;
     const double next_energy = anneal_energy(opts, out[0]);
     const double delta = next_energy - energy_;
@@ -767,12 +668,12 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       state_ = next;
       energy_ = next_energy;
     }
-    if (++since_cool_ >= anneal_.moves_per_temp) {
+    if (++since_cool_ >= kMovesPerTemp) {
       since_cool_ = 0;
-      temp_ *= anneal_.cooling;
+      temp_ *= kCooling;
     }
   }
-  return !frozen_ && charged_ < anneal_.max_evals;
+  return !frozen_ && ctx.evaluations() < max_evals_;
 }
 
 // ---------------------------------------------------------------------------
@@ -822,72 +723,87 @@ std::optional<SearchSpec> parse_search_spec(const std::string& text) {
     if (colon == std::string::npos) break;
     begin = colon + 1;
   }
-  SearchSpec spec;
+  using Kind = SearchSpec::Kind;
   if (parts[0] == "greedy") {
     if (parts.size() != 1) return std::nullopt;
-    spec.kind = SearchSpec::Kind::kGreedy;
-  } else if (parts[0] == "beam") {
+    return SearchSpec{.kind = Kind::kBeam};
+  }
+  if (parts[0] == "beam") {
     if (parts.size() != 2) return std::nullopt;
     const auto width = parse_number(parts[1]);
     if (!width || *width == 0) return std::nullopt;
-    spec.kind = SearchSpec::Kind::kBeam;
-    spec.beam_width = static_cast<std::size_t>(*width);
-  } else if (parts[0] == "anneal") {
+    return SearchSpec{.kind = Kind::kBeam,
+                      .width = static_cast<std::size_t>(*width)};
+  }
+  if (parts[0] == "anneal") {
     if (parts.size() > 2) return std::nullopt;
+    SearchSpec spec{.kind = Kind::kAnneal};
     if (parts.size() == 2) {
       const auto seed = parse_seed(parts[1]);
       if (!seed) return std::nullopt;
-      spec.anneal.seed = *seed;
+      spec.seed = *seed;
     }
-    spec.kind = SearchSpec::Kind::kAnneal;
-  } else if (parts[0] == "exhaustive") {
+    return spec;
+  }
+  if (parts[0] == "exhaustive") {
     if (parts.size() > 2) return std::nullopt;
+    SearchSpec spec{.kind = Kind::kExhaustive};
     if (parts.size() == 2) {
-      // Optional evaluation budget: SearchSpec.max_evals was always there,
-      // the grammar just never exposed it.
       const auto budget = parse_number(parts[1]);
       if (!budget || *budget == 0 ||
           *budget > std::numeric_limits<std::size_t>::max()) {
         return std::nullopt;
       }
-      spec.max_evals = static_cast<std::size_t>(*budget);
+      spec.budget = static_cast<std::size_t>(*budget);
     }
-    spec.kind = SearchSpec::Kind::kExhaustive;
-  } else if (parts[0] == "random") {
+    return spec;
+  }
+  if (parts[0] == "random") {
     if (parts.size() > 3) return std::nullopt;
+    SearchSpec spec{.kind = Kind::kRandom};
     if (parts.size() >= 2) {
       const auto n = parse_number(parts[1]);
       if (!n || *n == 0) return std::nullopt;
-      spec.samples = static_cast<std::size_t>(*n);
+      spec.budget = static_cast<std::size_t>(*n);
     }
     if (parts.size() == 3) {
       const auto seed = parse_seed(parts[2]);
       if (!seed) return std::nullopt;
       spec.seed = *seed;
     }
-    spec.kind = SearchSpec::Kind::kRandom;
-  } else {
-    return std::nullopt;
+    return spec;
   }
-  return spec;
+  return std::nullopt;
+}
+
+std::size_t SearchSpec::eval_budget() const {
+  if (budget != 0) return budget;
+  switch (kind) {
+    case Kind::kAnneal:
+      return 400;
+    case Kind::kExhaustive:
+      return 100000;
+    case Kind::kBeam:
+    case Kind::kRandom:
+      break;
+  }
+  return 200;
 }
 
 std::unique_ptr<SearchStrategy> make_strategy(const SearchSpec& spec,
                                               const std::vector<TreeId>& order,
                                               const std::vector<TreeId>& trees) {
   switch (spec.kind) {
-    case SearchSpec::Kind::kGreedy:
-      return std::make_unique<GreedySearch>(order);
-    case SearchSpec::Kind::kBeam:
-      return std::make_unique<BeamSearch>(spec.beam_width, order);
     case SearchSpec::Kind::kAnneal:
-      return std::make_unique<AnnealingSearch>(spec.anneal);
+      return std::make_unique<AnnealingSearch>(spec.eval_budget(), spec.seed);
     case SearchSpec::Kind::kExhaustive:
-      return std::make_unique<ExhaustiveSearch>(trees, spec.max_evals);
+      return std::make_unique<ExhaustiveSearch>(trees, spec.eval_budget());
     case SearchSpec::Kind::kRandom:
-      return std::make_unique<RandomSearch>(spec.samples, spec.seed);
+      return std::make_unique<RandomSearch>(spec.eval_budget(), spec.seed);
+    case SearchSpec::Kind::kBeam:
+      break;
   }
-  return std::make_unique<GreedySearch>(order);
+  return std::make_unique<BeamSearch>(spec.width, order);
 }
 
 ExplorationResult run_search(const TraceSource& trace,
@@ -899,7 +815,8 @@ ExplorationResult run_search(const TraceSource& trace,
     engine = own.get();
   }
   SearchContext ctx(trace, trace.fingerprint(), opts, *engine);
-  strategy.run(ctx);
+  while (strategy.step(ctx, std::numeric_limits<std::size_t>::max())) {
+  }
   return ctx.finish();
 }
 

@@ -634,7 +634,7 @@ TEST(ApiAdapterPin, SearchSpecsAreTheExplicitStrategiesBitForBit) {
       return core::run_search(
           trace, *core::make_strategy(*core::parse_search_spec(spec)), opts);
     };
-    core::GreedySearch greedy(core::paper_order());
+    core::BeamSearch greedy(1, core::paper_order());
     expect_same_result(via_spec("greedy"),
                        core::run_search(trace, greedy, opts),
                        what + " greedy");

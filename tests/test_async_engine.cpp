@@ -1,5 +1,5 @@
-// The streaming-session contract: submit/poll/drain must be bit-identical
-// to one batch evaluate() call — same outcomes, same order, same
+// The streaming-session contract: submit/drain must be bit-identical to
+// one batch evaluate() call — same outcomes, same order, same
 // from_cache split — on every engine, at every thread count, with or
 // without a cache.
 
@@ -75,7 +75,7 @@ std::unique_ptr<EvalEngine> make_engine(unsigned threads) {
 
 class StreamEquivalence : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(StreamEquivalence, SubmitPollDrainMatchesBatchEvaluate) {
+TEST_P(StreamEquivalence, SubmitDrainMatchesBatchEvaluate) {
   const unsigned threads = GetParam();
   const AllocTrace trace = workload_trace("drr", 2000);
   const std::vector<EvalJob> jobs = mixed_jobs();
@@ -94,18 +94,8 @@ TEST_P(StreamEquivalence, SubmitPollDrainMatchesBatchEvaluate) {
     SharedScoreCache store;
     SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
     engine->stream_begin(trace, with_cache ? &cache : nullptr);
-    std::vector<EvalOutcome> streamed;
-    for (const EvalJob& job : jobs) {
-      engine->stream_submit(job);
-      // Opportunistic polling mid-stream must only ever return a prefix
-      // of finished outcomes, never reorder or invent one.
-      for (EvalOutcome& out : engine->stream_poll()) {
-        streamed.push_back(std::move(out));
-      }
-    }
-    for (EvalOutcome& out : engine->stream_drain()) {
-      streamed.push_back(std::move(out));
-    }
+    for (const EvalJob& job : jobs) engine->stream_submit(job);
+    const std::vector<EvalOutcome> streamed = engine->stream_drain();
     if (with_cache) {
       expect_same_outcomes(batch, streamed, what);
       EXPECT_EQ(store.size(), ref_store.size()) << what;
@@ -127,40 +117,8 @@ INSTANTIATE_TEST_SUITE_P(Engines, StreamEquivalence,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
 // ---------------------------------------------------------------------------
-// Ordering and the cache/dup protocol
+// The cache/dup protocol
 // ---------------------------------------------------------------------------
-
-TEST(AsyncEngine, PollEmitsOutcomesInSubmitOrder) {
-  // Heavily interleaved submit/poll on a pooled engine: the concatenation
-  // of every poll plus the final drain must be exactly the submit order,
-  // whatever the workers' completion order was.
-  const AllocTrace trace = workload_trace("drr", 1500);
-  ThreadPoolEngine engine(4);
-  SharedScoreCache store;
-  SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
-  engine.stream_begin(trace, &cache);
-  const std::vector<EvalJob> jobs = mixed_jobs();
-  std::vector<std::uint64_t> tags;
-  for (int round = 0; round < 3; ++round) {
-    for (const EvalJob& job : jobs) {
-      engine.stream_submit(
-          {job.cfg, job.tag + static_cast<std::uint64_t>(round) * 100});
-      for (const EvalOutcome& out : engine.stream_poll()) {
-        tags.push_back(out.tag);
-      }
-    }
-  }
-  for (const EvalOutcome& out : engine.stream_drain()) tags.push_back(out.tag);
-  ASSERT_EQ(tags.size(), jobs.size() * 3);
-  std::size_t i = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (const EvalJob& job : jobs) {
-      EXPECT_EQ(tags[i], job.tag + static_cast<std::uint64_t>(round) * 100)
-          << "position " << i;
-      ++i;
-    }
-  }
-}
 
 TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
   const AllocTrace trace = workload_trace("drr", 1500);

@@ -70,25 +70,6 @@ TEST(CacheEviction, EntryBoundHoldsAndEvictionsAreAccounted) {
   EXPECT_EQ(stats.evictions, 50u - 8u);
 }
 
-TEST(CacheEviction, ByteBoundConvertsToEntriesAndTighterAxisWins) {
-  const std::size_t per = SharedScoreCache::kApproxEntryBytes;
-  EXPECT_EQ(SharedScoreCache(SharedScoreCache::Limits{.max_bytes = 10 * per})
-                .capacity(),
-            10u);
-  EXPECT_EQ(SharedScoreCache(SharedScoreCache::Limits{.max_entries = 4,
-                                                      .max_bytes = 10 * per})
-                .capacity(),
-            4u);
-  EXPECT_EQ(SharedScoreCache(SharedScoreCache::Limits{.max_entries = 20,
-                                                      .max_bytes = 2 * per})
-                .capacity(),
-            2u);
-  // A byte budget below one entry still admits one entry.
-  EXPECT_EQ(SharedScoreCache(SharedScoreCache::Limits{.max_bytes = 1})
-                .capacity(),
-            1u);
-}
-
 TEST(CacheEviction, SmallBoundEvictsInExactLruOrder) {
   // Bounds under kMinEntriesPerBoundedShard collapse to one shard, so
   // recency is global and the eviction order is exact LRU.

@@ -365,7 +365,7 @@ TEST_F(CachePersist, SecondExplorerRunIsServedEntirelyFromTheSnapshot) {
   ExplorerOptions opts;
   opts.shared_cache = std::make_shared<SharedScoreCache>();
 
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult cold = run_search(trace, greedy, opts);
   EXPECT_GT(cold.simulations, 0u);
   EXPECT_EQ(cold.persisted_hits, 0u);
@@ -398,7 +398,7 @@ TEST_F(CachePersist, OneSnapshotServesEveryCaseStudy) {
 
   // Cold: each case study loads the file the earlier ones saved, searches
   // and saves back — its own entries are new, so nothing is persisted.
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   std::vector<ExplorationResult> cold;
   for (const AllocTrace& trace : traces) {
     ExplorerOptions opts;

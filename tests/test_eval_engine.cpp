@@ -179,7 +179,7 @@ TEST(ScoreSession, ExplorerHitAccounting) {
   with_cache.cache = true;
   ExplorerOptions without_cache;
   without_cache.cache = false;
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult on = run_search(trace, greedy, with_cache);
   const ExplorationResult off = run_search(trace, greedy, without_cache);
   EXPECT_EQ(off.cache_hits, 0u);
@@ -234,7 +234,7 @@ class EngineDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineDeterminism, ExploreIsBitIdenticalAcrossThreadCounts) {
   const AllocTrace trace = workload_trace(GetParam(), 5000);
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult serial_result = run_search(trace, greedy);
   for (const unsigned threads : {2u, 4u, 8u}) {
     ExplorerOptions opts;
@@ -352,7 +352,7 @@ TEST(EngineHint, UnsubmittedHintsLeaveTheCacheUntouched) {
   const AllocTrace trace = workload_trace("drr", 2000);
   // Single-shard bounded cache: exact LRU, so a touched entry would
   // survive an eviction it otherwise loses.
-  const SharedScoreCache::Limits limits{3, 0};
+  const SharedScoreCache::Limits limits{3};
   std::vector<DmmConfig> cfgs;
   for (const alloc::FitAlgorithm fit :
        {alloc::FitAlgorithm::kFirstFit, alloc::FitAlgorithm::kBestFit,
@@ -428,8 +428,8 @@ TEST(EngineHint, TraceDestroyedRightAfterFinishIsSafe) {
   for (int round = 0; round < 3; ++round) {
     auto trace = std::make_unique<AllocTrace>(workload_trace("drr", 8000));
     SearchContext ctx(*trace, trace->fingerprint(), opts, pool);
-    GreedySearch greedy;
-    greedy.run(ctx);
+    BeamSearch greedy(1);
+    EXPECT_FALSE(greedy.step(ctx, 1)) << "an ordered walk is indivisible";
     // Hints still running when the search ends: finish() must wait.
     const EvalEngine::HintStats before = pool.hint_stats();
     ctx.hint({never_submitted[0], 0});

@@ -38,7 +38,7 @@ class ExplorerTest : public ::testing::Test {
 };
 
 TEST_F(ExplorerTest, OrderedTraversalDecidesEveryTree) {
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(r.steps.size(), paper_order().size());
   for (std::size_t i = 0; i < r.steps.size(); ++i) {
@@ -55,7 +55,7 @@ TEST_F(ExplorerTest, OrderedTraversalDecidesEveryTree) {
 TEST_F(ExplorerTest, ChoosesDefragmentationForVariableSizes) {
   // The Sec. 5 walk: variable sizes => split+coalesce always, not fixed,
   // shrink-capable pools.
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(r.best.block_sizes, alloc::BlockSizes::kMany);
   EXPECT_EQ(r.best.flexible, alloc::FlexibleBlockSize::kSplitAndCoalesce);
@@ -65,8 +65,8 @@ TEST_F(ExplorerTest, ChoosesDefragmentationForVariableSizes) {
 }
 
 TEST_F(ExplorerTest, PublishedOrderBeatsOrMatchesWrongOrder) {
-  GreedySearch published(paper_order());
-  GreedySearch wrong(fig4_wrong_order());
+  BeamSearch published(1, paper_order());
+  BeamSearch wrong(1, fig4_wrong_order());
   const ExplorationResult good = run_search(trace_, published);
   const ExplorationResult bad = run_search(trace_, wrong);
   EXPECT_LE(good.best_sim.peak_footprint, bad.best_sim.peak_footprint)
@@ -78,7 +78,7 @@ TEST_F(ExplorerTest, GreedyOrderedIsCloseToExhaustiveOnSubspace) {
   // ordered traversal must land within 10% of it.
   ExhaustiveSearch exhaustive({TreeId::kA2, TreeId::kA5, TreeId::kE2,
                                TreeId::kD2, TreeId::kB4, TreeId::kC1});
-  GreedySearch walk;
+  BeamSearch walk(1);
   const ExplorationResult truth = run_search(trace_, exhaustive);
   const ExplorationResult greedy = run_search(trace_, walk);
   EXPECT_LE(static_cast<double>(greedy.best_sim.peak_footprint),
@@ -86,7 +86,7 @@ TEST_F(ExplorerTest, GreedyOrderedIsCloseToExhaustiveOnSubspace) {
 }
 
 TEST_F(ExplorerTest, GreedyBeatsRandomSearchBudgetForBudget) {
-  GreedySearch walk;
+  BeamSearch walk(1);
   const ExplorationResult greedy = run_search(trace_, walk);
   // Give random search the same simulation budget.
   RandomSearch sampler(greedy.simulations, /*seed=*/11);
@@ -107,7 +107,7 @@ TEST_F(ExplorerTest, TimeWeightTradesFootprintForSpeed) {
   ExplorerOptions footprint_only;
   ExplorerOptions time_heavy;
   time_heavy.time_weight = 1000.0;
-  GreedySearch walk;
+  BeamSearch walk(1);
   const ExplorationResult a = run_search(trace_, walk, footprint_only);
   const ExplorationResult b = run_search(trace_, walk, time_heavy);
   EXPECT_LE(a.best_sim.peak_footprint, b.best_sim.peak_footprint)

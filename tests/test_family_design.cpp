@@ -226,7 +226,7 @@ TEST(DesignManagerFamily, SeededSolosBoundTheFamilyRegret) {
   // The paper's flow per trace...
   DesignOptions opts;
   std::vector<DmmConfig> solos;
-  GreedySearch greedy(paper_order());
+  BeamSearch greedy(1, paper_order());
   for (const AllocTrace& t : traces) {
     solos.push_back(run_search(t, greedy).best);
   }
@@ -265,7 +265,7 @@ TEST(DesignManagerFamily, RidesAndFeedsThePerTraceCacheEntries) {
   // entries: the first probes of the walk are the same repaired vectors.
   ExplorerOptions single;
   single.shared_cache = cache;
-  GreedySearch greedy(paper_order());
+  BeamSearch greedy(1, paper_order());
   const ExplorationResult walk = run_search(traces[0], greedy, single);
   EXPECT_GT(walk.cross_search_hits, 0u)
       << "family member replays must be shared with single-trace searches";

@@ -223,7 +223,7 @@ TEST(PolicyCoreShapes, CaseStudyWalkVectorsMatchTheDynamicShape) {
   std::unordered_set<DmmConfig, DmmConfigHash> seen;
   for (const std::string& name : case_studies()) {
     RecordingEngine engine;
-    core::GreedySearch greedy(core::paper_order());
+    core::BeamSearch greedy(1, core::paper_order());
     const core::ExplorationResult result =
         core::run_search(cut(name), greedy, {}, &engine);
     EXPECT_TRUE(result.feasible) << name;

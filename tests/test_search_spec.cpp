@@ -41,11 +41,11 @@ AllocTrace variable_size_trace(std::size_t events, unsigned seed = 3) {
 TEST(SpecParseHardening, ExhaustiveAcceptsAnOptionalBudget) {
   const auto plain = parse_search_spec("exhaustive");
   ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(plain->max_evals, 100000u);
+  EXPECT_EQ(plain->eval_budget(), 100000u);
   const auto capped = parse_search_spec("exhaustive:12");
   ASSERT_TRUE(capped.has_value());
   EXPECT_EQ(capped->kind, SearchSpec::Kind::kExhaustive);
-  EXPECT_EQ(capped->max_evals, 12u);
+  EXPECT_EQ(capped->eval_budget(), 12u);
   EXPECT_FALSE(parse_search_spec("exhaustive:0").has_value());
   EXPECT_FALSE(parse_search_spec("exhaustive:").has_value());
   EXPECT_FALSE(parse_search_spec("exhaustive:12:9").has_value());

@@ -1,21 +1,24 @@
 // The SearchStrategy seam (src/core/search.h):
-//  * Greedy/Exhaustive/RandomSearch run through run_search() — golden logs
-//    captured before the strategy seam existed pin them bit for bit,
-//  * BeamSearch(1) is bit-identical to greedy; width >= 2 escapes the
-//    Fig. 4 ordering trap (myopic defaults + A3-first order) that greedy
-//    falls into,
+//  * the greedy walk (BeamSearch(1)), Exhaustive- and RandomSearch run
+//    through run_search() — golden logs captured before the strategy seam
+//    existed pin them bit for bit,
+//  * beam width >= 2 escapes the Fig. 4 ordering trap (myopic defaults +
+//    A3-first order) that greedy falls into,
 //  * every strategy is bit-identical across 1/2/4/8 threads and across
 //    per-search / shared / persisted cache scopes (only the replay/hit
 //    split may shift),
 //  * AnnealingSearch is deterministic for a fixed seed,
+//  * a finished streaming strategy runs its search again from the start,
+//    and a search dealt in slices resumes where it stopped,
 //  * random search's opt-in canonical prune skips duplicate draws without
 //    charging them,
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
 //    the manager provably never reads it, B2 must stay distinct because
 //    the linked-list pool lookup charges work the array lookup does not,
 //  * a strategy that throws mid-run still persists the score cache,
-//  * the greedy lookahead's hints are adopted on a DRR cut without moving
-//    any result or count.
+//  * the greedy walk's lookahead hints are adopted on a DRR cut without
+//    moving any result or count, and a width-2 beam on the same pool
+//    hints nothing.
 
 #include <gtest/gtest.h>
 
@@ -119,7 +122,7 @@ class SearchStrategies : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(SearchStrategies, GoldenExplorePaperOrder) {
-  GreedySearch greedy(paper_order());
+  BeamSearch greedy(1, paper_order());
   const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
@@ -139,7 +142,7 @@ TEST_F(SearchStrategies, GoldenExplorePaperOrder) {
 }
 
 TEST_F(SearchStrategies, GoldenExploreFig4Order) {
-  GreedySearch greedy(fig4_wrong_order());
+  BeamSearch greedy(1, fig4_wrong_order());
   const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_EQ(alloc::signature(r.best),
             "A1=dll A2=many A3=header A4=size+status A5=split+coalesce "
@@ -206,14 +209,6 @@ TEST(RandomSearchDrawCap, ReportsASpecItCouldNotFill) {
 // BeamSearch
 // ---------------------------------------------------------------------------
 
-TEST_F(SearchStrategies, BeamWidthOneBitIdenticalToExplore) {
-  GreedySearch walk(paper_order());
-  const ExplorationResult greedy = run_search(trace_, walk);
-  BeamSearch beam(1, paper_order());
-  const ExplorationResult r = run_search(trace_, beam);
-  expect_identical_with_accounting(r, greedy, "beam:1 vs greedy");
-}
-
 TEST_F(SearchStrategies, BeamEscapesFig4OrderingTrap) {
   // The ablation's myopic designer: minimal-capability defaults mean each
   // tree is judged by local cost alone, so under the Fig. 4 wrong order
@@ -223,7 +218,7 @@ TEST_F(SearchStrategies, BeamEscapesFig4OrderingTrap) {
   // downstream payoff is visible and must land strictly below the trap.
   ExplorerOptions myopic;
   myopic.defaults = alloc::minimal_config();
-  GreedySearch walk(fig4_wrong_order());
+  BeamSearch walk(1, fig4_wrong_order());
   const ExplorationResult greedy = run_search(trace_, walk, myopic);
   EXPECT_EQ(greedy.best.block_tags, alloc::BlockTags::kNone)
       << "the trap must bite the myopic greedy walk for this test to mean "
@@ -249,13 +244,11 @@ TEST_F(SearchStrategies, AllStrategiesBitIdenticalAcrossThreadCounts) {
     const auto run = [&](SearchStrategy& strategy) {
       return run_search(trace_, strategy, {}, engine.get());
     };
-    GreedySearch greedy(paper_order());
+    BeamSearch greedy(1, paper_order());
     BeamSearch beam(2, paper_order());
     ExhaustiveSearch exhaustive(high_impact_trees());
     RandomSearch sampler(40, 11);
-    AnnealingOptions aopts;
-    aopts.max_evals = 60;
-    AnnealingSearch anneal(aopts);
+    AnnealingSearch anneal(60, 1);
     std::vector<ExplorationResult> results;
     results.push_back(run(greedy));
     results.push_back(run(beam));
@@ -276,23 +269,35 @@ TEST_F(SearchStrategies, AllStrategiesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(GreedyLookahead, TwoThreadGreedyAdoptsHintsOnADrrCut) {
+// Width 1 is the greedy walk, the only width that hints; a wider beam on
+// the same pool replays every candidate as usual.
+class WalkLookahead : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WalkLookahead, TwoThreadWalkMatchesSerialOnADrrCut) {
   AllocTrace cut = workloads::record_trace(workloads::case_study("drr"), 7);
   cut.truncate(20000);
-  GreedySearch greedy(paper_order());
-  const ExplorationResult want = run_search(cut, greedy);
+  BeamSearch serial(GetParam(), paper_order());
+  const ExplorationResult want = run_search(cut, serial);
 
   ExplorerOptions opts;
   opts.num_threads = 2;
   ThreadPoolEngine pooled(2);
-  const ExplorationResult got = run_search(cut, greedy, opts, &pooled);
-  expect_identical_with_accounting(got, want, "2-thread greedy with hints");
+  BeamSearch walk(GetParam(), paper_order());
+  const ExplorationResult got = run_search(cut, walk, opts, &pooled);
+  expect_identical_with_accounting(got, want,
+                                   "2-thread " + walk.name() + " with hints");
   // Engine-side counter only: nothing a result reports depends on it.
   const EvalEngine::HintStats hs = pooled.hint_stats();
-  EXPECT_GT(hs.adopted, 0u) << "queued " << hs.queued << ", started "
-                            << hs.started;
-  EXPECT_LE(hs.adopted, got.simulations);
+  if (GetParam() == 1) {
+    EXPECT_GT(hs.adopted, 0u) << "queued " << hs.queued << ", started "
+                              << hs.started;
+    EXPECT_LE(hs.adopted, got.simulations);
+  } else {
+    EXPECT_EQ(hs.queued, 0u) << "only the greedy walk hints";
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Widths, WalkLookahead, ::testing::Values(1u, 2u));
 
 TEST_F(SearchStrategies, CacheScopesShiftAccountingNotResults) {
   // Per-search cache vs shared cache vs no cache at all: the winner, step
@@ -302,9 +307,7 @@ TEST_F(SearchStrategies, CacheScopesShiftAccountingNotResults) {
     std::vector<ExplorationResult> out;
     BeamSearch beam(2, paper_order());
     out.push_back(run_search(trace_, beam, opts));
-    AnnealingOptions aopts;
-    aopts.max_evals = 60;
-    AnnealingSearch anneal(aopts);
+    AnnealingSearch anneal(60, 1);
     out.push_back(run_search(trace_, anneal, opts));
     ExhaustiveSearch exhaustive(high_impact_trees());
     out.push_back(run_search(trace_, exhaustive, opts));
@@ -358,10 +361,7 @@ TEST_F(SearchStrategies, PersistedCacheKeepsResultsBitIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST_F(SearchStrategies, AnnealingDeterministicForFixedSeed) {
-  AnnealingOptions opts;
-  opts.max_evals = 80;
-  opts.seed = 5;
-  AnnealingSearch a(opts), b(opts);
+  AnnealingSearch a(80, 5), b(80, 5);
   const ExplorationResult ra = run_search(trace_, a);
   const ExplorationResult rb = run_search(trace_, b);
   expect_identical_with_accounting(ra, rb, "anneal seed 5, twice");
@@ -370,15 +370,47 @@ TEST_F(SearchStrategies, AnnealingDeterministicForFixedSeed) {
       << "the budget is metered in evaluations";
 }
 
+TEST_F(SearchStrategies, FinishedStreamingStrategyRunsAgainFromTheStart) {
+  // Dealt in slices of 7 evaluations, the way DesignRun deals them: a
+  // resumed step must carry on, not restart.  (Slicing moves the batch
+  // boundaries, so evals_to_best differs from a whole run's.)
+  const auto sliced = [&](SearchStrategy& s) {
+    const ExplorerOptions opts;
+    const std::unique_ptr<EvalEngine> engine = make_engine(1);
+    SearchContext ctx(trace_, trace_.fingerprint(), opts, *engine);
+    while (s.step(ctx, 7)) {
+    }
+    return ctx.finish();
+  };
+  const std::vector<std::unique_ptr<SearchStrategy>> strategies = [] {
+    std::vector<std::unique_ptr<SearchStrategy>> v;
+    v.push_back(std::make_unique<ExhaustiveSearch>(
+        std::vector<TreeId>{TreeId::kA2, TreeId::kA5, TreeId::kE2}));
+    v.push_back(std::make_unique<RandomSearch>(40, 11));
+    v.push_back(std::make_unique<AnnealingSearch>(60, 5));
+    return v;
+  }();
+  for (const std::unique_ptr<SearchStrategy>& s : strategies) {
+    const ExplorationResult first = run_search(trace_, *s);
+    ASSERT_GT(first.simulations, 0u) << s->name();
+    expect_identical_with_accounting(run_search(trace_, *s), first,
+                                     s->name() + ", second run");
+    const ExplorationResult in_slices = sliced(*s);
+    EXPECT_EQ(in_slices.best, first.best) << s->name();
+    EXPECT_EQ(in_slices.simulations, first.simulations) << s->name();
+    EXPECT_EQ(in_slices.cache_hits, first.cache_hits) << s->name();
+    expect_identical_with_accounting(sliced(*s), in_slices,
+                                     s->name() + ", sliced twice");
+  }
+}
+
 TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
   // SA over the canonical quotient must land within 10% of the greedy
   // walk's peak on this trace at a modest budget — the point of the
   // strategy is order-independence, not luck.
-  GreedySearch walk(paper_order());
+  BeamSearch walk(1, paper_order());
   const ExplorationResult greedy = run_search(trace_, walk);
-  AnnealingOptions opts;
-  opts.max_evals = 120;
-  AnnealingSearch sa(opts);
+  AnnealingSearch sa(120, 1);
   const ExplorationResult r = run_search(trace_, sa);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(static_cast<double>(r.best_sim.peak_footprint),
@@ -442,25 +474,37 @@ TEST_F(SearchStrategies, B2SinglePoolAliasesStayDistinct) {
 TEST(SearchSpecParse, AcceptsTheCliGrammar) {
   const auto greedy = parse_search_spec("greedy");
   ASSERT_TRUE(greedy.has_value());
-  EXPECT_EQ(greedy->kind, SearchSpec::Kind::kGreedy);
+  EXPECT_EQ(greedy->kind, SearchSpec::Kind::kBeam);
+  EXPECT_EQ(greedy->width, 1u);
+  EXPECT_EQ(make_strategy(*greedy)->name(), "greedy");
 
   const auto beam = parse_search_spec("beam:4");
   ASSERT_TRUE(beam.has_value());
   EXPECT_EQ(beam->kind, SearchSpec::Kind::kBeam);
-  EXPECT_EQ(beam->beam_width, 4u);
+  EXPECT_EQ(beam->width, 4u);
+  EXPECT_EQ(make_strategy(*beam)->name(), "beam:4");
 
   const auto anneal = parse_search_spec("anneal:17");
   ASSERT_TRUE(anneal.has_value());
   EXPECT_EQ(anneal->kind, SearchSpec::Kind::kAnneal);
-  EXPECT_EQ(anneal->anneal.seed, 17u);
+  EXPECT_EQ(anneal->seed, 17u);
+  EXPECT_EQ(anneal->eval_budget(), 400u);
 
   const auto random = parse_search_spec("random:50:9");
   ASSERT_TRUE(random.has_value());
   EXPECT_EQ(random->kind, SearchSpec::Kind::kRandom);
-  EXPECT_EQ(random->samples, 50u);
+  EXPECT_EQ(random->eval_budget(), 50u);
   EXPECT_EQ(random->seed, 9u);
 
   EXPECT_TRUE(parse_search_spec("exhaustive").has_value());
+  EXPECT_EQ(parse_search_spec("random")->eval_budget(), 200u);
+  // The default budget follows the kind whenever it is set, not only
+  // through the parser.
+  SearchSpec by_hand;
+  by_hand.kind = SearchSpec::Kind::kExhaustive;
+  EXPECT_EQ(by_hand.eval_budget(), 100000u);
+  by_hand.kind = SearchSpec::Kind::kAnneal;
+  EXPECT_EQ(by_hand.eval_budget(), 400u);
 
   EXPECT_FALSE(parse_search_spec("").has_value());
   EXPECT_FALSE(parse_search_spec("bogus").has_value());
@@ -496,7 +540,7 @@ TEST_F(SearchStrategies, MakeStrategyMatchesTheExplicitStrategy) {
 class ThrowingStrategy final : public SearchStrategy {
  public:
   [[nodiscard]] std::string name() const override { return "throwing"; }
-  void run(SearchContext& ctx) override {
+  bool step(SearchContext& ctx, std::size_t /*eval_budget*/) override {
     (void)ctx.evaluate({{alloc::drr_paper_config(), 0}});
     throw std::runtime_error("searcher died mid-run");
   }

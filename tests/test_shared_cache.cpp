@@ -132,7 +132,7 @@ class InfeasibleSearch : public ::testing::Test {
 };
 
 TEST_F(InfeasibleSearch, ExploreFlagsInfeasibility) {
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult r = run_search(trace_, greedy);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.best_sim.failed_allocs, 0u);
@@ -219,7 +219,7 @@ TEST_P(SharedCacheIdentity, ExploreMatchesPerSearchCache) {
   const AllocTrace trace = variable_size_trace(3000);
   ExplorerOptions per_search;
   per_search.num_threads = GetParam();
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult expected = run_search(trace, greedy, per_search);
 
   ExplorerOptions shared = per_search;
@@ -252,7 +252,7 @@ TEST(SharedCache, ExhaustiveReusesGreedyReplaysAcrossSearches) {
 
   ExplorerOptions shared;
   shared.shared_cache = std::make_shared<SharedScoreCache>();
-  GreedySearch greedy;
+  BeamSearch greedy(1);
   const ExplorationResult walk = run_search(trace, greedy, shared);
   EXPECT_GT(walk.simulations, 0u);
   const ExplorationResult validation = run_search(trace, exhaustive, shared);
@@ -316,7 +316,7 @@ TEST(SharedCache, DesignManagerIsBitIdenticalAndReportsCrossSearchHits) {
 
 TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
   const AllocTrace trace = variable_size_trace(1500);
-  GreedySearch reference;
+  BeamSearch reference(1);
   const ExplorationResult expected = run_search(trace, reference);
 
   const auto cache = std::make_shared<SharedScoreCache>();
@@ -329,7 +329,7 @@ TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
       threads.emplace_back([&, i] {
         ExplorerOptions opts;
         opts.shared_cache = cache;
-        GreedySearch greedy;
+        BeamSearch greedy(1);
         results[i] = run_search(trace, greedy, opts);
       });
     }

@@ -413,7 +413,7 @@ TEST_F(TraceStore, FileBackedExplorationIsBitIdenticalToInMemory) {
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     core::ExplorerOptions opts;
     opts.num_threads = threads;
-    core::GreedySearch greedy;
+    core::BeamSearch greedy(1);
     const core::ExplorationResult a = core::run_search(t, greedy, opts);
     const core::ExplorationResult b = core::run_search(*mapped, greedy, opts);
 

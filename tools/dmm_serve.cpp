@@ -11,8 +11,6 @@
 //   --socket PATH       listening socket path (required)
 //   --cache-file PATH   snapshot loaded at start, saved on shutdown
 //   --max-entries N     score-cache entry bound (0 = unbounded)
-//   --max-bytes N       score-cache budget in bytes (approximate; the
-//                       tighter of the two bounds wins)
 //   --threads N         evaluation workers (1 = serial, 0 = one per
 //                       hardware thread)
 //   --slice N           evaluations dealt per scheduler turn
@@ -35,7 +33,7 @@ void handle_signal(int) { g_stop = 1; }
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--cache-file PATH] "
-               "[--max-entries N] [--max-bytes N] [--threads N] "
+               "[--max-entries N] [--threads N] "
                "[--slice N]\n",
                prog);
   return 2;
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   std::uint64_t threads = 1;
   std::uint64_t slice = 64;
   std::uint64_t max_entries = 0;
-  std::uint64_t max_bytes = 0;
   for (int i = 1; i < argc; ++i) {
     const auto value_of = [&](const char* flag,
                               std::string* value) -> bool {
@@ -86,10 +83,6 @@ int main(int argc, char** argv) {
       if (!parse_u64_flag(argv[0], "--max-entries", value, &max_entries)) {
         return 2;
       }
-    } else if (value_of("--max-bytes", &value)) {
-      if (!parse_u64_flag(argv[0], "--max-bytes", value, &max_bytes)) {
-        return 2;
-      }
     } else if (value_of("--threads", &value)) {
       if (!parse_u64_flag(argv[0], "--threads", value, &threads)) return 2;
     } else if (value_of("--slice", &value)) {
@@ -103,7 +96,6 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   options.cache_limits.max_entries = static_cast<std::size_t>(max_entries);
-  options.cache_limits.max_bytes = static_cast<std::size_t>(max_bytes);
   options.num_threads = static_cast<unsigned>(threads);
   options.slice_evals = static_cast<std::size_t>(slice);
   options.should_stop = [] { return g_stop != 0; };
