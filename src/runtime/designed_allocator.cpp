@@ -12,20 +12,23 @@
 //                     and guards the allocator's counters and roster
 //                     reads
 //
-// Shard locks (pointer bookkeeping) are leaves: nothing is acquired while
-// one is held.  They may be taken under ThreadCache::mu (eviction and
-// flush erase the entries of the blocks they hand back).  core_mu_ and the
-// shard locks are SpinParkLocks; the registry mutex and ThreadCache::mu,
-// held on cold paths or by one thread at a time, stay std::mutex.
+// core_mu_ is a SpinParkLock; the registry mutex and ThreadCache::mu, held
+// on cold paths or by one thread at a time, stay std::mutex.  Looking up a
+// thread's cache (ThreadCache::owner) or a pointer's block takes no lock.
 //
-// Bins: a cached block of capacity c sits in bin SizeClass::index_for(c),
-// the class whose range (2^(k-1), 2^k] holds c.  A request r scans bin
-// index_for(r) newest first for a block with capacity >= r, then takes the
-// newest block of the bin above, whose capacities all exceed 2^k >= r.  So
-// a freed block serves the next request of its own size.
+// Block table: one atomic word per 8-byte granule of the slab, indexed by
+// slab offset, capacity << 32 | requested (the 4 GiB slab keeps both below
+// 2^32).  0: no block starts here; requested 0: in a thread cache.  A word
+// is set after the core hands its block out and cleared before the block
+// goes back (before the deallocate, or before it joins a pending list);
+// the core grants under core_mu_, so a nonzero word starts a block outside
+// the core.  free flips a word with one CAS: of two racing frees one wins
+// and the other dies.  Reserved MAP_NORESERVE over the slab and written
+// only below the bump frontier, the table commits at most one byte per
+// byte of the arena's high-water mark.
 //
-// Deferred release: a block a thread cache evicts leaves the side table at
-// once but waits in the cache's pending list.  Every core_mu_ hold taken
+// Deferred release: a block a thread cache evicts leaves the block table
+// at once but waits in the cache's pending list.  Every core_mu_ hold taken
 // on a thread's behalf (a core allocation, an uncacheable free, a flush)
 // first drains that thread's pending list, oldest first, under
 // ThreadCache::mu then core_mu_; so does a push that fills the list to
@@ -49,9 +52,11 @@
 #include "dmm/runtime/designed_allocator.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -61,9 +66,23 @@ namespace dmm::runtime {
 
 namespace {
 
-/// `requested` value of a BlockInfo while the block sits in a thread cache
-/// (live in the core's eyes, dead in the application's).
-constexpr std::size_t kCachedSentinel = static_cast<std::size_t>(-1);
+// The table is plain zero-filled words, read and written only through
+// atomic_ref; a pointer off the table resolves to no_block, which reads 0,
+// and every path that reads 0 dies or returns before it writes.
+using TableWord = std::atomic_ref<std::uint64_t>;
+static_assert(TableWord::is_always_lock_free);
+alignas(TableWord::required_alignment) std::uint64_t no_block = 0;
+
+constexpr std::uint64_t table_word(std::size_t capacity,
+                                   std::size_t requested) {
+  return static_cast<std::uint64_t>(capacity) << 32 | requested;
+}
+constexpr std::size_t capacity_of(std::uint64_t word) {
+  return word >> 32;
+}
+constexpr std::size_t requested_of(std::uint64_t word) {
+  return word & 0xffffffffU;
+}
 
 /// A thread's pending list drains once it holds this many blocks, even if
 /// the thread makes no core call of its own in the meantime.
@@ -90,9 +109,9 @@ struct DesignedAllocator::ThreadCache {
   ThreadCache() { pending.reserve(kPendingDrainBlocks); }
 
   std::mutex mu;
-  /// Guarded by the registry mutex AND mu (writers hold both, readers
-  /// hold either): which allocator drains into at thread exit.
-  DesignedAllocator* owner = nullptr;
+  /// Which allocator this cache drains into at thread exit; nullptr once
+  /// it is gone.  Stored under the registry mutex (and mu, once shared).
+  std::atomic<DesignedAllocator*> owner{nullptr};
   /// bins[b] holds (ptr, capacity) with bin_for(capacity) == b, oldest
   /// first.
   std::array<std::vector<std::pair<void*, std::size_t>>,
@@ -125,7 +144,8 @@ struct ThreadCacheRegistry {
       const std::lock_guard<std::mutex> reg(mutex());
       for (DesignedAllocator::ThreadCache* c : caches) {
         // Thread exits first: its cached blocks go back to the core.
-        if (c->owner != nullptr) c->owner->retire(c);
+        auto* owner = c->owner.load(std::memory_order_relaxed);
+        if (owner != nullptr) owner->retire(c);
         // Allocator already gone (owner nulled): the entries died with
         // its arena; only the cache shell is left to delete.
         delete c;
@@ -144,11 +164,7 @@ DesignedAllocator::ThreadCache* DesignedAllocator::this_thread_cache() {
   std::vector<ThreadCache*>& shells = ThreadCacheRegistry::tls().caches;
   for (auto it = shells.begin(); it != shells.end();) {
     ThreadCache* c = *it;
-    const DesignedAllocator* owner = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(c->mu);
-      owner = c->owner;
-    }
+    const DesignedAllocator* owner = c->owner.load(std::memory_order_acquire);
     if (owner == this) return c;
     if (owner != nullptr) {
       ++it;
@@ -161,9 +177,9 @@ DesignedAllocator::ThreadCache* DesignedAllocator::this_thread_cache() {
     it = shells.erase(it);
   }
   auto* c = new ThreadCache;
-  c->owner = this;
   {
     const std::lock_guard<std::mutex> reg(ThreadCacheRegistry::mutex());
+    c->owner.store(this, std::memory_order_release);
     enlist(c);
   }
   shells.push_back(c);
@@ -243,26 +259,37 @@ DesignedAllocator::DesignedAllocator(const alloc::DmmConfig& cfg,
       cache_block_limit_(std::min(
           {core_.config().big_request_bytes,
            opts_.thread_cache_bytes,
-           alloc::SizeClass::size_of(alloc::SizeClass::kCount - 1)})) {}
+           alloc::SizeClass::size_of(alloc::SizeClass::kCount - 1)})),
+      slab_(arena_.slab()),
+      table_(slab_.size() / alloc::kAlignment * sizeof(std::uint64_t)) {
+  if (table_.span().size() < slab_.size()) die("no block table", nullptr);
+}
 
 DesignedAllocator::~DesignedAllocator() {
   const std::lock_guard<std::mutex> reg(ThreadCacheRegistry::mutex());
   for (ThreadCache* c : caches_) {
     flush_cache(*c);
     const std::lock_guard<std::mutex> lock(c->mu);
-    c->owner = nullptr;  // its thread deletes the shell at exit
+    // Its thread deletes the shell at exit.
+    c->owner.store(nullptr, std::memory_order_release);
   }
   const std::lock_guard<SpinParkLock> core_lock(core_mu_);
   caches_.clear();
 }
 
-DesignedAllocator::Shard& DesignedAllocator::shard_for(const void* p) const {
-  // dmm-lint: allow(ptr-order): shard selection hashes the address; no ordering is derived
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  // Drop the alignment zeroes, then golden-ratio mix so neighbouring
-  // blocks spread across shards.
-  const std::uintptr_t h = (addr >> 3) * 0x9e3779b97f4a7c15ULL;
-  return shards_[(h >> 32) & (kShardCount - 1)];
+std::atomic_ref<std::uint64_t> DesignedAllocator::entry_of(
+    const void* p) const {
+  const auto* q = static_cast<const std::byte*>(p);
+  // std::less orders unrelated pointers too, so a pointer from outside the
+  // slab is turned away before any pointer arithmetic on it.
+  const std::less<const std::byte*> before;
+  if (before(q, slab_.data()) || !before(q, slab_.data() + slab_.size())) {
+    return TableWord(no_block);
+  }
+  const auto offset = static_cast<std::size_t>(q - slab_.data());
+  if (offset % alloc::kAlignment != 0) return TableWord(no_block);
+  return TableWord(reinterpret_cast<std::uint64_t*>(
+      table_.span().data())[offset / alloc::kAlignment]);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,15 +301,14 @@ void* DesignedAllocator::malloc(std::size_t bytes) {
   ThreadCache* cache = this_thread_cache();
   if (cache != nullptr) {
     if (void* p = cache_pop(*cache, request)) {
-      Shard& sh = shard_for(p);
-      {
-        const std::lock_guard<SpinParkLock> lock(sh.mu);
-        auto it = sh.map.find(p);
-        if (it == sh.map.end() || it->second.requested != kCachedSentinel) {
-          die("thread cache handed out an untracked block", p);
-        }
-        it->second.requested = request;
+      // Only this thread moves a block out of its cache, so no CAS.
+      TableWord entry = entry_of(p);
+      const std::uint64_t word = entry.load(std::memory_order_acquire);
+      if (word == 0 || requested_of(word) != 0) {
+        die("thread cache handed out an untracked block", p);
       }
+      entry.store(table_word(capacity_of(word), request),
+                  std::memory_order_release);
       cache->counts.note_alloc(request, /*from_cache=*/true);
       return p;
     }
@@ -301,13 +327,11 @@ void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
   }
   if (p == nullptr) p = handle_oom(request, &capacity, cache);
   if (p == nullptr) return nullptr;
-  Shard& sh = shard_for(p);
-  {
-    const std::lock_guard<SpinParkLock> lock(sh.mu);
-    if (!sh.map.emplace(p, BlockInfo{capacity, request}).second) {
-      die("core handed out a live pointer twice", p);
-    }
+  TableWord entry = entry_of(p);
+  if (entry.load(std::memory_order_acquire) != 0) {
+    die("core handed out a live pointer twice", p);
   }
+  entry.store(table_word(capacity, request), std::memory_order_release);
   // The cache-off path counted inside its core-lock hold.
   if (cache != nullptr) {
     cache->counts.note_alloc(request, /*from_cache=*/false);
@@ -368,31 +392,23 @@ void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
 
 void DesignedAllocator::free(void* ptr) {
   if (ptr == nullptr) return;
-  std::size_t capacity = 0;
-  std::size_t requested = 0;
   ThreadCache* cache = this_thread_cache();
+  TableWord entry = entry_of(ptr);
+  std::uint64_t word = entry.load(std::memory_order_acquire);
   bool to_cache = false;
-  {
-    Shard& sh = shard_for(ptr);
-    const std::lock_guard<SpinParkLock> lock(sh.mu);
-    auto it = sh.map.find(ptr);
-    if (it == sh.map.end()) {
+  do {  // a failed CAS reloads word: a racing free shows as its new state
+    if (word == 0) {
       die("free of a pointer this allocator does not own "
           "(wild or double free)",
           ptr);
     }
-    if (it->second.requested == kCachedSentinel) {
-      die("double free of a cached block", ptr);
-    }
-    capacity = it->second.capacity;
-    requested = it->second.requested;
-    to_cache = cache != nullptr && cacheable(capacity);
-    if (to_cache) {
-      it->second.requested = kCachedSentinel;
-    } else {
-      sh.map.erase(it);
-    }
-  }
+    if (requested_of(word) == 0) die("double free of a cached block", ptr);
+    to_cache = cache != nullptr && cacheable(capacity_of(word));
+  } while (!entry.compare_exchange_weak(
+      word, to_cache ? table_word(capacity_of(word), 0) : 0,
+      std::memory_order_acq_rel, std::memory_order_acquire));
+  const std::size_t capacity = capacity_of(word);
+  const std::size_t requested = requested_of(word);
   if (cache == nullptr) {
     with_core(nullptr, [&] {
       core_.deallocate(ptr);
@@ -416,20 +432,18 @@ void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
     free(ptr);
     return nullptr;
   }
-  std::size_t old_requested = 0;
-  bool in_place = false;
-  {
-    Shard& sh = shard_for(ptr);
-    const std::lock_guard<SpinParkLock> lock(sh.mu);
-    auto it = sh.map.find(ptr);
-    if (it == sh.map.end() || it->second.requested == kCachedSentinel) {
-      die("realloc of a pointer this allocator does not own", ptr);
-    }
-    old_requested = it->second.requested;
-    // In place when the core's grant already covers the new size.
-    in_place = it->second.capacity >= bytes;
-    if (in_place) it->second.requested = bytes;
+  TableWord entry = entry_of(ptr);
+  std::uint64_t word = entry.load(std::memory_order_acquire);
+  // In place when the core's grant already covers the new size.  A failed
+  // CAS means a free raced this realloc: the block is no longer ours.
+  const bool in_place = capacity_of(word) >= bytes;
+  if (requested_of(word) == 0 ||
+      (in_place && !entry.compare_exchange_strong(
+                       word, table_word(capacity_of(word), bytes),
+                       std::memory_order_acq_rel))) {
+    die("realloc of a pointer this allocator does not own", ptr);
   }
+  const std::size_t old_requested = requested_of(word);
   if (in_place) {
     count(cache,
           [&](ThreadCounters& c) { c.note_resize(old_requested, bytes); });
@@ -443,14 +457,9 @@ void* DesignedAllocator::realloc(void* ptr, std::size_t bytes) {
 }
 
 std::size_t DesignedAllocator::usable_size(const void* ptr) const {
-  if (ptr == nullptr) return 0;
-  Shard& sh = shard_for(ptr);
-  const std::lock_guard<SpinParkLock> lock(sh.mu);
-  const auto it = sh.map.find(ptr);
-  if (it == sh.map.end() || it->second.requested == kCachedSentinel) {
-    return 0;
-  }
-  return it->second.capacity;
+  const std::uint64_t word = entry_of(ptr).load(std::memory_order_acquire);
+  // Neither an unowned pointer (0) nor a cached block counts as live.
+  return requested_of(word) == 0 ? 0 : capacity_of(word);
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +509,10 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
                                    std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(cache.mu);
   auto& bin = cache.bins[bin_for(capacity)];
+  // A bin never holds more than one entry over the cap, so it grows once.
+  if (bin.size() == bin.capacity()) {
+    bin.reserve(opts_.thread_cache_bin_entries + 1);
+  }
   bin.emplace_back(ptr, capacity);
   cache.cached_bytes += capacity;
   // Per-bin entry cap: evict the oldest of this bin beyond it.
@@ -552,11 +565,7 @@ void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
 
 void DesignedAllocator::evict(ThreadCache& cache, void* ptr,
                               std::size_t capacity) {
-  {
-    Shard& sh = shard_for(ptr);
-    const std::lock_guard<SpinParkLock> lock(sh.mu);
-    sh.map.erase(ptr);
-  }
+  entry_of(ptr).store(0, std::memory_order_release);
   cache.cached_bytes -= capacity;
   cache.pending.push_back(ptr);
 }

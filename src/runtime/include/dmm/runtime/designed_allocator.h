@@ -1,10 +1,10 @@
 #ifndef DMM_RUNTIME_DESIGNED_ALLOCATOR_H
 #define DMM_RUNTIME_DESIGNED_ALLOCATOR_H
 
-#include <array>
 #include <atomic>
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dmm/alloc/config.h"
@@ -131,21 +131,9 @@ class DesignedAllocator {
   struct ThreadCache;  // defined in designed_allocator.cpp
   friend struct ThreadCacheRegistry;
 
-  /// Per-pointer bookkeeping: block capacity (core grant) and the live
-  /// requested size, or kCachedSentinel while the block sits in a thread
-  /// cache.  Sharded to keep cross-thread frees from serialising; each
-  /// shard owns a cache line so two shards' locks never share one.
-  struct BlockInfo {
-    std::size_t capacity = 0;
-    std::size_t requested = 0;
-  };
-  struct alignas(64) Shard {
-    mutable SpinParkLock mu;
-    std::unordered_map<const void*, BlockInfo> map;
-  };
-  static constexpr std::size_t kShardCount = 16;
-
-  [[nodiscard]] Shard& shard_for(const void* p) const;
+  /// The block-table word for @p p (designed_allocator.cpp has its
+  /// states); a word that reads 0 off the slab or off the alignment.
+  [[nodiscard]] std::atomic_ref<std::uint64_t> entry_of(const void* p) const;
   [[nodiscard]] ThreadCache* this_thread_cache();
 
   /// Runs @p body under core_mu_ on behalf of the calling thread: takes
@@ -183,8 +171,8 @@ class DesignedAllocator {
   [[nodiscard]] bool cacheable(std::size_t capacity) const;
   void cache_push(ThreadCache& cache, void* ptr, std::size_t capacity);
   [[nodiscard]] void* cache_pop(ThreadCache& cache, std::size_t request);
-  /// Moves one cached block to @p cache's pending list and erases its
-  /// shard entry.  Caller holds cache.mu.
+  /// Moves one cached block to @p cache's pending list and clears its
+  /// block-table word.  Caller holds cache.mu.
   void evict(ThreadCache& cache, void* ptr, std::size_t capacity);
   /// Releases @p cache's pending list to the core, oldest first.  Caller
   /// holds cache.mu and core_mu_.
@@ -202,7 +190,9 @@ class DesignedAllocator {
   /// thread caches: the core routes them to dedicated chunks that should
   /// flow back to the arena, not sit in a cache.
   std::size_t cache_block_limit_;
-  mutable std::array<Shard, kShardCount> shards_;
+  /// The arena's slab, and the block table: one word per 8 bytes of it.
+  std::span<const std::byte> slab_;
+  sysmem::Reservation table_;
   /// Counters of the cache-off path plus those folded in from exited
   /// threads; under core_mu_.
   ThreadCounters core_counts_;

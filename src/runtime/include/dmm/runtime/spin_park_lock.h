@@ -15,11 +15,11 @@ namespace dmm::runtime {
 // times with a CPU pause, then park on the lock word (C++20 atomic
 // wait/notify, a futex on Linux).
 //
-// The runtime front's core and shard locks are held for a few hundred
-// nanoseconds at a time.  A std::mutex that finds them taken sleeps at
-// once, and the wake-up of a parked waiter costs more than the critical
-// section it waited for, so under four threads the lock convoys.  Spinning
-// first catches the common release-within-microseconds case; parking after
+// The runtime front's core lock is held for a few hundred nanoseconds at
+// a time.  A std::mutex that finds it taken sleeps at once, and the
+// wake-up of a parked waiter costs more than the critical section it
+// waited for, so under four threads the lock convoys.  Spinning first
+// catches the common release-within-microseconds case; parking after
 // the bound keeps the lock safe when threads outnumber cores (a spinner
 // never burns the time slice the holder needs to finish).
 //

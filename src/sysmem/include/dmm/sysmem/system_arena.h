@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory_resource>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,34 @@ struct Grant {
   const void* owner = nullptr;  ///< tag passed to SystemArena::request
 
   explicit operator bool() const { return base != nullptr; }
+};
+
+/// Zero-filled address space that commits on touch: an anonymous
+/// MAP_NORESERVE mapping, or, on hosts without mmap, one eager zeroed
+/// allocation capped at kFallbackBytes.  Every arena's slab is one, and so
+/// is any side table indexed by slab offset (the runtime front's block
+/// table).  Move-only; the memory goes back to the OS with the object.
+class Reservation {
+ public:
+  /// Cap of the no-mmap fallback, which commits everything up front.
+  static constexpr std::size_t kFallbackBytes = std::size_t{1} << 28;
+
+  Reservation() = default;
+  /// Reserves @p bytes (at most kFallbackBytes without mmap); empty when
+  /// @p bytes is 0 or the OS refuses.
+  explicit Reservation(std::size_t bytes);
+  Reservation(Reservation&& other) noexcept
+      : span_(std::exchange(other.span_, {})) {}
+  Reservation& operator=(Reservation&& other) noexcept {
+    std::swap(span_, other.span_);
+    return *this;
+  }
+  ~Reservation();
+
+  [[nodiscard]] std::span<std::byte> span() const { return span_; }
+
+ private:
+  std::span<std::byte> span_;
 };
 
 /// Simulated OS memory interface (the paper's "system memory").
@@ -69,13 +99,11 @@ class SystemArena {
   /// Virtual reservation backing one arena (lazily mapped, pages commit on
   /// touch).  ~1000x the largest workload footprint in the repo; request()
   /// fails like an exhausted OS once it is spent.  Shrunk on 32-bit hosts,
-  /// where 4 GiB does not even fit in size_t.
+  /// where 4 GiB does not even fit in size_t; capped at
+  /// Reservation::kFallbackBytes on hosts without mmap.
   static constexpr std::size_t kSlabBytes = sizeof(std::size_t) >= 8
                                                 ? std::size_t{1} << 32
                                                 : std::size_t{1} << 30;
-  /// Reservation used by the no-mmap fallback, which allocates eagerly and
-  /// therefore must stay modest.
-  static constexpr std::size_t kFallbackSlabBytes = std::size_t{1} << 28;
 
   /// Signature: (stats, delta_bytes) with delta>0 for growth, <0 for shrink.
   using Observer = std::function<void(const ArenaStats&, long long)>;
@@ -90,7 +118,6 @@ class SystemArena {
 
   SystemArena(const SystemArena&) = delete;
   SystemArena& operator=(const SystemArena&) = delete;
-  ~SystemArena();
 
   /// Obtains @p bytes (rounded up to the page size) from the simulated OS.
   /// @p owner is an opaque tag grant_of() reports for the grant.  Returns
@@ -140,6 +167,12 @@ class SystemArena {
   /// a free granule.
   [[nodiscard]] Grant grant_of(const void* p) const;
 
+  /// Maps the slab now, if no request has mapped it yet, and returns its
+  /// span (empty if the reservation failed).  The slab never moves and
+  /// every grant lies inside it, so a side table indexed by slab offset
+  /// can be sized once from this span.
+  [[nodiscard]] std::span<const std::byte> slab();
+
  private:
   /// Page-map slot, one per granule (page size, at least 16 bytes).
   /// `head` is 1 + the start granule of the live grant covering it (0 =
@@ -168,29 +201,33 @@ class SystemArena {
 
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.
-  std::byte* slab_ = nullptr;
-  std::size_t slab_bytes_ = 0;  ///< reservation size actually mapped
-  bool slab_failed_ = false;    ///< reservation failed; don't retry
+  Reservation slab_;
+  bool slab_failed_ = false;  ///< reservation failed; don't retry
   std::size_t bump_ = 0;
-  std::map<std::size_t, std::size_t> free_regions_;  // offset -> size
+  /// Recycles free_regions_' nodes, so an arena whose release pattern
+  /// repeats stops calling the system heap once warm.
+  std::pmr::unsynchronized_pool_resource region_nodes_;
+  std::pmr::map<std::size_t, std::size_t> free_regions_{
+      &region_nodes_};  // offset -> size
 };
 
 inline Grant SystemArena::grant_of(const void* p) const {
   const auto* q = static_cast<const std::byte*>(p);
+  std::byte* const slab = slab_.span().data();
   // std::less orders unrelated pointers too, so a pointer from outside the
   // slab is turned away before any pointer arithmetic on it.
   const std::less<const std::byte*> before;
-  if (slab_ == nullptr || before(q, slab_) || !before(q, slab_ + bump_)) {
+  if (slab == nullptr || before(q, slab) || !before(q, slab + bump_)) {
     return {};
   }
-  const auto offset = static_cast<std::size_t>(q - slab_);
+  const auto offset = static_cast<std::size_t>(q - slab);
   const std::size_t head = page_map_[offset >> grain_shift_].head;
   if (head == 0) return {};
   const Slot& start = page_map_[head - 1];
   const std::size_t base = (head - 1) << grain_shift_;
   // A sub-granule grant (page size < 16) leaves a tail no grant covers.
   if (offset - base >= start.size) return {};
-  return {slab_ + base, start.size, start.owner};
+  return {slab + base, start.size, start.owner};
 }
 
 }  // namespace dmm::sysmem

@@ -9,8 +9,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
 #define DMM_SYSMEM_HAVE_MMAP 1
-#else
-#include <new>
 #endif
 
 namespace dmm::sysmem {
@@ -32,6 +30,34 @@ constexpr std::size_t kGrainBytes = 16;
 
 }  // namespace
 
+Reservation::Reservation(std::size_t bytes) {
+  if (bytes == 0) return;
+#if DMM_SYSMEM_HAVE_MMAP
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS
+#ifdef MAP_NORESERVE
+                       | MAP_NORESERVE
+#endif
+                   ,
+                   -1, 0);
+  if (p == MAP_FAILED) return;
+#else
+  bytes = std::min(bytes, kFallbackBytes);
+  void* p = std::calloc(bytes, 1);
+  if (p == nullptr) return;
+#endif
+  span_ = {static_cast<std::byte*>(p), bytes};
+}
+
+Reservation::~Reservation() {
+  if (span_.empty()) return;
+#if DMM_SYSMEM_HAVE_MMAP
+  ::munmap(span_.data(), span_.size());
+#else
+  std::free(span_.data());
+#endif
+}
+
 SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
     : capacity_(capacity_bytes),
       page_size_(page_size),
@@ -41,48 +67,19 @@ SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
   }
 }
 
-SystemArena::~SystemArena() {
-  // Managers are expected to release everything; tests assert
-  // live_chunks()==0.  The whole slab goes back to the OS either way.
-  if (slab_ != nullptr) {
-#if DMM_SYSMEM_HAVE_MMAP
-    ::munmap(slab_, slab_bytes_);
-#else
-    ::operator delete(slab_, std::align_val_t{kGrainBytes});
-#endif
-  }
+bool SystemArena::ensure_slab() {
+  if (!slab_.span().empty()) return true;
+  // Attempted once: a failed reservation would otherwise repeat on every
+  // request and drown the search in allocation churn.
+  if (slab_failed_) return false;
+  slab_ = Reservation(kSlabBytes);
+  slab_failed_ = slab_.span().empty();
+  return !slab_failed_;
 }
 
-bool SystemArena::ensure_slab() {
-  if (slab_ != nullptr) return true;
-  if (slab_failed_) return false;
-#if DMM_SYSMEM_HAVE_MMAP
-  void* p = ::mmap(nullptr, kSlabBytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS
-#ifdef MAP_NORESERVE
-                       | MAP_NORESERVE
-#endif
-                   ,
-                   -1, 0);
-  if (p == MAP_FAILED) {
-    slab_failed_ = true;
-    return false;
-  }
-  slab_ = static_cast<std::byte*>(p);
-  slab_bytes_ = kSlabBytes;
-#else
-  // Fallback: one *eager* allocation, so it must stay modest — and it is
-  // attempted once (a failed 256 MiB grab would otherwise repeat on every
-  // request and drown the search in allocation churn).
-  slab_ = static_cast<std::byte*>(::operator new(
-      kFallbackSlabBytes, std::align_val_t{kGrainBytes}, std::nothrow));
-  if (slab_ == nullptr) {
-    slab_failed_ = true;
-    return false;
-  }
-  slab_bytes_ = kFallbackSlabBytes;
-#endif
-  return true;
+std::span<const std::byte> SystemArena::slab() {
+  if (!ensure_slab()) return {};
+  return slab_.span();
 }
 
 std::size_t SystemArena::take_region(std::size_t size) {
@@ -97,7 +94,7 @@ std::size_t SystemArena::take_region(std::size_t size) {
     if (remainder > 0) free_regions_.emplace(offset + size, remainder);
     return offset;
   }
-  if (slab_bytes_ - bump_ < size) return kNpos;
+  if (slab_.span().size() - bump_ < size) return kNpos;
   const std::size_t offset = bump_;
   bump_ += size;
   return offset;
@@ -161,7 +158,7 @@ std::byte* SystemArena::request(std::size_t bytes, const void* owner,
   }
   page_map_[first].size = size;
   page_map_[first].owner = owner;
-  std::byte* ptr = slab_ + offset;
+  std::byte* ptr = slab_.span().data() + offset;
   stats_.current_footprint += size;
   stats_.total_requested += size;
   ++stats_.request_count;
@@ -179,7 +176,7 @@ void SystemArena::release(std::byte* ptr) {
     die("release() of a pointer that is not a live grant");
   }
   const std::size_t size = grant.size;
-  const auto offset = static_cast<std::size_t>(ptr - slab_);
+  const auto offset = static_cast<std::size_t>(ptr - slab_.span().data());
   const std::size_t first = offset >> grain_shift_;
   const std::size_t count = granules(size);
   for (std::size_t i = first; i < first + count; ++i) page_map_[i] = Slot{};
@@ -194,7 +191,7 @@ void SystemArena::release_all(const void* owner) {
   for (std::size_t i = 0; i < page_map_.size(); ++i) {
     const Slot& slot = page_map_[i];
     if (slot.head == i + 1 && slot.owner == owner) {
-      release(slab_ + (i << grain_shift_));
+      release(slab_.span().data() + (i << grain_shift_));
     }
   }
 }

@@ -101,6 +101,60 @@ TEST(RuntimeOomDeathTest, DoubleFreeOfACachedBlockAborts) {
   EXPECT_DEATH({ a.free(p); }, "double free of a cached block");
 }
 
+// The tripwire on the block table: a pointer resolves to a live block only
+// where one starts, and only while it is out of every cache and the core.
+
+TEST(RuntimeOomDeathTest, FreeOfAStackAddressAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  int local = 0;
+  EXPECT_DEATH({ a.free(&local); }, "wild or double free");
+}
+
+TEST(RuntimeOomDeathTest, FreeOfAnInteriorPointerAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  auto* p = static_cast<unsigned char*>(a.malloc(64));
+  ASSERT_NE(p, nullptr);
+  EXPECT_DEATH({ a.free(p + 8); }, "wild or double free");
+  a.free(p);
+}
+
+TEST(RuntimeOomDeathTest, FreeOfABlockEvictedToTheCoreAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RuntimeOptions opts;
+  opts.thread_cache_bin_entries = 1;
+  DesignedAllocator a(alloc::drr_paper_config(), opts);
+  void* p = a.malloc(128);
+  void* q = a.malloc(128);
+  ASSERT_NE(p, nullptr);
+  ASSERT_NE(q, nullptr);
+  a.free(p);
+  a.free(q);  // the one-entry bin evicts p
+  a.trim();   // and the pending list hands it to the core
+  EXPECT_DEATH({ a.free(p); }, "wild or double free");
+}
+
+TEST(RuntimeOomDeathTest, ReallocOfACachedBlockAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());  // caches on
+  void* p = a.malloc(128);
+  ASSERT_NE(p, nullptr);
+  a.free(p);  // parks the block in the thread cache
+  EXPECT_DEATH({ (void)a.realloc(p, 256); },
+               "realloc of a pointer this allocator does not own");
+}
+
+TEST(RuntimeOom, UsableSizeIsZeroForInteriorAndCachedBlocks) {
+  DesignedAllocator a(alloc::drr_paper_config());  // caches on
+  auto* p = static_cast<unsigned char*>(a.malloc(128));
+  ASSERT_NE(p, nullptr);
+  EXPECT_GE(a.usable_size(p), 128u);
+  EXPECT_EQ(a.usable_size(p + 8), 0u) << "no block starts inside a block";
+  a.free(p);
+  EXPECT_EQ(a.usable_size(p), 0u) << "a cached block is not live";
+}
+
 TEST(RuntimeOom, CallbackReleasesAndRetries) {
   // The release-and-retry contract on a real exhausted arena: the hoard
   // holds the memory, the callback frees some of it, the retry succeeds.
