@@ -16,16 +16,12 @@
 // on cold paths or by one thread at a time, stay std::mutex.  Looking up a
 // thread's cache (ThreadCache::owner) or a pointer's block takes no lock.
 //
-// Block table: one atomic word per 8-byte granule of the slab, indexed by
-// slab offset, capacity << 32 | requested (the 4 GiB slab keeps both below
-// 2^32).  0: no block starts here; requested 0: in a thread cache.  A word
-// is set after the core hands its block out and cleared before the block
-// goes back (before the deallocate, or before it joins a pending list);
-// the core grants under core_mu_, so a nonzero word starts a block outside
-// the core.  free flips a word with one CAS: of two racing frees one wins
-// and the other dies.  Reserved MAP_NORESERVE over the slab and written
-// only below the bump frontier, the table commits at most one byte per
-// byte of the arena's high-water mark.
+// Block table: one word per 8-byte granule of the slab, capacity << 32 |
+// requested.  0: no block starts here; requested 0: in a thread cache.  The
+// thread a block is granted to sets its word after its core_mu_ hold; the
+// word is cleared before the block goes back to the core or to a pending
+// list.  free flips a word with one CAS, so of two racing frees one dies.
+// Reserved MAP_NORESERVE, it commits at most the arena's high-water bytes.
 //
 // Deferred release: a block a thread cache evicts leaves the block table
 // at once but waits in the cache's pending list.  Every core_mu_ hold taken
@@ -66,9 +62,8 @@ namespace dmm::runtime {
 
 namespace {
 
-// The table is plain zero-filled words, read and written only through
-// atomic_ref; a pointer off the table resolves to no_block, which reads 0,
-// and every path that reads 0 dies or returns before it writes.
+// Table words are plain zero-filled memory accessed through atomic_ref.  A
+// pointer off the table reads no_block, 0; only granted blocks are written.
 using TableWord = std::atomic_ref<std::uint64_t>;
 static_assert(TableWord::is_always_lock_free);
 alignas(TableWord::required_alignment) std::uint64_t no_block = 0;
@@ -110,7 +105,7 @@ struct DesignedAllocator::ThreadCache {
 
   std::mutex mu;
   /// Which allocator this cache drains into at thread exit; nullptr once
-  /// it is gone.  Stored under the registry mutex (and mu, once shared).
+  /// it is gone.  Stored under the registry mutex.
   std::atomic<DesignedAllocator*> owner{nullptr};
   /// bins[b] holds (ptr, capacity) with bin_for(capacity) == b, oldest
   /// first.
@@ -262,15 +257,16 @@ DesignedAllocator::DesignedAllocator(const alloc::DmmConfig& cfg,
            alloc::SizeClass::size_of(alloc::SizeClass::kCount - 1)})),
       slab_(arena_.slab()),
       table_(slab_.size() / alloc::kAlignment * sizeof(std::uint64_t)) {
-  if (table_.span().size() < slab_.size()) die("no block table", nullptr);
+  // No room for the table: every malloc fails through the OOM policy, as
+  // when the arena has no slab.
+  if (table_.span().size() < slab_.size()) slab_ = {};
 }
 
 DesignedAllocator::~DesignedAllocator() {
   const std::lock_guard<std::mutex> reg(ThreadCacheRegistry::mutex());
   for (ThreadCache* c : caches_) {
     flush_cache(*c);
-    const std::lock_guard<std::mutex> lock(c->mu);
-    // Its thread deletes the shell at exit.
+    // The last touch of c: a thread that reads nullptr deletes it.
     c->owner.store(nullptr, std::memory_order_release);
   }
   const std::lock_guard<SpinParkLock> core_lock(core_mu_);
@@ -327,11 +323,10 @@ void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
   }
   if (p == nullptr) p = handle_oom(request, &capacity, cache);
   if (p == nullptr) return nullptr;
-  TableWord entry = entry_of(p);
-  if (entry.load(std::memory_order_acquire) != 0) {
+  if (entry_of(p).exchange(table_word(capacity, request),
+                           std::memory_order_acq_rel) != 0) {
     die("core handed out a live pointer twice", p);
   }
-  entry.store(table_word(capacity, request), std::memory_order_release);
   // The cache-off path counted inside its core-lock hold.
   if (cache != nullptr) {
     cache->counts.note_alloc(request, /*from_cache=*/false);
@@ -343,7 +338,7 @@ void* DesignedAllocator::core_allocate(std::size_t request,
                                        std::size_t* capacity,
                                        ThreadCache* cache) {
   return with_core(cache, [&]() -> void* {
-    if (consume_injected_failure()) return nullptr;
+    if (slab_.empty() || consume_injected_failure()) return nullptr;
     void* p = core_.allocate(request);
     if (p == nullptr) return nullptr;
     *capacity = core_.usable_size(p);
@@ -508,10 +503,14 @@ bool DesignedAllocator::cacheable(std::size_t capacity) const {
 void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
                                    std::size_t capacity) {
   const std::lock_guard<std::mutex> lock(cache.mu);
-  auto& bin = cache.bins[bin_for(capacity)];
-  // A bin never holds more than one entry over the cap, so it grows once.
+  const unsigned cls = bin_for(capacity);
+  auto& bin = cache.bins[cls];
   if (bin.size() == bin.capacity()) {
-    bin.reserve(opts_.thread_cache_bin_entries + 1);
+    // Before a push a bin is within its entry cap and within the byte
+    // budget at over half its class size an entry: it grows once.
+    const std::size_t by_budget =
+        opts_.thread_cache_bytes / (alloc::SizeClass::size_of(cls) / 2 + 1);
+    bin.reserve(std::min(opts_.thread_cache_bin_entries, by_budget) + 1);
   }
   bin.emplace_back(ptr, capacity);
   cache.cached_bytes += capacity;

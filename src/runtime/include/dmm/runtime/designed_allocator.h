@@ -190,7 +190,8 @@ class DesignedAllocator {
   /// thread caches: the core routes them to dedicated chunks that should
   /// flow back to the arena, not sit in a cache.
   std::size_t cache_block_limit_;
-  /// The arena's slab, and the block table: one word per 8 bytes of it.
+  /// The arena's slab (empty, failing every malloc, without a table), and
+  /// the block table: one word per 8 bytes of it.
   std::span<const std::byte> slab_;
   sysmem::Reservation table_;
   /// Counters of the cache-off path plus those folded in from exited

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -353,6 +355,54 @@ TEST(DesignedAllocator, AllocatorDestroyedWhileAThreadHasPendingEvictions) {
   cv.notify_all();
   t.join();
   EXPECT_EQ(shells_after, 1u);
+}
+
+TEST(DesignedAllocator, AllocatorDestroyedWhileItsThreadAllocatesElsewhere) {
+  // The thread keeps a shell of each allocator it used, in first-use
+  // order.  While the main thread destroys one, the thread's lookups on an
+  // allocator it used later walk past that shell, find it orphaned and
+  // delete it: the delete must not overlap the destructor's last touch.
+  constexpr int kRounds = 200;
+  std::atomic<DesignedAllocator*> next{nullptr};
+  std::atomic<int> used{0};
+  std::atomic<int> destroyed{0};
+  std::size_t worst = 0;
+  std::thread t([&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      DesignedAllocator* a = nullptr;
+      while ((a = next.exchange(nullptr)) == nullptr) std::this_thread::yield();
+      a->free(a->malloc(64));
+      DesignedAllocator elsewhere(alloc::drr_paper_config());
+      elsewhere.free(elsewhere.malloc(64));
+      used.store(round);
+      while (destroyed.load() < round) elsewhere.free(elsewhere.malloc(64));
+      elsewhere.free(elsewhere.malloc(64));
+      worst = std::max(worst, DesignedAllocator::thread_cache_shells());
+    }
+  });
+  for (int round = 1; round <= kRounds; ++round) {
+    auto a = std::make_unique<DesignedAllocator>(alloc::drr_paper_config());
+    next.store(a.get());
+    while (used.load() < round) std::this_thread::yield();
+    a.reset();
+    destroyed.store(round);
+  }
+  t.join();
+  EXPECT_EQ(worst, 1u) << "only the live allocator's shell is left";
+}
+
+TEST(DesignedAllocator, HugeBinEntryCapLeavesTheByteBudgetInCharge) {
+  // Bins are sized by the tighter of the entry cap and the byte budget, so
+  // an entry cap too large to reserve does not make free() throw.
+  RuntimeOptions opts;
+  opts.thread_cache_bin_entries = std::numeric_limits<std::size_t>::max() / 2;
+  DesignedAllocator a(alloc::drr_paper_config(), opts);
+  std::vector<void*> blocks;
+  for (int i = 0; i < 64; ++i) blocks.push_back(a.malloc(64));
+  for (void* p : blocks) a.free(p);
+  void* p = a.malloc(64);
+  EXPECT_EQ(p, blocks.back()) << "the cache serves its newest block";
+  a.free(p);
 }
 
 TEST(DesignedAllocator, OrphanedCacheShellsArePrunedOnLookup) {

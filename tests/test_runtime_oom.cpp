@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +17,11 @@
 #include "dmm/alloc/config.h"
 #include "dmm/runtime/designed_allocator.h"
 #include "dmm/runtime/oom.h"
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 namespace dmm::runtime {
 namespace {
@@ -144,6 +151,33 @@ TEST(RuntimeOomDeathTest, ReallocOfACachedBlockAborts) {
   EXPECT_DEATH({ (void)a.realloc(p, 256); },
                "realloc of a pointer this allocator does not own");
 }
+
+#if defined(__linux__)
+TEST(RuntimeOomDeathTest, FrontWithoutRoomForItsBlockTableFailsEveryMalloc) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  rlimit as{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &as), 0);
+  if (as.rlim_max != RLIM_INFINITY) GTEST_SKIP() << "address space capped";
+  // In a child: room for the arena's slab but not for the table beside
+  // it.  The front must come up and refuse memory through its policy.
+  const auto refuses_every_malloc = [] {
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t room = static_cast<rlim_t>(pages) * sysconf(_SC_PAGESIZE) +
+                        sysmem::SystemArena::kSlabBytes + (rlim_t{256} << 20);
+    const rlimit capped{room, RLIM_INFINITY};
+    if (setrlimit(RLIMIT_AS, &capped) != 0) std::_Exit(2);
+    RuntimeOptions opts;
+    opts.oom_policy = OomPolicy::kNull;
+    DesignedAllocator a(alloc::drr_paper_config(), opts);
+    const bool refused = a.malloc(64) == nullptr &&
+                         a.malloc(std::size_t{1} << 20) == nullptr &&
+                         a.telemetry().oom_returned_null == 2;
+    std::_Exit(refused ? 0 : 1);
+  };
+  EXPECT_EXIT(refuses_every_malloc(), ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 TEST(RuntimeOom, UsableSizeIsZeroForInteriorAndCachedBlocks) {
   DesignedAllocator a(alloc::drr_paper_config());  // caches on
