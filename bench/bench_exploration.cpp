@@ -3,11 +3,9 @@
 //   1. the greedy ordered traversal vs exhaustive ground truth on the
 //      high-impact subspace, and vs random sampling at equal budget;
 //   2. the published traversal order vs alternatives, per case study.
-// Also reports the search cost (trace replays) of each strategy, the
+// Also reports the search cost (trace replays) of each strategy and the
 // cross-search savings of running every strategy against one
-// SharedScoreCache, and the replay reduction of enumerating the canonical
-// quotient space in the exhaustive search.  Emits BENCH_cache.json for the perf
-// trajectory.
+// SharedScoreCache.  Emits BENCH_cache.json for the perf trajectory.
 //
 // Optional argv[1]: cap on trace events (0 = full trace).  Full case-study
 // traces replay for minutes per search on a 1-core box; ~6000 keeps a CI
@@ -89,7 +87,6 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"workloads\": [");
 
   bool first_workload = true;
-  bool all_prunes_kept_best = true;
   for (const workloads::Workload& w : workloads::case_studies()) {
     core::AllocTrace trace = workloads::record_trace(w, 1);
     trace.truncate(max_events);
@@ -162,39 +159,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(truth.best_sim.peak_footprint));
     std::printf("winning vector: %s\n", alloc::signature(greedy.best).c_str());
 
-    // Canonical-quotient ablation: enumerate the operational space (hard
-    // rules only) of the alias-rich A5/E2/D2 trees with caches off, so
-    // `simulations` counts every replay of the seed-style enumeration
-    // honestly, then again with the canonical-seen prune.
-    core::ExhaustiveSearch alias_space({TreeId::kA5, TreeId::kE2, TreeId::kD2});
-    core::ExplorerOptions raw_opts;
-    raw_opts.prune_soft = false;
-    raw_opts.cache = false;
-    raw_opts.canonical_prune = false;
-    const core::ExplorationResult raw =
-        core::run_search(trace, alias_space, raw_opts);
-    core::ExplorerOptions quotient_opts = raw_opts;
-    quotient_opts.canonical_prune = true;
-    const core::ExplorationResult quotient =
-        core::run_search(trace, alias_space, quotient_opts);
-    const bool same_best = raw.best == quotient.best &&
-                           raw.best_sim.peak_footprint ==
-                               quotient.best_sim.peak_footprint;
-    all_prunes_kept_best = all_prunes_kept_best && same_best;
-    const double saved_pct =
-        raw.simulations == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(raw.simulations - quotient.simulations) /
-                  static_cast<double>(raw.simulations);
-    std::printf(
-        "canonical quotient (A5xE2xD2, operational space): %llu -> %llu "
-        "replays (%.0f%% saved, %llu skips), same best: %s\n",
-        static_cast<unsigned long long>(raw.simulations),
-        static_cast<unsigned long long>(quotient.simulations), saved_pct,
-        static_cast<unsigned long long>(quotient.canonical_skips),
-        same_best ? "yes" : "NO — quotient bug");
-
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
                  first_workload ? "" : ",", w.name.c_str());
     std::fprintf(json, "      \"events\": %zu,\n", trace.size());
@@ -213,7 +177,7 @@ int main(int argc, char** argv) {
                  "\"hit_rate_pct\": %.2f, \"cross_search_hits\": %llu, "
                  "\"persisted_hits\": %llu, \"persisted_entries\": %llu, "
                  "\"warm_hit_rate_pct\": %.2f, "
-                 "\"simulations_saved\": %llu},\n",
+                 "\"simulations_saved\": %llu}\n    }",
                  static_cast<unsigned long long>(stats.entries),
                  static_cast<unsigned long long>(stats.hits), hit_rate,
                  static_cast<unsigned long long>(stats.cross_search_hits),
@@ -224,20 +188,11 @@ int main(int argc, char** argv) {
                                   static_cast<double>(stats.persisted_hits) /
                                   static_cast<double>(evals),
                  static_cast<unsigned long long>(stats.hits));
-    std::fprintf(json,
-                 "      \"canonical_prune\": {\"raw_replays\": %llu, "
-                 "\"quotient_replays\": %llu, \"skips\": %llu, "
-                 "\"replays_saved_pct\": %.2f, \"same_best\": %s}\n    }",
-                 static_cast<unsigned long long>(raw.simulations),
-                 static_cast<unsigned long long>(quotient.simulations),
-                 static_cast<unsigned long long>(quotient.canonical_skips),
-                 saved_pct, same_best ? "true" : "false");
     first_workload = false;
   }
 
-  std::fprintf(json, "\n  ],\n  \"canonical_prune_kept_best\": %s\n}\n",
-               all_prunes_kept_best ? "true" : "false");
+  std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", args.out.c_str());
-  return all_prunes_kept_best ? 0 : 1;
+  return 0;
 }

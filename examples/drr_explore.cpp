@@ -53,17 +53,6 @@
 
 namespace {
 
-/// A random:N search whose draw cap ran out says how short it fell.
-void report_draw_cap(const dmm::core::ExplorationResult& r,
-                     const dmm::core::SearchSpec& spec) {
-  if (!r.draws_capped) return;
-  std::printf("random search stopped at %llu of %zu evaluations: its draw "
-              "cap (%zu draws) ran out of rule-valid vectors\n",
-              static_cast<unsigned long long>(r.simulations + r.cache_hits),
-              spec.eval_budget(),
-              dmm::core::RandomSearch::draw_cap(spec.eval_budget()));
-}
-
 int usage(const char* prog, const dmm::api::RequestCli& cli) {
   std::fprintf(stderr,
                "usage: %s %s [--sample N] [--export-config FILE]\n"
@@ -222,7 +211,6 @@ int main(int argc, char** argv) {
                 "each\n",
                 static_cast<unsigned long long>(result.simulations),
                 static_cast<unsigned long long>(sample.trace.size()));
-    report_draw_cap(result, opts.search);
     std::printf("\nsampled decision vector:\n%s\n",
                 alloc::describe(result.best).c_str());
 
@@ -297,7 +285,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.persisted_hits),
               cache_file.empty() ? "(no cache file)" : cache_file.c_str(),
               engine->name().c_str());
-  report_draw_cap(result, opts.search);
   std::printf("\nfinal decision vector:\n%s\n",
               alloc::describe(result.best).c_str());
 

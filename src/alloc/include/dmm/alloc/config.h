@@ -203,9 +203,10 @@ struct DmmConfig {
 ///
 /// All other leaves are preserved — they are the design vector's identity.
 /// The score caches key on this form: it is what makes the greedy walk's
-/// repaired completions collide into cache hits, and what lets the
-/// exhaustive search enumerate the canonical quotient space instead of
-/// the raw cartesian product.
+/// repaired completions collide into cache hits.  Every coherent vector
+/// (core::coherent_space) is a fixed point, and no two share a form, so
+/// the searches, which score coherent vectors only, need no duplicate
+/// filter of their own.
 [[nodiscard]] DmmConfig canonical(const DmmConfig& cfg);
 
 /// FNV-1a over every field of the vector; agrees with operator==.

@@ -8,22 +8,12 @@ namespace dmm::core {
 using alloc::DmmConfig;
 
 bool Constraints::admissible(DmmConfig cfg, const DecidedMask& decided,
-                             TreeId tree, int leaf, bool prune_soft) {
+                             TreeId tree, int leaf) {
   set_leaf(cfg, tree, leaf);
   DecidedMask after = decided;
   after[static_cast<std::size_t>(tree)] = true;
   // Rules whose trees are all decided can veto the leaf outright.
-  for (const alloc::RuleViolation& v : alloc::check_rules(cfg)) {
-    if (!v.hard && !prune_soft) continue;
-    bool all_scoped = true;
-    for (TreeId t : trees_in_tag(v.trees)) {
-      if (!after[static_cast<std::size_t>(t)]) {
-        all_scoped = false;
-        break;
-      }
-    }
-    if (all_scoped) return false;
-  }
+  if (scoped_violation(cfg, after)) return false;
   // Rules reaching into undecided trees must have a fixing completion;
   // repair() searches for one, so an unrepairable leaf is a dead end.
   const DmmConfig completed = repair(cfg, after);

@@ -216,6 +216,58 @@ std::vector<TreeId> trees_in_tag(const std::string& tag) {
   return out;
 }
 
+bool scoped_violation(const DmmConfig& cfg, const DecidedMask& assigned) {
+  for (const alloc::RuleViolation& v : alloc::check_rules(cfg)) {
+    bool all_assigned = true;
+    for (TreeId t : trees_in_tag(v.trees)) {
+      if (!assigned[static_cast<std::size_t>(t)]) {
+        all_assigned = false;
+        break;
+      }
+    }
+    if (all_assigned) return true;
+  }
+  return false;
+}
+
+namespace {
+
+/// Depth-first completion of @p cfg from tree @p tree on, appending every
+/// coherent completion to @p out.  Trees not yet assigned hold leaf 0, and
+/// a tree goes back to it when the walk backs out: the A2->D1 and A2->E1
+/// rules also read D2 and E2, which their tags do not name, and leaf 0 of
+/// those is `never`, under which neither rule fires.
+void extend(DmmConfig& cfg, DecidedMask& assigned, int tree,
+            std::vector<DmmConfig>& out) {
+  if (tree == kTreeCount) {
+    out.push_back(cfg);
+    return;
+  }
+  const auto slot = static_cast<std::size_t>(tree);
+  const auto id = static_cast<TreeId>(tree);
+  assigned[slot] = true;
+  for (int leaf = 0; leaf < kLeafCounts[tree]; ++leaf) {
+    set_leaf(cfg, id, leaf);
+    if (!scoped_violation(cfg, assigned)) extend(cfg, assigned, tree + 1, out);
+  }
+  set_leaf(cfg, id, 0);
+  assigned[slot] = false;
+}
+
+}  // namespace
+
+const std::vector<DmmConfig>& coherent_space() {
+  static const std::vector<DmmConfig> kSpace = [] {
+    std::vector<DmmConfig> out;
+    DmmConfig cfg;
+    for (TreeId t : all_trees()) set_leaf(cfg, t, 0);
+    DecidedMask assigned{};
+    extend(cfg, assigned, 0, out);
+    return out;
+  }();
+  return kSpace;
+}
+
 std::uint64_t raw_space_size() {
   std::uint64_t n = 1;
   for (int c : kLeafCounts) n *= static_cast<std::uint64_t>(c);

@@ -1,7 +1,6 @@
 #ifndef DMM_CORE_CONSTRAINTS_H
 #define DMM_CORE_CONSTRAINTS_H
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -11,9 +10,6 @@
 
 namespace dmm::core {
 
-/// Which trees have been decided so far during an ordered traversal.
-using DecidedMask = std::array<bool, kTreeCount>;
-
 /// Interdependency engine over partial decision vectors (paper Sec. 3.2 /
 /// Fig. 2): rules are *scoped* to the trees they involve, so during an
 /// ordered traversal only rules whose trees are all decided can prune —
@@ -22,13 +18,12 @@ using DecidedMask = std::array<bool, kTreeCount>;
 class Constraints {
  public:
   /// True iff choosing @p leaf for @p tree is compatible with the already
-  /// decided trees in @p cfg: no violated rule whose involved trees are
-  /// all within decided + {tree}.  @p prune_soft also rejects incoherent
-  /// (shadowed-decision) combinations, not just inoperable ones.
+  /// decided trees in @p cfg: no violated rule, hard or soft, whose
+  /// involved trees are all within decided + {tree} (scoped_violation),
+  /// and a completion that runs exists.
   [[nodiscard]] static bool admissible(alloc::DmmConfig cfg,
                                        const DecidedMask& decided,
-                                       TreeId tree, int leaf,
-                                       bool prune_soft = true);
+                                       TreeId tree, int leaf);
 
   /// Completes a partial vector into a runnable one by nudging *undecided*
   /// trees until no violated rule involves an undecided tree.  Decided

@@ -1,6 +1,7 @@
 #ifndef DMM_CORE_DESIGN_SPACE_H
 #define DMM_CORE_DESIGN_SPACE_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -67,6 +68,25 @@ void set_leaf(alloc::DmmConfig& cfg, TreeId t, int leaf);
 
 /// Trees named in an interdependency tag like "A3/A4->D2".
 [[nodiscard]] std::vector<TreeId> trees_in_tag(const std::string& tag);
+
+/// Which trees a partial decision vector has assigned so far (during an
+/// ordered traversal: decided).
+using DecidedMask = std::array<bool, kTreeCount>;
+
+/// True iff @p cfg violates a rule (hard or soft) whose trees are all
+/// marked in @p assigned.  Rules are *scoped* to the trees their tag
+/// names, so only such a rule can veto a partial vector: its verdict no
+/// longer depends on the trees still open.
+[[nodiscard]] bool scoped_violation(const alloc::DmmConfig& cfg,
+                                    const DecidedMask& assigned);
+
+/// The coherent design space: every decision vector (on DmmConfig{}'s
+/// numeric knobs) that violates no rule, each one atomic DM manager of
+/// Sec. 3.1 — 38,328 of raw_space_size()'s vectors.  Built once per
+/// process on first use by backtracking over the trees in index order,
+/// abandoning a partial vector at its first scoped_violation(); ordered
+/// lexicographically with A1 most significant.
+[[nodiscard]] const std::vector<alloc::DmmConfig>& coherent_space();
 
 /// Size of the raw cartesian space (product of leaf counts).
 [[nodiscard]] std::uint64_t raw_space_size();

@@ -40,7 +40,7 @@ struct DesignOptions {
   /// walk never visited.
   bool validate = false;
   /// Subspace the validator, or an exhaustive strategy/child, enumerates
-  /// (canonical quotient).
+  /// (its coherent positions).
   std::vector<TreeId> validation_trees = high_impact_trees();
   /// Persist the run's shared score cache across processes.  When
   /// non-empty (and explorer_options.cache is on), DesignRun::complete()

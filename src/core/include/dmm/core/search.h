@@ -7,7 +7,6 @@
 #include <random>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,11 +26,13 @@ namespace dmm::core {
 // sampling, annealing) in one entry point, step(); the SearchContext it
 // runs against owns everything the strategies share — job streaming into
 // the EvalEngine, candidate_better-based best tracking, the
-// per-search/shared/persisted cache accounting, the canonical seen-set, and
-// ExplorationResult assembly — so a new searcher is ~100 lines of "propose
-// vectors, offer outcomes", not a fork of the search loop.  run_search()
-// runs one strategy over one trace; core::DesignRun sequences them for a
-// whole design.
+// per-search/shared/persisted cache accounting, and ExplorationResult
+// assembly — so a new searcher is ~100 lines of "propose vectors, offer
+// outcomes", not a fork of the search loop.  Every full vector a strategy
+// scores is coherent (alloc::is_valid, the space coherent_space() lists),
+// and no two coherent vectors share a canonical form, so no strategy needs
+// a duplicate filter.  run_search() runs one strategy over one trace;
+// core::DesignRun sequences them for a whole design.
 // ===========================================================================
 
 /// Parsed strategy selection, the CLI's `--search` value (grammar in
@@ -64,9 +65,6 @@ struct ExplorerOptions {
   /// bench models that explicitly (alloc::minimal_config() defaults +
   /// fig4_wrong_order()) rather than through these defaults.
   alloc::DmmConfig defaults{};
-  /// Reject incoherent (soft-violating) combinations, not just inoperable
-  /// ones.
-  bool prune_soft = true;
   /// Secondary objective weight: score = peak + time_weight * work_steps.
   /// 0 keeps the paper's pure-footprint objective (work only tie-breaks).
   double time_weight = 0.0;
@@ -88,11 +86,6 @@ struct ExplorerOptions {
   /// Persisting it across processes is the caller's business
   /// (SharedScoreCache::load / save, or DesignOptions::cache_file).
   std::shared_ptr<SharedScoreCache> shared_cache;
-  /// ExhaustiveSearch: enumerate the canonical quotient space — skip any
-  /// odometer vector whose repaired canonical form was already enumerated
-  /// this run, so the cartesian product collapses to behaviourally
-  /// distinct managers and max_evals buys real coverage.
-  bool canonical_prune = true;
   /// The strategy a design run executes per search (make_strategy); the
   /// CLIs' `--search` flag lands here.  run_search() ignores it and runs
   /// the strategy it is handed.
@@ -140,20 +133,11 @@ struct ExplorationResult {
   /// not member touches, and disjoint from cache_hits, which stays in
   /// per-member units.  Always 0 in single-trace mode.
   std::uint64_t family_hits = 0;
-  /// Vectors skipped as canonical duplicates of an already-seen one:
-  /// ExhaustiveSearch under canonical_prune, and annealing proposals that
-  /// mutated a dead leaf (a no-op in the canonical quotient).  Skips are
-  /// never charged to the evaluation budget.
-  std::uint64_t canonical_skips = 0;
   /// Evaluations (replays + cache hits) charged up to and including the
   /// batch in which the winning vector was recorded — the benches'
   /// "evals-to-best".  Streaming searches improve mid-run; ordered walks
   /// commit their completion only at the end, so theirs equals the total.
   std::uint64_t evals_to_best = 0;
-  /// RandomSearch only: true iff its draw cap (RandomSearch::draw_cap)
-  /// ran out before `samples` rule-valid vectors were drawn, so the search
-  /// made fewer evaluations than its spec asked for.
-  bool draws_capped = false;
 };
 
 /// Lexicographic candidate comparison shared by every search mode: primary
@@ -205,8 +189,6 @@ struct BestTracker {
 ///     simulations vs cache_hits; evaluate() is submit-each + drain().
 ///   * offer_best() — candidate_better-based incumbent tracking,
 ///     recording best/best_sim/work_steps/evals_to_best.
-///   * canonical_duplicate() — the canonical seen-set behind the quotient
-///     prunes, counting canonical_skips.
 ///   * hint() — speculation: jobs the strategy expects to submit later,
 ///     replayed by idle engine workers and adopted at submit (see
 ///     EvalEngine::hint); never part of any accounting.
@@ -291,10 +273,6 @@ class SearchContext {
   /// true iff it displaced the best, which records cfg/sim/work.
   bool offer_best(const alloc::DmmConfig& cfg, const EvalOutcome& out);
 
-  /// True (and counts a canonical_skip) iff @p cfg's canonical form was
-  /// already recorded this search; records it otherwise.
-  bool canonical_duplicate(const alloc::DmmConfig& cfg);
-
   /// The in-progress result — strategies append step logs here.
   [[nodiscard]] ExplorationResult& result() { return result_; }
 
@@ -347,7 +325,6 @@ class SearchContext {
   bool stream_open_ = false;
   /// Family-mode streaming: jobs buffered between submit() and drain().
   std::vector<EvalJob> stream_pending_;
-  std::unordered_set<alloc::DmmConfig, alloc::DmmConfigHash> canonical_seen_;
 };
 
 /// A search algorithm over the decision space: proposes candidate vectors
@@ -396,8 +373,9 @@ class BeamSearch final : public SearchStrategy {
 };
 
 /// Exhaustive odometer over the given trees' cartesian product (other
-/// trees repaired from defaults), enumerating the canonical quotient when
-/// ExplorerOptions::canonical_prune is on.  Stops after @p max_evals
+/// trees repaired from defaults), scoring the positions whose repaired
+/// vector is coherent.  repair() never touches the enumerated trees, so
+/// two positions never score the same manager.  Stops after @p max_evals
 /// evaluations (replays + cache hits).
 class ExhaustiveSearch final : public SearchStrategy {
  public:
@@ -414,17 +392,15 @@ class ExhaustiveSearch final : public SearchStrategy {
   std::vector<int> leaf_;
 };
 
-/// Uniform random sampling of full decision vectors, with replacement
-/// (invalid draws are rejected without charge; duplicate draws are charged
-/// and served by the score cache).
+/// Uniform random sampling of coherent vectors, with replacement: each
+/// draw is an index into coherent_space(), whose 15 leaves are copied onto
+/// ExplorerOptions::defaults.  Every draw is scored, so a search of
+/// @p samples makes exactly that many evaluations (duplicate draws are
+/// charged and served by the score cache).
 class RandomSearch final : public SearchStrategy {
  public:
   RandomSearch(std::size_t samples, unsigned seed);
   [[nodiscard]] std::string name() const override { return "random"; }
-  /// Draws (valid or not) a search of @p samples makes at most.
-  [[nodiscard]] static std::size_t draw_cap(std::size_t samples) {
-    return samples * 500 + 1000;
-  }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
  private:
@@ -432,29 +408,28 @@ class RandomSearch final : public SearchStrategy {
   unsigned seed_;
   // step() state: the draw stream position.
   std::mt19937 rng_;
-  std::size_t attempts_ = 0;
 };
 
-/// Seeded, deterministic simulated annealing over the canonical quotient.
+/// Seeded, deterministic simulated annealing over the coherent space.
 ///
 /// State is a full *canonical* decision vector.  A move mutates one tree
 /// to a different leaf, minimally repairs the trees a violated rule drags
 /// along (Constraints::repair with only the mutated tree decided — the
 /// "decide A5, schedules follow" coupling that makes single-leaf moves
-/// able to cross mechanism boundaries at all), canonicalizes, and skips
-/// canonical no-ops (dead-leaf mutations) unscored.  Energy is the shared
-/// candidate objective, with infeasible vectors ranked beyond any feasible
-/// one by failed-alloc count.  Cooling is geometric: the temperature
-/// starts at 0.10 x max(1, start energy) and is multiplied by 0.95 after
-/// every 8 evaluated proposals.  Uphill moves are accepted iff
-/// u < exp(-delta/T) with u drawn from the seeded mt19937 (consumed only
-/// on uphill proposals), so a fixed seed fixes the whole trajectory on
-/// every platform.
+/// able to cross mechanism boundaries at all), draws again when the result
+/// is not coherent, and canonicalizes the numeric knobs outside the trees.
+/// repair() keeps the mutated leaf, so a proposal never equals the state.
+/// Energy is the shared candidate objective, with infeasible vectors
+/// ranked beyond any feasible one by failed-alloc count.  Cooling is
+/// geometric: the temperature starts at 0.10 x max(1, start energy) and is
+/// multiplied by 0.95 after every 8 evaluated proposals.  Uphill moves are
+/// accepted iff u < exp(-delta/T) with u drawn from the seeded mt19937
+/// (consumed only on uphill proposals), so a fixed seed fixes the whole
+/// trajectory on every platform.
 class AnnealingSearch final : public SearchStrategy {
  public:
   /// @p max_evals is the evaluation budget (replays + cache hits);
-  /// proposals rejected before scoring (rule-invalid or canonical no-ops)
-  /// are not charged.
+  /// proposals rejected before scoring (not coherent) are not charged.
   AnnealingSearch(std::size_t max_evals, unsigned seed);
   [[nodiscard]] std::string name() const override { return "anneal"; }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;

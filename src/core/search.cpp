@@ -20,29 +20,21 @@ namespace {
 /// with it.
 constexpr std::size_t kStreamBatch = 64;
 
-/// Unbiased draw in [0, n) by rejection.  `rng() % n` over-samples low
-/// leaves (2^32 is not a multiple of most leaf counts), and
+/// Unbiased draw in [0, n) by rejection, for 0 < n < 2^32.  `rng() % n`
+/// over-samples low values (2^32 is not a multiple of most n), and
 /// std::uniform_int_distribution's algorithm is implementation-defined —
 /// the same seed would sample different vectors on different standard
 /// libraries.  This is both unbiased and reproducible everywhere.
-int uniform_leaf(std::mt19937& rng, int n) {
-  const std::uint32_t bound = static_cast<std::uint32_t>(n);
+std::size_t uniform_below(std::mt19937& rng, std::size_t n) {
+  const auto bound = static_cast<std::uint32_t>(n);
   const std::uint32_t residue = (0u - bound) % bound;  // 2^32 mod bound
   for (;;) {
     const std::uint32_t v = rng();
     // Accept below the largest multiple of bound (2^32 - residue).
     if (residue == 0 || v < 0u - residue) {
-      return static_cast<int>(v % bound);
+      return v % bound;
     }
   }
-}
-
-/// True iff @p cfg passes the rule set at the search's pruning level.
-bool passes_rules(const ExplorerOptions& opts, const DmmConfig& cfg) {
-  for (const alloc::RuleViolation& v : alloc::check_rules(cfg)) {
-    if (v.hard || opts.prune_soft) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -253,12 +245,6 @@ bool SearchContext::offer_best(const DmmConfig& cfg, const EvalOutcome& out) {
   return true;
 }
 
-bool SearchContext::canonical_duplicate(const DmmConfig& cfg) {
-  if (canonical_seen_.insert(alloc::canonical(cfg)).second) return false;
-  ++result_.canonical_skips;
-  return true;
-}
-
 ExplorationResult SearchContext::finish() {
   engine_.settle_hints();
   result_.feasible = tracker_.feasible();
@@ -291,17 +277,16 @@ namespace {
 /// workers take them in.
 void hint_lookahead(SearchContext& ctx, const std::vector<TreeId>& order,
                     std::size_t step, DmmConfig cfg, DecidedMask decided) {
-  const bool prune_soft = ctx.options().prune_soft;
   for (std::size_t k = step; k < order.size(); ++k) {
     const TreeId tree = order[k];
     const int incumbent = get_leaf(Constraints::repair(cfg, decided), tree);
-    if (!Constraints::admissible(cfg, decided, tree, incumbent, prune_soft)) {
+    if (!Constraints::admissible(cfg, decided, tree, incumbent)) {
       return;  // the prediction cannot hold from here on
     }
     if (k > step) {
       for (int leaf = 0; leaf < leaf_count(tree); ++leaf) {
         if (leaf == incumbent ||
-            !Constraints::admissible(cfg, decided, tree, leaf, prune_soft)) {
+            !Constraints::admissible(cfg, decided, tree, leaf)) {
           continue;
         }
         DmmConfig probe = cfg;
@@ -358,8 +343,8 @@ bool BeamSearch::step(SearchContext& ctx, std::size_t /*eval_budget*/) {
       for (int leaf = 0; leaf < leaf_count(tree); ++leaf) {
         CandidateScore cand;
         cand.leaf = leaf;
-        cand.admissible = Constraints::admissible(beams[b].cfg, decided, tree,
-                                                  leaf, opts.prune_soft);
+        cand.admissible =
+            Constraints::admissible(beams[b].cfg, decided, tree, leaf);
         if (cand.admissible) {
           DmmConfig child = beams[b].cfg;
           set_leaf(child, tree, leaf);
@@ -464,7 +449,7 @@ bool BeamSearch::step(SearchContext& ctx, std::size_t /*eval_budget*/) {
 }
 
 // ---------------------------------------------------------------------------
-// ExhaustiveSearch — canonical-quotient odometer
+// ExhaustiveSearch — odometer over a tree subspace
 // ---------------------------------------------------------------------------
 
 ExhaustiveSearch::ExhaustiveSearch(std::vector<TreeId> trees,
@@ -485,9 +470,9 @@ bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       std::min<std::uint64_t>(eval_budget, max_evals_ - ctx.evaluations());
   std::uint64_t stepped = 0;
   while (!done_ && stepped < budget) {
-    // Collect the next window of valid vectors, then score it as one batch.
+    // Collect the next window of coherent vectors, then score it as one
+    // batch.
     std::vector<EvalJob> jobs;
-    std::vector<DmmConfig> cfgs;
     while (!done_ && jobs.size() < kStreamBatch &&
            stepped + jobs.size() < budget) {
       DmmConfig cfg = opts.defaults;
@@ -495,17 +480,7 @@ bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
         set_leaf(cfg, trees_[i], leaf_[i]);
       }
       cfg = Constraints::repair(cfg, decided);
-      // Canonical quotient of the cartesian product: a vector whose
-      // repaired canonical form was already enumerated builds a
-      // behaviourally identical manager, so it is skipped before a job is
-      // built and never charged to the evaluation budget.
-      const bool valid =
-          passes_rules(opts, cfg) &&
-          !(opts.canonical_prune && ctx.canonical_duplicate(cfg));
-      if (valid) {
-        jobs.push_back({cfg, jobs.size()});
-        cfgs.push_back(cfg);
-      }
+      if (alloc::is_valid(cfg)) jobs.push_back({cfg, jobs.size()});
       // odometer increment
       std::size_t pos = 0;
       for (;;) {
@@ -520,14 +495,14 @@ bool ExhaustiveSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     }
     stepped += jobs.size();
     for (const EvalOutcome& out : ctx.evaluate(jobs)) {
-      (void)ctx.offer_best(cfgs[out.tag], out);
+      (void)ctx.offer_best(jobs[out.tag].cfg, out);
     }
   }
   return !done_ && ctx.evaluations() < max_evals_;
 }
 
 // ---------------------------------------------------------------------------
-// RandomSearch — uniform full-vector sampling
+// RandomSearch — uniform sampling of the coherent space
 // ---------------------------------------------------------------------------
 
 RandomSearch::RandomSearch(std::size_t samples, unsigned seed)
@@ -535,45 +510,31 @@ RandomSearch::RandomSearch(std::size_t samples, unsigned seed)
 
 bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
   const ExplorerOptions& opts = ctx.options();
-  if (ctx.first_step()) {
-    rng_.seed(seed_);
-    attempts_ = 0;
-  }
+  if (ctx.first_step()) rng_.seed(seed_);
+  const std::vector<DmmConfig>& space = coherent_space();
   // Budget = number of *evaluations* (replays + cache hits), matching the
-  // ordered traversal's accounting; invalid draws are rejected without
-  // charge (bounded).
-  const std::size_t max_attempts = draw_cap(samples_);
+  // ordered traversal's accounting; every draw is coherent and charged.
   const std::uint64_t budget =
       std::min<std::uint64_t>(eval_budget, samples_ - ctx.evaluations());
   std::uint64_t stepped = 0;
-  while (attempts_ < max_attempts && stepped < budget) {
+  while (stepped < budget) {
     std::vector<EvalJob> jobs;
-    std::vector<DmmConfig> cfgs;
-    while (attempts_ < max_attempts && stepped + jobs.size() < budget &&
-           jobs.size() < kStreamBatch) {
-      ++attempts_;
+    while (stepped + jobs.size() < budget && jobs.size() < kStreamBatch) {
+      const DmmConfig& drawn = space[uniform_below(rng_, space.size())];
       DmmConfig cfg = opts.defaults;
-      for (TreeId t : all_trees()) {
-        set_leaf(cfg, t, uniform_leaf(rng_, leaf_count(t)));
-      }
-      if (!passes_rules(opts, cfg)) continue;
+      for (TreeId t : all_trees()) set_leaf(cfg, t, get_leaf(drawn, t));
       jobs.push_back({cfg, jobs.size()});
-      cfgs.push_back(cfg);
     }
     stepped += jobs.size();
     for (const EvalOutcome& out : ctx.evaluate(jobs)) {
-      (void)ctx.offer_best(cfgs[out.tag], out);
+      (void)ctx.offer_best(jobs[out.tag].cfg, out);
     }
   }
-  const bool short_of_samples = ctx.evaluations() < samples_;
-  if (attempts_ >= max_attempts && short_of_samples) {
-    ctx.result().draws_capped = true;
-  }
-  return attempts_ < max_attempts && short_of_samples;
+  return ctx.evaluations() < samples_;
 }
 
 // ---------------------------------------------------------------------------
-// AnnealingSearch — deterministic SA over the canonical quotient
+// AnnealingSearch — deterministic SA over the coherent space
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -608,7 +569,7 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     since_cool_ = 0;
 
     // Start state: the repaired defaults — with nothing decided, repair()
-    // completes them into a valid vector — mapped into the quotient.
+    // completes them into a valid vector — canonicalized.
     const DecidedMask none{};
     state_ = alloc::canonical(Constraints::repair(opts.defaults, none));
     const std::vector<EvalOutcome> out = ctx.evaluate({{state_, 0}});
@@ -623,28 +584,23 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     // Propose: mutate one tree to a different leaf, let repair() nudge
     // only the trees a violated rule drags along (the mutated tree alone
     // counts as decided, so e.g. flipping A5 pulls its schedules with it
-    // instead of dying on the A5<->E2/D2 coherence rules), then map into
-    // the quotient.  Dead-leaf mutations are canonical no-ops: skipped
-    // unscored, reported as canonical_skips.
+    // instead of dying on the A5<->E2/D2 coherence rules), then
+    // canonicalize the numeric knobs.  repair() keeps the mutated leaf, so
+    // a coherent proposal always differs from the state.
     DmmConfig next{};
     bool found = false;
     for (int attempt = 0; attempt < 256 && !found; ++attempt) {
       DmmConfig probe = state_;
-      const TreeId tree = all_trees()[static_cast<std::size_t>(
-          uniform_leaf(rng_, kTreeCount))];
-      const int n = leaf_count(tree);
-      const int cur = get_leaf(probe, tree);
-      set_leaf(probe, tree, (cur + 1 + uniform_leaf(rng_, n - 1)) % n);
+      const TreeId tree = all_trees()[uniform_below(rng_, kTreeCount)];
+      const auto n = static_cast<std::size_t>(leaf_count(tree));
+      const auto cur = static_cast<std::size_t>(get_leaf(probe, tree));
+      set_leaf(probe, tree,
+               static_cast<int>((cur + 1 + uniform_below(rng_, n - 1)) % n));
       DecidedMask mutated{};
       mutated[static_cast<std::size_t>(tree)] = true;
       probe = Constraints::repair(probe, mutated);
-      if (!passes_rules(opts, probe)) continue;
-      probe = alloc::canonical(probe);
-      if (probe == state_) {
-        ++ctx.result().canonical_skips;
-        continue;
-      }
-      next = probe;
+      if (!alloc::is_valid(probe)) continue;
+      next = alloc::canonical(probe);
       found = true;
     }
     if (!found) {

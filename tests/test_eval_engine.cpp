@@ -39,7 +39,6 @@ void expect_identical(const ExplorationResult& a, const ExplorationResult& b,
   EXPECT_EQ(a.simulations, b.simulations) << what;
   EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
   EXPECT_EQ(a.cross_search_hits, b.cross_search_hits) << what;
-  EXPECT_EQ(a.canonical_skips, b.canonical_skips) << what;
   ASSERT_EQ(a.steps.size(), b.steps.size()) << what;
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
     EXPECT_EQ(a.steps[i].tree, b.steps[i].tree) << what << " step " << i;

@@ -10,8 +10,8 @@
 //  * AnnealingSearch is deterministic for a fixed seed,
 //  * a finished streaming strategy runs its search again from the start,
 //    and a search dealt in slices resumes where it stopped,
-//  * random search's opt-in canonical prune skips duplicate draws without
-//    charging them,
+//  * random:N draws from the coherent space and makes exactly N
+//    evaluations,
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
 //    the manager provably never reads it, B2 must stay distinct because
 //    the linked-list pool lookup charges work the array lookup does not,
@@ -105,7 +105,6 @@ void expect_identical_with_accounting(const ExplorationResult& a,
   expect_identical(a, b, what);
   EXPECT_EQ(a.simulations, b.simulations) << what;
   EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
-  EXPECT_EQ(a.canonical_skips, b.canonical_skips) << what;
 }
 
 class SearchStrategies : public ::testing::Test {
@@ -135,7 +134,6 @@ TEST_F(SearchStrategies, GoldenExplorePaperOrder) {
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.simulations, 20u);
   EXPECT_EQ(r.cache_hits, 15u);
-  EXPECT_EQ(r.canonical_skips, 0u);
   EXPECT_EQ(steps_to_string(r),
             "A2:1 A5:3 E2:2 D2:2 E1:0 D1:0 B4:2 B1:0 B2:0 B3:0 C1:2 C2:1 "
             "A1:1 A3:3 A4:3 ");
@@ -172,37 +170,52 @@ TEST_F(SearchStrategies, GoldenExhaustiveSubspace) {
 }
 
 TEST_F(SearchStrategies, GoldenRandomSearch) {
+  // Every draw is a coherent vector, so all 60 samples are scored.
   RandomSearch sampler(60, 7);
   const ExplorationResult r = run_search(trace_, sampler);
   EXPECT_EQ(alloc::signature(r.best),
-            "A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
-            "B1=single-pool B2=linked-list B3=one B4=grow-only C1=best-fit "
-            "C2=size-ordered D1=not-fixed D2=deferred E1=not-fixed "
-            "E2=always");
-  EXPECT_EQ(r.best_sim.peak_footprint, 2424832u);
-  EXPECT_EQ(r.work_steps, 2481875u);
-  EXPECT_EQ(r.simulations, 40u);
+            "A1=dll A2=many A3=header+footer A4=size A5=split-only "
+            "B1=per-size-class B2=array B3=static-many B4=grow+shrink "
+            "C1=exact-fit C2=fifo D1=not-fixed D2=never E1=not-fixed "
+            "E2=deferred");
+  EXPECT_EQ(r.best_sim.peak_footprint, 2588672u);
+  EXPECT_EQ(r.work_steps, 4347u);
+  EXPECT_EQ(r.simulations, 60u);
   EXPECT_EQ(r.cache_hits, 0u);
 }
 
-TEST(RandomSearchDrawCap, ReportsASpecItCouldNotFill) {
-  // Whether a draw passes the config rules depends on the vector alone, so
-  // where the draw cap stops a random:N spec does not depend on the trace:
-  // a short DRR cut shows what a full one does.
+TEST(RandomSearchBudget, RandomNMakesExactlyNEvaluations) {
+  // Every draw is a coherent vector, so nothing is rejected and nothing
+  // caps the stream: random:N is charged N evaluations for any N.  The
+  // engine's thread count and 7-evaluation slices move nothing.
   AllocTrace cut = workloads::record_trace(workloads::case_study("drr"), 1);
   cut.truncate(1000);
-  const auto run = [&cut](const char* text) {
+  const std::unique_ptr<EvalEngine> serial_engine = make_engine(1);
+  const std::unique_ptr<EvalEngine> pooled_engine = make_engine(4);
+  for (const char* text :
+       {"random:1:42", "random:2:42", "random:3:42", "random:148:42"}) {
     const auto spec = parse_search_spec(text);
-    EXPECT_TRUE(spec.has_value()) << text;
-    return run_search(cut, *make_strategy(*spec));
-  };
-  const ExplorationResult capped = run("random:148:42");
-  EXPECT_TRUE(capped.draws_capped);
-  EXPECT_EQ(capped.simulations + capped.cache_hits, 118u);
+    ASSERT_TRUE(spec.has_value()) << text;
+    const ExplorationResult serial =
+        run_search(cut, *make_strategy(*spec), {}, serial_engine.get());
+    EXPECT_EQ(serial.simulations + serial.cache_hits, spec->eval_budget())
+        << text;
+    expect_identical_with_accounting(
+        run_search(cut, *make_strategy(*spec), {}, pooled_engine.get()),
+        serial, std::string(text) + " at 4 threads");
 
-  const ExplorationResult filled = run("random:3:42");
-  EXPECT_FALSE(filled.draws_capped);
-  EXPECT_EQ(filled.simulations + filled.cache_hits, 3u);
+    const std::unique_ptr<SearchStrategy> strategy = make_strategy(*spec);
+    const ExplorerOptions opts;
+    SearchContext ctx(cut, cut.fingerprint(), opts, *serial_engine);
+    while (strategy->step(ctx, 7)) {
+    }
+    const ExplorationResult sliced = ctx.finish();
+    EXPECT_EQ(sliced.best, serial.best) << text;
+    EXPECT_EQ(sliced.best_sim.peak_footprint, serial.best_sim.peak_footprint)
+        << text;
+    EXPECT_EQ(sliced.simulations, serial.simulations) << text;
+    EXPECT_EQ(sliced.cache_hits, serial.cache_hits) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +418,7 @@ TEST_F(SearchStrategies, FinishedStreamingStrategyRunsAgainFromTheStart) {
 }
 
 TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
-  // SA over the canonical quotient must land within 10% of the greedy
+  // SA over the coherent space must land within 10% of the greedy
   // walk's peak on this trace at a modest budget — the point of the
   // strategy is order-independence, not luck.
   BeamSearch walk(1, paper_order());

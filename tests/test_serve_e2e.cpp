@@ -237,8 +237,8 @@ TEST_F(ServeE2e, CancelFreesTheRequestWithoutDisturbingTheSurvivor) {
   EXPECT_NE(cancelled.reply.error.find("cancelled"), std::string::npos)
       << cancelled.reply.error;
   // Below the full enumeration: the slices stopped being dealt.  The
-  // canonical quotient's size does not depend on the trace, so the cut's
-  // enumeration counts it.
+  // number of coherent positions does not depend on the trace, so the
+  // cut's enumeration counts it.
   api::DesignRequest full = small_request();
   full.search_text = "exhaustive";
   EXPECT_LT(cancelled.reply.evaluations,

@@ -5,9 +5,7 @@
 //    garbage best,
 //  * a SharedScoreCache serves many searches bit-identically to each
 //    search's private cache while reporting cross-search reuse, from any
-//    number of threads,
-//  * the exhaustive search enumerates the canonical quotient space: same
-//    best, strictly fewer replays.
+//    number of threads.
 
 #include <gtest/gtest.h>
 
@@ -345,57 +343,6 @@ TEST(SharedCache, ConcurrentSearchesAreSafeAndBitIdentical) {
   // exceed what the searches would have paid in isolation.
   EXPECT_LE(total_replays, kThreads * expected.simulations);
   EXPECT_GE(cache->stats().entries, expected.simulations);
-}
-
-// ---------------------------------------------------------------------------
-// Canonical-space exhaustive search: same best, strictly fewer replays
-// ---------------------------------------------------------------------------
-
-TEST(CanonicalExhaustive, QuotientEnumerationFindsSameBestWithFewerReplays) {
-  const AllocTrace trace = variable_size_trace(2000);
-  // The operational space (hard rules only) is rich in behavioural
-  // aliases: a mechanism granted by A5 but scheduled never (or vice
-  // versa) builds the very same manager.  Caches off, so `simulations`
-  // counts every replay honestly.
-  ExhaustiveSearch exhaustive({TreeId::kA5, TreeId::kE2, TreeId::kD2});
-  ExplorerOptions seed_opts;
-  seed_opts.prune_soft = false;
-  seed_opts.cache = false;
-  seed_opts.canonical_prune = false;
-  const ExplorationResult full = run_search(trace, exhaustive, seed_opts);
-
-  ExplorerOptions quotient_opts = seed_opts;
-  quotient_opts.canonical_prune = true;
-  const ExplorationResult pruned =
-      run_search(trace, exhaustive, quotient_opts);
-
-  EXPECT_EQ(full.best, pruned.best) << "the quotient must keep the winner";
-  EXPECT_EQ(full.best_sim.peak_footprint, pruned.best_sim.peak_footprint);
-  EXPECT_EQ(full.feasible, pruned.feasible);
-  EXPECT_LT(pruned.simulations, full.simulations)
-      << "behavioural duplicates must be skipped before they replay";
-  EXPECT_GT(pruned.canonical_skips, 0u);
-  EXPECT_EQ(pruned.simulations + pruned.canonical_skips, full.simulations)
-      << "every skip must account for exactly one seed-enumeration replay";
-  EXPECT_EQ(full.canonical_skips, 0u);
-}
-
-TEST(CanonicalExhaustive, BudgetBuysCoverageNotDuplicates) {
-  const AllocTrace trace = variable_size_trace(2000);
-  const std::vector<TreeId> subspace = {TreeId::kA5, TreeId::kE2,
-                                        TreeId::kD2};
-  ExplorerOptions opts;
-  opts.prune_soft = false;
-  opts.cache = false;
-  opts.canonical_prune = true;
-  ExhaustiveSearch unbounded_search(subspace);
-  const ExplorationResult unbounded =
-      run_search(trace, unbounded_search, opts);
-  // A budget of exactly the quotient size reaches the same winner even
-  // though the raw cartesian product is far larger.
-  ExhaustiveSearch tight_search(subspace, unbounded.simulations);
-  const ExplorationResult tight = run_search(trace, tight_search, opts);
-  EXPECT_EQ(unbounded.best, tight.best);
 }
 
 }  // namespace
