@@ -83,6 +83,13 @@ constexpr std::size_t requested_of(std::uint64_t word) {
 /// the thread makes no core call of its own in the meantime.
 constexpr std::size_t kPendingDrainBlocks = 64;
 
+/// While several threads share a front, a bin's entry cap grows to this
+/// many bytes of its class where that is deeper (below 128 B at the
+/// default 32 entries): a thread's working set of small blocks then stays
+/// in its cache instead of swinging through the core lock every thread
+/// queues on.
+constexpr std::size_t kSharedBinBytes = 4096;
+
 [[noreturn]] void die(const char* what, const void* ptr) {
   std::fprintf(stderr, "DesignedAllocator: %s (ptr=%p)\n", what, ptr);
   std::abort();
@@ -92,6 +99,15 @@ constexpr std::size_t kPendingDrainBlocks = 64;
 unsigned bin_for(std::size_t bytes) {
   return std::min(alloc::SizeClass::index_for(bytes),
                   alloc::SizeClass::kCount - 1);
+}
+
+/// Entry cap of bin @p cls: the option's cap for a front used by one
+/// thread, at least kSharedBinBytes of the class for a shared one.
+std::size_t bin_entries(const RuntimeOptions& opts, unsigned cls,
+                        bool shared) {
+  const std::size_t entries = opts.thread_cache_bin_entries;
+  if (!shared) return entries;
+  return std::max(entries, kSharedBinBytes / alloc::SizeClass::size_of(cls));
 }
 
 }  // namespace
@@ -113,6 +129,10 @@ struct DesignedAllocator::ThreadCache {
              alloc::SizeClass::kCount>
       bins;
   std::size_t cached_bytes = 0;  ///< sum of cached capacities; under mu
+  /// Whether the owner's roster held other caches when this one joined it
+  /// (enlist) or at the last roster change its core_hold() saw; under mu
+  /// after enlist.  A shared cache's bins take bin_entries()' deeper cap.
+  bool shared = false;
   /// Evicted blocks not yet released to the core, oldest first; under mu.
   /// Cleared, never shrunk, so draining allocates nothing.
   std::vector<void*> pending;
@@ -186,6 +206,7 @@ void DesignedAllocator::enlist(ThreadCache* cache) {
   sample_peak();  // closes a lone thread's interval before the roster grows
   caches_.push_back(cache);
   cache->high_epoch = ++roster_epoch_;
+  cache->shared = caches_.size() > 1;
 }
 
 void DesignedAllocator::retire(ThreadCache* cache) {
@@ -218,6 +239,9 @@ void DesignedAllocator::core_hold(ThreadCache& cache) {
     // Others came or went since the high mark began: start a new one.
     cache.counts.restart_high();
     cache.high_epoch = roster_epoch_;
+    // A thread left alone falls back to the entry cap: its next push into
+    // an over-deep bin evicts the excess.
+    cache.shared = caches_.size() > 1;
   }
 }
 
@@ -506,17 +530,20 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
   const unsigned cls = bin_for(capacity);
   auto& bin = cache.bins[cls];
   if (bin.size() == bin.capacity()) {
-    // Before a push a bin is within its entry cap and within the byte
-    // budget at over half its class size an entry: it grows once.
+    // Before a push a bin is within its shared entry cap (the deeper one)
+    // and within the byte budget at over half its class size an entry:
+    // it grows once, whether or not the front is shared yet.
     const std::size_t by_budget =
         opts_.thread_cache_bytes / (alloc::SizeClass::size_of(cls) / 2 + 1);
-    bin.reserve(std::min(opts_.thread_cache_bin_entries, by_budget) + 1);
+    const std::size_t deepest = bin_entries(opts_, cls, /*shared=*/true);
+    bin.reserve(std::min(deepest, by_budget) + 1);
   }
   bin.emplace_back(ptr, capacity);
   cache.cached_bytes += capacity;
   // Per-bin entry cap: evict the oldest of this bin beyond it.
-  if (bin.size() > opts_.thread_cache_bin_entries) {
-    const std::size_t drop = bin.size() - opts_.thread_cache_bin_entries;
+  const std::size_t entries = bin_entries(opts_, cls, cache.shared);
+  if (bin.size() > entries) {
+    const std::size_t drop = bin.size() - entries;
     for (std::size_t i = 0; i < drop; ++i) {
       evict(cache, bin[i].first, bin[i].second);
     }
@@ -550,7 +577,7 @@ void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
   // Own class, newest first: the first block whose capacity fits.
   auto& own = cache.bins[b];
   const std::size_t stop =
-      own.size() - std::min(own.size(), opts_.thread_cache_bin_entries);
+      own.size() - std::min(own.size(), bin_entries(opts_, b, cache.shared));
   for (std::size_t i = own.size(); i-- > stop;) {
     if (own[i].second >= request) return take(own, i);
   }

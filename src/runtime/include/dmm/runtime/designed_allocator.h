@@ -33,10 +33,12 @@ namespace dmm::runtime {
 //     that fits it, else the newest of the class above (whose blocks all
 //     fit), so a block comes back for requests of its own size and a hit
 //     never widens a block beyond what the core already granted.  Caches
-//     are bounded (bytes + per-bin entries).  Blocks a cache evicts wait
-//     in its thread's pending list and reach the core inside that
-//     thread's next core-lock hold, in eviction order, so one lock hold
-//     carries many releases.
+//     are bounded (bytes + per-bin entries; while several threads share
+//     the front, a bin of a class below 128 B may hold 4 KB of blocks,
+//     so a thread's small working set stays out of the shared core lock).
+//     Blocks a cache evicts wait in its thread's pending list and reach
+//     the core inside that thread's next core-lock hold, in eviction
+//     order, so one lock hold carries many releases.
 //   * failure policy — the core reports exhaustion as nullptr; the front
 //     turns that into the configured OOM contract (oom.h) after first
 //     reclaiming the calling thread's cache back into the core.
@@ -66,7 +68,10 @@ struct RuntimeOptions {
   /// Per-thread cache budget in bytes; 0 disables caching entirely
   /// (every call serialises on the core — the deterministic replay mode).
   std::size_t thread_cache_bytes = 256 * 1024;
-  /// Cap on entries per size-class bin of one thread cache.
+  /// Cap on entries per size-class bin of one thread cache while one
+  /// thread uses the allocator; while several do, the floor of each bin's
+  /// cap, which rises to 4 KB of the bin's class size (512 entries of 8 B
+  /// down to 64 of 64 B).
   std::size_t thread_cache_bin_entries = 32;
 };
 

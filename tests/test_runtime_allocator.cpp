@@ -405,6 +405,68 @@ TEST(DesignedAllocator, HugeBinEntryCapLeavesTheByteBudgetInCharge) {
   a.free(p);
 }
 
+/// Mallocs @p n blocks of @p size on the calling thread, then frees them
+/// all; returns how many of the mallocs were cache hits.
+std::uint64_t cycle_hits(DesignedAllocator& a, std::size_t n,
+                         std::size_t size) {
+  const std::uint64_t before = a.telemetry().cache_hits;
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < n; ++i) blocks.push_back(a.malloc(size));
+  for (void* p : blocks) a.free(p);
+  return a.telemetry().cache_hits - before;
+}
+
+TEST(DesignedAllocator, SharedFrontBinsHoldAPageOfSmallBlocks) {
+  // While a second thread uses the front, a 32-byte bin holds 4096 / 32 =
+  // 128 blocks instead of the 32-entry cap, so a thread cycling 100 of
+  // them keeps every one.  A one-thread front keeps the cap, and a thread
+  // left alone gets it back at its next core-lock hold.
+  constexpr std::size_t kBlocks = 100;
+  constexpr std::size_t kSize = 32;
+  const std::uint64_t kCap = RuntimeOptions{}.thread_cache_bin_entries;
+  {
+    DesignedAllocator alone(alloc::drr_paper_config());
+    EXPECT_EQ(cycle_hits(alone, kBlocks, kSize), 0u);
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      EXPECT_EQ(cycle_hits(alone, kBlocks, kSize), kCap) << "one thread";
+    }
+  }
+  DesignedAllocator a(alloc::drr_paper_config());
+  a.free(a.malloc(1000));  // joins the roster alone
+  std::mutex mu;
+  std::condition_variable cv;
+  bool joined = false;
+  bool leave = false;
+  std::thread other([&] {
+    a.free(a.malloc(1000));
+    std::unique_lock<std::mutex> lock(mu);
+    joined = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return leave; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return joined; });
+  }
+  // The first miss's core-lock hold sees the second thread on the roster.
+  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), 0u);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kBlocks) << "shared front";
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    leave = true;
+  }
+  cv.notify_all();
+  other.join();
+  // Alone again: a miss's core-lock hold drops the deeper cap.  The bin
+  // still serves what it kept; the frees after that evict down to the cap.
+  a.free(a.malloc(200));
+  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kBlocks) << "kept while shared";
+  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kCap) << "alone again";
+  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kCap) << "alone again";
+}
+
 TEST(DesignedAllocator, OrphanedCacheShellsArePrunedOnLookup) {
   // Each destroyed allocator orphans the calling thread's cache shell; the
   // thread's next lookup must delete it, or every malloc walks them all.

@@ -4,15 +4,20 @@
 // binary replaces global operator new/delete with counting versions (the
 // replacement reaches no other test executable), replays DRR traffic
 // through one front twice and requires the second replay to make no
-// operator new call, with thread caches on and off.
+// operator new call, with thread caches on and off, and with two threads
+// taking turns on one front (whose bins then take a shared front's deeper
+// cap).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -130,6 +135,45 @@ TEST(RuntimeNoHeap, WarmReplayWithCachesOffMakesNoOperatorNewCall) {
   RuntimeOptions opts;
   opts.thread_cache_bytes = 0;
   expect_warm_replay_makes_no_heap_calls(opts);
+}
+
+TEST(RuntimeNoHeap, SharedFrontWarmReplayMakesNoOperatorNewCall) {
+  // Two threads take turns replaying the traffic through one front, each
+  // twice, and stay on its roster to the end.  Thread 0's first pass runs
+  // alone, so its bins grow under the one-thread cap; from its second pass
+  // on the front is shared and its bins take the deeper cap without
+  // growing again.  Turns keep the core's call sequence, and so every
+  // chunk and block it grants, the same from run to run.
+  constexpr unsigned kThreads = 2;
+  constexpr unsigned kPasses = 2;
+  const core::AllocTrace trace =
+      workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
+  std::uint32_t slot_count = 0;
+  const std::vector<SlotOp> ops = decode(trace, &slot_count);
+  DesignedAllocator front(alloc::drr_paper_config());
+  std::barrier turn(kThreads);
+  std::array<std::array<std::uint64_t, kThreads>, kPasses> calls{};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<void*> slots(slot_count, nullptr);
+      for (unsigned pass = 0; pass < kPasses; ++pass) {
+        for (unsigned turn_of = 0; turn_of < kThreads; ++turn_of) {
+          if (turn_of == t) {
+            calls[pass][t] = heap_calls_of_replay(ops, slots, front);
+          }
+          turn.arrive_and_wait();
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(calls[1][t], 0u)
+        << "thread " << t << ": the warm-up replay made " << calls[0][t]
+        << " calls";
+  }
+  EXPECT_EQ(front.telemetry().bytes_live, 0u);
 }
 
 /// Where TheCounterSeesOperatorNew parks its block, so the compiler
