@@ -16,13 +16,12 @@
 //                       and the design run;
 //   --family T1,T2,...  designs ONE decision vector for a whole family of
 //                       traces — each element is a DRR traffic seed
-//                       (digits) recorded in-process or a trace file
-//                       (anything else) written by trace_tool; --aggregate
+//                       (digits) recorded in-process or a DMMT trace
+//                       file (anything else; trace_tool record); --aggregate
 //                       max|wsum picks the fold.  Family mode replaces the
 //                       single-trace walk below.
-//   --trace FILE        explore a captured trace instead of the recorded
-//                       workload; .dmmt stores (trace_tool convert) are
-//                       detected and memory-mapped.
+//   --trace FILE        explore a DMMT trace (trace_tool record,
+//                       dmm_capture) instead of the recorded workload.
 //   --sample N          search on a stratified ~N-object sample of the
 //                       trace (see trace_sample.h), then re-score the
 //                       winning vector on the FULL trace — streamed from
@@ -214,14 +213,12 @@ int main(int argc, char** argv) {
     std::printf("\nsampled decision vector:\n%s\n",
                 alloc::describe(result.best).c_str());
 
-    // Re-score the winner on the FULL trace.  When the input was a .dmmt
-    // store, stream straight off the mapping — the whole point of the
-    // columnar format is that this replay needs O(block) memory, not
-    // O(trace).
+    // Re-score the winner on the FULL trace.  When the input was a file,
+    // stream straight off the mapping — the whole point of the columnar
+    // format is that this replay needs O(block) memory, not O(trace).
     const api::TraceRef& ref = cli.request.traces[0];
     core::SimResult truth;
-    if (ref.kind == api::TraceRef::Kind::kFile &&
-        trace::is_trace_file(ref.path)) {
+    if (ref.kind == api::TraceRef::Kind::kFile) {
       const auto mapped = trace::MappedTrace::open(ref.path, &why);
       if (mapped == nullptr) {
         std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());

@@ -1,28 +1,28 @@
-// Trace tooling CLI: record case-study allocation traces, convert them
-// to (and inspect / sample) the mmap-able DMMT columnar format, detect
-// phases, and score any manager against them — the methodology's
-// workflow as shell commands.
+// Trace tooling CLI: record case-study allocation traces, synthesize
+// large ones, inspect / sample them, detect phases, and score any manager
+// against them — the methodology's workflow as shell commands.
 //
-//   trace_tool record  <drr|recon3d|render3d> <seed> <file>
-//   trace_tool convert <trace> <out.dmmt>
+//   trace_tool record  <drr|recon3d|render3d> <seed> <out.dmmt>
 //   trace_tool convert --synth <events> <seed> <out.dmmt>
 //   trace_tool info    <file.dmmt> [--check]
-//   trace_tool sample  <trace> <budget-events> <seed> <out.dmmt>
-//   trace_tool stats   <trace>
-//   trace_tool phases  <trace>
-//   trace_tool score   <trace> <kingsley|lea|regions|obstacks|custom>
+//   trace_tool sample  <file.dmmt> <budget-events> <seed> <out.dmmt>
+//   trace_tool stats   <file.dmmt>
+//   trace_tool phases  <file.dmmt>
+//   trace_tool score   <file.dmmt> <kingsley|lea|regions|obstacks|custom>
 //
-// Every <trace> argument accepts both the line-oriented text format
-// (AllocTrace::save) and a .dmmt file; stats/phases/score sniff the
-// magic.  `convert --synth` streams a deterministic synthetic workload
-// of any length straight to disk — writer memory stays bounded, so
-// traces far larger than RAM are fine.
+// Every trace is a DMMT file (trace_store.h): `record` writes one, and
+// every command that reads one opens it with MappedTrace::open, which
+// rejects a damaged file whole.  `convert --synth` streams a deterministic
+// synthetic workload of any length straight to disk — writer memory stays
+// bounded, so traces far larger than RAM are fine.
 //
-// Build & run:  ./build/examples/trace_tool record drr 1 /tmp/drr.trace
+// Build & run:  ./build/examples/trace_tool record drr 1 /tmp/drr.dmmt
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,50 +42,51 @@ int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  trace_tool record  <drr|recon3d|render3d> <seed> <file>\n"
-      "  trace_tool convert <trace> <out.dmmt>\n"
+      "  trace_tool record  <drr|recon3d|render3d> <seed> <out.dmmt>\n"
       "  trace_tool convert --synth <events> <seed> <out.dmmt>\n"
       "  trace_tool info    <file.dmmt> [--check]\n"
-      "  trace_tool sample  <trace> <budget-events> <seed> <out.dmmt>\n"
-      "  trace_tool stats   <trace>\n"
-      "  trace_tool phases  <trace>\n"
-      "  trace_tool score   <trace> <manager|custom>\n");
+      "  trace_tool sample  <file.dmmt> <budget-events> <seed> <out.dmmt>\n"
+      "  trace_tool stats   <file.dmmt>\n"
+      "  trace_tool phases  <file.dmmt>\n"
+      "  trace_tool score   <file.dmmt> <manager|custom>\n");
   return 2;
 }
 
-/// Loads either trace format; exits 1-via-empty on unreadable input (the
-/// callers all reject empty traces with their own message).
-core::AllocTrace load_any(const std::string& path, std::string* why) {
-  if (trace::is_trace_file(path)) {
-    const auto mapped = trace::MappedTrace::open(path, why);
-    if (mapped == nullptr) return {};
-    return mapped->materialize();
+/// Opens a DMMT trace; null, with the reason on stderr, when it fails a
+/// check.
+std::unique_ptr<trace::MappedTrace> open_trace(const std::string& path) {
+  std::string why;
+  auto m = trace::MappedTrace::open(path, &why);
+  if (m == nullptr) {
+    std::fprintf(stderr, "not a valid DMMT trace: %s\n", why.c_str());
   }
-  return core::AllocTrace::load(path);
+  return m;
+}
+
+/// Decodes a whole DMMT trace into @p out; false (reported) when it does
+/// not open or a block does not decode.
+bool load_trace(const std::string& path, core::AllocTrace* out) {
+  const auto m = open_trace(path);
+  if (m == nullptr) return false;
+  try {
+    *out = m->materialize();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    return false;
+  }
+  return true;
 }
 
 int cmd_record(const std::string& workload, unsigned seed,
                const std::string& path) {
   const core::AllocTrace trace =
       workloads::record_trace(workloads::case_study(workload), seed);
-  trace.save(path);
-  std::printf("recorded %zu events to %s\n", trace.size(), path.c_str());
-  return 0;
-}
-
-int cmd_convert(const std::string& in, const std::string& out) {
   std::string why;
-  const core::AllocTrace trace = load_any(in, &why);
-  if (trace.empty()) {
-    std::fprintf(stderr, "empty or unreadable trace: %s%s%s\n", in.c_str(),
-                 why.empty() ? "" : ": ", why.c_str());
+  if (!trace::write_trace_file(trace, path, {}, &why)) {
+    std::fprintf(stderr, "record failed: %s\n", why.c_str());
     return 1;
   }
-  if (!trace::write_trace_file(trace, out, {}, &why)) {
-    std::fprintf(stderr, "convert failed: %s\n", why.c_str());
-    return 1;
-  }
-  std::printf("wrote %zu events to %s\n", trace.size(), out.c_str());
+  std::printf("recorded %zu events to %s\n", trace.size(), path.c_str());
   return 0;
 }
 
@@ -169,12 +170,8 @@ void print_stats(const core::TraceStats& s) {
 }
 
 int cmd_info(const std::string& path, bool check) {
-  std::string why;
-  const auto m = trace::MappedTrace::open(path, &why);
-  if (m == nullptr) {
-    std::fprintf(stderr, "not a valid DMMT trace: %s\n", why.c_str());
-    return 1;
-  }
+  const auto m = open_trace(path);
+  if (m == nullptr) return 1;
   const double per_event =
       m->event_count() == 0
           ? 0.0
@@ -188,6 +185,7 @@ int cmd_info(const std::string& path, bool check) {
   std::printf("fingerprint       : %016llx\n",
               static_cast<unsigned long long>(m->fingerprint()));
   print_stats(m->stats());
+  std::string why;
   if (check) {
     if (!m->verify_blocks(&why)) {
       std::fprintf(stderr, "block verification FAILED: %s\n", why.c_str());
@@ -201,25 +199,12 @@ int cmd_info(const std::string& path, bool check) {
 
 int cmd_sample(const std::string& in, unsigned budget, unsigned seed,
                const std::string& out) {
+  // Sample straight off the mapping: two cursor passes, never the whole
+  // trace in memory.
+  const auto m = open_trace(in);
+  if (m == nullptr) return 1;
+  const trace::SampleResult r = trace::sample_trace(*m, budget, seed);
   std::string why;
-  trace::SampleResult r;
-  // Sample straight off the mapping when the input is DMMT: two cursor
-  // passes, never the whole trace in memory.
-  if (trace::is_trace_file(in)) {
-    const auto m = trace::MappedTrace::open(in, &why);
-    if (m == nullptr) {
-      std::fprintf(stderr, "not a valid DMMT trace: %s\n", why.c_str());
-      return 1;
-    }
-    r = trace::sample_trace(*m, budget, seed);
-  } else {
-    const core::AllocTrace t = core::AllocTrace::load(in);
-    if (t.empty()) {
-      std::fprintf(stderr, "empty or unreadable trace: %s\n", in.c_str());
-      return 1;
-    }
-    r = trace::sample_trace(t, budget, seed);
-  }
   if (!trace::write_trace_file(r.trace, out, {}, &why)) {
     std::fprintf(stderr, "sample write failed: %s\n", why.c_str());
     return 1;
@@ -233,13 +218,9 @@ int cmd_sample(const std::string& in, unsigned budget, unsigned seed,
 }
 
 int cmd_stats(const std::string& path) {
+  core::AllocTrace trace;
+  if (!load_trace(path, &trace)) return 1;
   std::string why;
-  const core::AllocTrace trace = load_any(path, &why);
-  if (trace.empty()) {
-    std::fprintf(stderr, "empty or unreadable trace: %s%s%s\n", path.c_str(),
-                 why.empty() ? "" : ": ", why.c_str());
-    return 1;
-  }
   if (!trace.validate(&why)) {
     std::fprintf(stderr, "malformed trace: %s\n", why.c_str());
     return 1;
@@ -249,8 +230,8 @@ int cmd_stats(const std::string& path) {
 }
 
 int cmd_phases(const std::string& path) {
-  std::string why;
-  core::AllocTrace trace = load_any(path, &why);
+  core::AllocTrace trace;
+  if (!load_trace(path, &trace)) return 1;
   const auto spans = core::detect_phases(trace);
   std::printf("%zu behaviour phase(s) detected:\n", spans.size());
   for (const core::PhaseSpan& span : spans) {
@@ -261,8 +242,8 @@ int cmd_phases(const std::string& path) {
 }
 
 int cmd_score(const std::string& path, const std::string& manager) {
-  std::string why;
-  const core::AllocTrace trace = load_any(path, &why);
+  core::AllocTrace trace;
+  if (!load_trace(path, &trace)) return 1;
   sysmem::SystemArena arena;
   core::SimResult sim;
   if (manager == "custom") {
@@ -306,7 +287,6 @@ int main(int argc, char** argv) {
                                         argv[4]),
         argv[5]);
   }
-  if (cmd == "convert" && argc == 4) return cmd_convert(argv[2], argv[3]);
   if (cmd == "info" && argc == 3) return cmd_info(argv[2], false);
   if (cmd == "info" && argc == 4 && std::strcmp(argv[3], "--check") == 0) {
     return cmd_info(argv[2], true);

@@ -285,11 +285,11 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
         return false;
       }
       traces.push_back(workloads::record_trace(*found, ref.seed));
-    } else if (trace::is_trace_file(ref.path)) {
-      // Columnar .dmmt store: open (header + checksum validation) and
-      // materialize.  Daemon scoring replays traces many times across
-      // candidates, so a one-time decode beats per-pass block decoding.
-      // Checksums do not prove a payload decodes, so materialize may throw.
+    } else {
+      // A DMMT file: open (header + checksum validation) and materialize.
+      // Daemon scoring replays traces many times across candidates, so a
+      // one-time decode beats per-pass block decoding.  Checksums do not
+      // prove a payload decodes, so materialize may throw.
       std::string reason;
       const auto mapped = trace::MappedTrace::open(ref.path, &reason);
       if (mapped != nullptr) {
@@ -303,18 +303,6 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
         *why = "trace '" + ref.path + "' rejected: " + reason;
         return false;
       }
-    } else {
-      core::AllocTrace trace = core::AllocTrace::load(ref.path);
-      if (trace.events().empty()) {
-        *why = "trace '" + ref.path + "' is empty or unreadable";
-        return false;
-      }
-      std::string reason;
-      if (!trace.validate(&reason)) {
-        *why = "trace '" + ref.path + "' is malformed: " + reason;
-        return false;
-      }
-      traces.push_back(std::move(trace));
     }
     traces.back().truncate(static_cast<std::size_t>(req.max_events));
   }

@@ -37,8 +37,8 @@
 namespace dmm::api {
 
 /// Where one trace of a request comes from: a named case-study workload
-/// recorded in-process (seeded, deterministic) or a trace file written by
-/// trace_tool / AllocTrace::save.
+/// recorded in-process (seeded, deterministic) or a DMMT trace file
+/// (trace/trace_store.h: `trace_tool record`, dmm_capture).
 struct TraceRef {
   enum class Kind : std::uint8_t { kWorkload, kFile };
   Kind kind = Kind::kWorkload;

@@ -1,103 +1,39 @@
-// SharedScoreCache snapshot persistence — the binary format documented in
-// cache_snapshot.h, implemented as SharedScoreCache::save / ::load.
+// SharedScoreCache snapshot persistence — the format documented in
+// cache_snapshot.h, implemented as SharedScoreCache::save / ::load over the
+// checked-file envelope and DmmConfig record of checked_file.h.
 //
-// Design rules:
-//   * a snapshot is an accelerator, never a correctness input: load()
-//     treats the file as untrusted and rejects it whole on any anomaly
-//     (truncation, checksum mismatch, unknown version, out-of-range leaf,
-//     canonical-hash disagreement) — the cache then simply starts cold;
-//   * save() is atomic: the file is assembled in a uniquely-named temp
-//     next to the target and renamed over it, so two sessions saving the
-//     same path last-writer-win and a concurrent load() never observes a
-//     torn file;
-//   * records are fixed width and little-endian, written byte by byte —
-//     no struct dumps, so the format is independent of padding and host
-//     endianness.
+// A snapshot is an accelerator, never a correctness input: load() treats
+// the file as untrusted and rejects it whole on any anomaly (the envelope
+// checks, an out-of-range leaf, a canonical-hash disagreement) — the cache
+// then simply starts cold.
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "dmm/core/design_space.h"
+#include "dmm/core/checked_file.h"
 #include "dmm/core/eval_engine.h"
 
 namespace dmm::core {
 
 namespace {
 
-// ---- little-endian primitives over a byte buffer --------------------------
-
-void put_u8(std::vector<std::uint8_t>& buf, std::uint8_t v) {
-  buf.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& buf, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(buf, bits);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 // ---- record layout --------------------------------------------------------
 
 void put_record(std::vector<std::uint8_t>& buf, std::uint64_t fingerprint,
                 const alloc::DmmConfig& canon,
                 const SharedScoreCache::Entry& entry) {
-  put_u64(buf, fingerprint);
-  put_u64(buf, static_cast<std::uint64_t>(alloc::hash_value(canon)));
-  for (const TreeId t : all_trees()) {
-    put_u8(buf, static_cast<std::uint8_t>(get_leaf(canon, t)));
-  }
-  put_u64(buf, canon.chunk_bytes);
-  put_u64(buf, canon.big_request_bytes);
-  put_u64(buf, canon.static_pool_bytes);
-  put_u64(buf, canon.deferred_split_min);
-  put_u32(buf, canon.max_class_log2);
-  put_u64(buf, entry.sim.peak_footprint);
-  put_u64(buf, entry.sim.final_footprint);
-  put_f64(buf, entry.sim.avg_footprint);
-  put_u64(buf, entry.sim.peak_live_bytes);
-  put_u64(buf, entry.sim.failed_allocs);
-  put_f64(buf, entry.sim.wall_seconds);
-  put_u64(buf, entry.sim.events);
-  put_u64(buf, entry.work_steps);
+  append_le<std::uint64_t>(buf, fingerprint);
+  append_config(buf, canon);
+  append_le<std::uint64_t>(buf, entry.sim.peak_footprint);
+  append_le<std::uint64_t>(buf, entry.sim.final_footprint);
+  append_le<double>(buf, entry.sim.avg_footprint);
+  append_le<std::uint64_t>(buf, entry.sim.peak_live_bytes);
+  append_le<std::uint64_t>(buf, entry.sim.failed_allocs);
+  append_le<double>(buf, entry.sim.wall_seconds);
+  append_le<std::uint64_t>(buf, entry.sim.events);
+  append_le<std::uint64_t>(buf, entry.work_steps);
 }
 
 struct ParsedRecord {
@@ -106,83 +42,29 @@ struct ParsedRecord {
   SharedScoreCache::Entry entry{};
 };
 
-/// Parses one fixed-width record; false when a leaf index is out of range
-/// or the stored canonical hash disagrees with the reconstructed vector.
+/// Parses one fixed-width record; false when the decision vector fails
+/// load_config's leaf-range or hash self-check.
 bool get_record(const std::uint8_t* p, ParsedRecord* out) {
-  out->fingerprint = get_u64(p);
-  p += 8;
-  const std::uint64_t stored_hash = get_u64(p);
-  p += 8;
-  alloc::DmmConfig cfg;
-  for (const TreeId t : all_trees()) {
-    const int leaf = *p++;
-    if (leaf >= leaf_count(t)) return false;
-    set_leaf(cfg, t, leaf);
-  }
-  cfg.chunk_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.big_request_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.static_pool_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.deferred_split_min = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.max_class_log2 = get_u32(p);
-  p += 4;
-  if (static_cast<std::uint64_t>(alloc::hash_value(cfg)) != stored_hash) {
-    return false;
-  }
-  out->canon = cfg;
-  out->entry.sim.peak_footprint = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  out->entry.sim.final_footprint = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  out->entry.sim.avg_footprint = get_f64(p);
-  p += 8;
-  out->entry.sim.peak_live_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  out->entry.sim.failed_allocs = get_u64(p);
-  p += 8;
-  out->entry.sim.wall_seconds = get_f64(p);
-  p += 8;
-  out->entry.sim.events = get_u64(p);
-  p += 8;
-  out->entry.work_steps = get_u64(p);
+  out->fingerprint = load_le<std::uint64_t>(p);
+  if (!load_config(p + 8, &out->canon)) return false;
+  p += 8 + kConfigCodecBytes;
+  out->entry.sim.peak_footprint = load_le<std::uint64_t>(p);
+  out->entry.sim.final_footprint = load_le<std::uint64_t>(p + 8);
+  out->entry.sim.avg_footprint = load_le<double>(p + 16);
+  out->entry.sim.peak_live_bytes = load_le<std::uint64_t>(p + 24);
+  out->entry.sim.failed_allocs = load_le<std::uint64_t>(p + 32);
+  out->entry.sim.wall_seconds = load_le<double>(p + 40);
+  out->entry.sim.events = load_le<std::uint64_t>(p + 48);
+  out->entry.work_steps = load_le<std::uint64_t>(p + 56);
   return true;
-}
-
-/// Reads the whole file into @p out; false when it cannot be opened/read.
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return false;
-  }
-  const long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return false;
-  }
-  std::rewind(f);
-  out->resize(static_cast<std::size_t>(size));
-  const std::size_t read =
-      size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  return read == out->size();
 }
 
 }  // namespace
 
 SnapshotSaveResult SharedScoreCache::save(const std::string& path) const {
   SnapshotSaveResult result;
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kSnapshotHeaderBytes + size() * kSnapshotRecordBytes +
-              kSnapshotChecksumBytes);
-  buf.insert(buf.end(), std::begin(kSnapshotMagic), std::end(kSnapshotMagic));
-  put_u32(buf, kSnapshotVersion);
-  put_u64(buf, 0);  // entry count, patched below
-
+  std::vector<std::uint8_t> buf = begin_checked_file(
+      kSnapshotMagic, kSnapshotVersion, size() * kSnapshotRecordBytes);
   std::uint64_t count = 0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->m);
@@ -192,36 +74,7 @@ SnapshotSaveResult SharedScoreCache::save(const std::string& path) const {
       ++count;
     }
   }
-  for (int i = 0; i < 8; ++i) {
-    buf[kSnapshotHeaderBytes - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(count >> (8 * i));
-  }
-  put_u64(buf, snapshot_checksum(buf.data(), buf.size()));
-
-  // Unique temp name: two sessions saving the same path concurrently must
-  // never interleave writes into one file.  pid x atomic counter is unique
-  // per in-flight save on one host.
-  static std::atomic<std::uint64_t> save_seq{0};
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(save_seq.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    result.reason = "cannot open temp file " + tmp;
-    return result;
-  }
-  const bool wrote = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    result.reason = "short write to " + tmp;
-    return result;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    result.reason = "rename to " + path + " failed";
-    return result;
-  }
+  if (!write_checked_file(path, buf, count, &result.reason)) return result;
   result.saved = true;
   result.entries_written = count;
   return result;
@@ -230,47 +83,15 @@ SnapshotSaveResult SharedScoreCache::save(const std::string& path) const {
 SnapshotLoadResult SharedScoreCache::load(const std::string& path) {
   SnapshotLoadResult result;
   std::vector<std::uint8_t> buf;
-  if (!read_file(path, &buf)) {
-    result.reason = "cannot read " + path;
-    return result;
-  }
-  if (buf.size() < kSnapshotHeaderBytes + kSnapshotChecksumBytes) {
-    result.reason = "file shorter than header";
-    return result;
-  }
-  if (std::memcmp(buf.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    result.reason = "bad magic";
-    return result;
-  }
-  const std::uint32_t version = get_u32(buf.data() + 8);
-  if (version != kSnapshotVersion) {
-    result.reason = "unsupported snapshot version " + std::to_string(version);
-    return result;
-  }
-  const std::uint64_t count = get_u64(buf.data() + 12);
-  // Validate by division, not by multiplying count out: a crafted count of
-  // ~(size - 28) * 131^-1 mod 2^64 would wrap `count * record_bytes` back
-  // to the real file size and then explode the records allocation below.
-  const std::size_t body =
-      buf.size() - kSnapshotHeaderBytes - kSnapshotChecksumBytes;
-  if (body % kSnapshotRecordBytes != 0 ||
-      count != body / kSnapshotRecordBytes) {
-    result.reason = "truncated: " + std::to_string(buf.size()) +
-                    " bytes for " + std::to_string(count) + " entries";
-    return result;
-  }
-  const std::uint64_t stored_sum =
-      get_u64(buf.data() + buf.size() - kSnapshotChecksumBytes);
-  if (snapshot_checksum(buf.data(), buf.size() - kSnapshotChecksumBytes) !=
-      stored_sum) {
-    result.reason = "checksum mismatch";
-    return result;
-  }
+  const std::optional<std::uint64_t> count =
+      read_checked_file(path, kSnapshotMagic, kSnapshotVersion,
+                        kSnapshotRecordBytes, &buf, &result.reason);
+  if (!count) return result;
 
   // Parse every record before touching the cache: rejection must leave it
   // exactly as it was (all-or-nothing).
-  std::vector<ParsedRecord> records(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
+  std::vector<ParsedRecord> records(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
     if (!get_record(buf.data() + kSnapshotHeaderBytes +
                         i * kSnapshotRecordBytes,
                     &records[i])) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
@@ -146,34 +145,20 @@ void SharedScoreCache::clear() {
   }
 }
 
-namespace {
-
-/// FNV-1a over the 8 little-endian bytes of @p v (the same hash family
-/// AllocTrace::fingerprint uses, so family and trace fingerprints live in
-/// one well-mixed identifier space).
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= kPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t family_fingerprint(const std::vector<FamilyEvalMember>& members,
                                  FamilyAggregate aggregate) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(aggregate));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(members.size()));
+  // FNV-1a over the fields' little-endian bytes — the same hash family
+  // AllocTrace::fingerprint uses, so family and trace fingerprints live in
+  // one well-mixed identifier space.
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(16 * (members.size() + 1));
+  append_le<std::uint64_t>(bytes, static_cast<std::uint64_t>(aggregate));
+  append_le<std::uint64_t>(bytes, members.size());
   for (const FamilyEvalMember& m : members) {
-    h = fnv1a_u64(h, m.fingerprint);
-    std::uint64_t weight_bits = 0;
-    std::memcpy(&weight_bits, &m.weight, sizeof(weight_bits));
-    h = fnv1a_u64(h, weight_bits);
+    append_le<std::uint64_t>(bytes, m.fingerprint);
+    append_le<double>(bytes, m.weight);
   }
-  return h;
+  return snapshot_checksum(bytes.data(), bytes.size());
 }
 
 EvalOutcome aggregate_family(std::uint64_t tag,

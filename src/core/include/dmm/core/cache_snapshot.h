@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "dmm/core/checked_file.h"
+
 namespace dmm::core {
 
 // ---------------------------------------------------------------------------
@@ -16,7 +18,8 @@ namespace dmm::core {
 //            8 B   entry count N
 //   N records, kSnapshotRecordBytes each:
 //            8 B   trace fingerprint (AllocTrace::fingerprint)
-//            8 B   alloc::hash_value of the canonical decision vector
+//           59 B   the canonical decision vector (checked_file.h):
+//            8 B   alloc::hash_value of the vector
 //           15 B   one leaf index per decision tree, all_trees() order
 //            8 B   chunk_bytes            |
 //            8 B   big_request_bytes      |
@@ -51,19 +54,9 @@ inline constexpr std::size_t kSnapshotRecordBytes =
     8 + 8 + 15 + (4 * 8 + 4) + (7 * 8) + 8;
 inline constexpr std::size_t kSnapshotChecksumBytes = 8;
 
-/// FNV-1a over @p n bytes — the footer checksum.  Exposed so tests can
-/// craft snapshots that are corrupt in one specific way (e.g. a version
-/// bump with a *valid* checksum must still be rejected by the version
-/// check, not the checksum).
-[[nodiscard]] inline std::uint64_t snapshot_checksum(const std::uint8_t* data,
-                                                     std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+static_assert(kSnapshotHeaderBytes == kCheckedHeaderBytes &&
+              kSnapshotChecksumBytes == kCheckedFooterBytes &&
+              kSnapshotRecordBytes == 8 + kConfigCodecBytes + (8 * 8));
 
 /// What SharedScoreCache::load made of a snapshot file.  `loaded` is false
 /// whenever the cache started cold; `reason` says why (missing file, bad

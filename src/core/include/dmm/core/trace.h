@@ -214,10 +214,6 @@ class AllocTrace : public TraceSource {
   [[nodiscard]] TraceIdBounds id_bounds() const override;
   [[nodiscard]] std::unique_ptr<TraceCursor> cursor() const override;
 
-  /// Simple line format: "a <id> <size> <phase>" / "f <id> <phase>".
-  void save(const std::string& path) const;
-  [[nodiscard]] static AllocTrace load(const std::string& path);
-
  private:
   void invalidate_memos() {
     fp_valid_.store(false, std::memory_order_relaxed);

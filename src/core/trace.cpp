@@ -1,7 +1,6 @@
 #include "dmm/core/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 
 #include "dmm/alloc/size_class.h"
@@ -213,50 +212,6 @@ TraceStats AllocTrace::stats() const {
   TraceAccumulator acc;
   for (const AllocEvent& e : events_) acc.add(e);
   return acc.stats();
-}
-
-void AllocTrace::save(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::perror("AllocTrace::save");
-    return;
-  }
-  for (const AllocEvent& e : events_) {
-    if (e.op == AllocEvent::Op::kAlloc) {
-      std::fprintf(f, "a %u %u %u\n", e.id, e.size, e.phase);
-    } else {
-      std::fprintf(f, "f %u %u\n", e.id, e.phase);
-    }
-  }
-  std::fclose(f);
-}
-
-AllocTrace AllocTrace::load(const std::string& path) {
-  AllocTrace trace;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    std::perror("AllocTrace::load");
-    return trace;
-  }
-  char op = 0;
-  while (std::fscanf(f, " %c", &op) == 1) {
-    if (op == 'a') {
-      unsigned id = 0;
-      unsigned size = 0;
-      unsigned phase = 0;
-      if (std::fscanf(f, "%u %u %u", &id, &size, &phase) != 3) break;
-      trace.record_alloc(id, size, static_cast<std::uint16_t>(phase));
-    } else if (op == 'f') {
-      unsigned id = 0;
-      unsigned phase = 0;
-      if (std::fscanf(f, "%u %u", &id, &phase) != 2) break;
-      trace.record_free(id, static_cast<std::uint16_t>(phase));
-    } else {
-      break;
-    }
-  }
-  std::fclose(f);
-  return trace;
 }
 
 }  // namespace dmm::core

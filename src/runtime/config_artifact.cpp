@@ -1,126 +1,23 @@
-// The design-to-deployment artifact (format in config_artifact.h).
-//
-// Mirrors the cache-snapshot implementation discipline on purpose:
-//   * all-or-nothing untrusted-input loading — any anomaly (magic, version,
-//     size/count disagreement, checksum, leaf range, hash self-check, a
-//     vector CustomManager would refuse) rejects the whole file;
-//   * atomic saves — temp file next to the target, renamed over it;
-//   * fixed-width little-endian records written byte by byte, never a
-//     struct dump, so the format is independent of padding and endianness.
-//
-// The difference in *stakes* is documented in the header: a snapshot is an
-// accelerator, an artifact is the deployed layout itself.
+// The design-to-deployment artifact (format in config_artifact.h): the
+// checked-file envelope and DmmConfig record of core/checked_file.h, which
+// the cache snapshot shares, plus the artifact's own checks — at least one
+// record, and every vector one CustomManager would accept.  A snapshot is
+// an accelerator; an artifact is the deployed layout itself, so a damaged
+// one yields no configs at all.
 
 #include "dmm/runtime/config_artifact.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <cstring>
+#include <optional>
+#include <utility>
 
 #include "dmm/alloc/config_rules.h"
-#include "dmm/core/cache_snapshot.h"
-#include "dmm/core/design_space.h"
+#include "dmm/core/checked_file.h"
 
 namespace dmm::runtime {
 
-namespace {
-
-// ---- little-endian primitives over a byte buffer --------------------------
-
-void put_u8(std::vector<std::uint8_t>& buf, std::uint8_t v) {
-  buf.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-// ---- record layout --------------------------------------------------------
-
-void put_record(std::vector<std::uint8_t>& buf,
-                const alloc::DmmConfig& cfg) {
-  put_u64(buf, static_cast<std::uint64_t>(alloc::hash_value(cfg)));
-  for (const core::TreeId t : core::all_trees()) {
-    put_u8(buf, static_cast<std::uint8_t>(core::get_leaf(cfg, t)));
-  }
-  put_u64(buf, cfg.chunk_bytes);
-  put_u64(buf, cfg.big_request_bytes);
-  put_u64(buf, cfg.static_pool_bytes);
-  put_u64(buf, cfg.deferred_split_min);
-  put_u32(buf, cfg.max_class_log2);
-}
-
-/// Parses one record; false when a leaf index is out of range or the
-/// stored hash disagrees with the reconstructed vector.
-bool get_record(const std::uint8_t* p, alloc::DmmConfig* out) {
-  const std::uint64_t stored_hash = get_u64(p);
-  p += 8;
-  alloc::DmmConfig cfg;
-  for (const core::TreeId t : core::all_trees()) {
-    const int leaf = *p++;
-    if (leaf >= core::leaf_count(t)) return false;
-    core::set_leaf(cfg, t, leaf);
-  }
-  cfg.chunk_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.big_request_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.static_pool_bytes = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.deferred_split_min = static_cast<std::size_t>(get_u64(p));
-  p += 8;
-  cfg.max_class_log2 = get_u32(p);
-  if (static_cast<std::uint64_t>(alloc::hash_value(cfg)) != stored_hash) {
-    return false;
-  }
-  *out = cfg;
-  return true;
-}
-
-/// Reads the whole file into @p out; false when it cannot be opened/read.
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return false;
-  }
-  const long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return false;
-  }
-  std::rewind(f);
-  out->resize(static_cast<std::size_t>(size));
-  const std::size_t read =
-      size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  return read == out->size();
-}
-
-}  // namespace
+static_assert(kConfigArtifactHeaderBytes == core::kCheckedHeaderBytes &&
+              kConfigArtifactChecksumBytes == core::kCheckedFooterBytes &&
+              kConfigRecordBytes == core::kConfigCodecBytes);
 
 ConfigArtifactSaveResult save_config_artifact(
     const std::string& path, const std::vector<alloc::DmmConfig>& configs) {
@@ -136,93 +33,30 @@ ConfigArtifactSaveResult save_config_artifact(
       return result;
     }
   }
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kConfigArtifactHeaderBytes +
-              configs.size() * kConfigRecordBytes +
-              kConfigArtifactChecksumBytes);
-  buf.insert(buf.end(), std::begin(kConfigArtifactMagic),
-             std::end(kConfigArtifactMagic));
-  put_u32(buf, kConfigArtifactVersion);
-  put_u64(buf, configs.size());
-  for (const alloc::DmmConfig& cfg : configs) put_record(buf, cfg);
-  put_u64(buf, core::snapshot_checksum(buf.data(), buf.size()));
-
-  // Unique temp name next to the target (atomic rename; concurrent savers
-  // last-writer-win and a loader never sees a torn file).
-  static std::atomic<std::uint64_t> save_seq{0};
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(save_seq.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    result.reason = "cannot open temp file " + tmp;
-    return result;
-  }
-  const bool wrote = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    result.reason = "short write to " + tmp;
-    return result;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    result.reason = "rename to " + path + " failed";
-    return result;
-  }
-  result.saved = true;
+  std::vector<std::uint8_t> buf =
+      core::begin_checked_file(kConfigArtifactMagic, kConfigArtifactVersion,
+                               configs.size() * kConfigRecordBytes);
+  for (const alloc::DmmConfig& cfg : configs) core::append_config(buf, cfg);
+  result.saved =
+      core::write_checked_file(path, buf, configs.size(), &result.reason);
   return result;
 }
 
 ConfigArtifactLoadResult load_config_artifact(const std::string& path) {
   ConfigArtifactLoadResult result;
   std::vector<std::uint8_t> buf;
-  if (!read_file(path, &buf)) {
-    result.reason = "cannot read " + path;
-    return result;
-  }
-  if (buf.size() <
-      kConfigArtifactHeaderBytes + kConfigArtifactChecksumBytes) {
-    result.reason = "file shorter than header";
-    return result;
-  }
-  if (std::memcmp(buf.data(), kConfigArtifactMagic,
-                  sizeof(kConfigArtifactMagic)) != 0) {
-    result.reason = "bad magic";
-    return result;
-  }
-  const std::uint32_t version = get_u32(buf.data() + 8);
-  if (version != kConfigArtifactVersion) {
-    result.reason = "unsupported artifact version " + std::to_string(version);
-    return result;
-  }
-  const std::uint64_t count = get_u64(buf.data() + 12);
-  // Validate by division, not by multiplying the count out (a crafted
-  // count must not wrap the size arithmetic).
-  const std::size_t body =
-      buf.size() - kConfigArtifactHeaderBytes - kConfigArtifactChecksumBytes;
-  if (body % kConfigRecordBytes != 0 || count != body / kConfigRecordBytes) {
-    result.reason = "truncated: " + std::to_string(buf.size()) +
-                    " bytes for " + std::to_string(count) + " configs";
-    return result;
-  }
-  if (count == 0) {
+  const std::optional<std::uint64_t> count = core::read_checked_file(
+      path, kConfigArtifactMagic, kConfigArtifactVersion, kConfigRecordBytes,
+      &buf, &result.reason);
+  if (!count) return result;
+  if (*count == 0) {
     result.reason = "artifact carries no configs";
     return result;
   }
-  const std::uint64_t stored_sum =
-      get_u64(buf.data() + buf.size() - kConfigArtifactChecksumBytes);
-  if (core::snapshot_checksum(buf.data(),
-                              buf.size() - kConfigArtifactChecksumBytes) !=
-      stored_sum) {
-    result.reason = "checksum mismatch";
-    return result;
-  }
-
   // Decode and validate every record before publishing any (all-or-nothing).
-  std::vector<alloc::DmmConfig> configs(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!get_record(
+  std::vector<alloc::DmmConfig> configs(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    if (!core::load_config(
             buf.data() + kConfigArtifactHeaderBytes + i * kConfigRecordBytes,
             &configs[i])) {
       result.reason = "corrupt record " + std::to_string(i);

@@ -17,8 +17,9 @@ namespace dmm::runtime {
 // runtime (DesignedAllocator, perfbench deploy-drr).  One record per designed
 // phase, in phase order; single-phase and family designs carry one.
 //
-// On-disk layout (little-endian, fixed width, written byte by byte like
-// the score-cache snapshot — never a struct dump):
+// On-disk layout: the checked-file envelope and DmmConfig record of
+// core/checked_file.h, which the score-cache snapshot shares (little-endian,
+// fixed width, never a struct dump):
 //
 //   header   8 B   magic  "DMMCONFG"
 //            4 B   format version (kConfigArtifactVersion)

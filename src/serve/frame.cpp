@@ -3,33 +3,12 @@
 #include <cassert>
 #include <cstring>
 
-#include "dmm/core/cache_snapshot.h"
+#include "dmm/core/checked_file.h"
 
 namespace dmm::serve {
 
-namespace {
-
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
+using core::load_le;
+using core::store_le;
 
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        const std::string& payload) {
@@ -38,15 +17,17 @@ std::vector<std::uint8_t> encode_frame(FrameType type,
   std::vector<std::uint8_t> buf(kFrameHeaderBytes + payload.size() +
                                 kFrameChecksumBytes);
   std::memcpy(buf.data(), kFrameMagic, sizeof(kFrameMagic));
-  put_u32(buf.data() + 4, kFrameVersion);
-  put_u32(buf.data() + 8, static_cast<std::uint32_t>(type));
-  put_u32(buf.data() + 12, static_cast<std::uint32_t>(payload.size()));
+  store_le<std::uint32_t>(buf.data() + 4, kFrameVersion);
+  store_le<std::uint32_t>(buf.data() + 8, static_cast<std::uint32_t>(type));
+  store_le<std::uint32_t>(buf.data() + 12,
+                          static_cast<std::uint32_t>(payload.size()));
   if (!payload.empty()) {
     std::memcpy(buf.data() + kFrameHeaderBytes, payload.data(),
                 payload.size());
   }
   const std::size_t body = kFrameHeaderBytes + payload.size();
-  put_u64(buf.data() + body, core::snapshot_checksum(buf.data(), body));
+  store_le<std::uint64_t>(buf.data() + body,
+                          core::snapshot_checksum(buf.data(), body));
   return buf;
 }
 
@@ -72,12 +53,12 @@ FrameReader::Status FrameReader::next(Frame* out, std::string* why) {
   if (std::memcmp(buf_.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
     return poison("bad frame magic");
   }
-  const std::uint32_t version = get_u32(buf_.data() + 4);
+  const std::uint32_t version = load_le<std::uint32_t>(buf_.data() + 4);
   if (version != kFrameVersion) {
     return poison("unsupported frame version " + std::to_string(version));
   }
-  const std::uint32_t type = get_u32(buf_.data() + 8);
-  const std::uint32_t length = get_u32(buf_.data() + 12);
+  const std::uint32_t type = load_le<std::uint32_t>(buf_.data() + 8);
+  const std::uint32_t length = load_le<std::uint32_t>(buf_.data() + 12);
   if (length > kMaxFramePayload) {
     return poison("oversized frame: " + std::to_string(length) +
                   " payload bytes");
@@ -86,7 +67,7 @@ FrameReader::Status FrameReader::next(Frame* out, std::string* why) {
       kFrameHeaderBytes + length + kFrameChecksumBytes;
   if (buf_.size() < total) return Status::kNeedMore;
   const std::uint64_t stored =
-      get_u64(buf_.data() + kFrameHeaderBytes + length);
+      load_le<std::uint64_t>(buf_.data() + kFrameHeaderBytes + length);
   if (core::snapshot_checksum(buf_.data(), kFrameHeaderBytes + length) !=
       stored) {
     return poison("frame checksum mismatch");

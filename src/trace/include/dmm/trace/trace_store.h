@@ -34,7 +34,7 @@ namespace dmm::trace {
 ///     { u64 offset, u64 first_event, u32 events, u32 reserved } ...
 ///     u64 index_checksum
 ///
-/// Integrity discipline matches cache_snapshot.h: the reader trusts
+/// Integrity discipline matches checked_file.h: the reader trusts
 /// nothing.  open() rejects — whole, with a reason — a missing or short
 /// file, a bad magic, a future version, a header/stats/index checksum
 /// mismatch, a declared size that disagrees with the actual file, an
@@ -57,17 +57,19 @@ inline constexpr std::size_t kTraceHeaderBytes = 88;
 /// Streams events into a DMMT file in one pass: blocks are encoded and
 /// written as they fill, stats/fingerprint accumulate alongside, and
 /// finish() appends the stats blob and block index, back-patches the
-/// header, and atomically renames a ".tmp" into place — a crash never
-/// leaves a torn .dmmt behind.  Writer memory is O(block + live objects
-/// + distinct sizes), independent of total event count.
+/// header, and atomically renames a uniquely named temp sibling
+/// (core::unique_temp_path) into place — a crash never leaves a torn .dmmt
+/// behind, and two writers to one path last-writer-win.  Writer memory is
+/// O(block + live objects + distinct sizes), independent of total event
+/// count.
 class TraceWriter {
  public:
   struct Options {
     std::uint32_t block_events = kDefaultBlockEvents;
   };
 
-  /// Opens @p path for writing (via a ".tmp" sibling).  Null + @p why on
-  /// I/O failure.
+  /// Opens @p path for writing (via a unique temp sibling).  Null + @p why
+  /// on I/O failure.
   [[nodiscard]] static std::unique_ptr<TraceWriter> create(
       const std::string& path, const Options& opts,
       std::string* why = nullptr);
@@ -197,10 +199,6 @@ class MappedTrace final : public core::TraceSource {
 bool write_trace_file(const core::AllocTrace& trace, const std::string& path,
                       const TraceWriter::Options& opts = {},
                       std::string* why = nullptr);
-
-/// True iff the file starts with the DMMT magic (cheap sniff; open() still
-/// validates everything).
-[[nodiscard]] bool is_trace_file(const std::string& path);
 
 }  // namespace dmm::trace
 

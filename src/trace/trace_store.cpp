@@ -7,56 +7,20 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "dmm/core/cache_snapshot.h"
+#include "dmm/core/checked_file.h"
 #include "dmm/trace/trace_codec.h"
 
 namespace dmm::trace {
 
 using core::AllocEvent;
+using core::append_le;
+using core::load_le;
 using core::snapshot_checksum;
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>* b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    b->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>* b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    b->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-double read_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = read_u64(p);
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-void put_f64(std::vector<std::uint8_t>* b, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  put_u64(b, bits);
-}
 
 bool set_why(std::string* why, const std::string& msg) {
   if (why != nullptr) *why = msg;
@@ -66,27 +30,27 @@ bool set_why(std::string* why, const std::string& msg) {
 /// Serializes TraceStats into the stats-blob payload.
 std::vector<std::uint8_t> encode_stats(const core::TraceStats& s) {
   std::vector<std::uint8_t> out;
-  put_u64(&out, s.events);
-  put_u64(&out, s.allocs);
-  put_u64(&out, s.frees);
-  put_u64(&out, s.peak_live_bytes);
-  put_u64(&out, s.peak_live_blocks);
-  put_u64(&out, s.distinct_sizes);
-  put_u32(&out, s.min_size);
-  put_u32(&out, s.max_size);
-  put_f64(&out, s.mean_size);
-  put_f64(&out, s.mean_lifetime_events);
-  put_u32(&out, s.phases);
-  put_u32(&out, static_cast<std::uint32_t>(s.class_histogram.size()));
+  append_le<std::uint64_t>(out, s.events);
+  append_le<std::uint64_t>(out, s.allocs);
+  append_le<std::uint64_t>(out, s.frees);
+  append_le<std::uint64_t>(out, s.peak_live_bytes);
+  append_le<std::uint64_t>(out, s.peak_live_blocks);
+  append_le<std::uint64_t>(out, s.distinct_sizes);
+  append_le<std::uint32_t>(out, s.min_size);
+  append_le<std::uint32_t>(out, s.max_size);
+  append_le<double>(out, s.mean_size);
+  append_le<double>(out, s.mean_lifetime_events);
+  append_le<std::uint32_t>(out, s.phases);
+  append_le<std::uint32_t>(out, s.class_histogram.size());
   for (const auto& [cls, count] : s.class_histogram) {
-    put_u32(&out, cls);
-    put_u64(&out, count);
+    append_le<std::uint32_t>(out, cls);
+    append_le<std::uint64_t>(out, count);
   }
-  put_u32(&out, static_cast<std::uint32_t>(s.top_sizes.size()));
-  put_u32(&out, 0);  // reserved
+  append_le<std::uint32_t>(out, s.top_sizes.size());
+  append_le<std::uint32_t>(out, 0);  // reserved
   for (const auto& [size, count] : s.top_sizes) {
-    put_u32(&out, size);
-    put_u64(&out, count);
+    append_le<std::uint32_t>(out, size);
+    append_le<std::uint64_t>(out, count);
   }
   return out;
 }
@@ -99,49 +63,49 @@ bool decode_stats(const std::uint8_t* p, std::size_t len,
     return static_cast<std::size_t>(end - p) >= n;
   };
   if (!need(6 * 8 + 2 * 4 + 2 * 8 + 2 * 4)) return false;
-  s->events = read_u64(p);
+  s->events = load_le<std::uint64_t>(p);
   p += 8;
-  s->allocs = read_u64(p);
+  s->allocs = load_le<std::uint64_t>(p);
   p += 8;
-  s->frees = read_u64(p);
+  s->frees = load_le<std::uint64_t>(p);
   p += 8;
-  s->peak_live_bytes = read_u64(p);
+  s->peak_live_bytes = load_le<std::uint64_t>(p);
   p += 8;
-  s->peak_live_blocks = read_u64(p);
+  s->peak_live_blocks = load_le<std::uint64_t>(p);
   p += 8;
-  s->distinct_sizes = read_u64(p);
+  s->distinct_sizes = load_le<std::uint64_t>(p);
   p += 8;
-  s->min_size = read_u32(p);
+  s->min_size = load_le<std::uint32_t>(p);
   p += 4;
-  s->max_size = read_u32(p);
+  s->max_size = load_le<std::uint32_t>(p);
   p += 4;
-  s->mean_size = read_f64(p);
+  s->mean_size = load_le<double>(p);
   p += 8;
-  s->mean_lifetime_events = read_f64(p);
+  s->mean_lifetime_events = load_le<double>(p);
   p += 8;
-  const std::uint32_t phases = read_u32(p);
+  const std::uint32_t phases = load_le<std::uint32_t>(p);
   p += 4;
   if (phases > 0xffffu) return false;
   s->phases = static_cast<std::uint16_t>(phases);
-  const std::uint32_t hist = read_u32(p);
+  const std::uint32_t hist = load_le<std::uint32_t>(p);
   p += 4;
   if (hist > 4096) return false;
   for (std::uint32_t i = 0; i < hist; ++i) {
     if (!need(12)) return false;
-    const std::uint32_t cls = read_u32(p);
+    const std::uint32_t cls = load_le<std::uint32_t>(p);
     p += 4;
-    s->class_histogram[cls] = read_u64(p);
+    s->class_histogram[cls] = load_le<std::uint64_t>(p);
     p += 8;
   }
   if (!need(8)) return false;
-  const std::uint32_t top = read_u32(p);
+  const std::uint32_t top = load_le<std::uint32_t>(p);
   p += 8;  // count + reserved
   if (top > 4096) return false;
   for (std::uint32_t i = 0; i < top; ++i) {
     if (!need(12)) return false;
-    const std::uint32_t size = read_u32(p);
+    const std::uint32_t size = load_le<std::uint32_t>(p);
     p += 4;
-    s->top_sizes[size] = read_u64(p);
+    s->top_sizes[size] = load_le<std::uint64_t>(p);
     p += 8;
   }
   return p == end;
@@ -167,7 +131,7 @@ std::unique_ptr<TraceWriter> TraceWriter::create(const std::string& path,
                                                  std::string* why) {
   Options o = opts;
   if (o.block_events == 0) o.block_events = kDefaultBlockEvents;
-  std::string tmp = path + ".tmp";
+  std::string tmp = core::unique_temp_path(path);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     set_why(why, "cannot open " + tmp + " for writing");
@@ -206,10 +170,11 @@ bool TraceWriter::flush_block() {
   encode_block(buf_.data(), buf_.size(), &payload_);
   std::vector<std::uint8_t> block;
   block.reserve(payload_.size() + 16);
-  put_u32(&block, static_cast<std::uint32_t>(payload_.size()));
-  put_u32(&block, static_cast<std::uint32_t>(buf_.size()));
+  append_le<std::uint32_t>(block, payload_.size());
+  append_le<std::uint32_t>(block, buf_.size());
   block.insert(block.end(), payload_.begin(), payload_.end());
-  put_u64(&block, snapshot_checksum(block.data(), block.size()));
+  append_le<std::uint64_t>(block,
+                           snapshot_checksum(block.data(), block.size()));
   IndexEntry entry;
   entry.offset = next_offset_;
   entry.first_event = acc_.events() - buf_.size();
@@ -245,63 +210,59 @@ bool TraceWriter::finish(std::string* why) {
   // Stats blob.
   const std::vector<std::uint8_t> stats_payload = encode_stats(acc_.stats());
   std::vector<std::uint8_t> blob;
-  put_u32(&blob, static_cast<std::uint32_t>(stats_payload.size()));
-  put_u32(&blob, 0);
+  append_le<std::uint32_t>(blob, stats_payload.size());
+  append_le<std::uint32_t>(blob, 0);
   blob.insert(blob.end(), stats_payload.begin(), stats_payload.end());
-  put_u64(&blob, snapshot_checksum(stats_payload.data(),
-                                   stats_payload.size()));
+  append_le<std::uint64_t>(
+      blob, snapshot_checksum(stats_payload.data(), stats_payload.size()));
   const std::uint64_t index_offset = stats_offset + blob.size();
   // Block index.
   std::vector<std::uint8_t> index;
-  put_u32(&index, static_cast<std::uint32_t>(index_.size()));
-  put_u32(&index, 0);
+  append_le<std::uint32_t>(index, index_.size());
+  append_le<std::uint32_t>(index, 0);
   for (const IndexEntry& e : index_) {
-    put_u64(&index, e.offset);
-    put_u64(&index, e.first_event);
-    put_u32(&index, e.events);
-    put_u32(&index, 0);
+    append_le<std::uint64_t>(index, e.offset);
+    append_le<std::uint64_t>(index, e.first_event);
+    append_le<std::uint32_t>(index, e.events);
+    append_le<std::uint32_t>(index, 0);
   }
-  put_u64(&index, snapshot_checksum(index.data(), index.size()));
+  append_le<std::uint64_t>(index,
+                           snapshot_checksum(index.data(), index.size()));
   const std::uint64_t file_bytes = index_offset + index.size();
   // Header.
   const core::TraceIdBounds bounds = acc_.id_bounds();
   std::vector<std::uint8_t> header;
   header.reserve(kTraceHeaderBytes);
-  put_u32(&header, kTraceMagic);
-  put_u32(&header, kTraceVersion);
-  put_u64(&header, acc_.events());
-  put_u64(&header, acc_.fingerprint());
-  put_u32(&header, opts_.block_events);
-  put_u32(&header, static_cast<std::uint32_t>(index_.size()));
-  put_u64(&header, index_offset);
-  put_u64(&header, stats_offset);
-  put_u64(&header, file_bytes);
-  put_u32(&header, bounds.max_id);
-  put_u32(&header, 0);
-  put_u64(&header, bounds.allocs);
-  put_u64(&header, 0);
-  put_u64(&header, snapshot_checksum(header.data(), header.size()));
-  const bool ok =
+  append_le<std::uint32_t>(header, kTraceMagic);
+  append_le<std::uint32_t>(header, kTraceVersion);
+  append_le<std::uint64_t>(header, acc_.events());
+  append_le<std::uint64_t>(header, acc_.fingerprint());
+  append_le<std::uint32_t>(header, opts_.block_events);
+  append_le<std::uint32_t>(header, index_.size());
+  append_le<std::uint64_t>(header, index_offset);
+  append_le<std::uint64_t>(header, stats_offset);
+  append_le<std::uint64_t>(header, file_bytes);
+  append_le<std::uint32_t>(header, bounds.max_id);
+  append_le<std::uint32_t>(header, 0);
+  append_le<std::uint64_t>(header, bounds.allocs);
+  append_le<std::uint64_t>(header, 0);
+  append_le<std::uint64_t>(
+      header, snapshot_checksum(header.data(), header.size()));
+  bool ok =
       std::fwrite(blob.data(), 1, blob.size(), f_) == blob.size() &&
       std::fwrite(index.data(), 1, index.size(), f_) == index.size() &&
       std::fseek(f_, 0, SEEK_SET) == 0 &&
-      std::fwrite(header.data(), 1, header.size(), f_) == header.size() &&
-      std::fflush(f_) == 0;
+      std::fwrite(header.data(), 1, header.size(), f_) == header.size();
+  // fclose flushes: a full disk may only show here.
+  ok = std::fclose(f_) == 0 && ok;
+  f_ = nullptr;
   if (!ok) {
     set_why(why, "write failed on " + tmp_path_);
     return abort_write();
   }
-  std::fclose(f_);
-  f_ = nullptr;
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    set_why(why, "rename to " + path_ + " failed");
-    std::remove(tmp_path_.c_str());
-    finished_ = true;
-    failed_ = true;
-    return false;
-  }
   finished_ = true;
-  return true;
+  failed_ = !core::rename_into_place(tmp_path_, path_, why);
+  return !failed_;
 }
 
 // ---------------------------------------------------------------------------
@@ -347,23 +308,23 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
     set_why(why, path + ": " + msg);
     return std::unique_ptr<MappedTrace>();  // t unmaps via its destructor
   };
-  if (read_u32(h) != kTraceMagic) return reject("bad magic");
-  const std::uint32_t version = read_u32(h + 4);
+  if (load_le<std::uint32_t>(h) != kTraceMagic) return reject("bad magic");
+  const std::uint32_t version = load_le<std::uint32_t>(h + 4);
   if (version == 0 || version > kTraceVersion) {
     return reject("unsupported version " + std::to_string(version));
   }
-  if (read_u64(h + 80) != snapshot_checksum(h, 80)) {
+  if (load_le<std::uint64_t>(h + 80) != snapshot_checksum(h, 80)) {
     return reject("header checksum mismatch");
   }
-  t->event_count_ = read_u64(h + 8);
-  t->fingerprint_ = read_u64(h + 16);
-  t->block_events_ = read_u32(h + 24);
-  const std::uint32_t block_count = read_u32(h + 28);
-  const std::uint64_t index_offset = read_u64(h + 32);
-  const std::uint64_t stats_offset = read_u64(h + 40);
-  t->file_bytes_ = read_u64(h + 48);
-  t->bounds_.max_id = read_u32(h + 56);
-  t->bounds_.allocs = read_u64(h + 64);
+  t->event_count_ = load_le<std::uint64_t>(h + 8);
+  t->fingerprint_ = load_le<std::uint64_t>(h + 16);
+  t->block_events_ = load_le<std::uint32_t>(h + 24);
+  const std::uint32_t block_count = load_le<std::uint32_t>(h + 28);
+  const std::uint64_t index_offset = load_le<std::uint64_t>(h + 32);
+  const std::uint64_t stats_offset = load_le<std::uint64_t>(h + 40);
+  t->file_bytes_ = load_le<std::uint64_t>(h + 48);
+  t->bounds_.max_id = load_le<std::uint32_t>(h + 56);
+  t->bounds_.allocs = load_le<std::uint64_t>(h + 64);
   if (t->file_bytes_ != len) return reject("declared size != file size");
   if (t->block_events_ == 0) return reject("zero block_events");
   if (stats_offset < kTraceHeaderBytes || stats_offset > len ||
@@ -373,12 +334,12 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
   // Stats blob.
   if (index_offset - stats_offset < 16) return reject("stats blob truncated");
   const std::uint8_t* const sb = t->base_ + stats_offset;
-  const std::uint32_t stats_bytes = read_u32(sb);
+  const std::uint32_t stats_bytes = load_le<std::uint32_t>(sb);
   if (16 + static_cast<std::uint64_t>(stats_bytes) !=
       index_offset - stats_offset) {
     return reject("stats blob size mismatch");
   }
-  if (read_u64(sb + 8 + stats_bytes) !=
+  if (load_le<std::uint64_t>(sb + 8 + stats_bytes) !=
       snapshot_checksum(sb + 8, stats_bytes)) {
     return reject("stats blob checksum mismatch");
   }
@@ -389,11 +350,13 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
   const std::uint64_t index_bytes = len - index_offset;
   if (index_bytes < 16) return reject("block index truncated");
   const std::uint8_t* const ib = t->base_ + index_offset;
-  if (read_u32(ib) != block_count) return reject("block index count mismatch");
+  if (load_le<std::uint32_t>(ib) != block_count) {
+    return reject("block index count mismatch");
+  }
   if (16 + static_cast<std::uint64_t>(block_count) * 24 != index_bytes) {
     return reject("block index size mismatch");
   }
-  if (read_u64(ib + index_bytes - 8) !=
+  if (load_le<std::uint64_t>(ib + index_bytes - 8) !=
       snapshot_checksum(ib, index_bytes - 8)) {
     return reject("block index checksum mismatch");
   }
@@ -405,9 +368,9 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
   for (std::uint32_t b = 0; b < block_count; ++b) {
     const std::uint8_t* const e = ib + 8 + 24 * static_cast<std::size_t>(b);
     BlockRef ref;
-    ref.offset = read_u64(e);
-    ref.first_event = read_u64(e + 8);
-    ref.events = read_u32(e + 16);
+    ref.offset = load_le<std::uint64_t>(e);
+    ref.first_event = load_le<std::uint64_t>(e + 8);
+    ref.events = load_le<std::uint32_t>(e + 16);
     if (ref.offset != next_offset || ref.first_event != next_event) {
       return reject("block index entries non-contiguous");
     }
@@ -416,17 +379,17 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
     }
     if (ref.offset + 16 > stats_offset) return reject("block out of bounds");
     const std::uint8_t* const blk = t->base_ + ref.offset;
-    const std::uint64_t payload_bytes = read_u32(blk);
+    const std::uint64_t payload_bytes = load_le<std::uint32_t>(blk);
     if (ref.offset + 8 + payload_bytes + 8 > stats_offset) {
       return reject("block payload out of bounds");
     }
-    if (read_u32(blk + 4) != ref.events) {
+    if (load_le<std::uint32_t>(blk + 4) != ref.events) {
       return reject("block prefix disagrees with index");
     }
     // The id column spends >= 1 varint byte per event, so a block that
     // claims more events than payload bytes is forged.
     if (ref.events > payload_bytes) return reject("block events > payload");
-    if (read_u64(blk + 8 + payload_bytes) !=
+    if (load_le<std::uint64_t>(blk + 8 + payload_bytes) !=
         snapshot_checksum(blk, 8 + payload_bytes)) {
       return reject("block checksum mismatch");
     }
@@ -443,7 +406,7 @@ std::unique_ptr<MappedTrace> MappedTrace::open(const std::string& path,
 void MappedTrace::decode_block_at(std::size_t b, AllocEvent* out) const {
   const BlockRef& ref = blocks_[b];
   const std::uint8_t* const blk = base_ + ref.offset;
-  const std::uint32_t payload_bytes = read_u32(blk);
+  const std::uint32_t payload_bytes = load_le<std::uint32_t>(blk);
   if (!decode_block(blk + 8, payload_bytes, ref.events, out)) {
     throw std::runtime_error("dmmt: block " + std::to_string(b) +
                              " failed to decode");
@@ -484,8 +447,8 @@ bool MappedTrace::verify_blocks(std::string* why) const {
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const BlockRef& ref = blocks_[b];
     const std::uint8_t* const blk = base_ + ref.offset;
-    const std::uint32_t payload_bytes = read_u32(blk);
-    if (read_u64(blk + 8 + payload_bytes) !=
+    const std::uint32_t payload_bytes = load_le<std::uint32_t>(blk);
+    if (load_le<std::uint64_t>(blk + 8 + payload_bytes) !=
         snapshot_checksum(blk, 8 + payload_bytes)) {
       return set_why(why, "block " + std::to_string(b) +
                               ": checksum mismatch");
@@ -521,15 +484,6 @@ bool write_trace_file(const core::AllocTrace& trace, const std::string& path,
   if (w == nullptr) return false;
   for (const AllocEvent& e : trace.events()) w->add(e);
   return w->finish(why);
-}
-
-bool is_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::uint8_t magic[4] = {};
-  const bool ok = std::fread(magic, 1, 4, f) == 4;
-  std::fclose(f);
-  return ok && read_u32(magic) == kTraceMagic;
 }
 
 }  // namespace dmm::trace

@@ -520,6 +520,27 @@ TEST(ApiLoad, UndecodableTraceFileIsRejectedNotFatal) {
       << reply.error;
 }
 
+// Traces are DMMT only.  A line-oriented text trace with a garbage third
+// line once loaded as its two-event prefix and was designed for; now the
+// file fails MappedTrace::open and the request names it.
+TEST(ApiLoad, TextTraceFileIsRejected) {
+  const std::string path = ::testing::TempDir() + "dmm_api_text_trace.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("a 0 64 0\na 1 32 0\nzz garbage\nf 0 0\nf 1 0\n", f);
+  std::fclose(f);
+  DesignRequest req;
+  req.traces.resize(1);
+  req.traces[0].kind = TraceRef::Kind::kFile;
+  req.traces[0].path = path;
+  const DesignReply reply = run_design_request(req);
+  std::remove(path.c_str());
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("trace '" + path + "' rejected: "),
+            std::string::npos)
+      << reply.error;
+}
+
 // ---------------------------------------------------------------------------
 // Adapter pinning: the legacy entry points and the request API must stay
 // bit-for-bit interchangeable, at every thread count.

@@ -323,6 +323,29 @@ TEST_F(CachePersist, TamperedKnobFailsTheCanonicalHashCheck) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// The bytes the parent format wrote for one entry: the whole file's
+// FNV-1a, pinned so a codec change that moves one byte fails here, not
+// when an existing snapshot stops loading.
+TEST_F(CachePersist, WrittenBytesArePinned) {
+  SharedScoreCache cache;
+  auto session = cache.begin_search(0x1234abcdull);
+  SharedScoreCache::Entry e;
+  e.sim.peak_footprint = 131072;
+  e.sim.final_footprint = 4096;
+  e.sim.avg_footprint = 65536.5;
+  e.sim.peak_live_bytes = 114000;
+  e.sim.failed_allocs = 2;
+  e.sim.wall_seconds = 0.25;
+  e.sim.events = 159368;
+  e.work_steps = 77;
+  session.insert_canonical(alloc::canonical(alloc::drr_paper_config()), e);
+  ASSERT_TRUE(cache.save(path_).saved);
+  const std::vector<std::uint8_t> buf = slurp();
+  ASSERT_EQ(buf.size(), kSnapshotHeaderBytes + kSnapshotRecordBytes +
+                            kSnapshotChecksumBytes);
+  EXPECT_EQ(snapshot_checksum(buf.data(), buf.size()), 0x2c1a19c5277760f2ull);
+}
+
 // ---------------------------------------------------------------------------
 // Atomic saves
 // ---------------------------------------------------------------------------

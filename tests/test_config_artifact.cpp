@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dmm/alloc/config.h"
 #include "dmm/alloc/config_rules.h"
+#include "dmm/core/checked_file.h"
 
 namespace dmm::runtime {
 namespace {
@@ -43,6 +46,24 @@ class ConfigArtifactTest : public ::testing::Test {
   void write_file(const std::string& bytes) const {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Stores @p v little-endian at @p at — written out here rather than
+  /// taken from the codec, so the tests stay an independent reference.
+  static void set_le64(std::string& bytes, std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  /// Recomputes the footer, for tests that corrupt one specific field and
+  /// must not be caught by the checksum.
+  static void reseal(std::string& bytes) {
+    const std::size_t body = bytes.size() - kConfigArtifactChecksumBytes;
+    set_le64(bytes, body,
+             core::snapshot_checksum(
+                 reinterpret_cast<const std::uint8_t*>(bytes.data()), body));
   }
 
   std::string path_;
@@ -152,6 +173,79 @@ TEST_F(ConfigArtifactTest, CountDisagreeingWithSizeRejects) {
   bytes[12] = 5;  // count low byte: claims 5 records, carries 2
   write_file(bytes);
   EXPECT_FALSE(load_config_artifact(path_).loaded);
+
+  // A forged count that wraps the size arithmetic: pad the body by one
+  // byte so its length is no longer a multiple of the record size, then
+  // store the one count whose naive `header + count * record + footer`
+  // wraps mod 2^64 back to the padded file size.  Only a check by
+  // division rejects it; the footer is resealed so nothing else does.
+  bytes = read_file();
+  bytes.insert(bytes.end() - kConfigArtifactChecksumBytes, '\0');
+  std::uint64_t inv = 1;  // Newton iteration for record^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inv *= 2 - kConfigRecordBytes * inv;
+  ASSERT_EQ(inv * kConfigRecordBytes, 1u);
+  const std::uint64_t forged = (bytes.size() - kConfigArtifactHeaderBytes -
+                                kConfigArtifactChecksumBytes) *
+                               inv;
+  ASSERT_GT(forged, std::uint64_t{1} << 32)
+      << "the forged count must be absurd";
+  set_le64(bytes, 12, forged);
+  reseal(bytes);
+  write_file(bytes);
+  const ConfigArtifactLoadResult loaded = load_config_artifact(path_);
+  EXPECT_FALSE(loaded.loaded);
+  EXPECT_TRUE(loaded.configs.empty());
+  EXPECT_NE(loaded.reason.find("truncated"), std::string::npos)
+      << loaded.reason;
+}
+
+TEST_F(ConfigArtifactTest, CorruptRecordRejectsTheWholeFile) {
+  ASSERT_TRUE(save_config_artifact(path_, sample_configs()).saved);
+  const std::string saved = read_file();
+  struct Forgery {
+    std::size_t at;
+    char value;
+    const char* reason;
+  };
+  const Forgery forgeries[] = {
+      // First leaf byte of record 1 (after its 8-byte hash): 0xEE is a
+      // leaf index no tree has.  Record 0 stays valid, so nothing may come
+      // out.
+      {kConfigArtifactHeaderBytes + kConfigRecordBytes + 8,
+       static_cast<char>(0xEE), "corrupt record 1"},
+      // chunk_bytes of record 0 lives right after the 15 leaf bytes;
+      // changing it yields a well-formed record whose stored hash no
+      // longer matches.
+      {kConfigArtifactHeaderBytes + 8 + 15,
+       static_cast<char>(saved[kConfigArtifactHeaderBytes + 8 + 15] ^ 0x01),
+       "corrupt record 0"},
+  };
+  for (const Forgery& f : forgeries) {
+    std::string bytes = saved;
+    bytes[f.at] = f.value;
+    reseal(bytes);  // only the record checks may catch it
+    write_file(bytes);
+    const ConfigArtifactLoadResult loaded = load_config_artifact(path_);
+    EXPECT_FALSE(loaded.loaded) << f.reason;
+    EXPECT_TRUE(loaded.configs.empty()) << f.reason;
+    EXPECT_NE(loaded.reason.find(f.reason), std::string::npos)
+        << loaded.reason;
+  }
+}
+
+// The bytes the parent format wrote for {drr_paper_config(),
+// minimal_config()}: the whole file's FNV-1a, pinned so a codec change that
+// moves one byte fails here, not in a deployed artifact.
+TEST_F(ConfigArtifactTest, WrittenBytesArePinned) {
+  ASSERT_TRUE(save_config_artifact(
+                  path_, {alloc::drr_paper_config(), alloc::minimal_config()})
+                  .saved);
+  const std::string bytes = read_file();
+  ASSERT_EQ(bytes.size(), 146u);
+  EXPECT_EQ(core::snapshot_checksum(
+                reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                bytes.size()),
+            0x6ccd2e349a6cf9f9ull);
 }
 
 TEST_F(ConfigArtifactTest, SaveOverwritesAtomically) {
@@ -162,6 +256,27 @@ TEST_F(ConfigArtifactTest, SaveOverwritesAtomically) {
   ASSERT_TRUE(loaded.loaded) << loaded.reason;
   ASSERT_EQ(loaded.configs.size(), 1u);
   EXPECT_EQ(loaded.configs[0], second[0]);
+}
+
+TEST_F(ConfigArtifactTest, ConcurrentSavesLastWriterWinsNoTornFile) {
+  const std::vector<alloc::DmmConfig> a = sample_configs();
+  const std::vector<alloc::DmmConfig> b = {alloc::minimal_config()};
+  constexpr int kRounds = 25;
+  std::thread ta([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(save_config_artifact(path_, a).saved);
+    }
+  });
+  std::thread tb([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(save_config_artifact(path_, b).saved);
+    }
+  });
+  ta.join();
+  tb.join();
+  const ConfigArtifactLoadResult loaded = load_config_artifact(path_);
+  ASSERT_TRUE(loaded.loaded) << loaded.reason;
+  EXPECT_TRUE(loaded.configs == a || loaded.configs == b);
 }
 
 }  // namespace

@@ -136,6 +136,20 @@ TEST(FamilyFingerprint, SeparatesSetsOrdersWeightsAndAggregates) {
   EXPECT_EQ(ab, fp({a, b}, FamilyAggregate::kMaxPeak)) << "and it is stable";
 }
 
+// Snapshots written by earlier builds key family entries under these
+// values, so the byte stream the fingerprint hashes must never move.
+TEST(FamilyFingerprint, ValueIsPinned) {
+  FamilyEvalMember a;
+  a.fingerprint = 0x0123456789abcdefull;
+  FamilyEvalMember b;
+  b.fingerprint = 0xfedcba9876543210ull;
+  b.weight = 0.5;
+  EXPECT_EQ(family_fingerprint({a, b}, FamilyAggregate::kWeightedSum),
+            0x2e810a3f52995746ull);
+  EXPECT_EQ(family_fingerprint({a, b}, FamilyAggregate::kMaxPeak),
+            0x52da4f24154d1d37ull);
+}
+
 // ---------------------------------------------------------------------------
 // design_manager_family
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <string>
 
 namespace dmm::core {
 namespace {
@@ -85,21 +85,6 @@ TEST(AllocTrace, AppendOffsetsIdsAndPhases) {
   const TraceStats s = a.stats();
   EXPECT_EQ(s.events, 12u);
   EXPECT_EQ(s.phases, 4u) << "phases 0,1 then 2,3";
-}
-
-TEST(AllocTrace, SaveLoadRoundTrip) {
-  const AllocTrace t = simple_trace();
-  const std::string path = ::testing::TempDir() + "/dmm_trace_roundtrip.txt";
-  t.save(path);
-  const AllocTrace loaded = AllocTrace::load(path);
-  ASSERT_EQ(loaded.size(), t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(loaded.events()[i].op, t.events()[i].op);
-    EXPECT_EQ(loaded.events()[i].id, t.events()[i].id);
-    EXPECT_EQ(loaded.events()[i].size, t.events()[i].size);
-    EXPECT_EQ(loaded.events()[i].phase, t.events()[i].phase);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(AllocTrace, IdBoundsRecomputeAfterEveryMutation) {

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -181,12 +183,67 @@ TEST_F(TraceStore, EmptyTraceRoundTrips) {
   EXPECT_EQ(cur->next(&run), 0u);
 }
 
-TEST_F(TraceStore, SniffsMagic) {
-  (void)write_drr();
-  EXPECT_TRUE(is_trace_file(path_));
-  write_file({'n', 'o', 'p', 'e'});
-  EXPECT_FALSE(is_trace_file(path_));
-  EXPECT_FALSE(is_trace_file(path_ + ".does-not-exist"));
+// The bytes the parent format wrote for DRR seed 7 cut to 1,280 events:
+// the whole file's FNV-1a, pinned so a codec change that moves one byte
+// fails here, not when a recorded trace stops opening.
+TEST_F(TraceStore, WrittenBytesArePinned) {
+  const AllocTrace t = workload_trace("drr", 1280);
+  std::string why;
+  ASSERT_TRUE(write_trace_file(t, path_, {}, &why)) << why;
+  const std::vector<std::uint8_t> bytes = read_file();
+  ASSERT_EQ(bytes.size(), 3205u);
+  EXPECT_EQ(core::snapshot_checksum(bytes.data(), bytes.size()),
+            0x3f71da647930d2e1ull);
+}
+
+// --- Two writers, one path: each streams into its own temp sibling, and
+// the last to finish renames its whole trace over the other's. ----------
+
+TEST_F(TraceStore, ConcurrentWritersToOnePathLastFinisherWins) {
+  const AllocTrace a = workload_trace("drr", 3000);
+  const AllocTrace b = workload_trace("recon3d", 2000);
+  TraceWriter::Options o;
+  o.block_events = 256;  // both writers flush blocks while the other is open
+  std::string why;
+  const auto wa = TraceWriter::create(path_, o, &why);
+  ASSERT_NE(wa, nullptr) << why;
+  const auto wb = TraceWriter::create(path_, o, &why);
+  ASSERT_NE(wb, nullptr) << why;
+  for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i < a.size()) wa->add(a.events()[i]);
+    if (i < b.size()) wb->add(b.events()[i]);
+  }
+  EXPECT_TRUE(wa->finish(&why)) << why;
+  EXPECT_TRUE(wb->finish(&why)) << why;
+  const auto m = MappedTrace::open(path_, &why);
+  ASSERT_NE(m, nullptr) << why;
+  EXPECT_EQ(m->fingerprint(), b.fingerprint());
+  EXPECT_TRUE(m->materialize().events() == b.events());
+}
+
+TEST_F(TraceStore, ConcurrentThreadedWritersLeaveOneWholeTrace) {
+  const AllocTrace traces[2] = {workload_trace("drr", 3000),
+                                workload_trace("render3d", 2000)};
+  TraceWriter::Options o;
+  o.block_events = 256;
+  for (int round = 0; round < 5; ++round) {
+    bool ok[2] = {false, false};
+    std::string why[2];
+    std::thread writers[2];
+    for (int w = 0; w < 2; ++w) {
+      writers[w] = std::thread([&, w] {
+        ok[w] = write_trace_file(traces[w], path_, o, &why[w]);
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    EXPECT_TRUE(ok[0]) << why[0];
+    EXPECT_TRUE(ok[1]) << why[1];
+    std::string reason;
+    const auto m = MappedTrace::open(path_, &reason);
+    ASSERT_NE(m, nullptr) << reason;
+    EXPECT_TRUE(m->fingerprint() == traces[0].fingerprint() ||
+                m->fingerprint() == traces[1].fingerprint());
+  }
 }
 
 // --- Corruption matrix: every mutation must reject at open, whole. ------

@@ -51,7 +51,8 @@ struct CaptureReport {
   bool ok = false;                  ///< file finalized and renamed
 };
 
-/// Starts capturing to @p path (written atomically via a ".tmp" sibling).
+/// Starts capturing to @p path (written atomically via a unique temp
+/// sibling, so concurrent captures to one path last-writer-win).
 /// False if a capture is already running or the file cannot be created.
 bool capture_begin(const char* path, std::string* why = nullptr);
 

@@ -28,6 +28,12 @@ about; this linter makes them machine-checked:
                   own directory): a note the reader cannot open is a note
                   they do not have.
 
+  raw-bytes       No hand-rolled little-endian shift loop (`>> (8 * i)`,
+                  `<< (8 * i)`) outside src/core/include/dmm/core/
+                  checked_file.h, the one byte codec every file and frame
+                  format goes through.  tests/ is exempt: its forgers are
+                  an independent reference for that codec.
+
 Findings print as `path:line: [rule] message` and exit status 1.  A finding
 can be suppressed with an inline annotation on the same line or the line
 directly above:
@@ -50,9 +56,12 @@ import os
 import re
 import sys
 
-RULES = ("nondet", "unordered-iter", "ptr-order", "raw-parse", "doc-ref")
+RULES = ("nondet", "unordered-iter", "ptr-order", "raw-parse", "doc-ref",
+         "raw-bytes")
 
 RAW_PARSE_WHITELIST = ("src/core/search.cpp",)
+
+RAW_BYTES_WHITELIST = ("src/core/include/dmm/core/checked_file.h",)
 
 SCAN_DIRS = ("src", "bench", "examples", "tests",
              "tools/dmm_capture")
@@ -210,6 +219,18 @@ def check_raw_parse(relpath, clean_lines):
                       "rejects garbage and overflow")
 
 
+RAW_BYTES_PAT = re.compile(
+    r"(?:<<|>>)\s*\(\s*(?:8\s*\*\s*\w+|\w+\s*\*\s*8)\s*\)")
+
+
+def check_raw_bytes(relpath, clean_lines):
+    for lineno, _line, m in iter_line_matches(clean_lines, RAW_BYTES_PAT):
+        yield Finding(relpath, lineno, "raw-bytes",
+                      f"hand-rolled little-endian shift `{m.group(0)}` — "
+                      "use core::append_le / store_le / load_le "
+                      "(dmm/core/checked_file.h)")
+
+
 DOC_REF_PAT = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 
@@ -284,12 +305,16 @@ def lint_files(root, paths, scoped=True, doc_root=None):
             if rel not in RAW_PARSE_WHITELIST and not rel.startswith(
                     "tests/"):
                 checks.append(check_raw_parse(rel, clean_lines))
+            if rel not in RAW_BYTES_WHITELIST and not rel.startswith(
+                    "tests/"):
+                checks.append(check_raw_bytes(rel, clean_lines))
         else:
             checks += [
                 check_nondet(rel, clean_lines),
                 check_unordered_iter(rel, clean_lines, unordered_names),
                 check_ptr_order(rel, clean_lines),
                 check_raw_parse(rel, clean_lines),
+                check_raw_bytes(rel, clean_lines),
             ]
         for gen in checks:
             for finding in gen:
