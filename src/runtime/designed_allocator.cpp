@@ -1,20 +1,23 @@
 // DesignedAllocator — the deployable front over the designed policy core.
 //
-// Locking model (acquisition order; a later lock is never held while taking
-// an earlier one):
+// Locking model (acquisition order; core_mu_ is never held while taking
+// the registry mutex):
 //
 //   registry mutex  — process-wide; guards every allocator's cache roster
 //                     and cache ownership hand-off at thread/allocator exit
-//   ThreadCache::mu — one per thread cache; the owning thread's fast path
-//                     plus the teardown paths that drain someone else's
 //   core_mu_        — serialises the single-threaded policy core and its
 //                     arena (including the stats read of telemetry()),
 //                     and guards the allocator's counters and roster
 //                     reads
 //
-// core_mu_ is a SpinParkLock; the registry mutex and ThreadCache::mu, held
-// on cold paths or by one thread at a time, stay std::mutex.  Looking up a
-// thread's cache (ThreadCache::owner) or a pointer's block takes no lock.
+// A thread cache takes no lock: while the allocator lives only its owning
+// thread touches its bins and pending list.  Both teardown paths (thread
+// exit, allocator destruction) run under the registry mutex, and the one
+// that drains other threads' caches, the destructor, runs only once those
+// threads are done with the allocator (its contract).  core_mu_ is a
+// SpinParkLock; the registry mutex, held on cold paths, stays std::mutex.
+// Looking up a thread's cache (ThreadCache::owner) or a pointer's block
+// takes no lock.
 //
 // Block table: one word per 8-byte granule of the slab, capacity << 32 |
 // requested.  0: no block starts here; requested 0: in a thread cache.  The
@@ -26,11 +29,17 @@
 // Deferred release: a block a thread cache evicts leaves the block table
 // at once but waits in the cache's pending list.  Every core_mu_ hold taken
 // on a thread's behalf (a core allocation, an uncacheable free, a flush)
-// first drains that thread's pending list, oldest first, under
-// ThreadCache::mu then core_mu_; so does a push that fills the list to
-// kPendingDrainBlocks.  A thread's releases thus reach the core in the same
-// order relative to its own core calls as if each were released at
-// eviction: a single-threaded run makes exactly the same core calls.
+// first drains that thread's pending list, oldest first; so does a push
+// that fills the list to kPendingDrainBlocks.  A thread's releases thus
+// reach the core in the same order relative to its own core calls as if
+// each were released at eviction: a single-threaded run makes exactly the
+// same core calls.
+//
+// Batched refill: while the front is shared, the core-lock hold of a cache
+// miss also grants up to kRefillBytes more blocks of the missed size.  They
+// are entered in the block table as cached and filed in the bins after the
+// hold, so the lock covers core calls only.  A one-thread front never
+// refills, and so makes the same core calls as with plain caches.
 //
 // Counters: each thread counts its calls in its own cache (written by that
 // thread only); the cache-off path counts in core_counts_ under core_mu_,
@@ -84,11 +93,18 @@ constexpr std::size_t requested_of(std::uint64_t word) {
 constexpr std::size_t kPendingDrainBlocks = 64;
 
 /// While several threads share a front, a bin's entry cap grows to this
-/// many bytes of its class where that is deeper (below 128 B at the
+/// many bytes of its class where that is deeper (below 512 B at the
 /// default 32 entries): a thread's working set of small blocks then stays
 /// in its cache instead of swinging through the core lock every thread
 /// queues on.
-constexpr std::size_t kSharedBinBytes = 4096;
+constexpr std::size_t kSharedBinBytes = 16 * 1024;
+
+/// A shared front's cache miss takes up to this many bytes of further
+/// blocks of its size in the same core-lock hold.
+constexpr std::size_t kRefillBytes = 1024;
+/// Most blocks one refill can grant: kRefillBytes of the smallest class.
+constexpr std::size_t kRefillMaxBlocks =
+    kRefillBytes / alloc::SizeClass::size_of(0);
 
 [[noreturn]] void die(const char* what, const void* ptr) {
   std::fprintf(stderr, "DesignedAllocator: %s (ptr=%p)\n", what, ptr);
@@ -119,7 +135,6 @@ std::size_t bin_entries(const RuntimeOptions& opts, unsigned cls,
 struct DesignedAllocator::ThreadCache {
   ThreadCache() { pending.reserve(kPendingDrainBlocks); }
 
-  std::mutex mu;
   /// Which allocator this cache drains into at thread exit; nullptr once
   /// it is gone.  Stored under the registry mutex.
   std::atomic<DesignedAllocator*> owner{nullptr};
@@ -128,20 +143,32 @@ struct DesignedAllocator::ThreadCache {
   std::array<std::vector<std::pair<void*, std::size_t>>,
              alloc::SizeClass::kCount>
       bins;
-  std::size_t cached_bytes = 0;  ///< sum of cached capacities; under mu
   /// Whether the owner's roster held other caches when this one joined it
-  /// (enlist) or at the last roster change its core_hold() saw; under mu
-  /// after enlist.  A shared cache's bins take bin_entries()' deeper cap.
+  /// (enlist) or at the last roster change its core_hold() saw.  A shared
+  /// cache's bins take bin_entries()' deeper cap, and its misses refill.
   bool shared = false;
-  /// Evicted blocks not yet released to the core, oldest first; under mu.
-  /// Cleared, never shrunk, so draining allocates nothing.
+  /// Evicted blocks not yet released to the core, oldest first.  Cleared,
+  /// never shrunk, so draining allocates nothing.
   std::vector<void*> pending;
-  /// The owning thread's calls through owner; written by that thread only.
-  /// On its own cache line, away from the neighbouring heap objects.
+  /// The owning thread's calls through owner, and the capacity its bins
+  /// hold (counts.cached()); written by that thread only.  On its own
+  /// cache line, away from the neighbouring heap objects.
   alignas(64) ThreadCounters counts;
   /// owner->roster_epoch_ when counts' high mark last restarted; under
   /// the owner's core_mu_.
   std::uint64_t high_epoch = 0;
+};
+
+/// Blocks one core-lock hold granted ahead of a request, filed in the
+/// thread's cache once the hold ends.
+struct DesignedAllocator::Refill {
+  struct Block {
+    void* ptr;
+    std::size_t capacity;
+  };
+  /// Left uninitialised: only the first count entries are ever read.
+  std::array<Block, kRefillMaxBlocks> blocks;
+  std::size_t count = 0;
 };
 
 struct ThreadCacheRegistry {
@@ -225,8 +252,6 @@ std::size_t DesignedAllocator::thread_cache_shells() {
 
 template <class Body>
 decltype(auto) DesignedAllocator::with_core(ThreadCache* cache, Body&& body) {
-  std::unique_lock<std::mutex> cache_lock;
-  if (cache != nullptr) cache_lock = std::unique_lock<std::mutex>(cache->mu);
   const std::lock_guard<SpinParkLock> core_lock(core_mu_);
   if (cache != nullptr) core_hold(*cache);
   return body();
@@ -338,10 +363,12 @@ void* DesignedAllocator::malloc(std::size_t bytes) {
 
 void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
   std::size_t capacity = 0;
-  void* p = core_allocate(request, &capacity, cache);
+  Refill refill;
+  void* p = core_allocate(request, &capacity, cache, &refill);
   if (p == nullptr && cache != nullptr) {
     // Reclaim before any policy fires: the calling thread's own cache may
-    // hold exactly the memory the core needs.
+    // hold exactly the memory the core needs.  Short of memory, the retry
+    // takes no more than it asks for.
     flush_cache(*cache);
     p = core_allocate(request, &capacity, cache);
   }
@@ -354,13 +381,14 @@ void* DesignedAllocator::slow_malloc(std::size_t request, ThreadCache* cache) {
   // The cache-off path counted inside its core-lock hold.
   if (cache != nullptr) {
     cache->counts.note_alloc(request, /*from_cache=*/false);
+    file_refill(*cache, refill);
   }
   return p;
 }
 
 void* DesignedAllocator::core_allocate(std::size_t request,
                                        std::size_t* capacity,
-                                       ThreadCache* cache) {
+                                       ThreadCache* cache, Refill* refill) {
   return with_core(cache, [&]() -> void* {
     if (slab_.empty() || consume_injected_failure()) return nullptr;
     void* p = core_.allocate(request);
@@ -369,9 +397,56 @@ void* DesignedAllocator::core_allocate(std::size_t request,
     if (cache == nullptr) {
       core_counts_.note_alloc(request, /*from_cache=*/false);
       sample_peak();
+    } else if (refill != nullptr && cache->shared) {
+      grant_ahead(*cache, request, *capacity, *refill);
     }
     return p;
   });
+}
+
+void DesignedAllocator::grant_ahead(const ThreadCache& cache,
+                                    std::size_t request, std::size_t capacity,
+                                    Refill& refill) {
+  if (!cacheable(capacity)) return;
+  // kRefillBytes of blocks of the missed block's capacity, no more than
+  // its bin has entries left under the shared cap, and within the byte
+  // budget.  The core may grant a later block more capacity than the
+  // first: one that would break the budget goes straight back and ends
+  // the refill.  (One whose capacity lands in another bin is filed there
+  // through cache_push(), which keeps that bin's cap.)
+  const unsigned cls = bin_for(capacity);
+  const std::size_t cap = bin_entries(opts_, cls, /*shared=*/true);
+  const std::size_t blocks =
+      std::min(kRefillBytes / capacity,
+               cap - std::min(cap, cache.bins[cls].size()));
+  const auto cached = static_cast<std::size_t>(cache.counts.cached());
+  std::size_t room =
+      opts_.thread_cache_bytes - std::min(opts_.thread_cache_bytes, cached);
+  while (refill.count < blocks && room >= capacity) {
+    // Straight to the core: no injected failure is taken and no OOM
+    // policy fires; the first refusal ends the refill.
+    void* q = core_.allocate(request);
+    if (q == nullptr) return;
+    const std::size_t granted = core_.usable_size(q);
+    if (granted > room) {
+      core_.deallocate(q);
+      return;
+    }
+    refill.blocks[refill.count++] = {q, granted};
+    room -= granted;
+  }
+}
+
+void DesignedAllocator::file_refill(ThreadCache& cache, const Refill& refill) {
+  for (std::size_t i = 0; i < refill.count; ++i) {
+    const auto [q, capacity] = refill.blocks[i];
+    if (entry_of(q).exchange(table_word(capacity, 0),
+                             std::memory_order_acq_rel) != 0) {
+      die("core handed out a live pointer twice", q);
+    }
+    cache_push(cache, q, capacity);
+  }
+  if (refill.count > 0) cache.counts.note_refill(refill.count);
 }
 
 void* DesignedAllocator::handle_oom(std::size_t request, std::size_t* capacity,
@@ -526,7 +601,6 @@ bool DesignedAllocator::cacheable(std::size_t capacity) const {
 
 void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
                                    std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(cache.mu);
   const unsigned cls = bin_for(capacity);
   auto& bin = cache.bins[cls];
   if (bin.size() == bin.capacity()) {
@@ -539,7 +613,7 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
     bin.reserve(std::min(deepest, by_budget) + 1);
   }
   bin.emplace_back(ptr, capacity);
-  cache.cached_bytes += capacity;
+  cache.counts.add_cached(static_cast<std::int64_t>(capacity));
   // Per-bin entry cap: evict the oldest of this bin beyond it.
   const std::size_t entries = bin_entries(opts_, cls, cache.shared);
   if (bin.size() > entries) {
@@ -550,10 +624,13 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
     bin.erase(bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(drop));
   }
   // Byte budget: shed the largest cached blocks first.
-  for (std::size_t b = cache.bins.size();
-       b-- > 0 && cache.cached_bytes > opts_.thread_cache_bytes;) {
+  const auto over_budget = [&] {
+    return static_cast<std::size_t>(cache.counts.cached()) >
+           opts_.thread_cache_bytes;
+  };
+  for (std::size_t b = cache.bins.size(); b-- > 0 && over_budget();) {
     auto& shed = cache.bins[b];
-    while (!shed.empty() && cache.cached_bytes > opts_.thread_cache_bytes) {
+    while (!shed.empty() && over_budget()) {
       evict(cache, shed.front().first, shed.front().second);
       shed.erase(shed.begin());
     }
@@ -567,10 +644,9 @@ void DesignedAllocator::cache_push(ThreadCache& cache, void* ptr,
 void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
   if (request >= cache_block_limit_) return nullptr;
   const unsigned b = bin_for(request);
-  const std::lock_guard<std::mutex> lock(cache.mu);
   const auto take = [&cache](auto& bin, std::size_t i) {
     void* p = bin[i].first;
-    cache.cached_bytes -= bin[i].second;
+    cache.counts.add_cached(-static_cast<std::int64_t>(bin[i].second));
     bin.erase(bin.begin() + static_cast<std::ptrdiff_t>(i));
     return p;
   };
@@ -592,7 +668,7 @@ void* DesignedAllocator::cache_pop(ThreadCache& cache, std::size_t request) {
 void DesignedAllocator::evict(ThreadCache& cache, void* ptr,
                               std::size_t capacity) {
   entry_of(ptr).store(0, std::memory_order_release);
-  cache.cached_bytes -= capacity;
+  cache.counts.add_cached(-static_cast<std::int64_t>(capacity));
   cache.pending.push_back(ptr);
 }
 
@@ -602,7 +678,6 @@ void DesignedAllocator::drain_pending(ThreadCache& cache) {
 }
 
 void DesignedAllocator::flush_cache(ThreadCache& cache) {
-  const std::lock_guard<std::mutex> lock(cache.mu);
   for (auto& bin : cache.bins) {
     for (const auto& [p, capacity] : bin) evict(cache, p, capacity);
     bin.clear();

@@ -33,9 +33,11 @@ namespace dmm::runtime {
 //     that fits it, else the newest of the class above (whose blocks all
 //     fit), so a block comes back for requests of its own size and a hit
 //     never widens a block beyond what the core already granted.  Caches
-//     are bounded (bytes + per-bin entries; while several threads share
-//     the front, a bin of a class below 128 B may hold 4 KB of blocks,
-//     so a thread's small working set stays out of the shared core lock).
+//     are bounded (bytes + per-bin entries).  While several threads share
+//     the front, a bin of a class below 512 B may hold 16 KB of blocks,
+//     and a miss's core-lock hold also grants up to 1 KB more blocks of
+//     the missed class into the thread's cache, so a thread's small
+//     working set stays out of the core lock every thread queues on.
 //     Blocks a cache evicts wait in its thread's pending list and reach
 //     the core inside that thread's next core-lock hold, in eviction
 //     order, so one lock hold carries many releases.
@@ -70,8 +72,8 @@ struct RuntimeOptions {
   std::size_t thread_cache_bytes = 256 * 1024;
   /// Cap on entries per size-class bin of one thread cache while one
   /// thread uses the allocator; while several do, the floor of each bin's
-  /// cap, which rises to 4 KB of the bin's class size (512 entries of 8 B
-  /// down to 64 of 64 B).
+  /// cap, which rises to 16 KB of the bin's class size (2048 entries of
+  /// 8 B down to 64 of 256 B).
   std::size_t thread_cache_bin_entries = 32;
 };
 
@@ -134,6 +136,7 @@ class DesignedAllocator {
 
  private:
   struct ThreadCache;  // defined in designed_allocator.cpp
+  struct Refill;       // ditto
   friend struct ThreadCacheRegistry;
 
   /// The block-table word for @p p (designed_allocator.cpp has its
@@ -141,14 +144,12 @@ class DesignedAllocator {
   [[nodiscard]] std::atomic_ref<std::uint64_t> entry_of(const void* p) const;
   [[nodiscard]] ThreadCache* this_thread_cache();
 
-  /// Runs @p body under core_mu_ on behalf of the calling thread: takes
-  /// @p cache's mu first (if any), then core_mu_, and runs core_hold()
-  /// before the body's own core work.
+  /// Runs @p body under core_mu_ on behalf of the calling thread, after
+  /// core_hold() for @p cache (if any).
   template <class Body>
   decltype(auto) with_core(ThreadCache* cache, Body&& body);
   /// What every core-lock hold taken for @p cache does first: drains its
-  /// pending evictions and samples the live sum.  Caller holds cache.mu
-  /// and core_mu_.
+  /// pending evictions and samples the live sum.  Caller holds core_mu_.
   void core_hold(ThreadCache& cache);
   /// Applies @p note to the calling thread's counters, or to the
   /// allocator's under core_mu_ when caches are off.
@@ -167,8 +168,19 @@ class DesignedAllocator {
   void retire(ThreadCache* cache);
 
   [[nodiscard]] void* slow_malloc(std::size_t request, ThreadCache* cache);
+  /// One core allocation under core_mu_; with @p refill, a shared cache's
+  /// hold also grants blocks ahead into it (grant_ahead()).
   [[nodiscard]] void* core_allocate(std::size_t request, std::size_t* capacity,
-                                    ThreadCache* cache);
+                                    ThreadCache* cache,
+                                    Refill* refill = nullptr);
+  /// Grants @p cache up to kRefillBytes more blocks of @p request's size
+  /// after a miss the core served with @p capacity, within the bin's
+  /// shared cap and the byte budget.  Caller holds core_mu_.
+  void grant_ahead(const ThreadCache& cache, std::size_t request,
+                   std::size_t capacity, Refill& refill);
+  /// Enters @p refill's blocks in the block table as cached and pushes
+  /// them into @p cache.  No lock held.
+  void file_refill(ThreadCache& cache, const Refill& refill);
   [[nodiscard]] void* handle_oom(std::size_t request, std::size_t* capacity,
                                  ThreadCache* cache);
   [[nodiscard]] bool consume_injected_failure();
@@ -177,10 +189,10 @@ class DesignedAllocator {
   void cache_push(ThreadCache& cache, void* ptr, std::size_t capacity);
   [[nodiscard]] void* cache_pop(ThreadCache& cache, std::size_t request);
   /// Moves one cached block to @p cache's pending list and clears its
-  /// block-table word.  Caller holds cache.mu.
+  /// block-table word.
   void evict(ThreadCache& cache, void* ptr, std::size_t capacity);
   /// Releases @p cache's pending list to the core, oldest first.  Caller
-  /// holds cache.mu and core_mu_.
+  /// holds core_mu_.
   void drain_pending(ThreadCache& cache);
   /// Empties @p cache into the core: pending list first, then every bin.
   void flush_cache(ThreadCache& cache);

@@ -19,11 +19,11 @@ namespace dmm::runtime {
 // Only the OOM counters, on the cold path, stay shared relaxed atomics.
 //
 // Snapshot semantics (DesignedAllocator::telemetry()):
-//   * alloc_count, free_count, realloc_count, cache_hits and bytes_live
-//     are exact once the threads using the allocator are quiescent (joined,
-//     or parked after their last call).  Mid-traffic each is a sum of
-//     per-thread counters read one after another, so it may trail or lead
-//     the calls racing the read.
+//   * alloc_count, free_count, realloc_count, cache_hits, cache_refills,
+//     bytes_live and bytes_cached are exact once the threads using the
+//     allocator are quiescent (joined, or parked after their last call).
+//     Mid-traffic each is a sum of per-thread counters read one after
+//     another, so it may trail or lead the calls racing the read.
 //   * peak_bytes_live is exact while one thread uses the allocator.  With
 //     several threads it is the highest live sum the front has sampled:
 //     the sum is taken on every core-lock hold and at every snapshot, so a
@@ -45,6 +45,14 @@ struct TelemetrySnapshot {
   std::uint64_t free_count = 0;     ///< free calls with a live pointer
   std::uint64_t realloc_count = 0;  ///< realloc calls (any outcome)
   std::uint64_t cache_hits = 0;     ///< allocs served from a thread cache
+  /// Blocks granted ahead of a request: a shared front's cache miss takes
+  /// up to 1 KB more blocks of its class into the thread's cache in the
+  /// same core-lock hold.  They count as allocations only when a request
+  /// takes one (a cache hit).
+  std::uint64_t cache_refills = 0;
+  /// Capacity currently parked in thread caches (blocks waiting in a
+  /// pending list for the core are not counted).
+  std::uint64_t bytes_cached = 0;
   std::uint64_t bytes_live = 0;     ///< requested bytes currently live
   std::uint64_t peak_bytes_live = 0;  ///< high-water mark of bytes_live
 
@@ -79,6 +87,20 @@ class ThreadCounters {
 
   void note_realloc() { bump(realloc_count_); }
 
+  /// @p blocks were granted ahead of a request into this writer's cache.
+  void note_refill(std::uint64_t blocks) { bump(refills_, blocks); }
+
+  /// The writer's cache took in (positive) or let go of @p delta bytes of
+  /// capacity.
+  void add_cached(std::int64_t delta) {
+    cached_.store(cached() + delta, std::memory_order_relaxed);
+  }
+
+  /// Capacity the writer's cache holds now.
+  [[nodiscard]] std::int64_t cached() const {
+    return cached_.load(std::memory_order_relaxed);
+  }
+
   /// In-place realloc: the pointer stays, only the requested size moves.
   void note_resize(std::uint64_t old_requested, std::uint64_t new_requested) {
     add_live(static_cast<std::int64_t>(new_requested) -
@@ -106,7 +128,9 @@ class ThreadCounters {
     s.free_count += free_count_.load(std::memory_order_relaxed);
     s.realloc_count += realloc_count_.load(std::memory_order_relaxed);
     s.cache_hits += cache_hits_.load(std::memory_order_relaxed);
+    s.cache_refills += refills_.load(std::memory_order_relaxed);
     s.bytes_live += static_cast<std::uint64_t>(live());
+    s.bytes_cached += static_cast<std::uint64_t>(cached());
   }
 
   /// Folds @p other's counts into these (an exiting thread's into the
@@ -117,7 +141,9 @@ class ThreadCounters {
     bump(realloc_count_,
          other.realloc_count_.load(std::memory_order_relaxed));
     bump(cache_hits_, other.cache_hits_.load(std::memory_order_relaxed));
+    bump(refills_, other.refills_.load(std::memory_order_relaxed));
     add_live(other.live());
+    add_cached(other.cached());
   }
 
  private:
@@ -136,7 +162,9 @@ class ThreadCounters {
   std::atomic<std::uint64_t> free_count_{0};
   std::atomic<std::uint64_t> realloc_count_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
+  std::atomic<std::uint64_t> refills_{0};
   std::atomic<std::int64_t> live_{0};
+  std::atomic<std::int64_t> cached_{0};
   std::atomic<std::int64_t> high_{0};
 };
 

@@ -7,7 +7,6 @@
 #include <memory_resource>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "dmm/sysmem/arena_stats.h"
 
@@ -90,17 +89,21 @@ class Reservation {
 /// **One address map.**  A page map indexed by slab offset answers "which
 /// grant, and which owner, holds this pointer?" in O(1) for every manager
 /// drawing from the arena.  Like all the arena's books it is host
-/// bookkeeping, not charged to the footprint.
+/// bookkeeping, not charged to the footprint.  It lies behind the slab in
+/// the slab's own reservation, one slot per granule, so reaching a new
+/// high-water mark commits pages of it but never calls the system heap
+/// (the runtime front requests chunks inside its core lock).
 class SystemArena {
  public:
   /// Page granularity used to round requests, like an MMU page.
   static constexpr std::size_t kDefaultPageSize = 4096;
 
-  /// Virtual reservation backing one arena (lazily mapped, pages commit on
-  /// touch).  ~1000x the largest workload footprint in the repo; request()
-  /// fails like an exhausted OS once it is spent.  Shrunk on 32-bit hosts,
-  /// where 4 GiB does not even fit in size_t; capped at
-  /// Reservation::kFallbackBytes on hosts without mmap.
+  /// Slab backing one arena (lazily mapped, pages commit on touch; its
+  /// page map is reserved behind it).  ~1000x the largest workload
+  /// footprint in the repo; request() fails like an exhausted OS once it
+  /// is spent.  Shrunk on 32-bit hosts, where 4 GiB does not even fit in
+  /// size_t; on hosts without mmap, slab and map share
+  /// Reservation::kFallbackBytes.
   static constexpr std::size_t kSlabBytes = sizeof(std::size_t) >= 8
                                                 ? std::size_t{1} << 32
                                                 : std::size_t{1} << 30;
@@ -183,8 +186,13 @@ class SystemArena {
     const void* owner = nullptr;
   };
 
-  /// Maps the slab on first use (keeps never-used arenas free).
+  /// Maps the slab and its page map on first use (keeps never-used arenas
+  /// free).
   [[nodiscard]] bool ensure_slab();
+  /// The page map: zero-filled pages read as free slots.
+  [[nodiscard]] Slot* slots() const {
+    return reinterpret_cast<Slot*>(slab_.span().data() + slab_bytes_);
+  }
   /// Lowest-offset region of >= @p size bytes, or npos.
   [[nodiscard]] std::size_t take_region(std::size_t size);
   void give_region(std::size_t offset, std::size_t size);
@@ -197,11 +205,12 @@ class SystemArena {
   int grain_shift_;  ///< log2 of the page-map granule
   ArenaStats stats_;
   Observer observer_;
-  std::vector<Slot> page_map_;  ///< grows with the bump frontier
 
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.
+  /// slab_bytes_ of slab, then the page map (slots()).
   Reservation slab_;
+  std::size_t slab_bytes_ = 0;  ///< 0 until the slab is mapped
   bool slab_failed_ = false;  ///< reservation failed; don't retry
   std::size_t bump_ = 0;
   /// Recycles free_regions_' nodes, so an arena whose release pattern
@@ -221,9 +230,9 @@ inline Grant SystemArena::grant_of(const void* p) const {
     return {};
   }
   const auto offset = static_cast<std::size_t>(q - slab);
-  const std::size_t head = page_map_[offset >> grain_shift_].head;
+  const std::size_t head = slots()[offset >> grain_shift_].head;
   if (head == 0) return {};
-  const Slot& start = page_map_[head - 1];
+  const Slot& start = slots()[head - 1];
   const std::size_t base = (head - 1) << grain_shift_;
   // A sub-granule grant (page size < 16) leaves a tail no grant covers.
   if (offset - base >= start.size) return {};

@@ -68,18 +68,24 @@ SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
 }
 
 bool SystemArena::ensure_slab() {
-  if (!slab_.span().empty()) return true;
+  if (slab_bytes_ != 0) return true;
   // Attempted once: a failed reservation would otherwise repeat on every
   // request and drown the search in allocation churn.
   if (slab_failed_) return false;
-  slab_ = Reservation(kSlabBytes);
-  slab_failed_ = slab_.span().empty();
+  // One reservation holds the slab and, behind it, the page map (one Slot
+  // per granule), so an arena still costs one mmap.  The no-mmap fallback
+  // may grant less; what it grants is split alike.
+  const std::size_t grain = std::size_t{1} << grain_shift_;
+  const std::size_t per_grain = grain + sizeof(Slot);
+  slab_ = Reservation(kSlabBytes / grain * per_grain);
+  slab_bytes_ = slab_.span().size() / per_grain * grain;
+  slab_failed_ = slab_bytes_ == 0;
   return !slab_failed_;
 }
 
 std::span<const std::byte> SystemArena::slab() {
   if (!ensure_slab()) return {};
-  return slab_.span();
+  return slab_.span().first(slab_bytes_);
 }
 
 std::size_t SystemArena::take_region(std::size_t size) {
@@ -94,7 +100,7 @@ std::size_t SystemArena::take_region(std::size_t size) {
     if (remainder > 0) free_regions_.emplace(offset + size, remainder);
     return offset;
   }
-  if (slab_.span().size() - bump_ < size) return kNpos;
+  if (slab_bytes_ - bump_ < size) return kNpos;
   const std::size_t offset = bump_;
   bump_ += size;
   return offset;
@@ -152,12 +158,10 @@ std::byte* SystemArena::request(std::size_t bytes, const void* owner,
     return nullptr;
   }
   const std::size_t first = offset >> grain_shift_;
-  if (page_map_.size() < first + count) page_map_.resize(first + count);
-  for (std::size_t i = first; i < first + count; ++i) {
-    page_map_[i].head = first + 1;
-  }
-  page_map_[first].size = size;
-  page_map_[first].owner = owner;
+  Slot* const map = slots();
+  for (std::size_t i = first; i < first + count; ++i) map[i].head = first + 1;
+  map[first].size = size;
+  map[first].owner = owner;
   std::byte* ptr = slab_.span().data() + offset;
   stats_.current_footprint += size;
   stats_.total_requested += size;
@@ -179,7 +183,8 @@ void SystemArena::release(std::byte* ptr) {
   const auto offset = static_cast<std::size_t>(ptr - slab_.span().data());
   const std::size_t first = offset >> grain_shift_;
   const std::size_t count = granules(size);
-  for (std::size_t i = first; i < first + count; ++i) page_map_[i] = Slot{};
+  Slot* const map = slots();
+  for (std::size_t i = first; i < first + count; ++i) map[i] = Slot{};
   give_region(offset, count << grain_shift_);
   stats_.current_footprint -= size;
   stats_.total_released += size;
@@ -188,8 +193,9 @@ void SystemArena::release(std::byte* ptr) {
 }
 
 void SystemArena::release_all(const void* owner) {
-  for (std::size_t i = 0; i < page_map_.size(); ++i) {
-    const Slot& slot = page_map_[i];
+  // Every slot at or beyond the bump frontier is free.
+  for (std::size_t i = 0; i < (bump_ >> grain_shift_); ++i) {
+    const Slot& slot = slots()[i];
     if (slot.head == i + 1 && slot.owner == owner) {
       release(slab_.span().data() + (i << grain_shift_));
     }

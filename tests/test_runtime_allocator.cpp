@@ -416,12 +416,57 @@ std::uint64_t cycle_hits(DesignedAllocator& a, std::size_t n,
   return a.telemetry().cache_hits - before;
 }
 
-TEST(DesignedAllocator, SharedFrontBinsHoldAPageOfSmallBlocks) {
-  // While a second thread uses the front, a 32-byte bin holds 4096 / 32 =
-  // 128 blocks instead of the 32-entry cap, so a thread cycling 100 of
-  // them keeps every one.  A one-thread front keeps the cap, and a thread
-  // left alone gets it back at its next core-lock hold.
-  constexpr std::size_t kBlocks = 100;
+/// A second thread on @p a's roster for as long as this object lives: it
+/// joins with one call, then parks, so the front counts as shared.
+class SecondThread {
+ public:
+  explicit SecondThread(DesignedAllocator& a)
+      : thread_([this, &a] {
+          a.trim();  // joins the roster, touching no bin and no core
+          std::unique_lock<std::mutex> lock(mu_);
+          joined_ = true;
+          cv_.notify_all();
+          cv_.wait(lock, [this] { return leave_; });
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return joined_; });
+  }
+  SecondThread(const SecondThread&) = delete;
+  SecondThread& operator=(const SecondThread&) = delete;
+  ~SecondThread() { leave(); }
+
+  /// Lets the thread exit (leaving the roster) and joins it.
+  void leave() {
+    if (!thread_.joinable()) return;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      leave_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool joined_ = false;
+  bool leave_ = false;
+  std::thread thread_;
+};
+
+/// Bytes of further blocks a shared front's miss takes into the thread's
+/// cache (kRefillBytes in designed_allocator.cpp).
+constexpr std::size_t kRefillBytes = 1024;
+
+TEST(DesignedAllocator, SharedFrontBinsHold16KBOfSmallBlocks) {
+  // While a second thread uses the front, a 32-byte bin holds 16384 / 32 =
+  // 512 blocks instead of the 32-entry cap, so a thread cycling 400 of
+  // them keeps every one.  Each miss of the first cycle refills 1024 / 32
+  // = 32 blocks: 400 mallocs are 13 misses and 387 hits, and leave 29
+  // refilled blocks cached beside the 400 freed.  A one-thread front
+  // keeps the cap and never refills, and a thread left alone gets the cap
+  // back at its next core-lock hold.
+  constexpr std::size_t kBlocks = 400;
   constexpr std::size_t kSize = 32;
   const std::uint64_t kCap = RuntimeOptions{}.thread_cache_bin_entries;
   {
@@ -430,41 +475,150 @@ TEST(DesignedAllocator, SharedFrontBinsHoldAPageOfSmallBlocks) {
     for (int cycle = 0; cycle < 3; ++cycle) {
       EXPECT_EQ(cycle_hits(alone, kBlocks, kSize), kCap) << "one thread";
     }
+    EXPECT_EQ(alone.telemetry().cache_refills, 0u);
   }
   DesignedAllocator a(alloc::drr_paper_config());
-  a.free(a.malloc(1000));  // joins the roster alone
-  std::mutex mu;
-  std::condition_variable cv;
-  bool joined = false;
-  bool leave = false;
-  std::thread other([&] {
-    a.free(a.malloc(1000));
-    std::unique_lock<std::mutex> lock(mu);
-    joined = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return leave; });
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return joined; });
-  }
+  void* big = a.malloc(1000);  // joins the roster alone
+  const std::size_t big_capacity = a.usable_size(big);
+  a.free(big);
+  SecondThread other(a);
   // The first miss's core-lock hold sees the second thread on the roster.
-  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), 0u);
+  EXPECT_EQ(cycle_hits(a, kBlocks, kSize), 387u);
+  TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.cache_refills, 13 * kRefillBytes / kSize);
+  EXPECT_EQ(snap.bytes_cached, big_capacity + (kBlocks + 29) * kSize)
+      << "the 1000-byte block and 429 of 32 bytes";
   for (int cycle = 0; cycle < 3; ++cycle) {
     EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kBlocks) << "shared front";
   }
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    leave = true;
-  }
-  cv.notify_all();
-  other.join();
+  other.leave();
   // Alone again: a miss's core-lock hold drops the deeper cap.  The bin
   // still serves what it kept; the frees after that evict down to the cap.
   a.free(a.malloc(200));
   EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kBlocks) << "kept while shared";
   EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kCap) << "alone again";
   EXPECT_EQ(cycle_hits(a, kBlocks, kSize), kCap) << "alone again";
+  EXPECT_EQ(a.telemetry().cache_refills, snap.cache_refills)
+      << "a thread alone does not refill";
+}
+
+TEST(DesignedAllocator, RefillLeavesExactlyTheGrantedBlocksCached) {
+  // A shared front's miss of a 32-byte block also takes 1024 / 32 more
+  // into the thread's cache, filed as cached: the next 32 mallocs of the
+  // size are hits and the one after is a miss.  A one-thread front's miss
+  // refills nothing.
+  constexpr std::size_t kSize = 32;
+  {
+    DesignedAllocator alone(alloc::drr_paper_config());
+    void* p = alone.malloc(kSize);
+    TelemetrySnapshot snap = alone.telemetry();
+    EXPECT_EQ(snap.cache_refills, 0u);
+    EXPECT_EQ(snap.bytes_cached, 0u);
+    alone.free(p);
+    snap = alone.telemetry();
+    EXPECT_EQ(snap.bytes_cached, kSize) << "the freed block";
+    EXPECT_EQ(snap.cache_refills, 0u);
+  }
+  DesignedAllocator a(alloc::drr_paper_config());
+  SecondThread other(a);
+  void* first = a.malloc(kSize);
+  ASSERT_EQ(a.usable_size(first), kSize) << "a fresh chunk carves exactly";
+  constexpr std::size_t kRefilled = kRefillBytes / kSize;
+  TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, 1u) << "a refilled block is no allocation";
+  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.cache_refills, kRefilled);
+  EXPECT_EQ(snap.bytes_cached, kRefilled * kSize);
+  EXPECT_EQ(snap.bytes_live, kSize);
+  std::vector<void*> blocks = {first};
+  for (std::size_t i = 0; i < kRefilled; ++i) {
+    blocks.push_back(a.malloc(kSize));
+    ASSERT_EQ(a.usable_size(blocks.back()), kSize);
+  }
+  snap = a.telemetry();
+  EXPECT_EQ(snap.cache_hits, kRefilled);
+  EXPECT_EQ(snap.bytes_cached, 0u);
+  std::sort(blocks.begin(), blocks.end());
+  EXPECT_EQ(std::adjacent_find(blocks.begin(), blocks.end()), blocks.end())
+      << "every refilled block is distinct";
+  blocks.push_back(a.malloc(kSize));
+  snap = a.telemetry();
+  EXPECT_EQ(snap.cache_hits, kRefilled) << "the cache ran dry: a miss";
+  EXPECT_EQ(snap.cache_refills, 2 * kRefilled);
+  for (void* p : blocks) a.free(p);
+  snap = a.telemetry();
+  EXPECT_EQ(snap.bytes_live, 0u);
+  EXPECT_EQ(snap.bytes_cached, (blocks.size() + kRefilled) * kSize);
+}
+
+TEST(DesignedAllocator, RefillStopsAtTheByteBudget) {
+  // With a 300-byte cache budget a 32-byte miss on a shared front refills
+  // 9 blocks (288 bytes), not 1024 / 32; a cache already holding 128 bytes
+  // refills 5 (160 bytes).
+  for (const auto& [budget, held, refilled] :
+       {std::array<std::size_t, 3>{300, 0, 9},
+        std::array<std::size_t, 3>{300, 128, 5}}) {
+    RuntimeOptions opts;
+    opts.thread_cache_bytes = budget;
+    DesignedAllocator a(alloc::drr_paper_config(), opts);
+    if (held > 0) a.free(a.malloc(held));  // alone: cached, no refill
+    SecondThread other(a);
+    void* p = a.malloc(32);
+    ASSERT_EQ(a.usable_size(p), 32u);
+    const TelemetrySnapshot snap = a.telemetry();
+    EXPECT_EQ(snap.cache_refills, refilled) << "budget " << budget;
+    EXPECT_EQ(snap.bytes_cached, held + refilled * 32) << "budget " << budget;
+    EXPECT_LE(snap.bytes_cached, budget);
+    a.free(p);
+  }
+}
+
+TEST(DesignedAllocator, RefillNeverFiresTheOomPolicy) {
+  // Under an arena budget a shared front's refills run into the full arena
+  // and stop there, silently: the thread gets exactly as many 32-byte
+  // blocks as a one-thread front before its first nullptr, and the policy
+  // fires once, for that request.
+  RuntimeOptions opts;
+  opts.oom_policy = OomPolicy::kNull;
+  opts.arena_capacity_bytes = 64 * 1024;
+  const auto fill = [](DesignedAllocator& a, std::vector<void*>& held) {
+    while (void* p = a.malloc(32)) {
+      held.push_back(p);
+      if (held.size() > 10000) break;
+    }
+  };
+  std::vector<void*> alone_held;
+  {
+    DesignedAllocator alone(alloc::drr_paper_config(), opts);
+    fill(alone, alone_held);
+    EXPECT_EQ(alone.telemetry().oom_returned_null, 1u);
+  }
+  DesignedAllocator a(alloc::drr_paper_config(), opts);
+  SecondThread other(a);
+  std::vector<void*> held;
+  fill(a, held);
+  TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(held.size(), alone_held.size());
+  EXPECT_EQ(snap.oom_returned_null, 1u);
+  EXPECT_GT(snap.cache_refills, 0u);
+  for (void* p : held) a.free(p);
+
+  // On a caches-on front a malloc retries once after reclaiming its cache,
+  // so two injected failures fail exactly one malloc: the refills that
+  // follow take none, and every later malloc succeeds.
+  a.trim();
+  const std::uint64_t refills = a.telemetry().cache_refills;
+  a.inject_arena_exhaustion(2);
+  EXPECT_EQ(a.malloc(48), nullptr);
+  std::vector<void*> after;
+  for (int i = 0; i < 200; ++i) {
+    after.push_back(a.malloc(48));
+    ASSERT_NE(after.back(), nullptr) << "malloc " << i;
+  }
+  snap = a.telemetry();
+  EXPECT_EQ(snap.oom_returned_null, 2u);
+  EXPECT_GT(snap.cache_refills, refills);
+  for (void* p : after) a.free(p);
 }
 
 TEST(DesignedAllocator, OrphanedCacheShellsArePrunedOnLookup) {
@@ -493,16 +647,21 @@ TEST(DesignedAllocator, TelemetryIsExactAcrossThreadsAfterJoin) {
   // Four threads run a mixed malloc/free loop and pass some of their
   // blocks to the next thread to free.  Each thread requests one size,
   // two size classes away from every other thread's, and holds at most
-  // kMaxOwn of its own blocks, so no bin ever fills, and a malloc is a
-  // cache hit exactly when the thread itself freed more of its own
-  // blocks than it took back: the hit count is known too.
+  // kMaxOwn of its own blocks, so no bin ever fills.  All four join the
+  // roster before any counted call, and none leaves before every thread
+  // is done, so the front is shared throughout: a malloc is a cache hit
+  // exactly when the thread's cache holds one of its own blocks (freed by
+  // itself, or refilled), and a miss refills kRefillBytes / capacity of
+  // the block it got.  So the hit and refill counts are known too.
   constexpr unsigned kThreads = 4;
   constexpr std::size_t kSizes[kThreads] = {32, 128, 512, 2048};
   constexpr std::size_t kMaxOwn = 16;
   constexpr int kSteps = 3000;
   DesignedAllocator a(alloc::drr_paper_config());
   std::array<Mailbox, kThreads> mail;
-  std::array<std::uint64_t, kThreads> allocs{}, frees{}, hits{};
+  std::array<std::uint64_t, kThreads> allocs{}, frees{}, hits{}, refills{};
+  std::barrier joined(kThreads);
+  std::barrier done(kThreads);
   std::vector<std::thread> workers;
   for (unsigned tid = 0; tid < kThreads; ++tid) {
     workers.emplace_back([&, tid] {
@@ -512,16 +671,26 @@ TEST(DesignedAllocator, TelemetryIsExactAcrossThreadsAfterJoin) {
       std::vector<void*> own;
       std::uint64_t cached = 0;  // own blocks this thread's cache holds
       unsigned rng = 31 * (tid + 1);
+      a.trim();  // joins the roster, touching no bin and no core
+      joined.arrive_and_wait();
       for (int step = 0; step < kSteps; ++step) {
         rng = rng * 1664525u + 1013904223u;
         const unsigned action = (rng >> 8) % 4;
         if (own.empty() || (action < 2 && own.size() < kMaxOwn)) {
-          own.push_back(a.malloc(size));
-          ASSERT_NE(own.back(), nullptr);
+          void* p = a.malloc(size);
+          if (p == nullptr) {
+            ADD_FAILURE() << "malloc failed";
+            break;  // still meets the others at the barrier
+          }
+          own.push_back(p);
           ++allocs[tid];
           if (cached > 0) {
             ++hits[tid];
             --cached;
+          } else {
+            const std::size_t more = kRefillBytes / a.usable_size(own.back());
+            refills[tid] += more;
+            cached += more;
           }
         } else if (action == 2) {
           a.free(own.back());
@@ -545,16 +714,18 @@ TEST(DesignedAllocator, TelemetryIsExactAcrossThreadsAfterJoin) {
       }
       for (void* p : own) a.free(p);
       frees[tid] += own.size();
+      done.arrive_and_wait();
     });
   }
   for (std::thread& w : workers) w.join();
 
   std::uint64_t want_allocs = 0, want_frees = 0, want_hits = 0;
-  std::uint64_t in_mail = 0;
+  std::uint64_t want_refills = 0, in_mail = 0;
   for (unsigned t = 0; t < kThreads; ++t) {
     want_allocs += allocs[t];
     want_frees += frees[t];
     want_hits += hits[t];
+    want_refills += refills[t];
     // Mailbox t holds blocks of thread t - 1's size.
     in_mail += mail[t].blocks.size() * kSizes[(t + kThreads - 1) % kThreads];
   }
@@ -562,6 +733,9 @@ TEST(DesignedAllocator, TelemetryIsExactAcrossThreadsAfterJoin) {
   EXPECT_EQ(snap.alloc_count, want_allocs);
   EXPECT_EQ(snap.free_count, want_frees);
   EXPECT_EQ(snap.cache_hits, want_hits);
+  EXPECT_EQ(snap.cache_refills, want_refills);
+  EXPECT_GT(want_refills, 0u);
+  EXPECT_EQ(snap.bytes_cached, 0u) << "exited threads flushed their caches";
   EXPECT_EQ(snap.bytes_live, in_mail) << "blocks still in the mailboxes";
   for (Mailbox& m : mail) {
     for (void* p : m.blocks) a.free(p);

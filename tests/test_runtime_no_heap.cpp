@@ -6,7 +6,9 @@
 // through one front twice and requires the second replay to make no
 // operator new call, with thread caches on and off, and with two threads
 // taking turns on one front (whose bins then take a shared front's deeper
-// cap).
+// cap and whose misses refill them).  A warm front driven past its arena
+// high-water mark makes none either: the arena's page map grows into
+// reserved address space, not on the heap.
 
 #include <gtest/gtest.h>
 
@@ -176,12 +178,40 @@ TEST(RuntimeNoHeap, SharedFrontWarmReplayMakesNoOperatorNewCall) {
   EXPECT_EQ(front.telemetry().bytes_live, 0u);
 }
 
+TEST(RuntimeNoHeap, WarmFrontReachingANewArenaHighMakesNoOperatorNewCall) {
+  // After a warm replay, the thread holds four times the replay's peak in
+  // 2 KB blocks: every new chunk extends the arena's bump frontier, and so
+  // its page map, past anything seen.
+  const core::AllocTrace trace =
+      workloads::record_trace(workloads::case_study("drr"), /*seed=*/1);
+  std::uint32_t slot_count = 0;
+  const std::vector<SlotOp> ops = decode(trace, &slot_count);
+  std::vector<void*> slots(slot_count, nullptr);
+  DesignedAllocator front(alloc::drr_paper_config());
+  (void)heap_calls_of_replay(ops, slots, front);
+  const std::size_t warm_peak = front.telemetry().arena.peak_footprint;
+  constexpr std::size_t kBlock = 2048;
+  const std::size_t blocks = 4 * warm_peak / kBlock;
+  std::vector<void*> held;
+  held.reserve(blocks);
+  const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  while (held.size() < blocks) {
+    held.push_back(front.malloc(kBlock));
+    ASSERT_NE(held.back(), nullptr);
+  }
+  const std::uint64_t calls =
+      g_new_calls.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(front.telemetry().arena.peak_footprint, 2 * warm_peak);
+  EXPECT_EQ(calls, 0u);
+  for (void* p : held) front.free(p);
+}
+
 /// Where TheCounterSeesOperatorNew parks its block, so the compiler
 /// cannot elide the new/delete pair.
 std::vector<int>* volatile g_sink = nullptr;
 
 TEST(RuntimeNoHeap, TheCounterSeesOperatorNew) {
-  // Guards the two tests above against a replacement that never runs.
+  // Guards the tests above against a replacement that never runs.
   const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
   g_sink = new std::vector<int>(100);
   delete g_sink;
