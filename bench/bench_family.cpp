@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     // on trace j.  The diagonal is each trace's own designed peak — the
     // per-trace oracle regret is measured against.  Scored through the
     // shared cache, so the family search below rides these replays too.
-    core::SerialEngine engine;
+    core::EvalEngine engine(1);
     std::vector<std::vector<std::size_t>> peak(n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {

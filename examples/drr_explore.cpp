@@ -276,12 +276,13 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nsearch cost: %llu trace replays (%llu more served by the "
-              "score cache, %llu of those warm from %s) on the %s engine\n",
+              "score cache, %llu of those warm from %s) on %u engine "
+              "thread(s)\n",
               static_cast<unsigned long long>(result.simulations),
               static_cast<unsigned long long>(result.cache_hits),
               static_cast<unsigned long long>(result.persisted_hits),
               cache_file.empty() ? "(no cache file)" : cache_file.c_str(),
-              engine->name().c_str());
+              engine->threads());
   std::printf("\nfinal decision vector:\n%s\n",
               alloc::describe(result.best).c_str());
 

@@ -295,6 +295,9 @@ bool load_traces(const DesignRequest& req, std::vector<core::AllocTrace>* out,
       if (mapped != nullptr) {
         try {
           traces.push_back(mapped->materialize());
+          // Well-formed events can still be an impossible trace (an id
+          // allocated twice while live, a free of a dead id).
+          (void)traces.back().validate(&reason);
         } catch (const std::runtime_error& e) {
           reason = e.what();
         }

@@ -221,8 +221,33 @@ EvalOutcome score_candidate(const TraceSource& trace, const EvalJob& job) {
 }
 
 // ---------------------------------------------------------------------------
-// EvalEngine streaming session
+// EvalEngine
 // ---------------------------------------------------------------------------
+
+EvalEngine::EvalEngine(unsigned num_threads) {
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  // One worker replays inline: a lone pool thread would only add handoffs.
+  if (num_threads == 1) return;
+  workers_.reserve(num_threads);
+  for (unsigned i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { worker_main(); });
+  }
+}
+
+EvalEngine::~EvalEngine() {
+  // Hinted traces may already be gone (a design run owns its sub-traces
+  // and is destroyed before the engine), so no worker may start another
+  // hint; the join below waits for the running ones.
+  {
+    const std::lock_guard<std::mutex> lock(m_);
+    drop_queued_hints_locked();
+    stop_ = true;
+  }
+  work_ready_.notify_all();
+  for (std::thread& w : workers_) w.join();
+}
 
 std::vector<EvalOutcome> EvalEngine::evaluate(
     const TraceSource& trace, const std::vector<EvalJob>& jobs,
@@ -239,286 +264,175 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   stream_trace_ = &trace;
   stream_cache_ = cache;
   slots_.clear();
-  pending_canon_.clear();
 }
 
 void EvalEngine::stream_submit(const EvalJob& job) {
   assert(streaming_ && "stream_submit outside a session");
-  auto slot = std::make_unique<StreamSlot>();
-  slot->job = job;
-  slot->out.tag = job.tag;
+  Slot& slot = slots_.emplace_back();
+  slot.out.tag = job.tag;
+  alloc::DmmConfig canon{};
   if (stream_cache_ != nullptr) {
-    // Cache protocol on the coordinating thread: canonicalize once, then
-    // the same form feeds the lookup, the in-session dedup, and the
-    // at-emission insert.  Without a cache every job replays, so no
+    // Canonicalize once: the same form feeds the lookup, the table key and
+    // the at-emission insert.  Without a cache every job replays, so no
     // canonicalization happens at all.
-    slot->canon = alloc::canonical(job.cfg);
+    canon = alloc::canonical(job.cfg);
     SharedScoreCache::Entry hit;
-    if (stream_cache_->lookup_canonical(slot->canon, &hit)) {
-      slot->kind = StreamSlot::Kind::kCached;
-      slot->out.sim = hit.sim;
-      slot->out.work_steps = hit.work_steps;
-      slot->out.from_cache = true;
-      slot->done.store(true, std::memory_order_relaxed);
-      slots_.push_back(std::move(slot));
-      return;
-    }
-    const auto [it, inserted] =
-        pending_canon_.emplace(slot->canon, slots_.size());
-    if (!inserted) {
-      // Same canonical form already in flight: resolve from its owner at
-      // emission instead of replaying twice.
-      slot->kind = StreamSlot::Kind::kDup;
-      slot->dup_of = it->second;
-      slots_.push_back(std::move(slot));
+    if (stream_cache_->lookup_canonical(canon, &hit)) {
+      slot.out.sim = hit.sim;
+      slot.out.work_steps = hit.work_steps;
+      slot.out.from_cache = true;
       return;
     }
   }
-  slot->kind = StreamSlot::Kind::kRun;
-  StreamSlot& ref = *slot;
-  slots_.push_back(std::move(slot));
-  // Hints are keyed by canonical form, which only a cached session
-  // computes.
-  if (stream_cache_ != nullptr && adopt_hint(*stream_trace_, ref)) return;
-  dispatch(ref);
-}
-
-void EvalEngine::hint(const TraceSource& trace, const EvalJob& job,
-                      SharedScoreCache::Session* cache) {
-  if (cache == nullptr) return;
-  const alloc::DmmConfig canon = alloc::canonical(job.cfg);
-  if (cache->contains_canonical(canon)) return;
-  if (streaming_ && stream_trace_ == &trace &&
-      pending_canon_.count(canon) != 0) {
+  std::unique_lock<std::mutex> lock(m_);
+  if (stream_cache_ == nullptr) {
+    slot.replay = std::make_shared<Replay>(Replay{stream_trace_, job});
+  } else {
+    std::shared_ptr<Replay>& entry = inflight_[Key{stream_trace_, canon}];
+    if (entry == nullptr) {
+      entry = std::make_shared<Replay>(Replay{stream_trace_, job, canon});
+    } else if (entry->needed) {
+      // Joined earlier in this session: a duplicate served from that
+      // owner's replay.
+      slot.replay = entry;
+      slot.out.from_cache = true;
+      return;
+    } else if (entry->state == Replay::State::kQueued) {
+      // A hint no worker has started: it moves up to the needed replays.
+      queue_.erase(std::find(hints_begin_locked(), queue_.end(), entry));
+    } else {
+      // A running or finished hint: its replay becomes this slot's.
+      slot.replay = entry;
+      entry->needed = true;
+      ++hint_stats_.adopted;
+      return;
+    }
+    slot.replay = entry;
+  }
+  Replay& replay = *slot.replay;
+  replay.needed = true;
+  if (workers_.empty()) {
+    lock.unlock();
+    EvalOutcome out = compute(*stream_trace_, job);
+    lock.lock();
+    replay.out = out;
+    replay.state = Replay::State::kDone;
     return;
   }
-  enqueue_hint(trace, job, canon);
+  queue_.insert(hints_begin_locked(), slot.replay);
+  ++queued_needed_;
+  lock.unlock();
+  work_ready_.notify_one();
 }
 
 std::vector<EvalOutcome> EvalEngine::stream_drain() {
   assert(streaming_ && "stream_drain outside a session");
   std::vector<EvalOutcome> out;
   out.reserve(slots_.size());
-  for (const std::unique_ptr<StreamSlot>& ptr : slots_) {
-    StreamSlot& slot = *ptr;
-    if (slot.kind == StreamSlot::Kind::kRun) {
-      wait_slot(slot);
-      // Inserts happen in submit order as slots are emitted, so the cache
+  for (Slot& slot : slots_) {
+    if (slot.replay != nullptr) {
+      std::unique_lock<std::mutex> lock(m_);
+      const Replay& replay = *slot.replay;
+      done_cv_.wait(lock,
+                    [&] { return replay.state == Replay::State::kDone; });
+      slot.out.sim = replay.out.sim;
+      slot.out.work_steps = replay.out.work_steps;
+      lock.unlock();
+      // Owners insert in submit order as slots are emitted, so the cache
       // fills exactly as a post-batch pass would fill it.
-      if (stream_cache_ != nullptr) {
-        stream_cache_->insert_canonical(slot.canon,
+      if (stream_cache_ != nullptr && !slot.out.from_cache) {
+        stream_cache_->insert_canonical(replay.canon,
                                         {slot.out.sim, slot.out.work_steps});
       }
-    } else if (slot.kind == StreamSlot::Kind::kDup) {
-      // The owner has a lower index, so it was emitted (and finished)
-      // before this slot is reached.
-      const StreamSlot& owner = *slots_[slot.dup_of];
-      slot.out.sim = owner.out.sim;
-      slot.out.work_steps = owner.out.work_steps;
-      slot.out.from_cache = true;
     }
     out.push_back(slot.out);
+  }
+  {
+    // Every needed entry was this session's and is done; hints stay.
+    const std::lock_guard<std::mutex> lock(m_);
+    std::erase_if(inflight_, [](const auto& e) { return e.second->needed; });
   }
   streaming_ = false;
   stream_trace_ = nullptr;
   stream_cache_ = nullptr;
   slots_.clear();
-  pending_canon_.clear();
   return out;
 }
 
-EvalOutcome EvalEngine::compute(const EvalJob& job) const {
-  return score_candidate(*stream_trace_, job);
-}
-
-void EvalEngine::dispatch(StreamSlot& slot) {
-  slot.out = compute(slot.job);
-  slot.done.store(true, std::memory_order_release);
-}
-
-void EvalEngine::wait_slot(StreamSlot& slot) {
-  // Inline dispatch already completed the slot.
-  (void)slot;
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPoolEngine
-// ---------------------------------------------------------------------------
-
-ThreadPoolEngine::ThreadPoolEngine(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
-}
-
-ThreadPoolEngine::~ThreadPoolEngine() {
-  // Hinted traces may already be gone (a design run owns its sub-traces
-  // and is destroyed before the engine), so no worker may start another
-  // hint; the join below waits for the running ones.
+void EvalEngine::hint(const TraceSource& trace, const EvalJob& job,
+                      SharedScoreCache::Session* cache) {
+  // Hints are keyed by canonical form, which only a cached session
+  // computes, and pay off only on an idle worker.
+  if (cache == nullptr || workers_.empty()) return;
+  const alloc::DmmConfig canon = alloc::canonical(job.cfg);
+  if (cache->contains_canonical(canon)) return;
   {
     const std::lock_guard<std::mutex> lock(m_);
-    drop_queued_locked();
-    stop_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPoolEngine::dispatch(StreamSlot& slot) {
-  // m_ is the happens-before edge from the session state written by the
-  // coordinating thread to the worker's compute().
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    queue_.push_back(&slot);
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPoolEngine::worker_main() {
-  for (;;) {
-    StreamSlot* slot = nullptr;
-    Hint* hint = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      work_ready_.wait(lock, [&] {
-        return stop_ || !queue_.empty() || !hint_queue_.empty();
-      });
-      if (stop_) return;
-      if (!queue_.empty()) {
-        slot = queue_.front();
-        queue_.pop_front();
-      } else {
-        // The job queue is empty: speculate on the nearest hint.
-        hint = hint_queue_.front();
-        hint_queue_.pop_front();
-        hint->state = Hint::State::kRunning;
-        ++running_hints_;
-        ++hint_stats_.started;
-      }
-    }
-    if (hint != nullptr) {
-      run_hint(*hint);
-      continue;
-    }
-    slot->out = compute(slot->job);
-    slot->done.store(true, std::memory_order_release);
-    {
-      // Empty critical section: a waiter that saw done == false must
-      // reach its cv wait before the notification fires, or miss it.
-      const std::lock_guard<std::mutex> lock(m_);
-    }
-    done_cv_.notify_all();
-  }
-}
-
-void ThreadPoolEngine::wait_slot(StreamSlot& slot) {
-  if (slot.done.load(std::memory_order_acquire)) return;
-  std::unique_lock<std::mutex> lock(m_);
-  done_cv_.wait(lock,
-                [&] { return slot.done.load(std::memory_order_acquire); });
-}
-
-void ThreadPoolEngine::run_hint(Hint& hint) {
-  hint.out = score_candidate(*hint.trace, hint.job);
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    hint.state = Hint::State::kDone;
-    --running_hints_;
-    if (StreamSlot* slot = hint.adopter) {
-      // Adopted mid-replay: complete the waiting slot, which keeps its
-      // own tag and from_cache == false like any fresh replay.
-      slot->out.sim = hint.out.sim;
-      slot->out.work_steps = hint.out.work_steps;
-      slot->done.store(true, std::memory_order_release);
-      hints_.remove_if([&](const Hint& h) { return &h == &hint; });
-    }
-  }
-  done_cv_.notify_all();
-}
-
-void ThreadPoolEngine::enqueue_hint(const TraceSource& trace,
-                                    const EvalJob& job,
-                                    const alloc::DmmConfig& canon) {
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    for (const Hint& h : hints_) {
-      if (h.trace == &trace && h.canon == canon) return;
-    }
-    Hint& hint = hints_.emplace_back();
-    hint.trace = &trace;
-    hint.job = job;
-    hint.canon = canon;
-    hint_queue_.push_back(&hint);
+    std::shared_ptr<Replay>& entry = inflight_[Key{&trace, canon}];
+    if (entry != nullptr) return;
+    entry = std::make_shared<Replay>(Replay{&trace, job, canon});
+    queue_.push_back(entry);
     ++hint_stats_.queued;
   }
   work_ready_.notify_one();
 }
 
-bool ThreadPoolEngine::adopt_hint(const TraceSource& trace,
-                                  StreamSlot& slot) {
-  const std::lock_guard<std::mutex> lock(m_);
-  const auto it =
-      std::find_if(hints_.begin(), hints_.end(), [&](const Hint& h) {
-        return h.trace == &trace && h.canon == slot.canon;
-      });
-  if (it == hints_.end()) return false;
-  switch (it->state) {
-    case Hint::State::kQueued:
-      // Not started: the real job takes its place in the job queue.
-      hint_queue_.erase(
-          std::find(hint_queue_.begin(), hint_queue_.end(), &*it));
-      hints_.erase(it);
-      return false;
-    case Hint::State::kRunning:
-      it->adopter = &slot;
-      break;
-    case Hint::State::kDone:
-      slot.out.sim = it->out.sim;
-      slot.out.work_steps = it->out.work_steps;
-      slot.done.store(true, std::memory_order_release);
-      hints_.erase(it);
-      break;
-  }
-  ++hint_stats_.adopted;
-  return true;
+EvalOutcome EvalEngine::compute(const TraceSource& trace, const EvalJob& job) {
+  return score_candidate(trace, job);
 }
 
-void ThreadPoolEngine::drop_queued_locked() {
-  hints_.remove_if(
-      [](const Hint& h) { return h.state == Hint::State::kQueued; });
-  hint_queue_.clear();
-}
-
-void ThreadPoolEngine::drop_hints() {
-  const std::lock_guard<std::mutex> lock(m_);
-  drop_queued_locked();
-}
-
-void ThreadPoolEngine::settle_hints() {
+void EvalEngine::worker_main() {
   std::unique_lock<std::mutex> lock(m_);
-  drop_queued_locked();
-  done_cv_.wait(lock, [&] { return running_hints_ == 0; });
-  hints_.clear();
+  for (;;) {
+    work_ready_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (stop_) return;
+    const std::shared_ptr<Replay> replay = std::move(queue_.front());
+    queue_.pop_front();
+    const bool hint = !replay->needed;
+    if (hint) {
+      ++hint_stats_.started;
+      ++running_hints_;
+    } else {
+      --queued_needed_;
+    }
+    replay->state = Replay::State::kRunning;
+    lock.unlock();
+    EvalOutcome out = compute(*replay->trace, replay->job);
+    lock.lock();
+    replay->out = out;
+    replay->state = Replay::State::kDone;
+    if (hint) --running_hints_;
+    done_cv_.notify_all();
+  }
 }
 
-EvalEngine::HintStats ThreadPoolEngine::hint_stats() const {
+void EvalEngine::drop_queued_hints_locked() {
+  const auto hints = hints_begin_locked();
+  for (auto it = hints; it != queue_.end(); ++it) {
+    inflight_.erase(Key{(*it)->trace, (*it)->canon});
+  }
+  queue_.erase(hints, queue_.end());
+}
+
+void EvalEngine::drop_hints() {
+  const std::lock_guard<std::mutex> lock(m_);
+  drop_queued_hints_locked();
+}
+
+void EvalEngine::settle_hints() {
+  std::unique_lock<std::mutex> lock(m_);
+  drop_queued_hints_locked();
+  done_cv_.wait(lock, [&] { return running_hints_ == 0; });
+  std::erase_if(inflight_, [](const auto& e) { return !e.second->needed; });
+}
+
+EvalEngine::HintStats EvalEngine::hint_stats() const {
   const std::lock_guard<std::mutex> lock(m_);
   return hint_stats_;
 }
 
 std::unique_ptr<EvalEngine> make_engine(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  // A one-worker pool is just a serial engine paying handoff overhead.
-  if (num_threads == 1) return std::make_unique<SerialEngine>();
-  return std::make_unique<ThreadPoolEngine>(num_threads);
+  return std::make_unique<EvalEngine>(num_threads);
 }
 
 }  // namespace dmm::core

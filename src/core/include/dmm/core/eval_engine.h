@@ -291,40 +291,56 @@ struct FamilyEvalMember {
     std::uint64_t tag, const std::vector<EvalOutcome>& member_outcomes,
     const std::vector<FamilyEvalMember>& members, FamilyAggregate aggregate);
 
-/// The seam every evaluation backend plugs into.  The primitive is a
-/// *streaming session*: the search opens one per candidate wave
-/// (stream_begin), submits jobs as it generates them (stream_submit), and
-/// collects every outcome at the barrier (stream_drain).  evaluate() is
-/// the batch entry point, begin + submit-all + drain — outcomes come back
-/// in job order, bit-identical across engines and thread counts.
+/// The evaluation engine.  The primitive is a *streaming session*: the
+/// search opens one per candidate wave (stream_begin), submits jobs as it
+/// generates them (stream_submit), and collects every outcome at the
+/// barrier (stream_drain).  evaluate() is the batch entry point, begin +
+/// submit-all + drain — outcomes come back in job order, bit-identical at
+/// every worker count.
 ///
-/// The base class owns the caching protocol on the coordinating thread so
-/// all engines agree on it: each job is canonicalized exactly once at
-/// submit, cache lookups and in-session deduplication happen against that
-/// canonical form before anything is dispatched, only unique misses reach
-/// the workers, and results are inserted back in submit order as they are
-/// emitted.  That makes `from_cache` (and hence a search's
-/// simulations/cache_hits accounting) a function of the job stream and
-/// prior cache contents alone — never of thread count or scheduling.
+/// Every unfinished replay is one entry of the in-flight table, keyed by
+/// (trace, canonical vector), and one FIFO queue feeds the entries to the
+/// workers: the replays a session needs first, then hints.  The caching
+/// protocol runs on the coordinating thread: each job is canonicalized
+/// exactly once at submit and looked up in the score cache; a miss joins
+/// its key's entry or creates one.  The session's first joiner owns the
+/// replay and is charged as a simulation, later joiners are duplicates
+/// served with `from_cache`, and owners insert their scores into the cache
+/// as they are emitted, in submit order.  That makes `from_cache` (and
+/// hence a search's simulations/cache_hits accounting) a function of the
+/// job stream and prior cache contents alone — never of worker count or
+/// scheduling.  Without a cache session every job replays: nothing is
+/// canonicalized and the table is not consulted.
 ///
-/// Overlap comes from dispatch() being asynchronous in pooled engines: the
-/// search thread keeps generating/submitting candidates while workers
-/// replay earlier ones.
+/// With more than one worker the replays run on a persistent std::thread
+/// pool while the coordinating thread keeps generating candidates.  Idle
+/// workers take the oldest queued entry — candidate replays vary wildly in
+/// cost (a config that thrashes the free index replays 10x slower), and a
+/// shared queue hands the next one to whichever worker frees up first.
+/// With one worker a submit replays inline.
 ///
 /// Speculation: hint() hands the engine a job the search *expects* to
-/// submit later.  Pooled engines replay hints on workers that have no real
-/// job queued, and a later kRun submit of the same trace and canonical
-/// vector adopts the hint instead of replaying.  Hints never touch the
-/// score cache, the session's accounting, or the emission order: an
+/// submit later.  It becomes an entry no session needs, at the back of the
+/// queue, so a worker replays it only when no needed replay waits.  A
+/// submit that finds it promotes it: a queued hint moves to the tail of the
+/// needed replays, a running or finished one is adopted.  Hints never touch
+/// the score cache, the session's accounting, or the emission order: an
 /// adopted result is emitted, cached, and counted exactly as a fresh
 /// replay of the submitted job would be.
 class EvalEngine {
  public:
-  virtual ~EvalEngine() = default;
+  /// @param num_threads  worker count; 1 = replay inline at submit, 0 = one
+  ///                     per hardware thread.
+  explicit EvalEngine(unsigned num_threads);
+  virtual ~EvalEngine();
 
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Worker parallelism (1 for the serial engine).
-  [[nodiscard]] virtual unsigned threads() const { return 1; }
+  EvalEngine(const EvalEngine&) = delete;
+  EvalEngine& operator=(const EvalEngine&) = delete;
+
+  /// Worker parallelism (1 when replays run inline).
+  [[nodiscard]] unsigned threads() const {
+    return workers_.empty() ? 1 : static_cast<unsigned>(workers_.size());
+  }
 
   /// Scores every job; outcomes are returned in job order.  @p cache is
   /// the search's score-cache session, or null (every job then replays).
@@ -336,25 +352,25 @@ class EvalEngine {
   /// trace and cache must outlive it.
   void stream_begin(const TraceSource& trace,
                     SharedScoreCache::Session* cache = nullptr);
-  /// Submits one job to the open session (cache lookup + dedup happen now,
-  /// misses start evaluating immediately on pooled engines).
+  /// Submits one job to the open session (cache lookup and the join happen
+  /// now; a fresh replay starts at once, on a worker or inline).
   void stream_submit(const EvalJob& job);
   /// Blocks until every submitted job is done, emits every outcome (in
   /// submit order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
   /// Queues @p job on @p trace for speculative replay (FIFO).  Skipped
-  /// when @p cache already holds its canonical vector, when it is already
-  /// hinted, or when it is in flight in the open session on @p trace.
-  /// No-op without a cache session and on engines without idle workers
-  /// (SerialEngine).  The trace must stay alive until settle_hints().
+  /// when @p cache already holds its canonical vector, or when the table
+  /// already has it (hinted before, or in flight in the open session).
+  /// No-op without a cache session and with one worker.  The trace must
+  /// stay alive until settle_hints().
   void hint(const TraceSource& trace, const EvalJob& job,
             SharedScoreCache::Session* cache);
   /// Forgets every hint no worker has started yet.
-  virtual void drop_hints() {}
+  void drop_hints();
   /// Drops queued hints and waits for running ones; afterwards no hint
   /// references any trace.  Call before a hinted trace is destroyed.
-  virtual void settle_hints() {}
+  void settle_hints();
 
   /// Speculation counters — a side channel for benches and tests that
   /// never feeds a result.
@@ -363,139 +379,83 @@ class EvalEngine {
     std::uint64_t started = 0;  ///< ... a worker began replaying
     std::uint64_t adopted = 0;  ///< ... a submitted job took over
   };
-  [[nodiscard]] virtual HintStats hint_stats() const { return {}; }
+  [[nodiscard]] HintStats hint_stats() const;
 
  protected:
-  /// One submitted job's lifecycle inside a session.  Slots live in
-  /// unique_ptrs, so their addresses are stable across submits and safe to
-  /// hand to workers.
-  struct StreamSlot {
-    EvalJob job{};
-    alloc::DmmConfig canon{};
-    enum class Kind : std::uint8_t { kRun, kCached, kDup } kind = Kind::kRun;
-    std::size_t dup_of = 0;  ///< owner slot index when kind == kDup
-    EvalOutcome out{};
-    std::atomic<bool> done{false};
-  };
-
-  /// Starts computing slot.out for a kRun slot.  The default runs compute()
-  /// inline on the calling thread; pooled engines enqueue instead.
-  virtual void dispatch(StreamSlot& slot);
-  /// Blocks until slot.done (default: no-op — inline dispatch completed).
-  virtual void wait_slot(StreamSlot& slot);
-
-  /// Queues a hint whose canonical form passed hint()'s checks (default:
-  /// ignored — there is no idle worker to run it).
-  virtual void enqueue_hint(const TraceSource& /*trace*/,
-                            const EvalJob& /*job*/,
-                            const alloc::DmmConfig& /*canon*/) {}
-  /// A kRun slot of the session on @p trace is about to be dispatched:
-  /// true iff a finished or running hint now completes it.  A matching
-  /// queued hint is removed (the slot then dispatches normally).
-  virtual bool adopt_hint(const TraceSource& /*trace*/,
-                          StreamSlot& /*slot*/) {
-    return false;
-  }
-
-  /// Scores one job against the session trace (score_candidate).  Safe
-  /// from any thread during a session.
-  [[nodiscard]] EvalOutcome compute(const EvalJob& job) const;
+  /// The replay: scores @p job against @p trace (score_candidate).  Runs
+  /// on a worker, or inline at submit with one worker; overridden only to
+  /// observe which vectors are replayed.
+  [[nodiscard]] virtual EvalOutcome compute(const TraceSource& trace,
+                                            const EvalJob& job);
 
  private:
-  // Session state (coordinating thread only, except slot outs/done flags).
-  std::vector<std::unique_ptr<StreamSlot>> slots_;
-  std::unordered_map<alloc::DmmConfig, std::size_t, alloc::DmmConfigHash>
-      pending_canon_;
-  const TraceSource* stream_trace_ = nullptr;
-  SharedScoreCache::Session* stream_cache_ = nullptr;
-  bool streaming_ = false;
-};
-
-/// In-thread reference engine: dispatch computes inline (the base default),
-/// so a session's jobs are evaluated synchronously at submit.
-class SerialEngine : public EvalEngine {
- public:
-  [[nodiscard]] std::string name() const override { return "serial"; }
-};
-
-/// Persistent std::thread pool over one FIFO job queue.
-///
-/// dispatch() appends the slot to the queue and returns, so the
-/// coordinating thread overlaps candidate generation with evaluation.
-/// Idle workers take the oldest queued job — candidate replays vary wildly
-/// in cost (a config that thrashes the free index replays 10x slower), and
-/// a shared queue hands the next job to whichever worker frees up first.
-/// Outcomes land in the submitting session's slots, keeping result order
-/// deterministic.
-///
-/// A worker that finds the job queue empty takes the oldest queued hint.
-/// Adoption at submit: a finished hint's outcome is copied into the slot;
-/// a running one completes the slot when it finishes; a queued one is
-/// withdrawn and the slot dispatched as usual.
-class ThreadPoolEngine : public EvalEngine {
- public:
-  /// @param num_threads  worker count; 0 = one per hardware thread.
-  explicit ThreadPoolEngine(unsigned num_threads = 0);
-  ~ThreadPoolEngine() override;
-
-  ThreadPoolEngine(const ThreadPoolEngine&) = delete;
-  ThreadPoolEngine& operator=(const ThreadPoolEngine&) = delete;
-
-  [[nodiscard]] std::string name() const override { return "thread-pool"; }
-  [[nodiscard]] unsigned threads() const override {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  void drop_hints() override;
-  void settle_hints() override;
-  [[nodiscard]] HintStats hint_stats() const override;
-
- protected:
-  void dispatch(StreamSlot& slot) override;
-  void wait_slot(StreamSlot& slot) override;
-  void enqueue_hint(const TraceSource& trace, const EvalJob& job,
-                    const alloc::DmmConfig& canon) override;
-  bool adopt_hint(const TraceSource& trace, StreamSlot& slot) override;
-
- private:
-  /// One speculative replay.  Lives in hints_ from enqueue_hint() until it
-  /// is adopted, dropped, or settled; every field is guarded by m_ except
-  /// `out`, which only the running worker writes before publishing kDone.
-  struct Hint {
+  /// One in-flight replay, shared by the table, the queue, the thread
+  /// replaying it and the slots that joined it.  `state`, `needed` and
+  /// `out` are guarded by m_; the rest never changes.
+  struct Replay {
     const TraceSource* trace = nullptr;
     EvalJob job{};
-    alloc::DmmConfig canon{};
+    alloc::DmmConfig canon{};  ///< table key (unset without a cache)
     enum class State : std::uint8_t { kQueued, kRunning, kDone };
     State state = State::kQueued;
+    bool needed = false;  ///< joined by the open session (false = a hint)
     EvalOutcome out{};
-    /// Slot waiting on this running hint (adopted mid-replay), or null.
-    StreamSlot* adopter = nullptr;
+  };
+  struct Key {
+    const TraceSource* trace = nullptr;
+    alloc::DmmConfig canon{};
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    [[nodiscard]] std::size_t operator()(const Key& k) const {
+      return alloc::hash_combine(std::hash<const void*>{}(k.trace),
+                                 alloc::hash_value(k.canon));
+    }
+  };
+  /// One submitted job: its outcome (the score is filled by a cache hit at
+  /// submit or from the replay at emission) and the replay it joined —
+  /// null when the cache served it.  A joined slot with `out.from_cache`
+  /// set is a duplicate of an earlier slot of the session.
+  struct Slot {
+    EvalOutcome out{};
+    std::shared_ptr<Replay> replay;
   };
 
   void worker_main();
-  /// Replays @p hint on the calling worker and publishes the outcome.
-  void run_hint(Hint& hint);
-  /// Erases every queued hint (caller holds m_).
-  void drop_queued_locked();
+  /// The first queued hint, past the queued needed entries (caller holds
+  /// m_).
+  [[nodiscard]] std::deque<std::shared_ptr<Replay>>::iterator
+  hints_begin_locked() {
+    return queue_.begin() + static_cast<std::ptrdiff_t>(queued_needed_);
+  }
+  /// Erases every hint no worker has started (caller holds m_).
+  void drop_queued_hints_locked();
 
-  // Job queue and wakeup state, guarded by m_.
+  // Session state (coordinating thread only).
+  std::vector<Slot> slots_;
+  const TraceSource* stream_trace_ = nullptr;
+  SharedScoreCache::Session* stream_cache_ = nullptr;
+  bool streaming_ = false;
+
+  // The in-flight table and its queue, guarded by m_.  queue_ holds the
+  // queued needed entries (the first queued_needed_) and then the queued
+  // hints, each part oldest first; running_hints_ counts the replays that
+  // a worker started as hints and has not finished.
   mutable std::mutex m_;
   std::condition_variable work_ready_;
   std::condition_variable done_cv_;
-  std::deque<StreamSlot*> queue_;  ///< dispatched slots, oldest first
-  bool stop_ = false;
-  /// Speculation state, guarded by m_: every live hint, the queued ones in
-  /// FIFO order, and how many a worker is replaying.
-  std::list<Hint> hints_;
-  std::deque<Hint*> hint_queue_;
+  std::unordered_map<Key, std::shared_ptr<Replay>, KeyHash> inflight_;
+  std::deque<std::shared_ptr<Replay>> queue_;
+  std::size_t queued_needed_ = 0;
   std::size_t running_hints_ = 0;
   HintStats hint_stats_{};
+  bool stop_ = false;
 
   std::vector<std::thread> workers_;
 };
 
-/// Engine factory for ExplorerOptions::num_threads: 1 thread = serial,
-/// otherwise a pool (0 = hardware concurrency).
+/// Engine factory for ExplorerOptions::num_threads (0 = one worker per
+/// hardware thread).
 [[nodiscard]] std::unique_ptr<EvalEngine> make_engine(unsigned num_threads);
 
 }  // namespace dmm::core

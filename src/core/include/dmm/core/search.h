@@ -68,9 +68,10 @@ struct ExplorerOptions {
   /// Secondary objective weight: score = peak + time_weight * work_steps.
   /// 0 keeps the paper's pure-footprint objective (work only tie-breaks).
   double time_weight = 0.0;
-  /// Candidate-evaluation parallelism: 1 = in-thread serial engine,
-  /// N > 1 = ThreadPoolEngine with N workers, 0 = one worker per hardware
-  /// thread.  Results are bit-identical regardless of this value.
+  /// Candidate-evaluation parallelism, the EvalEngine's worker count:
+  /// 1 = every replay runs inline at submit, N > 1 = N pool workers, 0 =
+  /// one worker per hardware thread.  Results are bit-identical regardless
+  /// of this value.
   unsigned num_threads = 1;
   /// Memoize candidate scores — repaired completions collide often in the
   /// greedy walk, and a hit skips a whole trace replay.  Without

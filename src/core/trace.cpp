@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "dmm/alloc/size_class.h"
 
@@ -167,26 +168,33 @@ void AllocTrace::truncate(std::size_t max_events) {
 }
 
 bool AllocTrace::validate(std::string* why) const {
-  std::unordered_set<std::uint32_t> live;
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const AllocEvent& e = events_[i];
-    if (e.op == AllocEvent::Op::kAlloc) {
-      if (!live.insert(e.id).second) {
+  // @p flip(id, alloc) makes id live (alloc) or dead (free) and returns
+  // false when it already was.
+  const auto check = [&](auto&& flip) {
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      const bool alloc = events_[i].op == AllocEvent::Op::kAlloc;
+      if (!flip(events_[i].id, alloc)) {
         if (why != nullptr) {
-          *why = "event " + std::to_string(i) + ": id reused while live";
-        }
-        return false;
-      }
-    } else {
-      if (live.erase(e.id) == 0) {
-        if (why != nullptr) {
-          *why = "event " + std::to_string(i) + ": free of a dead id";
+          *why = "event " + std::to_string(i) +
+                 (alloc ? ": id reused while live" : ": free of a dead id");
         }
         return false;
       }
     }
+    return true;
+  };
+  // Same split as the simulator's live map: dense ids get a flat table.
+  const TraceIdBounds bounds = id_bounds();
+  if (bounds.dense()) {
+    std::vector<std::uint8_t> live(std::size_t{bounds.max_id} + 1, 0);
+    return check([&](std::uint32_t id, bool alloc) {
+      return std::exchange(live[id], std::uint8_t{alloc}) != alloc;
+    });
   }
-  return true;
+  std::unordered_set<std::uint32_t> live;
+  return check([&](std::uint32_t id, bool alloc) {
+    return alloc ? live.insert(id).second : live.erase(id) != 0;
+  });
 }
 
 std::uint64_t AllocTrace::fingerprint() const {

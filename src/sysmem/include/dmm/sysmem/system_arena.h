@@ -2,7 +2,6 @@
 #define DMM_SYSMEM_SYSTEM_ARENA_H
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory_resource>
 #include <span>
@@ -68,8 +67,8 @@ class Reservation {
 /// physical memory of a portable consumer device: a request that would
 /// exceed the budget fails (returns nullptr) instead of growing.
 ///
-/// An observer callback fires on every footprint change; the trace
-/// simulator uses it to record the Fig. 5 footprint-over-time series.
+/// The trace simulator records the Fig. 5 footprint-over-time series by
+/// sampling footprint() into simulate()'s timeline as it replays.
 ///
 /// The arena is deliberately single-threaded: the paper's methodology is
 /// applied per application phase on an embedded RTOS where the manager runs
@@ -107,9 +106,6 @@ class SystemArena {
   static constexpr std::size_t kSlabBytes = sizeof(std::size_t) >= 8
                                                 ? std::size_t{1} << 32
                                                 : std::size_t{1} << 30;
-
-  /// Signature: (stats, delta_bytes) with delta>0 for growth, <0 for shrink.
-  using Observer = std::function<void(const ArenaStats&, long long)>;
 
   /// Creates an arena with unlimited capacity.
   SystemArena() : SystemArena(0, kDefaultPageSize) {}
@@ -152,13 +148,6 @@ class SystemArena {
   [[nodiscard]] std::size_t peak_footprint() const {
     return stats_.peak_footprint;
   }
-
-  /// Resets the peak to the current footprint (used between workload
-  /// phases when measuring per-phase peaks).
-  void reset_peak() { stats_.peak_footprint = stats_.current_footprint; }
-
-  /// Installs (or clears, with nullptr) the footprint-change observer.
-  void set_observer(Observer obs) { observer_ = std::move(obs); }
 
   /// Number of chunks currently granted and not yet released.
   [[nodiscard]] std::size_t live_chunks() const {
@@ -204,7 +193,6 @@ class SystemArena {
   std::size_t page_size_;
   int grain_shift_;  ///< log2 of the page-map granule
   ArenaStats stats_;
-  Observer observer_;
 
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.

@@ -170,7 +170,6 @@ std::byte* SystemArena::request(std::size_t bytes, const void* owner,
     stats_.peak_footprint = stats_.current_footprint;
   }
   if (granted != nullptr) *granted = size;
-  if (observer_) observer_(stats_, static_cast<long long>(size));
   return ptr;
 }
 
@@ -189,7 +188,6 @@ void SystemArena::release(std::byte* ptr) {
   stats_.current_footprint -= size;
   stats_.total_released += size;
   ++stats_.release_count;
-  if (observer_) observer_(stats_, -static_cast<long long>(size));
 }
 
 void SystemArena::release_all(const void* owner) {

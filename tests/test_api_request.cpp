@@ -8,8 +8,9 @@
 //    hand-rolled example parsers used to build,
 //  * to_design_options() maps a request onto the one DesignOptions, and
 //    never hands DesignRun a config it rejects,
-//  * a trace file that passes its checksums but does not decode is
-//    rejected with an error naming it,
+//  * a trace file that passes its checksums but does not decode, or
+//    decodes into events no program could make, is rejected with an error
+//    naming it,
 //  * the adapters are *pinned*: run_design_request() is bit-for-bit
 //    design_manager() / design_manager_family(), and a parsed search spec
 //    is bit-for-bit the explicit strategy — at 1, 2, 4, and 8 evaluation
@@ -35,6 +36,7 @@
 #include "dmm/api/design_api.h"
 #include "dmm/core/methodology.h"
 #include "dmm/core/search.h"
+#include "dmm/trace/trace_store.h"
 #include "dmm/workloads/workload.h"
 #include "dmmt_forge.h"
 
@@ -491,7 +493,7 @@ TEST(ApiBridge, ValidRequestsNeverMakeDesignRunThrow) {
   family.search_text = "exhaustive:40";
   valid.push_back(family);
 
-  core::SerialEngine engine;
+  core::EvalEngine engine(1);
   for (const DesignRequest& req : valid) {
     std::string why;
     ASSERT_TRUE(validate_request(req, &why)) << why;
@@ -539,6 +541,41 @@ TEST(ApiLoad, TextTraceFileIsRejected) {
   EXPECT_NE(reply.error.find("trace '" + path + "' rejected: "),
             std::string::npos)
       << reply.error;
+}
+
+// Events that decode cleanly but break the trace contract (validate()) are
+// a bad input too: each 4-event file once designed for now names itself.
+TEST(ApiLoad, InvalidEventStreamIsRejected) {
+  using core::AllocEvent;
+  constexpr auto kAlloc = AllocEvent::Op::kAlloc;
+  constexpr auto kFree = AllocEvent::Op::kFree;
+  const std::vector<std::vector<AllocEvent>> defects = {
+      // id 0 allocated twice while live
+      {{kAlloc, 0, 64, 0}, {kAlloc, 0, 32, 0}, {kFree, 0, 0, 0},
+       {kFree, 0, 0, 0}},
+      // a free of id 1, which was never allocated
+      {{kAlloc, 0, 64, 0}, {kFree, 1, 0, 0}, {kFree, 0, 0, 0},
+       {kAlloc, 2, 32, 0}},
+  };
+  for (std::size_t d = 0; d < defects.size(); ++d) {
+    const std::string path = ::testing::TempDir() + "dmm_api_invalid_" +
+                             std::to_string(d) + ".dmmt";
+    std::unique_ptr<trace::TraceWriter> writer =
+        trace::TraceWriter::create(path);
+    ASSERT_NE(writer, nullptr);
+    for (const AllocEvent& e : defects[d]) writer->add(e);
+    ASSERT_TRUE(writer->finish());
+    DesignRequest req;
+    req.traces.resize(1);
+    req.traces[0].kind = TraceRef::Kind::kFile;
+    req.traces[0].path = path;
+    const DesignReply reply = run_design_request(req);
+    std::remove(path.c_str());
+    EXPECT_FALSE(reply.ok) << "defect " << d;
+    EXPECT_NE(reply.error.find("trace '" + path + "' rejected: event "),
+              std::string::npos)
+        << reply.error;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -64,11 +64,6 @@ void expect_same_outcomes(const std::vector<EvalOutcome>& a,
   }
 }
 
-std::unique_ptr<EvalEngine> make_engine(unsigned threads) {
-  if (threads <= 1) return std::make_unique<SerialEngine>();
-  return std::make_unique<ThreadPoolEngine>(threads);
-}
-
 // ---------------------------------------------------------------------------
 // Streaming == batch, across engines, thread counts, and cache presence
 // ---------------------------------------------------------------------------
@@ -80,7 +75,7 @@ TEST_P(StreamEquivalence, SubmitDrainMatchesBatchEvaluate) {
   const AllocTrace trace = workload_trace("drr", 2000);
   const std::vector<EvalJob> jobs = mixed_jobs();
 
-  SerialEngine reference;
+  EvalEngine reference(1);
   SharedScoreCache ref_store;
   SharedScoreCache::Session ref_cache =
       ref_store.begin_search(trace.fingerprint());
@@ -122,7 +117,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, StreamEquivalence,
 
 TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
   const AllocTrace trace = workload_trace("drr", 1500);
-  SerialEngine engine;
+  EvalEngine engine(1);
   SharedScoreCache store;
   SharedScoreCache::Session cache = store.begin_search(trace.fingerprint());
   // Pre-warm the cache with the paper config.

@@ -1,6 +1,6 @@
-// The evaluation-engine contract: serial and thread-pool backends must be
-// interchangeable — same best vector, same step logs, same accounting —
-// and the score cache must only ever skip work, never change answers.
+// The evaluation-engine contract: every worker count (inline replays at 1,
+// a pool above) gives the same best vector, step logs and accounting, and
+// the score cache must only ever skip work, never change answers.
 
 #include "dmm/core/eval_engine.h"
 
@@ -204,8 +204,8 @@ TEST(EvalEngine, DirectBatchMatchesSerial) {
   jobs.push_back({alloc::drr_paper_config(), 2});
   jobs.push_back({alloc::drr_paper_config(), 3});  // duplicate
 
-  SerialEngine serial;
-  ThreadPoolEngine pool(4);
+  EvalEngine serial(1);
+  EvalEngine pool(4);
   EXPECT_EQ(pool.threads(), 4u);
   SharedScoreCache store_a;
   SharedScoreCache store_b;
@@ -310,7 +310,7 @@ TEST(EngineHint, HintedThenSubmittedEqualsUnhinted) {
                                      {best_fit, 6},
                                      {alloc::drr_paper_config(), 7}};
 
-  SerialEngine serial;
+  EvalEngine serial(1);
   SharedScoreCache plain_store;
   SharedScoreCache::Session plain = plain_store.begin_search(1);
   const std::vector<EvalOutcome> want = serial.evaluate(trace, jobs, &plain);
@@ -320,7 +320,7 @@ TEST(EngineHint, HintedThenSubmittedEqualsUnhinted) {
   // run in outcome and accounting.
   for (int wait = 0; wait < 3; ++wait) {
     const std::string what = "wait mode " + std::to_string(wait);
-    ThreadPoolEngine pool(2);
+    EvalEngine pool(2);
     SharedScoreCache store;
     SharedScoreCache::Session cache = store.begin_search(1);
     // Hinted under other tags: adoption keeps the submitted job's tag.
@@ -367,7 +367,7 @@ TEST(EngineHint, UnsubmittedHintsLeaveTheCacheUntouched) {
   auto run = [&](bool with_hints, std::vector<bool>* alive) {
     SharedScoreCache store(limits);
     SharedScoreCache::Session cache = store.begin_search(9);
-    ThreadPoolEngine pool(2);
+    EvalEngine pool(2);
     (void)pool.evaluate(trace, {{cfgs[0], 0}, {cfgs[1], 1}, {cfgs[2], 2}},
                         &cache);
     if (with_hints) {
@@ -405,20 +405,20 @@ TEST(EngineHint, HintOnOneTraceIsNeverAdoptedOnAnother) {
   SharedScoreCache store;
   SharedScoreCache::Session cache_a = store.begin_search(a.fingerprint());
   SharedScoreCache::Session cache_b = store.begin_search(b.fingerprint());
-  ThreadPoolEngine pool(2);
+  EvalEngine pool(2);
   pool.hint(a, {cfg, 0}, &cache_a);
   ASSERT_TRUE(hints_started(pool, 1));
   const std::vector<EvalOutcome> got = pool.evaluate(b, {{cfg, 0}}, &cache_b);
   pool.settle_hints();
   EXPECT_EQ(pool.hint_stats().adopted, 0u);
-  SerialEngine serial;
+  EvalEngine serial(1);
   expect_same_outcome(got[0], serial.evaluate(b, {{cfg, 0}})[0], "trace b");
 }
 
 TEST(EngineHint, TraceDestroyedRightAfterFinishIsSafe) {
   // A design run destroys its sub-traces before the engine; finish() must
   // leave no hint replaying them (ASan reports the use-after-free).
-  ThreadPoolEngine pool(2);
+  EvalEngine pool(2);
   ExplorerOptions opts;
   // A chunk size no greedy candidate has: never cached, never submitted.
   std::vector<DmmConfig> never_submitted = {alloc::drr_paper_config(),
@@ -444,14 +444,99 @@ TEST(EngineHint, TraceDestroyedRightAfterFinishIsSafe) {
   EXPECT_LE(hs.started, hs.queued);
 }
 
-TEST(EngineHint, SerialEngineIgnoresHints) {
+TEST(EngineHint, OneWorkerEngineIgnoresHints) {
   const AllocTrace trace = workload_trace("drr", 2000);
   SharedScoreCache store;
   SharedScoreCache::Session cache = store.begin_search(1);
-  SerialEngine serial;
+  EvalEngine serial(1);
   serial.hint(trace, {alloc::drr_paper_config(), 0}, &cache);
   EXPECT_EQ(serial.hint_stats().queued, 0u);
   EXPECT_EQ(store.stats().insertions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The in-flight table: one replay per (trace, canonical vector)
+// ---------------------------------------------------------------------------
+
+TEST(EngineInflight, HintOfAVectorInFlightInTheOpenSessionIsNotQueued) {
+  const AllocTrace trace = workload_trace("drr", 2000);
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(1);
+  EvalEngine pool(2);
+  const DmmConfig cfg = alloc::drr_paper_config();
+  pool.stream_begin(trace, &cache);
+  pool.stream_submit({cfg, 0});
+  pool.hint(trace, {cfg, 1}, &cache);
+  EXPECT_EQ(pool.hint_stats().queued, 0u);
+  const std::vector<EvalOutcome> got = pool.stream_drain();
+  pool.settle_hints();
+  EXPECT_FALSE(got[0].from_cache);
+  EXPECT_EQ(pool.hint_stats().queued, 0u);
+  EXPECT_EQ(pool.hint_stats().adopted, 0u);
+}
+
+TEST(EngineInflight, SameHintTwiceIsQueuedOnce) {
+  const AllocTrace trace = workload_trace("drr", 2000);
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(1);
+  EvalEngine pool(2);
+  DmmConfig cfg = alloc::drr_paper_config();
+  cfg.fit = alloc::FitAlgorithm::kBestFit;
+  pool.hint(trace, {cfg, 0}, &cache);
+  pool.hint(trace, {cfg, 1}, &cache);
+  EXPECT_EQ(pool.hint_stats().queued, 1u);
+  pool.settle_hints();
+  EXPECT_EQ(pool.hint_stats().queued, 1u);
+  EXPECT_LE(pool.hint_stats().started, 1u);
+  EXPECT_EQ(store.stats().insertions, 0u);
+}
+
+TEST(EngineInflight, RunningHintIsAdoptedOnceAndItsDuplicateServedFromIt) {
+  const AllocTrace trace = workload_trace("drr", 20000);
+  DmmConfig cfg = alloc::drr_paper_config();
+  cfg.fit = alloc::FitAlgorithm::kBestFit;
+  const std::vector<EvalJob> jobs = {{cfg, 1}, {cfg, 2}};
+
+  EvalEngine serial(1);
+  SharedScoreCache plain_store;
+  SharedScoreCache::Session plain = plain_store.begin_search(1);
+  const std::vector<EvalOutcome> want = serial.evaluate(trace, jobs, &plain);
+
+  EvalEngine pool(2);
+  SharedScoreCache store;
+  SharedScoreCache::Session cache = store.begin_search(1);
+  pool.hint(trace, {cfg, 100}, &cache);
+  ASSERT_TRUE(hints_started(pool, 1));
+  const std::vector<EvalOutcome> got = pool.evaluate(trace, jobs, &cache);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_outcome(got[i], want[i], "job " + std::to_string(i));
+  }
+  EXPECT_FALSE(got[0].from_cache) << "the adopting submit is a simulation";
+  EXPECT_TRUE(got[1].from_cache) << "the second submit is a duplicate";
+  pool.settle_hints();
+  expect_same_stats(store.stats(), plain_store.stats(), "hinted vs serial");
+  const EvalEngine::HintStats hs = pool.hint_stats();
+  EXPECT_EQ(hs.queued, 1u);
+  EXPECT_EQ(hs.started, 1u);
+  EXPECT_EQ(hs.adopted, 1u);
+}
+
+TEST(EngineInflight, WithoutACacheSessionDuplicatesBothReplay) {
+  const AllocTrace trace = workload_trace("drr", 2000);
+  const DmmConfig cfg = alloc::drr_paper_config();
+  for (const unsigned threads : {1u, 2u}) {
+    const std::string what = std::to_string(threads) + " thread(s)";
+    const std::unique_ptr<EvalEngine> engine = make_engine(threads);
+    const std::vector<EvalOutcome> got =
+        engine->evaluate(trace, {{cfg, 0}, {cfg, 1}});
+    ASSERT_EQ(got.size(), 2u) << what;
+    EXPECT_FALSE(got[0].from_cache) << what;
+    EXPECT_FALSE(got[1].from_cache) << what;
+    EXPECT_EQ(got[1].tag, 1u) << what;
+    EXPECT_EQ(got[0].sim.peak_footprint, got[1].sim.peak_footprint) << what;
+    EXPECT_EQ(got[0].work_steps, got[1].work_steps) << what;
+  }
 }
 
 }  // namespace

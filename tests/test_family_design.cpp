@@ -352,7 +352,7 @@ TEST(DesignOptionsModes, FieldsOutsideTheirModeThrow) {
   add(1).explorer_options.time_weight = kNaN;
   add(1).explorer_options.time_weight = kInf;
   add(0);  // no traces at all
-  SerialEngine engine;
+  EvalEngine engine(1);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const std::span<const AllocTrace> span(traces.data(), cases[i].first);
     EXPECT_THROW((void)std::make_unique<DesignRun>(span, cases[i].second,

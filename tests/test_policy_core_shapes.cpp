@@ -115,14 +115,16 @@ class Specialised : public CustomManager {
 };
 
 /// Records the vector of every job the walk actually replays.
-class RecordingEngine : public core::SerialEngine {
+class RecordingEngine : public core::EvalEngine {
  public:
+  RecordingEngine() : core::EvalEngine(1) {}
   std::vector<DmmConfig> replayed;
 
  protected:
-  void dispatch(StreamSlot& slot) override {
-    replayed.push_back(slot.job.cfg);
-    core::SerialEngine::dispatch(slot);
+  core::EvalOutcome compute(const core::TraceSource& trace,
+                            const core::EvalJob& job) override {
+    replayed.push_back(job.cfg);
+    return core::EvalEngine::compute(trace, job);
   }
 };
 

@@ -294,7 +294,7 @@ TEST_P(WalkLookahead, TwoThreadWalkMatchesSerialOnADrrCut) {
 
   ExplorerOptions opts;
   opts.num_threads = 2;
-  ThreadPoolEngine pooled(2);
+  EvalEngine pooled(2);
   BeamSearch walk(GetParam(), paper_order());
   const ExplorationResult got = run_search(cut, walk, opts, &pooled);
   expect_identical_with_accounting(got, want,

@@ -48,16 +48,6 @@ TEST(SystemArena, TracksFootprintAndPeak) {
   EXPECT_EQ(arena.live_chunks(), 0u);
 }
 
-TEST(SystemArena, PeakResetsToCurrentOnDemand) {
-  SystemArena arena;
-  std::byte* a = arena.request(8192, kOwnerA);
-  std::byte* b = arena.request(8192, kOwnerA);
-  arena.release(b);
-  arena.reset_peak();
-  EXPECT_EQ(arena.peak_footprint(), 8192u);
-  arena.release(a);
-}
-
 TEST(SystemArena, CapacityBudgetRejectsOverflow) {
   SystemArena arena(16 * 1024);
   std::byte* a = arena.request(8 * 1024, kOwnerA);
@@ -85,23 +75,6 @@ TEST(SystemArena, OwnershipQueries) {
   arena.release(a);
   EXPECT_FALSE(arena.grant_of(a));
   EXPECT_EQ(arena.grant_of(a).size, 0u);
-}
-
-TEST(SystemArena, ObserverSeesEveryFootprintChange) {
-  SystemArena arena;
-  std::vector<long long> deltas;
-  arena.set_observer([&](const ArenaStats&, long long d) {
-    deltas.push_back(d);
-  });
-  std::byte* a = arena.request(1, kOwnerA);
-  std::byte* b = arena.request(4097, kOwnerA);
-  arena.release(a);
-  arena.release(b);
-  ASSERT_EQ(deltas.size(), 4u);
-  EXPECT_EQ(deltas[0], 4096);
-  EXPECT_EQ(deltas[1], 8192);
-  EXPECT_EQ(deltas[2], -4096);
-  EXPECT_EQ(deltas[3], -8192);
 }
 
 TEST(SystemArena, StatsCountersAreMonotone) {
