@@ -291,23 +291,24 @@ void EvalEngine::stream_submit(const EvalJob& job) {
     std::shared_ptr<Replay>& entry = inflight_[Key{stream_trace_, canon}];
     if (entry == nullptr) {
       entry = std::make_shared<Replay>(Replay{stream_trace_, job, canon});
-    } else if (entry->needed) {
-      // Joined earlier in this session: a duplicate served from that
-      // owner's replay.
       slot.replay = entry;
-      slot.out.from_cache = true;
-      return;
-    } else if (entry->state == Replay::State::kQueued) {
+    } else {
+      slot.replay = entry;
+      if (entry->needed) {
+        // Joined earlier in this session: a duplicate served from that
+        // owner's replay.
+        slot.out.from_cache = true;
+        return;
+      }
+      if (entry->state != Replay::State::kQueued) {
+        // A running or finished hint: its replay becomes this slot's.
+        entry->needed = true;
+        ++hint_stats_.adopted;
+        return;
+      }
       // A hint no worker has started: it moves up to the needed replays.
       queue_.erase(std::find(hints_begin_locked(), queue_.end(), entry));
-    } else {
-      // A running or finished hint: its replay becomes this slot's.
-      slot.replay = entry;
-      entry->needed = true;
-      ++hint_stats_.adopted;
-      return;
     }
-    slot.replay = entry;
   }
   Replay& replay = *slot.replay;
   replay.needed = true;
